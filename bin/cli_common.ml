@@ -7,12 +7,12 @@
    and a claimed stdout silences the human-readable output so the
    artifact stays machine-parseable.  Exit codes are uniform across the drivers and
    mirror Eda_guard.Error.exit_code: 0 success (possibly degraded),
-   1 findings/regression breach, 2 usage or input error, 3 infeasible
-   (under the Fail policy), 4 deadline with nothing to degrade to,
-   5 internal error (singular matrix, worker crash, non-finite value),
-   6 server overloaded (serve backpressure), 7 peer/stream i/o failure.
-   Every failure leaves through one funnel (guard_exceptions) as a coded
-   GSL diagnostic — no uncaught exception reaches the user. *)
+   1 findings/regression breach, 2 usage or input error, 5 internal
+   error (singular matrix, worker crash, non-finite value), 6 server
+   overloaded (serve backpressure), 7 peer/stream i/o failure.  Every
+   failure leaves through one funnel (guard_exceptions, via
+   Error.classify) as a coded GSL diagnostic — no uncaught exception
+   reaches the user. *)
 open Cmdliner
 open Gsino
 module Generator = Eda_netlist.Generator
@@ -28,15 +28,7 @@ module Fault = Eda_guard.Fault
 let exit_ok = 0
 let exit_findings = 1
 let exit_usage = 2
-let exit_infeasible = 3
-let exit_deadline = 4
 let exit_internal = 5
-let exit_overload = 6
-let exit_io = 7
-
-(* referenced here so the constants stay in sync with the taxonomy by
-   inspection; Error.exit_code is the authoritative mapping *)
-let _ = (exit_infeasible, exit_deadline, exit_internal, exit_overload, exit_io)
 
 (* A closed stdout/stderr/socket must surface as a typed Io error (exit
    7) through the funnel below, not kill the process: without this a
@@ -102,9 +94,9 @@ let deadline_arg =
 let audit_arg =
   let doc =
     "Run the pre-route static audit (Eda_analyze) before each flow.  \
-     Provable infeasibilities are logged as GSL0024+/GSL0026 diagnostics; \
-     under the default Degrade policy the flow then proceeds anyway.  Use \
-     the $(b,gsino_audit) driver to audit without routing."
+     Provable infeasibilities are logged as GSL0024+/GSL0026 diagnostics \
+     and the flow then proceeds anyway.  Use the $(b,gsino_audit) driver \
+     to fail fast (exit 1) without routing."
   in
   Arg.(value & flag & info [ "audit" ] ~doc)
 
@@ -294,13 +286,8 @@ let diag_of_error e =
   let locus =
     match e with
     | Error.Unreachable { net; _ } -> Some (Diag.Net net)
-    | Error.Infeasible { region; dir; _ } ->
-        Some
-          (Diag.Region
-             (region, if dir = "V" then Eda_grid.Dir.V else Eda_grid.Dir.H))
-    | Error.Parse _ | Error.Singular_matrix _ | Error.Deadline _
-    | Error.Worker_crash _ | Error.Nonfinite _ | Error.Frame _
-    | Error.Overload _ | Error.Io _ ->
+    | Error.Parse _ | Error.Singular_matrix _ | Error.Worker_crash _
+    | Error.Nonfinite _ | Error.Frame _ | Error.Overload _ | Error.Io _ ->
         None
   in
   Diag.make ~code:(Error.gsl_code e) Diag.Error ?locus (Error.to_string e)
@@ -325,21 +312,11 @@ let init_faults ~prog () =
       exit exit_usage
 
 (* Catch everything a run can throw and leave through the documented
-   exit codes: typed guard errors directly, foreign exceptions with a
-   known mapping (Matrix.Singular, router Unreachable) folded in, and
-   anything else as an internal worker-crash (GSL0022, exit 5). *)
+   exit codes: Error.classify keeps typed errors, folds known foreign
+   exceptions in, and turns anything else into an internal worker-crash
+   (GSL0022, exit 5). *)
 let guard_exceptions ?(pretty = false) f =
-  try f () with
-  | Error.Error e -> report_error ~pretty e
-  | Nc_router.Unreachable { net; region } ->
-      report_error ~pretty (Error.Unreachable { net; region })
-  | exn -> (
-      match Error.of_exn exn with
-      | Some e -> report_error ~pretty e
-      | None ->
-          report_error ~pretty
-            (Error.Worker_crash
-               { site = "cli"; msg = Printexc.to_string exn }))
+  try f () with exn -> report_error ~pretty (Error.classify ~site:"cli" exn)
 
 (* ---------------- observability lifecycle ---------------- *)
 
@@ -426,16 +403,7 @@ let profile_of_name name =
       exit exit_usage
 
 let netlist_of tech ~circuit ~scale ~seed = function
-  | Some file -> (
-      try Eda_netlist.Io.load file with
-      | Error.Error (Error.Parse _ as e) ->
-          (* typed loader failure: render through the funnel so the line
-             number and offending token reach the user with the GSL0020
-             code and the documented exit status *)
-          report_error ~pretty:false e
-      | Sys_error msg | Failure msg | Invalid_argument msg ->
-          Format.eprintf "cannot load netlist %s: %s@." file msg;
-          exit exit_usage)
+  | Some file -> Eda_netlist.Io.load file
   | None ->
       Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed
         (profile_of_name circuit)

@@ -104,6 +104,7 @@ let run_cmd =
 
 let map_cmd =
   let run circuit scale seed rate jobs netlist_file panel_cache =
+    C.guard_exceptions @@ fun () ->
     let tech = Tech.default in
     let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
     let cache, cache_dir = panel_cache in

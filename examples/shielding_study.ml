@@ -12,13 +12,12 @@ module Instance = Eda_sino.Instance
 module Layout = Eda_sino.Layout
 module Solver = Eda_sino.Solver
 module Estimate = Eda_sino.Estimate
-module Table_builder = Eda_lsk.Table_builder
 module Lsk = Eda_lsk.Lsk
 
 let () =
   (* 1. the LSK -> noise table, built by simulating coupled RLC buses *)
   Format.printf "building the LSK table from circuit simulations...@.";
-  let model = Lazy.force Table_builder.default in
+  let model = Gsino.Tech.(lsk_model default) in
   Format.printf "%a@.@." Lsk.pp model;
   Format.printf "selected entries (LSK in um*K -> predicted noise):@.";
   List.iter

@@ -3,7 +3,6 @@ module Route = Eda_grid.Route
 module Usage = Eda_grid.Usage
 module Netlist = Eda_netlist.Netlist
 module Sensitivity = Eda_netlist.Sensitivity
-module Estimate = Eda_sino.Estimate
 module Metrics = Eda_obs.Metrics
 module Trace = Eda_obs.Trace
 module Log = Eda_obs.Log
@@ -40,8 +39,6 @@ module Config = struct
     seed : int;
     cap_quantile : float;
     deadline_ms : int;
-    max_region_retries : int;
-    on_infeasible : Eda_guard.Error.policy;
     audit : bool;
     cache : bool;
     cache_dir : string option;
@@ -56,8 +53,6 @@ module Config = struct
       seed = 7;
       cap_quantile = 0.90;
       deadline_ms = 0;
-      max_region_retries = 2;
-      on_infeasible = Eda_guard.Error.Degrade;
       audit = false;
       cache = true;
       cache_dir = None;
@@ -95,15 +90,13 @@ let analyze_config tech =
     Eda_analyze.Analyze.keff = tech.Tech.keff;
     lsk = Tech.lsk_model tech;
     noise_bound_v = tech.Tech.noise_bound_v;
-    estimate = Lazy.force Estimate.default;
+    estimate = Tech.estimate_coeffs ();
   }
 
-(* Pre-route audit: if the static analyzer can prove the instance
-   infeasible, there is no point running the router.  Under [Fail] the
-   first provable finding becomes a typed Infeasible error; under
-   [Degrade] the findings are logged and the flow proceeds (the checker
-   and the SINO fallbacks will cope downstream). *)
-let audit_prepass config tech grid ~sensitivity netlist =
+(* Pre-route audit: log what the static analyzer can prove infeasible,
+   then proceed — the SINO fallbacks and the checker cope downstream.
+   Failing fast before routing is gsino_audit's job. *)
+let audit_prepass tech grid ~sensitivity netlist =
   let audit, _audit_s =
     timed_phase "audit" (fun () ->
         Eda_analyze.Analyze.run (analyze_config tech) ~grid ~sensitivity netlist)
@@ -120,28 +113,10 @@ let audit_prepass config tech grid ~sensitivity netlist =
           ~fields:[ ("circuit", netlist.Netlist.name) ]
           "audit: %s" (Diag.to_line d))
       errors;
-    match config.Config.on_infeasible with
-    | Eda_guard.Error.Fail ->
-        let region, dir =
-          List.fold_left
-            (fun acc d ->
-              if Option.is_some acc then acc
-              else
-                match d.Diag.locus with
-                | Diag.Region (r, dr) -> Some (r, Eda_grid.Dir.to_string dr)
-                | Diag.Global | Diag.Net _ -> None)
-            None errors
-          |> Option.value ~default:(0, "audit")
-        in
-        raise
-          (Eda_guard.Error.Error
-             (Eda_guard.Error.Infeasible
-                { region; dir; nets = List.length errors; retries = 0 }))
-    | Eda_guard.Error.Degrade ->
-        Log.warn
-          ~fields:[ ("circuit", netlist.Netlist.name) ]
-          "audit proved %d infeasibilities; continuing degraded (policy)"
-          (List.length errors)
+    Log.warn
+      ~fields:[ ("circuit", netlist.Netlist.name) ]
+      "audit proved %d infeasibilities; continuing degraded"
+      (List.length errors)
   end
 
 let route_with ?pool ?deadline router tech grid netlist shield_model =
@@ -209,8 +184,6 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
     seed;
     cap_quantile = _;
     deadline_ms;
-    max_region_retries;
-    on_infeasible;
     audit;
     cache = cache_on;
     cache_dir;
@@ -233,7 +206,7 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
   @@ fun () ->
   with_pool_opt ~jobs pool @@ fun pool ->
   let grid = match grid with Some g -> g | None -> Tech.grid_for tech netlist in
-  if audit then audit_prepass config tech grid ~sensitivity netlist;
+  if audit then audit_prepass tech grid ~sensitivity netlist;
   let lsk_model = Tech.lsk_model tech in
   let gcell_um = netlist.Netlist.gcell_um in
   let budget =
@@ -290,8 +263,7 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
   let phase2, sino_s =
     timed_phase "sino" (fun () ->
         Phase2.solve ~grid ~netlist ~routes ~kth:(Budget.kth budget) ~sensitivity
-          ~keff:tech.Tech.keff ~mode ~seed ~deadline
-          ~retries:max_region_retries ~on_infeasible ?cache ~pool ())
+          ~keff:tech.Tech.keff ~mode ~seed ~deadline ?cache ~pool ())
   in
   let usage = Usage.of_routes grid ~gcell_um (Array.to_list routes) in
   Phase2.apply_shields usage phase2;

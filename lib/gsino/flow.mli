@@ -59,21 +59,11 @@ module Config : sig
             (valid but less optimized) and is recorded in
             [result.deadline_hits] — the run completes degraded instead
             of raising. *)
-    max_region_retries : int;
-        (** reseeded re-solves of an infeasible min-area SINO panel
-            before [on_infeasible] applies (default 2) *)
-    on_infeasible : Eda_guard.Error.policy;
-        (** what to do when a panel stays infeasible after the retries:
-            [Degrade] (default) installs a conservative all-shield
-            fallback and tags the panel; [Fail] raises
-            [Eda_guard.Error.Error (Infeasible _)] *)
     audit : bool;
         (** run the {!Eda_analyze} static audit before routing (default
-            [false]).  When the audit proves the instance infeasible
-            (error-severity findings), [on_infeasible] decides: [Fail]
-            raises a typed [Infeasible] before any routing work;
-            [Degrade] logs the findings and proceeds.  Timing is recorded
-            as [flow.phase_seconds{phase="audit"}]. *)
+            [false]) and log its error-severity findings; the flow
+            proceeds either way.  Timing is recorded as
+            [flow.phase_seconds{phase="audit"}]. *)
     cache : bool;
         (** memoize panel solves in a content-addressed
             {!Eda_sino.Cache} (default [true]).  Solutions are
@@ -88,9 +78,8 @@ module Config : sig
   }
 
   (** [Gsino], iterative deletion, uniform budgeting, [jobs = 1],
-      [seed = 7], [cap_quantile = 0.90], no deadline, 2 region retries,
-      [Degrade] on infeasibility, no audit pre-pass, in-process panel
-      cache enabled with no persistence directory. *)
+      [seed = 7], [cap_quantile = 0.90], no deadline, no audit pre-pass,
+      in-process panel cache enabled with no persistence directory. *)
   val default : t
 end
 

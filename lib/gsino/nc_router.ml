@@ -8,24 +8,6 @@ module Estimate = Eda_sino.Estimate
 module Heap = Eda_util.Heap
 module Metrics = Eda_obs.Metrics
 module Trace = Eda_obs.Trace
-module Diag = Eda_check.Diag
-
-exception Unreachable of { net : int; region : int }
-
-let () =
-  Printexc.register_printer (function
-    | Unreachable { net; region } ->
-        Some
-          (Printf.sprintf
-             "Nc_router.Unreachable(net %d, terminal region %d not reachable)"
-             net region)
-    | _ -> None)
-
-let unreachable_diag ~net ~region =
-  Diag.makef ~code:17 Diag.Error ~locus:(Diag.Net net)
-    "negotiated router: terminal region %d is unreachable from the net's \
-     routed tree (disconnected grid)"
-    region
 
 (* negotiation telemetry: present/history price evolution per iteration *)
 let m_iterations = Metrics.counter "nc_router.iterations"
@@ -137,7 +119,8 @@ let route ~grid ~netlist ?(shield_model = Id_router.No_shields) ?(max_iters = 12
             (Grid.incident_edges grid (Grid.region_pt grid r))
       end
     done;
-    if dist.(target) = infinity then raise (Unreachable { net; region = target });
+    if dist.(target) = infinity then
+      Eda_guard.Error.raise_ (Eda_guard.Error.Unreachable { net; region = target });
     (* walk back to any source *)
     let rec back r acc =
       if via.(r) = -1 then acc

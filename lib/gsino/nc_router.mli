@@ -15,20 +15,11 @@
     one to two orders of magnitude faster than iterative deletion on
     large instances (see the bench's router ablation). *)
 
-(** Raised when a terminal of [net] sits in a [region] the Dijkstra
-    search cannot reach from the net's partially-built tree — i.e. the
-    region graph is disconnected.  Carries the offending net and region
-    so callers can report a coded diagnostic ({!unreachable_diag})
-    instead of dying on an opaque string. *)
-exception Unreachable of { net : int; region : int }
-
-(** The GSL0017 rendering of an {!Unreachable} failure, for CLIs that
-    catch it and report through the lint channel. *)
-val unreachable_diag : net:int -> region:int -> Eda_check.Diag.t
-
 (** [route ~grid ~netlist ()] returns one route per net.
 
-    @raise Unreachable when the grid's region graph is disconnected.
+    @raise Eda_guard.Error.Error [(Unreachable { net; region })] when a
+    terminal of [net] sits in a [region] the search cannot reach from
+    the net's partially-built tree — the region graph is disconnected.
 
     @param shield_model as in {!Id_router} (default [No_shields])
     @param max_iters rip-up and re-route rounds (default 12)

@@ -111,8 +111,7 @@ let fallback_layout mode inst =
   Layout.make inst slots
 
 let solve ~grid ~netlist ~routes ~kth ~sensitivity ~keff ~mode ~seed
-    ?(deadline = Eda_guard.Deadline.none) ?(retries = 2)
-    ?(on_infeasible = Eda_guard.Error.Degrade) ?cache ?pool () =
+    ?(deadline = Eda_guard.Deadline.none) ?cache ?pool () =
   Trace.span "phase2.solve" @@ fun () ->
   let members : (key, int list) Hashtbl.t = Hashtbl.create 256 in
   let net_regions : (int, key list) Hashtbl.t = Hashtbl.create 256 in
@@ -143,7 +142,7 @@ let solve ~grid ~netlist ~routes ~kth ~sensitivity ~keff ~mode ~seed
   let req =
     Solver.request
       ~mode:(match mode with Order_only -> Solver.Order_only | Min_area -> Solver.Min_area)
-      ~params:keff ~retries ~deadline ~fault_site:"phase2.solve" ~seed ()
+      ~params:keff ~deadline ~fault_site:"phase2.solve" ~seed ()
   in
   let solve_panel (((r, d) as _key), nets) =
     let t0 = Clock.now_ns () in
@@ -164,8 +163,8 @@ let solve ~grid ~netlist ~routes ~kth ~sensitivity ~keff ~mode ~seed
     (* Order_only is the shield-free NO baseline: it ignores inductive
        bounds by design, so infeasibility is expected there and solve
        always accepts; only Min_area panels go through the retry ladder
-       (inside Solver.solve).  Policy on exhaustion stays here, where
-       the panel's grid context lives. *)
+       (inside Solver.solve).  A panel the ladder cannot make feasible,
+       or whose solve crashed, degrades to the fallback layout. *)
     let layout, degraded, cache_note, sg =
       match mode with
       | Min_area when Eda_guard.Deadline.expired deadline ->
@@ -182,25 +181,10 @@ let solve ~grid ~netlist ~routes ~kth ~sensitivity ~keff ~mode ~seed
           | { Solver.degraded = true; layout; cache = cn; signature; _ } ->
               (* the deadline ran out mid-ladder: best-so-far *)
               (layout, true, cn, signature)
-          | { Solver.layout; cache = cn; signature; _ } -> (
-              match on_infeasible with
-              | Eda_guard.Error.Fail ->
-                  Eda_guard.Error.raise_
-                    (Eda_guard.Error.Infeasible
-                       {
-                         region = r;
-                         dir = Dir.to_string d;
-                         nets = Array.length nets;
-                         retries;
-                       })
-              | Eda_guard.Error.Degrade ->
-                  (fallback (Some layout), true, cn, signature))
-          | exception
-              Eda_guard.Error.Error (Eda_guard.Error.Worker_crash _ as e) -> (
-              match on_infeasible with
-              | Eda_guard.Error.Fail -> Eda_guard.Error.raise_ e
-              | Eda_guard.Error.Degrade ->
-                  (fallback None, true, None, Instance.signature inst)))
+          | { Solver.layout; cache = cn; signature; _ } ->
+              (fallback (Some layout), true, cn, signature)
+          | exception Eda_guard.Error.Error (Eda_guard.Error.Worker_crash _) ->
+              (fallback None, true, None, Instance.signature inst))
     in
     Metrics.incr (match d with Dir.H -> m_panels_h | Dir.V -> m_panels_v);
     Metrics.observe h_panel_nets (float_of_int (Array.length nets));

@@ -36,15 +36,14 @@ type mode = Order_only | Min_area
     re-solved ones (DESIGN §10), and every [panel.solve] journal event
     carries the outcome as its ["cache"] dimension.
 
-    A [Min_area] panel that comes back infeasible is retried up to
-    [retries] times with fresh content-derived RNG streams inside the
-    solver; if still infeasible, [on_infeasible] decides: [Fail] raises
-    [Eda_guard.Error.Error (Infeasible _)], [Degrade] installs a
-    conservative all-shield fallback and tags the panel degraded
-    (bumping [guard.retries] / [guard.fallbacks] /
-    [phase2.infeasible_panels]).  An expired [deadline] stops both the
-    per-panel improvement stages and the retry ladder, keeping
-    best-so-far results.  [phase2.solve] is a fault-injection site. *)
+    A [Min_area] panel that comes back infeasible is retried twice with
+    fresh content-derived RNG streams inside the solver; if still
+    infeasible (or its solve crashed), a conservative all-shield
+    fallback is installed and the panel tagged degraded (bumping
+    [guard.retries] / [guard.fallbacks] / [phase2.infeasible_panels]).
+    An expired [deadline] stops both the per-panel improvement stages
+    and the retry ladder, keeping best-so-far results.  [phase2.solve]
+    is a fault-injection site. *)
 val solve :
   grid:Eda_grid.Grid.t ->
   netlist:Eda_netlist.Netlist.t ->
@@ -55,8 +54,6 @@ val solve :
   mode:mode ->
   seed:int ->
   ?deadline:Eda_guard.Deadline.t ->
-  ?retries:int ->
-  ?on_infeasible:Eda_guard.Error.policy ->
   ?cache:Eda_sino.Cache.t ->
   ?pool:Eda_exec.t ->
   unit ->

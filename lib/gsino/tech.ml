@@ -23,18 +23,36 @@ let default =
     gamma = 50.0;
   }
 
-let cache : (t, Eda_lsk.Lsk.t) Hashtbl.t = Hashtbl.create 4
+(* The model memo.  Both models take seconds to build and are asked for
+   from any domain (daemon workers, Eda_exec pools), so lookup and build
+   run under one mutex: a concurrent requester waits for the build in
+   progress instead of racing it. *)
+let models_mu = Mutex.create ()
+
+let lsk_models :
+    (Eda_lsk.Table_builder.electrical * Eda_sino.Keff.params, Eda_lsk.Lsk.t)
+    Hashtbl.t =
+  Hashtbl.create 4
+
+let estimate = ref None
 
 let lsk_model t =
-  if t.electrical = default.electrical && t.keff = default.keff then
-    Lazy.force Eda_lsk.Table_builder.default
-  else begin
-    match Hashtbl.find_opt cache t with
-    | Some m -> m
-    | None ->
-        let m = Eda_lsk.Table_builder.build ~keff:t.keff t.electrical in
-        Hashtbl.add cache t m;
-        m
-  end
+  Mutex.protect models_mu (fun () ->
+      let key = (t.electrical, t.keff) in
+      match Hashtbl.find_opt lsk_models key with
+      | Some m -> m
+      | None ->
+          let m = Eda_lsk.Table_builder.build ~keff:t.keff t.electrical in
+          Hashtbl.add lsk_models key m;
+          m)
+
+let estimate_coeffs () =
+  Mutex.protect models_mu (fun () ->
+      match !estimate with
+      | Some c -> c
+      | None ->
+          let c = Eda_sino.Estimate.(fit ~kth_of:default_kth_sampler ()) in
+          estimate := Some c;
+          c)
 
 let grid_for t netlist = Eda_grid.Grid.auto ~util_target:t.util_target netlist

@@ -15,11 +15,14 @@ type t = {
 
 val default : t
 
-(** [lsk_model t] — the LSK → noise table for this technology.  The
-    default technology shares the lazily built
-    {!Eda_lsk.Table_builder.default}; other technologies trigger a fresh
-    simulation sweep (cached per [t]). *)
+(** [lsk_model t] — the LSK → noise table for this technology, built by
+    a simulation sweep on first request and memoized per electrical and
+    Keff parameters.  Safe to call from any domain. *)
 val lsk_model : t -> Eda_lsk.Lsk.t
+
+(** The Formula-3 coefficients fit with the default samplers and seed,
+    memoized with the LSK tables.  Safe to call from any domain. *)
+val estimate_coeffs : unit -> Eda_sino.Estimate.coeffs
 
 (** [grid_for t netlist] — capacities per {!Eda_grid.Grid.auto} at this
     technology's utilization target. *)

@@ -77,5 +77,3 @@ let hits t =
   match t with
   | None -> []
   | Some s -> Mutex.protect s.mu (fun () -> List.rev s.hits)
-
-let error t ~phase = Error.Deadline { phase; budget_ms = budget_ms t }

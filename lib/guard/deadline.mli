@@ -67,7 +67,3 @@ val check : t -> phase:string -> bool
 
 (** Phases marked so far, in first-marked order. *)
 val hits : t -> string list
-
-(** The {!Error.Deadline} value for this budget — for call sites with no
-    best-so-far state to degrade to. *)
-val error : t -> phase:string -> Error.t

@@ -1,11 +1,7 @@
-type policy = Fail | Degrade
-
 type t =
   | Parse of { file : string option; line : int; token : string; msg : string }
   | Unreachable of { net : int; region : int }
-  | Infeasible of { region : int; dir : string; nets : int; retries : int }
   | Singular_matrix of { n : int; column : int; pivot : float }
-  | Deadline of { phase : string; budget_ms : int }
   | Worker_crash of { site : string; msg : string }
   | Nonfinite of { site : string; what : string }
   | Frame of { what : string; detail : string }
@@ -17,9 +13,7 @@ exception Error of t
 let class_name = function
   | Parse _ -> "parse-error"
   | Unreachable _ -> "unreachable-grid"
-  | Infeasible _ -> "infeasible-region"
   | Singular_matrix _ -> "singular-matrix"
-  | Deadline _ -> "deadline-exceeded"
   | Worker_crash _ -> "worker-crash"
   | Nonfinite _ -> "nonfinite-value"
   | Frame _ -> "bad-frame"
@@ -27,13 +21,11 @@ let class_name = function
   | Io _ -> "io-error"
 
 (* The single error-class -> GSL diagnostic code mapping (README table).
-   Codes 1..16 belong to the Eda_check invariant rules and 17..19 to the
-   runtime findings they can also report; 20..23 are error-only;
-   30..32 belong to the serve protocol layer. *)
+   Codes 1..16 and 18..19 belong to the Eda_check rules (18/19 are its
+   degraded-panel and deadline warnings); 17 and 20..23 are runtime
+   errors; 30..32 belong to the serve protocol layer. *)
 let gsl_code = function
   | Unreachable _ -> 17
-  | Infeasible _ -> 18
-  | Deadline _ -> 19
   | Parse _ -> 20
   | Singular_matrix _ -> 21
   | Worker_crash _ -> 22
@@ -46,30 +38,23 @@ let gsl_code = function
    (possibly degraded), 1 = lint findings / regression breach, then: *)
 let exit_code = function
   | Parse _ | Unreachable _ | Frame _ -> 2 (* usage / malformed input *)
-  | Infeasible _ -> 3 (* infeasible under Fail policy *)
-  | Deadline _ -> 4 (* budget exhausted, no degradable state *)
   | Singular_matrix _ | Worker_crash _ | Nonfinite _ -> 5 (* internal *)
   | Overload _ -> 6 (* server refused admission *)
   | Io _ -> 7 (* peer/stream I/O failure *)
 
 let to_string = function
   | Parse { file; line; token; msg } ->
-      Printf.sprintf "%sline %d: %s%s"
+      Printf.sprintf "%s%s%s%s"
         (match file with Some f -> f ^ ": " | None -> "")
-        line msg
+        (if line > 0 then Printf.sprintf "line %d: " line else "")
+        msg
         (if token = "" then "" else Printf.sprintf " (at %S)" token)
   | Unreachable { net; region } ->
       Printf.sprintf
         "net %d: terminal region %d unreachable (disconnected grid)" net region
-  | Infeasible { region; dir; nets; retries } ->
-      Printf.sprintf
-        "region %d/%s: SINO infeasible for %d nets after %d reseeded retries"
-        region dir nets retries
   | Singular_matrix { n; column; pivot } ->
       Printf.sprintf "singular matrix (n=%d, best |pivot| %.3e in column %d)" n
         pivot column
-  | Deadline { phase; budget_ms } ->
-      Printf.sprintf "deadline of %d ms exhausted in phase %s" budget_ms phase
   | Worker_crash { site; msg } ->
       Printf.sprintf "worker crash at %s: %s" site msg
   | Nonfinite { site; what } ->
@@ -88,8 +73,7 @@ let sys_error_is_pipe msg =
   let n = String.length msg and k = String.length suffix in
   n >= k && String.sub msg (n - k) k = suffix
 
-(* Known foreign exceptions folded into the taxonomy; the CLIs call this
-   so no bare [Failure] reaches the user. *)
+(* Known foreign exceptions folded into the taxonomy. *)
 let of_exn = function
   | Error e -> Some e
   | Eda_util.Matrix.Singular { n; column; pivot } ->
@@ -100,6 +84,11 @@ let of_exn = function
   | Sys_error msg when sys_error_is_pipe msg ->
       Some (Io { site = "stdio"; msg })
   | _ -> None
+
+let classify ~site exn =
+  match of_exn exn with
+  | Some e -> e
+  | None -> Worker_crash { site; msg = Printexc.to_string exn }
 
 let () =
   Printexc.register_printer (function

@@ -1,40 +1,31 @@
 (** Typed failure taxonomy for the whole flow.
 
     Every way the pipeline can fail — malformed input, a disconnected
-    routing grid, an infeasible SINO region, a singular MNA matrix, an
-    exhausted time budget, a crashed (or fault-injected) worker, a
-    non-finite simulation value — is one constructor of {!t}, and the
-    taxonomy owns the {e single} mapping from failure class to GSL
-    diagnostic code ({!gsl_code}) and to process exit code
-    ({!exit_code}).  Libraries raise {!Error}; the CLIs catch it once in
-    [Cli_common] and render/exit uniformly, so no bare [Failure] ever
-    reaches the user.
+    routing grid, a singular MNA matrix, a crashed (or fault-injected)
+    worker, a non-finite simulation value, a refused serve frame or
+    peer — is one constructor of {!t}, and the taxonomy owns the
+    {e single} mapping from failure class to GSL diagnostic code
+    ({!gsl_code}) and to process exit code ({!exit_code}).  An
+    infeasible SINO panel or an expired deadline is not a failure: the
+    flow degrades and completes.  Libraries raise {!Error}; the CLIs
+    and the serve daemon turn whatever reaches them into a typed error
+    with {!classify}, so no bare [Failure] ever reaches the user.
 
     This module deliberately depends only on [eda_util]: payloads are
-    plain ints/strings (a panel direction travels as ["H"]/["V"]) so the
-    netlist loader, the linear-algebra kernel and the routers can all
-    raise it without dependency cycles through [eda_check]. *)
-
-(** What to do when a region stays infeasible after all retries:
-    [Fail] raises [Error (Infeasible _)]; [Degrade] installs a
-    conservative all-shield fallback layout and tags the panel degraded. *)
-type policy = Fail | Degrade
+    plain ints/strings so the netlist loader, the linear-algebra kernel
+    and the routers can all raise it without dependency cycles through
+    [eda_check]. *)
 
 type t =
   | Parse of { file : string option; line : int; token : string; msg : string }
-      (** Malformed netlist text: [line] is 1-based, [token] the offending
-          lexeme (may be [""] for structural errors). *)
+      (** Malformed or unreadable netlist: [line] is 1-based (0 when the
+          file itself could not be read), [token] the offending lexeme
+          (may be [""] for structural errors). *)
   | Unreachable of { net : int; region : int }
       (** A net terminal sits in a region the router cannot reach. *)
-  | Infeasible of { region : int; dir : string; nets : int; retries : int }
-      (** A SINO panel stayed infeasible after [retries] reseeded solves
-          (only raised under the [Fail] policy). *)
   | Singular_matrix of { n : int; column : int; pivot : float }
       (** [Matrix.lu_factor] hit a zero pivot (see
           {!Eda_util.Matrix.Singular}). *)
-  | Deadline of { phase : string; budget_ms : int }
-      (** The time budget expired with no best-so-far state to degrade
-          to. *)
   | Worker_crash of { site : string; msg : string }
       (** A worker (or fault-injection site) raised; [site] names the
           injection point or execution context. *)
@@ -53,19 +44,19 @@ type t =
 
 exception Error of t
 
-(** Stable kebab-case class name (["parse-error"], ["deadline-exceeded"],
+(** Stable kebab-case class name (["parse-error"], ["worker-crash"],
     ...), used in logs and the README table. *)
 val class_name : t -> string
 
-(** GSL diagnostic code for the class: 17 unreachable, 18 infeasible,
-    19 deadline, 20 parse, 21 singular, 22 worker crash, 23 non-finite,
-    30 bad frame, 31 overloaded, 32 i/o. *)
+(** GSL diagnostic code for the class: 17 unreachable, 20 parse,
+    21 singular, 22 worker crash, 23 non-finite, 30 bad frame,
+    31 overloaded, 32 i/o. *)
 val gsl_code : t -> int
 
 (** Process exit code for the class: 2 usage/input (parse, unreachable,
-    bad frame), 3 infeasible, 4 deadline, 5 internal (singular, crash,
-    non-finite), 6 overloaded, 7 i/o.  0 is success — possibly
-    degraded — and 1 is lint findings/regression. *)
+    bad frame), 5 internal (singular, crash, non-finite), 6 overloaded,
+    7 i/o.  0 is success — possibly degraded — and 1 is lint
+    findings/regression. *)
 val exit_code : t -> int
 
 (** Human-oriented one-line rendering (no class prefix). *)
@@ -79,3 +70,8 @@ val raise_ : t -> 'a
     [Sys_error] the runtime raises for EPIPE on stdio channels — both
     become {!Io}); [None] for anything else. *)
 val of_exn : exn -> t option
+
+(** [classify ~site exn] — the one entry-point funnel: {!of_exn}, or
+    else [Worker_crash { site; msg }] carrying the exception's
+    rendering.  [site] names the entry point that caught it. *)
+val classify : site:string -> exn -> t

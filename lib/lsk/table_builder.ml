@@ -125,5 +125,3 @@ let build ?(seed = 42) ?(entries = 100) ?configs ?lengths_m
   let pts = (0.0, 0.0) :: pts in
   let table = Lintable.resample (Lintable.isotonic (Lintable.of_points pts)) entries in
   { Lsk.table; keff }
-
-let default = lazy (build default_electrical)

@@ -57,7 +57,3 @@ val build :
   ?keff:Eda_sino.Keff.params ->
   electrical ->
   Lsk.t
-
-(** A lazily built default model (default electrical parameters, default
-    Keff, seed 42) shared by examples, tests and benches. *)
-val default : Lsk.t Lazy.t

@@ -146,9 +146,15 @@ let save path nl =
 
 let load path =
   Eda_guard.Fault.point "io.load";
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string ~file:path (really_input_string ic n))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> of_string ~file:path text
+  | exception Sys_error msg ->
+      (* an open failure reads "<path>: <reason>"; [file] carries the path *)
+      let prefix = path ^ ": " in
+      let reason =
+        if String.starts_with ~prefix msg then
+          String.sub msg (String.length prefix)
+            (String.length msg - String.length prefix)
+        else msg
+      in
+      fail ~file:path 0 "" ("cannot read netlist: " ^ reason)

@@ -26,7 +26,7 @@ val of_string : ?file:string -> string -> Netlist.t
 
 (** [save path nl] / [load path] — file convenience wrappers.  [load] is
     an [io.load] fault-injection site and tags parse errors with
-    [path]. *)
+    [path]; a file it cannot read is a [Parse] error at line 0. *)
 val save : string -> Netlist.t -> unit
 
 val load : string -> Netlist.t

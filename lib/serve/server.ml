@@ -115,6 +115,15 @@ let try_respond fd response =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
+(* Is [fd] readable within [timeout] seconds?  SIGTERM lands on any
+   thread not blocking it, so a domain's select can fail with EINTR:
+   that is a "not yet", never a reason for the domain to die. *)
+let readable fd timeout =
+  match Unix.select [ fd ] [] [] timeout with
+  | [], _, _ -> false
+  | _ :: _, _, _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
 let reject t fd reason =
   count_reject t reason;
   let depth = locked t (fun () -> t.depth) in
@@ -181,12 +190,10 @@ let handle_conn t fd =
 let accept_loop t =
   let rec loop () =
     if not (Atomic.get t.draining) then begin
-      (match Unix.select [ t.lsock ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-          match Unix.accept t.lsock with
-          | fd, _ -> handle_conn t fd
-          | exception Unix.Unix_error (_, _, _) -> ()));
+      (if readable t.lsock 0.25 then
+         match Unix.accept t.lsock with
+         | fd, _ -> handle_conn t fd
+         | exception Unix.Unix_error (_, _, _) -> ());
       loop ()
     end
   in
@@ -194,14 +201,12 @@ let accept_loop t =
   (* drain sweep: peers whose connect already completed against the
      backlog get a typed "draining" reject instead of a hung socket *)
   let rec sweep () =
-    match Unix.select [ t.lsock ] [] [] 0.0 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept t.lsock with
-        | fd, _ ->
-            reject t fd "draining";
-            sweep ()
-        | exception Unix.Unix_error (_, _, _) -> ())
+    if readable t.lsock 0.0 then
+      match Unix.accept t.lsock with
+      | fd, _ ->
+          reject t fd "draining";
+          sweep ()
+      | exception Unix.Unix_error (_, _, _) -> ()
   in
   sweep ();
   close_quiet t.lsock;
@@ -222,13 +227,12 @@ let monitor_fd fd deadline stop =
   let buf = Bytes.create 1 in
   let rec loop () =
     if not (Atomic.get stop) then begin
-      match Unix.select [ fd ] [] [] 0.15 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-          match Unix.recv fd buf 0 1 [] with
-          | 0 -> Deadline.cancel deadline
-          | _ -> loop () (* protocol garbage; consume and keep watching *)
-          | exception Unix.Unix_error (_, _, _) -> Deadline.cancel deadline)
+      if not (readable fd 0.15) then loop ()
+      else
+        match Unix.recv fd buf 0 1 [] with
+        | 0 -> Deadline.cancel deadline
+        | _ -> loop () (* protocol garbage; consume and keep watching *)
+        | exception Unix.Unix_error (_, _, _) -> Deadline.cancel deadline
     end
   in
   loop ()
@@ -303,20 +307,9 @@ let handle_route t pool (job : job) =
   let response =
     (* per-request guard: any failure becomes a framed typed error — the
        daemon never dies for one request *)
-    try route_result t pool job deadline with
-    | exn -> (
-        let e =
-          match exn with
-          | Gsino.Nc_router.Unreachable { net; region } ->
-              Error.Unreachable { net; region }
-          | exn -> (
-              match Error.of_exn exn with
-              | Some e -> e
-              | None ->
-                  Error.Worker_crash
-                    { site = "serve.request"; msg = Printexc.to_string exn })
-        in
-        Protocol.error_response e)
+    try route_result t pool job deadline
+    with exn ->
+      Protocol.error_response (Error.classify ~site:"serve.request" exn)
   in
   Trace.disable ();
   Atomic.set stop true;
@@ -363,7 +356,9 @@ let worker_loop t =
 
 (* ------------------------------ lifecycle ---------------------------- *)
 
-let start cfg =
+(* [draining] exists before the socket does, so [run] can route signals
+   to it before the first connection is possible. *)
+let start_draining draining cfg =
   let cfg =
     {
       cfg with
@@ -374,9 +369,9 @@ let start cfg =
   in
   if Sys.os_type = "Unix" then
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  (* Force the lazily built shared models once, before any request
-     domain exists: Lazy.force racing across domains is unsafe, and
-     every request would otherwise pay the first-forcing cost. *)
+  (* Build the shared models (LSK table, Formula-3 fit) before the
+     socket opens, so their cost is start-up time rather than the first
+     request's. *)
   ignore (Flow.analyze_config Tech.default);
   (* The journal records on any domain once enabled; enabling (and
      registering journal.events) before the baseline capture makes the
@@ -408,7 +403,7 @@ let start cfg =
       cfg;
       lsock;
       started_at = Clock.now_s ();
-      draining = Atomic.make false;
+      draining;
       mu = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
@@ -452,6 +447,8 @@ let start cfg =
       ]
     "gsino_serve: listening";
   t
+
+let start cfg = start_draining (Atomic.make false) cfg
 
 (* Signal-handler-safe: one atomic store.  Everything that must happen
    after — waking workers, the drain grace timer, the cache flush —
@@ -520,10 +517,10 @@ let wait t =
     "gsino_serve: drained"
 
 let run cfg =
-  let t = start cfg in
+  let draining = Atomic.make false in
   if Sys.os_type = "Unix" then begin
-    let handler = Sys.Signal_handle (fun _ -> drain t) in
+    let handler = Sys.Signal_handle (fun _ -> Atomic.set draining true) in
     Sys.set_signal Sys.sigterm handler;
     Sys.set_signal Sys.sigint handler
   end;
-  wait t
+  wait (start_draining draining cfg)

@@ -63,5 +63,7 @@ val stats : t -> Protocol.stats
     publish the daemon-lifetime [serve.*] metrics. *)
 val wait : t -> unit
 
-(** {!start}, route SIGTERM/SIGINT to {!drain}, {!wait}. *)
+(** Route SIGTERM/SIGINT to {!drain}, then {!start} and {!wait}.  The
+    handlers are in place before the socket is bound, so a signal that
+    follows the first answered request always drains. *)
 val run : config -> unit

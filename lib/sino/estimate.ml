@@ -86,9 +86,6 @@ let accuracy ?(params = Keff.default) ?(trials = 120) ?(seed = 7177) ~kth_of c =
       (if !sum_act = 0.0 then 0.0 else Float.abs (!sum_pred -. !sum_act) /. !sum_act);
   }
 
-let default =
-  lazy (fit ~kth_of:default_kth_sampler ())
-
 let pp fmt c =
   Format.fprintf fmt
     "Nss ~ %.3f*SS2 %+.3f*SS2/N %+.3f*SS %+.3f*SS/N %+.3f*N %+.3f"

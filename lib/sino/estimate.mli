@@ -58,7 +58,4 @@ val accuracy :
     crosstalk partitioning typically yields (median ≈ 0.7). *)
 val default_kth_sampler : Eda_util.Rng.t -> float
 
-(** Coefficients fit once (lazily) with the default samplers and seed. *)
-val default : coeffs Lazy.t
-
 val pp : Format.formatter -> coeffs -> unit

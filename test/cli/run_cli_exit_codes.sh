@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# CLI exit-code contract test for the five gsino drivers.
+# CLI exit-code contract test for the batch gsino drivers (gsino_run,
+# gsino_lint, gsino_audit, gsino_diff, gsino_explain); the daemon's
+# contract lives in run_serve.sh.
 #
-# Exercises every failure class reachable from a command line and
+# Exercises the failure classes reachable from a batch command line and
 # asserts the documented exit status (see README "Failure modes &
 # degradation"): 0 ok/degraded, 1 findings or regression breach,
 # 2 usage or input error, 5 internal (injected worker crash GSL0022,
-# non-finite value GSL0023).  Classes that no CLI path can reach —
-# infeasible under Fail (3) and a hard deadline error (4) — have their
-# mapping covered in test/test_guard.ml.
+# non-finite value GSL0023).
 #
 # Every invocation also checks that no uncaught exception leaked: a
 # typed failure prints exactly one GSL-coded line, never an OCaml
@@ -101,6 +101,16 @@ expect_stderr "GSL0020" "line 4" "9 9"
 expect 2 "gsino_lint parse error (GSL0020)" -- "$LINT" -q --netlist bad.nl
 expect_stderr "GSL0020"
 expect 2 "gsino_audit parse error (GSL0020)" -- "$AUDIT" -q --netlist bad.nl
+expect_stderr "GSL0020"
+# an unreadable netlist is the same typed input error, not a bare message
+expect 2 "gsino_run missing netlist (GSL0020)" -- \
+  "$RUN" run -q --netlist missing.nl
+expect_stderr "GSL0020" "missing.nl"
+expect 2 "gsino_lint missing netlist (GSL0020)" -- \
+  "$LINT" -q --netlist missing.nl
+expect_stderr "GSL0020"
+expect 2 "gsino_audit missing netlist (GSL0020)" -- \
+  "$AUDIT" -q --netlist missing.nl
 expect_stderr "GSL0020"
 expect 2 "malformed GSINO_FAULTS spec" -- \
   env GSINO_FAULTS="bogus" "$RUN" run "${base[@]}"

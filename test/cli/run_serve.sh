@@ -11,7 +11,8 @@
 #   with GSL findings), daemon unaffected
 # - a malformed raw frame gets a typed GSL0030 reject, daemon unaffected
 # - SIGTERM drains gracefully: exit 0, no orphaned socket file, the
-#   daemon-lifetime serve.* metrics flushed
+#   daemon-lifetime serve.* metrics flushed — also when it arrives right
+#   after the daemon's first pong
 #
 # Every check also asserts no uncaught exception leaked (no OCaml
 # "Fatal error" banner / backtrace on stderr).
@@ -24,9 +25,11 @@ cd "$work"
 
 DAEMON_PID=""
 FAULT_PID=""
+EARLY_PID=""
 cleanup() {
   [ -n "$DAEMON_PID" ] && kill -9 "$DAEMON_PID" 2>/dev/null
   [ -n "$FAULT_PID" ] && kill -9 "$FAULT_PID" 2>/dev/null
+  [ -n "$EARLY_PID" ] && kill -9 "$EARLY_PID" 2>/dev/null
   rm -rf "$work"
 }
 trap cleanup EXIT
@@ -177,6 +180,36 @@ else
   echo "FAIL drain did not flush the panel cache"
   failures=$((failures + 1))
 fi
+
+# ---- early drain: SIGTERM at once after the first pong ----
+# (the daemon may still be spawning worker domains; a drain that hangs
+# is killed after 20 s and counted as a failure)
+for i in 1 2 3 4 5; do
+  "$SERVE" daemon --socket early.sock -w 2 -j 1 -q &
+  EARLY_PID=$!
+  for _ in $(seq 1 200); do
+    "$SERVE" ping --socket early.sock >/dev/null 2>&1 && break
+    sleep 0.05
+  done
+  kill -TERM "$EARLY_PID"
+  for _ in $(seq 1 400); do
+    kill -0 "$EARLY_PID" 2>/dev/null || break
+    sleep 0.05
+  done
+  kill -9 "$EARLY_PID" 2>/dev/null
+  wait "$EARLY_PID"
+  code=$?
+  EARLY_PID=""
+  if [ "$code" -ne 0 ]; then
+    echo "FAIL early SIGTERM $i: daemon exit $code"
+    failures=$((failures + 1))
+  elif [ -e early.sock ]; then
+    echo "FAIL early SIGTERM $i: socket left behind"
+    failures=$((failures + 1))
+  else
+    echo "ok   early SIGTERM $i drains (exit 0, socket unlinked)"
+  fi
+done
 
 if [ "$failures" -gt 0 ]; then
   echo "$failures serve check(s) failed"

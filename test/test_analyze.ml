@@ -217,30 +217,9 @@ let test_audit_deterministic () =
 
 (* --------------------------- Flow pre-pass -------------------------- *)
 
-let test_flow_audit_fail_fast () =
-  let netlist, grid, sensitivity = infeasible_setup () in
-  let cfg =
-    {
-      Flow.Config.default with
-      Flow.Config.audit = true;
-      on_infeasible = Eda_guard.Error.Fail;
-    }
-  in
-  match Flow.run ~grid cfg Tech.default ~sensitivity netlist with
-  | _ -> Alcotest.fail "expected Infeasible before routing"
-  | exception Eda_guard.Error.Error (Eda_guard.Error.Infeasible { retries; _ })
-    ->
-      Alcotest.(check int) "pre-route: zero retries spent" 0 retries
-
 let test_flow_audit_degrade_continues () =
   let netlist, grid, sensitivity = infeasible_setup () in
-  let cfg =
-    {
-      Flow.Config.default with
-      Flow.Config.audit = true;
-      on_infeasible = Eda_guard.Error.Degrade;
-    }
-  in
+  let cfg = { Flow.Config.default with Flow.Config.audit = true } in
   let r = Flow.run ~grid cfg Tech.default ~sensitivity netlist in
   Alcotest.(check int) "all nets still routed" 12 (Array.length r.Flow.routes)
 
@@ -256,14 +235,7 @@ let test_flow_audit_clean_instance_unaffected () =
   let grid, base = Flow.prepare ~config:base_cfg tech netlist in
   let run cfg = Flow.run ~grid ~base cfg tech ~sensitivity netlist in
   let plain = run base_cfg in
-  let audited =
-    run
-      {
-        base_cfg with
-        Flow.Config.audit = true;
-        on_infeasible = Eda_guard.Error.Fail;
-      }
-  in
+  let audited = run { base_cfg with Flow.Config.audit = true } in
   Alcotest.(check int) "same shields" plain.Flow.shields audited.Flow.shields;
   Alcotest.(check (float 1e-9)) "same wirelength" plain.Flow.total_wl_um
     audited.Flow.total_wl_um
@@ -301,8 +273,6 @@ let suites =
       ] );
     ( "analyze.flow",
       [
-        Alcotest.test_case "fail-fast on infeasible" `Quick
-          test_flow_audit_fail_fast;
         Alcotest.test_case "degrade continues" `Quick
           test_flow_audit_degrade_continues;
         Alcotest.test_case "clean instance unaffected" `Slow

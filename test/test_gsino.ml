@@ -441,6 +441,24 @@ let test_lsk_model_cached () =
   let m2 = Tech.lsk_model Tech.default in
   Alcotest.(check bool) "same table object" true (m1 == m2)
 
+let test_models_concurrent_domains () =
+  (* a tech no other test builds, so its table is built while the other
+     domain is asking for it too *)
+  let other =
+    {
+      Tech.default with
+      Tech.electrical =
+        { Tech.default.Tech.electrical with Eda_lsk.Table_builder.segments = 4 };
+    }
+  in
+  let request techs () = (List.map Tech.lsk_model techs, Tech.estimate_coeffs ()) in
+  let a = Domain.spawn (request [ Tech.default; other ])
+  and b = Domain.spawn (request [ other; Tech.default ]) in
+  let ma, ca = Domain.join a and mb, cb = Domain.join b in
+  Alcotest.(check bool) "identical tables" true (ma = List.rev mb);
+  Alcotest.(check bool) "identical Formula-3 fit" true (ca = cb);
+  Alcotest.(check bool) "techs differ" false (List.nth ma 0 = List.nth ma 1)
+
 let test_report_run_circuit_shares_setup () =
   let runs =
     Report.run_circuit ~scale:0.02 ~seed:7 Generator.ibm01 [ 0.30; 0.50 ]
@@ -507,6 +525,8 @@ let suites =
         Alcotest.test_case "prepare cap quantile" `Slow test_prepare_cap_quantile;
         Alcotest.test_case "demand quantile" `Quick test_demand_quantile;
         Alcotest.test_case "lsk model cached" `Slow test_lsk_model_cached;
+        Alcotest.test_case "models shared across domains" `Slow
+          test_models_concurrent_domains;
         Alcotest.test_case "run_circuit shares setup" `Slow
           test_report_run_circuit_shares_setup;
       ] );

@@ -28,11 +28,8 @@ let samples =
     ( Error.Parse { file = None; line = 3; token = "wat"; msg = "bad" },
       "parse-error", 20, 2 );
     (Error.Unreachable { net = 4; region = 9 }, "unreachable-grid", 17, 2);
-    ( Error.Infeasible { region = 2; dir = "H"; nets = 5; retries = 2 },
-      "infeasible-region", 18, 3 );
     ( Error.Singular_matrix { n = 3; column = 1; pivot = 0.0 },
       "singular-matrix", 21, 5 );
-    (Error.Deadline { phase = "route"; budget_ms = 10 }, "deadline-exceeded", 19, 4);
     (Error.Worker_crash { site = "exec.worker"; msg = "boom" }, "worker-crash", 22, 5);
     ( Error.Nonfinite { site = "matrix.lu"; what = "unknown 0" },
       "nonfinite-value", 23, 5 );
@@ -63,10 +60,17 @@ let test_error_of_exn () =
       Alcotest.(check int) "n" 2 n;
       Alcotest.(check int) "column" 0 column
   | Some _ | None -> Alcotest.fail "Matrix.Singular not folded in");
-  let e = Error.Deadline { phase = "sino"; budget_ms = 5 } in
+  let e = Error.Unreachable { net = 3; region = 5 } in
   (match Error.of_exn (Error.Error e) with
   | Some e' -> Alcotest.(check bool) "identity" true (e = e')
   | None -> Alcotest.fail "Error.Error not folded in");
+  (* classify: of_exn where a mapping exists, else a crash at the site *)
+  Alcotest.(check bool) "classify keeps typed errors" true
+    (Error.classify ~site:"cli" (Error.Error e) = e);
+  (match Error.classify ~site:"serve.request" (Failure "x") with
+  | Error.Worker_crash { site; _ } ->
+      Alcotest.(check string) "crash names the entry point" "serve.request" site
+  | other -> Alcotest.fail ("foreign exn classified as " ^ Error.class_name other));
   (* a vanished peer folds into the Io class (exit 7), whichever layer
      reports it: raw Unix writes or stdio channels *)
   (match Error.of_exn (Unix.Unix_error (Unix.EPIPE, "write", "")) with
@@ -117,12 +121,7 @@ let test_deadline_expires_and_marks () =
   Deadline.mark d ~phase:"sino";
   Alcotest.(check (list string)) "marks dedup, keep order" [ "route"; "sino" ]
     (Deadline.hits d);
-  Alcotest.(check int) "budget recorded" 1 (Deadline.budget_ms d);
-  match Deadline.error d ~phase:"sino" with
-  | Error.Deadline { phase; budget_ms } ->
-      Alcotest.(check string) "error phase" "sino" phase;
-      Alcotest.(check int) "error budget" 1 budget_ms
-  | e -> Alcotest.fail ("wrong error class: " ^ Error.class_name e)
+  Alcotest.(check int) "budget recorded" 1 (Deadline.budget_ms d)
 
 let test_deadline_not_expired () =
   let d = Deadline.start ~budget_ms:60_000 in
@@ -377,16 +376,20 @@ let tight () =
   in
   (grid, nl, routes, Sensitivity.make ~seed:1 ~rate:1.0)
 
-let solve_tight ~kth ~on_infeasible () =
+let solve_tight ~kth () =
   let grid, nl, routes, sens = tight () in
   Phase2.solve ~grid ~netlist:nl ~routes ~kth ~sensitivity:sens
-    ~keff:tech.Tech.keff ~mode:Phase2.Min_area ~seed:3 ~retries:2
-    ~on_infeasible ()
+    ~keff:tech.Tech.keff ~mode:Phase2.Min_area ~seed:3 ()
 
 let test_phase2_degrade_fallback () =
-  let p2 = solve_tight ~kth:(fun _ -> -1.0) ~on_infeasible:Error.Degrade () in
+  let retries () = Eda_obs.Metrics.(counter_value (counter "guard.retries")) in
+  let retries0 = retries () in
+  let p2 = solve_tight ~kth:(fun _ -> -1.0) () in
   let degraded = Phase2.degraded_panels p2 in
   Alcotest.(check bool) "panels degraded" true (degraded <> []);
+  Alcotest.(check int) "full two-retry ladder per degraded panel"
+    (2 * List.length degraded)
+    (retries () - retries0);
   Alcotest.(check bool) "still infeasible" true (Phase2.infeasible_panels p2 <> []);
   List.iter
     (fun key ->
@@ -395,16 +398,9 @@ let test_phase2_degrade_fallback () =
   (* the conservative fallback interleaves a shield between every pair *)
   Alcotest.(check bool) "fallback inserted shields" true (Phase2.total_shields p2 > 0)
 
-let test_phase2_fail_policy () =
-  match solve_tight ~kth:(fun _ -> -1.0) ~on_infeasible:Error.Fail () with
-  | _ -> Alcotest.fail "infeasible instance accepted under Fail"
-  | exception Error.Error (Error.Infeasible { retries; nets; _ }) ->
-      Alcotest.(check int) "after the full retry ladder" 2 retries;
-      Alcotest.(check int) "names the panel width" 2 nets
-
 let test_phase2_feasible_not_degraded () =
   (* generous bounds: attempt 0 succeeds, nothing degrades, no retry *)
-  let p2 = solve_tight ~kth:(fun _ -> 1e6) ~on_infeasible:Error.Fail () in
+  let p2 = solve_tight ~kth:(fun _ -> 1e6) () in
   Alcotest.(check (list (pair int string)))
     "no degraded panels" []
     (List.map (fun (r, d) -> (r, Dir.to_string d)) (Phase2.degraded_panels p2));
@@ -415,18 +411,9 @@ let test_phase2_injected_crash_degrades () =
   with_faults
     [ { Fault.site = "phase2.solve"; mode = Fault.Raise; prob = 1.0; seed = 7 } ]
   @@ fun () ->
-  let p2 = solve_tight ~kth:(fun _ -> 1e6) ~on_infeasible:Error.Degrade () in
+  let p2 = solve_tight ~kth:(fun _ -> 1e6) () in
   Alcotest.(check bool) "every panel fell back" true
     (Phase2.degraded_panels p2 <> [])
-
-let test_phase2_injected_crash_fail_policy () =
-  with_faults
-    [ { Fault.site = "phase2.solve"; mode = Fault.Raise; prob = 1.0; seed = 7 } ]
-  @@ fun () ->
-  match solve_tight ~kth:(fun _ -> 1e6) ~on_infeasible:Error.Fail () with
-  | _ -> Alcotest.fail "all-crash panel accepted under Fail"
-  | exception Error.Error (Error.Worker_crash { site; _ }) ->
-      Alcotest.(check string) "typed crash surfaces" "phase2.solve" site
 
 (* ------------------------- worker-crash drain ------------------------ *)
 
@@ -552,13 +539,10 @@ let suites =
       [
         Alcotest.test_case "degrade installs fallback" `Quick
           test_phase2_degrade_fallback;
-        Alcotest.test_case "fail raises typed" `Quick test_phase2_fail_policy;
         Alcotest.test_case "feasible panels untouched" `Quick
           test_phase2_feasible_not_degraded;
         Alcotest.test_case "injected crash degrades" `Quick
           test_phase2_injected_crash_degrades;
-        Alcotest.test_case "injected crash under Fail" `Quick
-          test_phase2_injected_crash_fail_policy;
       ] );
     ( "guard.recovery",
       [

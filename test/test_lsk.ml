@@ -136,7 +136,7 @@ let test_noise_linear_in_length () =
 
 let test_default_model_range () =
   (* the shared default model covers the paper's 0.10-0.20V band *)
-  let m = Lazy.force Table_builder.default in
+  let m = Gsino.Tech.(lsk_model default) in
   let lo = Lsk.lsk_bound m ~noise:0.10 and hi = Lsk.lsk_bound m ~noise:0.20 in
   Alcotest.(check bool) "0.10V reachable" true (lo > 0.0);
   Alcotest.(check bool) "band ordered" true (hi > lo);

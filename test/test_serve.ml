@@ -1,7 +1,8 @@
 (* The routing daemon: protocol codecs, per-request fault isolation
    (malformed/oversized frames, injected faults, disconnects, expired
    deadlines each degrade only their own request), bounded admission
-   backpressure, concurrent-request result identity and graceful
+   backpressure, concurrent-request result identity, per-request
+   metrics isolation, signals landing on daemon domains and graceful
    drain. *)
 open Gsino
 module Server = Eda_serve.Server
@@ -194,6 +195,34 @@ let test_drain_unlinks_socket () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket);
   (try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ())
 
+(* A process-directed signal (the drain's SIGTERM) lands on any thread
+   not blocking it.  One that lands on the accept domain interrupts its
+   select; the domain must keep serving. *)
+let test_signal_on_daemon_domain () =
+  let dir = tmpdir () in
+  let socket = Filename.concat dir "s.sock" in
+  let t = Server.start { Server.default_config with Server.socket; workers = 1 } in
+  let prev = Sys.signal Sys.sigusr1 (Sys.Signal_handle ignore) in
+  (* with this thread blocking it, the kernel must pick a daemon thread *)
+  ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigusr1 ]);
+  for _ = 1 to 20 do
+    Unix.kill (Unix.getpid ()) Sys.sigusr1;
+    Thread.delay 0.01
+  done;
+  ignore (Thread.sigmask Unix.SIG_UNBLOCK [ Sys.sigusr1 ]);
+  Sys.set_signal Sys.sigusr1 prev;
+  let alive =
+    match Client.request ~timeout_s:5.0 socket Protocol.Ping with
+    | Protocol.Pong -> true
+    | Protocol.Stats_reply _ | Protocol.Result _ | Protocol.Err _ -> false
+    | exception Error.Error _ -> false
+  in
+  Server.drain t;
+  (* a dead accept domain never reports done: only wait on a live one *)
+  if alive then Server.wait t;
+  (try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ());
+  Alcotest.(check bool) "accept domain survives a signal" true alive
+
 (* ---------------- frame robustness ---------------- *)
 
 let test_malformed_frames () =
@@ -284,6 +313,37 @@ let test_route_identity_concurrent () =
             (stable_metric_entries m = stable_metric_entries m0)
       | _, _ -> Alcotest.fail "expected exactly the metrics artifact")
     rs
+
+(* A request that registers an instrument lazily (the trace artifact
+   registers trace.dropped_spans) must not leak it into the next
+   requests' exports on the same reused worker domain, and a later
+   request that registers it again must export it again. *)
+let test_lazy_instrument_isolated () =
+  (* The daemon's baseline is the process-wide instrument set at start,
+     so this needs a process where nothing has enabled tracing yet
+     (test_main runs the serve suites before the obs suites). *)
+  Alcotest.(check bool) "trace.dropped_spans not registered yet" false
+    (List.mem ("trace.dropped_spans", []) (Eda_obs.Metrics.registered ()));
+  with_server ~workers:1 @@ fun ~socket _t ->
+  let metrics what artifacts =
+    let _, _, _, arts =
+      expect_result what
+        (Client.request ~timeout_s:120.0 socket (route_request ~artifacts ()))
+    in
+    match List.assoc_opt "metrics" arts with
+    | Some m -> stable_metric_entries m
+    | None -> Alcotest.fail (what ^ ": no metrics artifact")
+  in
+  let dropped = List.exists (fun (name, _, _) -> name = "trace.dropped_spans") in
+  let m1 = metrics "trace request" [ Protocol.Trace; Protocol.Metrics ] in
+  let m2 = metrics "second request" [ Protocol.Metrics ] in
+  let m3 = metrics "third request" [ Protocol.Metrics ] in
+  Alcotest.(check bool) "trace request exports it" true (dropped m1);
+  Alcotest.(check bool) "second request does not" false (dropped m2);
+  Alcotest.(check bool) "third request does not" false (dropped m3);
+  Alcotest.(check bool) "stable series of 2 and 3 equal" true (m2 = m3);
+  let m4 = metrics "second trace request" [ Protocol.Trace; Protocol.Metrics ] in
+  Alcotest.(check bool) "re-registered instrument exported again" true (dropped m4)
 
 let test_request_deadline_degrades () =
   with_server @@ fun ~socket _t ->
@@ -384,6 +444,8 @@ let suites =
       [
         Alcotest.test_case "ping and stats" `Quick test_ping_stats;
         Alcotest.test_case "drain unlinks socket" `Quick test_drain_unlinks_socket;
+        Alcotest.test_case "signal on a daemon domain" `Quick
+          test_signal_on_daemon_domain;
         Alcotest.test_case "malformed frames isolated" `Quick test_malformed_frames;
         Alcotest.test_case "oversized frame isolated" `Quick test_oversized_frame;
         Alcotest.test_case "draining rejects new work" `Quick
@@ -393,6 +455,8 @@ let suites =
       [
         Alcotest.test_case "concurrent identity" `Slow
           test_route_identity_concurrent;
+        Alcotest.test_case "lazy instrument isolated" `Slow
+          test_lazy_instrument_isolated;
         Alcotest.test_case "deadline degrades request" `Slow
           test_request_deadline_degrades;
         Alcotest.test_case "injected fault isolated" `Slow

@@ -284,7 +284,7 @@ let test_estimate_fit_quality () =
     true (q.Estimate.mean_abs_err <= 2.5)
 
 let test_estimate_monotone_in_density () =
-  let c = Lazy.force Estimate.default in
+  let c = Gsino.Tech.estimate_coeffs () in
   let lo = Estimate.predict_uniform c ~nns:30 ~rate:0.2 in
   let hi = Estimate.predict_uniform c ~nns:30 ~rate:0.7 in
   Alcotest.(check bool) "more sensitivity, more shields" true (hi >= lo)
