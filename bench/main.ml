@@ -277,9 +277,7 @@ let run_solver_ablation () =
     in
     let greedy = S.min_area (Eda_util.Rng.split rng) inst in
     let annealed =
-      S.anneal
-        ~schedule:{ S.Anneal.default with S.Anneal.moves = 3000 }
-        (Eda_util.Rng.split rng) inst greedy
+      S.anneal ~moves:3000 (Eda_util.Rng.split rng) inst greedy
     in
     total_g := !total_g + L.num_shields greedy;
     total_a := !total_a + L.num_shields annealed

@@ -292,10 +292,21 @@ let diag_of_error e =
   in
   Diag.make ~code:(Error.gsl_code e) Diag.Error ?locus (Error.to_string e)
 
+(* [exit] flushes stdout and re-raises when that fails.  Once stdout's
+   reader is gone (a pager quit, `| head`), point fd 1 at /dev/null, so
+   the failure being reported keeps its exit code. *)
+let release_closed_stdout () =
+  try flush stdout
+  with Sys_error _ ->
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Unix.dup2 null Unix.stdout;
+    Unix.close null
+
 let report_error ~pretty e =
   let d = diag_of_error e in
   if pretty then Format.eprintf "%a@." Diag.pp d
   else prerr_endline (Diag.to_line d);
+  release_closed_stdout ();
   exit (Error.exit_code e)
 
 (* Install faults requested via GSINO_FAULTS before any worker domain

@@ -33,7 +33,6 @@ let run_cmd =
     let cache, cache_dir = panel_cache in
     let config kind =
       {
-        Flow.Config.default with
         Flow.Config.kind;
         router;
         budgeting;

@@ -75,9 +75,9 @@ let read_timeout_arg =
      & info [ "read-timeout" ] ~docv:"S" ~doc)
 
 let daemon socket workers jobs queue_bound max_frame request_deadline drain_ms
-    read_timeout panel_cache sinks progress verbose quiet =
+    read_timeout panel_cache sinks verbose quiet =
   ignore (C.claim_stdout ~prog:"gsino_serve" sinks);
-  C.with_obs ~prog:"gsino_serve" ~progress ~sinks ~verbose ~quiet @@ fun () ->
+  C.with_obs ~prog:"gsino_serve" ~sinks ~verbose ~quiet @@ fun () ->
   let _, cache_dir = panel_cache in
   Server.run
     {
@@ -102,7 +102,7 @@ let daemon_cmd =
       $ max_frame_arg $ request_deadline_arg $ drain_ms_arg $ read_timeout_arg
       $ C.panel_cache_term
       $ C.Sinks.(term [ Metrics ])
-      $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+      $ C.verbose_arg $ C.quiet_arg)
 
 (* ---------------- client: route ---------------- *)
 

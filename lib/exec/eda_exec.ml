@@ -37,9 +37,10 @@ type t = {
 
 let jobs t = t.n_jobs
 
-(* Registered lazily so purely sequential runs export no exec.* series
-   at all — jobs=1 output stays byte-identical to the pre-parallel code. *)
-let m_sections = lazy (Metrics.counter "exec.sections")
+(* The section instruments register at use, so purely sequential runs
+   export no exec.* series at all — jobs=1 output stays byte-identical
+   to the pre-parallel code. *)
+let m_sections () = Metrics.counter "exec.sections"
 
 (* one exec.section_items series per section name, so a speedup
    investigation can attribute granularity per phase *)
@@ -48,7 +49,7 @@ let m_section_items name =
 
 (* max busy / mean busy across the slots of one section: 1.0 is a
    perfectly balanced section, large values mean one domain dragged *)
-let m_imbalance = lazy (Metrics.histogram "exec.imbalance")
+let m_imbalance () = Metrics.histogram "exec.imbalance"
 
 type dctrs = {
   chunks : Metrics.counter;
@@ -184,7 +185,7 @@ let run_range pool ?(name = "section") ?chunk n body =
       | Some c -> max 1 c
       | None -> default_chunk ~jobs:pool.n_jobs n
     in
-    Metrics.incr (Lazy.force m_sections);
+    Metrics.incr (m_sections ());
     Metrics.observe (m_section_items name) (float_of_int n);
     Trace.span_args "exec.parallel"
       [
@@ -231,7 +232,7 @@ let run_range pool ?(name = "section") ?chunk n body =
      in
      let mx = Array.fold_left (fun m b -> Float.max m (Int64.to_float b)) 0.0 job.busy_ns in
      let mean = sum /. float_of_int pool.n_jobs in
-     if mean > 0.0 then Metrics.observe (Lazy.force m_imbalance) (mx /. mean));
+     if mean > 0.0 then Metrics.observe (m_imbalance ()) (mx /. mean));
     match job.failed with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()

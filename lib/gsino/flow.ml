@@ -37,7 +37,6 @@ module Config = struct
     budgeting : budgeting;
     jobs : int;
     seed : int;
-    cap_quantile : float;
     deadline_ms : int;
     audit : bool;
     cache : bool;
@@ -51,7 +50,6 @@ module Config = struct
       budgeting = Uniform;
       jobs = 1;
       seed = 7;
-      cap_quantile = 0.90;
       deadline_ms = 0;
       audit = false;
       cache = true;
@@ -153,7 +151,7 @@ let prepare ?(config = Config.default) ?pool tech netlist =
   Trace.span_args "flow:prepare"
     [ ("circuit", netlist.Netlist.name) ]
   @@ fun () ->
-  let { Config.router; cap_quantile; jobs; _ } = config in
+  let { Config.router; jobs; _ } = config in
   with_pool_opt ~jobs pool @@ fun pool ->
   (* Pass 1: route with loose auto-capacities to observe regional demand.
      Pass 2: clamp the capacities near the top of that demand and
@@ -166,7 +164,7 @@ let prepare ?(config = Config.default) ?pool tech netlist =
   let usage0 =
     Usage.of_routes grid0 ~gcell_um:netlist.Netlist.gcell_um (Array.to_list base0)
   in
-  let cap dir = max 4 (demand_quantile usage0 grid0 cap_quantile dir) in
+  let cap dir = max 4 (demand_quantile usage0 grid0 0.90 dir) in
   let grid =
     Grid.make ~w:(Grid.width grid0) ~h:(Grid.height grid0)
       ~hcap:(cap Eda_grid.Dir.H) ~vcap:(cap Eda_grid.Dir.V)
@@ -182,7 +180,6 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
     budgeting;
     jobs;
     seed;
-    cap_quantile = _;
     deadline_ms;
     audit;
     cache = cache_on;

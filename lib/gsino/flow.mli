@@ -51,8 +51,6 @@ module Config : sig
             from it together with the panel's canonical content signature
             (never its grid position), so identical panels get identical
             layouts — the property the panel cache relies on. *)
-    cap_quantile : float;
-        (** {!prepare}'s capacity clamp quantile (default 0.90) *)
     deadline_ms : int;
         (** wall-clock budget for the whole run; [<= 0] disables the
             deadline.  On expiry each phase keeps its best-so-far result
@@ -78,8 +76,8 @@ module Config : sig
   }
 
   (** [Gsino], iterative deletion, uniform budgeting, [jobs = 1],
-      [seed = 7], [cap_quantile = 0.90], no deadline, no audit pre-pass,
-      in-process panel cache enabled with no persistence directory. *)
+      [seed = 7], no deadline, no audit pre-pass, in-process panel cache
+      enabled with no persistence directory. *)
   val default : t
 end
 
@@ -127,10 +125,11 @@ val demand_quantile :
 (** [prepare ?config tech netlist] — the shared experimental setup: route
     the conventional (no-shield) flow on auto-provisioned capacities,
     then tighten every region's per-direction capacity to that routing's
-    peak demand.  This mirrors the paper's setting where the placement
-    exactly accommodates conventional routing (ID+NO area = placement
-    area in Table 3) and all of iSINO's/GSINO's area overhead comes from
-    shields.  Uses [config]'s [router], [cap_quantile] and [jobs]
+    peak demand (its 0.90 {!demand_quantile}, at least 4).  This mirrors
+    the paper's setting where the placement exactly accommodates
+    conventional routing (ID+NO area = placement area in Table 3) and all
+    of iSINO's/GSINO's area overhead comes from shields.  Uses
+    [config]'s [router] and [jobs]
     (default {!Config.default}); [pool] reuses a caller-owned domain pool
     instead of spawning one. *)
 val prepare :

@@ -31,9 +31,13 @@ let use_of p = function Dir.H -> p.use_h | Dir.V -> p.use_v
 let nss_of p = function Dir.H -> p.nss_h | Dir.V -> p.nss_v
 let hist_of p = function Dir.H -> p.hist_h | Dir.V -> p.hist_v
 
-let route ~grid ~netlist ?(shield_model = Id_router.No_shields) ?(max_iters = 12)
-    ?(history_gain = 0.4) ?(seed = 0) ?(deadline = Eda_guard.Deadline.none) () =
-  ignore seed;
+(* rip-up and re-route rounds, and the history price added per round of
+   sustained overuse *)
+let max_iters = 12
+let history_gain = 0.4
+
+let route ~grid ~netlist ?(shield_model = Id_router.No_shields)
+    ?(deadline = Eda_guard.Deadline.none) () =
   Trace.span_args "nc_router.route"
     [ ("nets", string_of_int (Array.length netlist.Netlist.nets)) ]
   @@ fun () ->

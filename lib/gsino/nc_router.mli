@@ -21,11 +21,10 @@
     terminal of [net] sits in a [region] the search cannot reach from
     the net's partially-built tree — the region graph is disconnected.
 
+    Negotiation runs at most 12 rip-up and re-route rounds, adding a
+    history price of 0.4 per round of sustained overuse.
+
     @param shield_model as in {!Id_router} (default [No_shields])
-    @param max_iters rip-up and re-route rounds (default 12)
-    @param history_gain price added per round of sustained overuse
-    (default 0.4)
-    @param seed tie-breaking determinism (default 0)
     @param deadline checked between negotiation rounds (the initial
     routing always completes); expiry keeps the complete — possibly
     congested — routing and marks a ["route"] deadline hit *)
@@ -33,9 +32,6 @@ val route :
   grid:Eda_grid.Grid.t ->
   netlist:Eda_netlist.Netlist.t ->
   ?shield_model:Id_router.shield_model ->
-  ?max_iters:int ->
-  ?history_gain:float ->
-  ?seed:int ->
   ?deadline:Eda_guard.Deadline.t ->
   unit ->
   Eda_grid.Route.t array

@@ -22,42 +22,80 @@ type histogram_cell = {
   buckets : int array;
 }
 
-type instrument = C of counter_cell | G of gauge_cell | H of histogram_cell
+type cell = C of counter_cell | G of gauge_cell | H of histogram_cell
 
-(* Sharding: every domain owns a private registry of cells, reached
-   through domain-local storage, so recording never shares a mutable cell
-   across domains.  An instrument handle is the DLS key of its cell; the
-   first touch from a domain materialises (and registers) that domain's
-   cell.  [snapshot]/[reset] act on the calling domain's shard only, and
-   worker shards are folded back with {!absorb} (see the .mli for the
-   contract). *)
-let registry_key : (string * labels, instrument) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+type kind = [ `Counter | `Gauge | `Histogram ]
 
-let registry () = Domain.DLS.get registry_key
+let zero_cell : kind -> cell = function
+  | `Counter -> C { c = 0 }
+  | `Gauge -> G { g = 0.0 }
+  | `Histogram ->
+      H
+        {
+          count = 0;
+          sum = 0.0;
+          mn = infinity;
+          mx = neg_infinity;
+          buckets = Array.make n_buckets 0;
+        }
 
-(* Every cell this domain has ever materialised, including ones [rebase]
-   dropped from the visible registry.  Needed so rebasing can zero cells
-   that are currently invisible — otherwise a value recorded by request
-   N would bleed into request N+2's export when the instrument is
-   re-registered. *)
-let materialized_key : (string * labels, instrument) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+(* An instrument is process-wide: [id] indexes every registry's cells. *)
+type instrument = { id : int; key : string * labels; kind : kind }
 
-let materialized () = Domain.DLS.get materialized_key
+type counter = instrument
+type gauge = instrument
+type histogram = instrument
 
-type counter = counter_cell Domain.DLS.key
-type gauge = gauge_cell Domain.DLS.key
-type histogram = histogram_cell Domain.DLS.key
+(* Sharding: a registry holds the cells of one recording context, one
+   per instrument it has seen, so recording never shares a mutable cell
+   across domains as long as a registry is current on one domain at a
+   time.  Each domain starts on a fresh registry of its own and swaps it
+   with [with_registry]; [snapshot]/[reset]/[absorb] act on the current
+   registry only (see the .mli for the contract). *)
+type registry = { mutable cells : (instrument * cell) option array }
 
-type handle = KC of counter | KG of gauge | KH of histogram
+let fresh_registry () = { cells = [||] }
 
-(* Process-global (name, labels) -> handle table, so registration stays
-   idempotent across domains: each pair has exactly one DLS key.  The
-   mutex guards registration only — recording goes straight to the
-   domain-local cell and never takes it. *)
-let handles : (string * labels, handle) Hashtbl.t = Hashtbl.create 64
-let handles_mu = Mutex.create ()
+let zeroed_copy r =
+  {
+    cells =
+      Array.map
+        (Option.map (fun (inst, _) -> (inst, zero_cell inst.kind)))
+        r.cells;
+  }
+
+let current : registry Domain.DLS.key = Domain.DLS.new_key fresh_registry
+
+let current_registry () = Domain.DLS.get current
+
+let with_registry r f =
+  let prev = Domain.DLS.get current in
+  Domain.DLS.set current r;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set current prev) f
+
+(* [inst]'s cell in the calling domain's current registry, materialised
+   (at zero) on first touch. *)
+let cell inst =
+  let r = Domain.DLS.get current in
+  let n = Array.length r.cells in
+  match if inst.id < n then r.cells.(inst.id) else None with
+  | Some (_, c) -> c
+  | None ->
+      if inst.id >= n then begin
+        let cells = Array.make (max (inst.id + 1) (2 * n)) None in
+        Array.blit r.cells 0 cells 0 n;
+        r.cells <- cells
+      end;
+      let c = zero_cell inst.kind in
+      r.cells.(inst.id) <- Some (inst, c);
+      c
+
+(* Process-global (name, labels) -> instrument table, so registration
+   stays idempotent across domains and ids are dense.  The mutex guards
+   registration only — recording goes straight to the current registry
+   and never takes it. *)
+let instruments : (string * labels, instrument) Hashtbl.t = Hashtbl.create 64
+let instruments_mu = Mutex.create ()
 
 let norm_labels labels =
   let l = List.sort_uniq compare labels in
@@ -65,111 +103,55 @@ let norm_labels labels =
   then invalid_arg "Metrics: duplicate label key";
   l
 
-let register key find make =
-  Mutex.protect handles_mu (fun () ->
-      match Hashtbl.find_opt handles key with
-      | Some existing -> find existing
-      | None ->
-          let h = make key in
-          Hashtbl.replace handles key h;
-          find h)
-
-let new_cell_key key wrap cell_of =
-  Domain.DLS.new_key (fun () ->
-      let cell = cell_of () in
-      Hashtbl.replace (registry ()) key (wrap cell);
-      Hashtbl.replace (materialized ()) key (wrap cell);
-      cell)
-
-(* (Re-)install this domain's cell in the visible registry.  The DLS
-   initialiser above only runs on first materialisation; after a
-   [rebase] dropped the key, the next registration call must make the
-   existing cell visible again or later bumps would never export. *)
-let reinstall key inst =
-  let reg = registry () in
-  if not (Hashtbl.mem reg key) then Hashtbl.replace reg key inst
-
-let metric_key ?(labels = []) name =
+let register what kind ?(labels = []) name =
   if name = "" then invalid_arg "Metrics: empty metric name";
-  (name, norm_labels labels)
-
-let counter ?labels name =
-  let key = metric_key ?labels name in
-  let k =
-    register key
-      (function
-        | KC c -> c
-        | KG _ | KH _ ->
+  let key = (name, norm_labels labels) in
+  let inst =
+    Mutex.protect instruments_mu (fun () ->
+        match Hashtbl.find_opt instruments key with
+        | Some inst when inst.kind = kind -> inst
+        | Some _ ->
             invalid_arg
-              ("Metrics.counter: " ^ name ^ " registered with another kind"))
-      (fun key -> KC (new_cell_key key (fun c -> C c) (fun () -> { c = 0 })))
+              ("Metrics." ^ what ^ ": " ^ name ^ " registered with another kind")
+        | None ->
+            let inst = { id = Hashtbl.length instruments; key; kind } in
+            Hashtbl.replace instruments key inst;
+            inst)
   in
-  (* materialise this domain's cell eagerly so the instrument shows up in
+  (* materialise the cell eagerly so the instrument shows up in
      snapshots at value zero even if never bumped *)
-  reinstall key (C (Domain.DLS.get k));
-  k
+  ignore (cell inst);
+  inst
 
-let gauge ?labels name =
-  let key = metric_key ?labels name in
-  let k =
-    register key
-      (function
-        | KG g -> g
-        | KC _ | KH _ ->
-            invalid_arg
-              ("Metrics.gauge: " ^ name ^ " registered with another kind"))
-      (fun key -> KG (new_cell_key key (fun g -> G g) (fun () -> { g = 0.0 })))
-  in
-  reinstall key (G (Domain.DLS.get k));
-  k
+let counter ?labels name = register "counter" `Counter ?labels name
+let gauge ?labels name = register "gauge" `Gauge ?labels name
+let histogram ?labels name = register "histogram" `Histogram ?labels name
 
-let histogram ?labels name =
-  let key = metric_key ?labels name in
-  let k =
-    register key
-      (function
-        | KH h -> h
-        | KC _ | KG _ ->
-            invalid_arg
-              ("Metrics.histogram: " ^ name ^ " registered with another kind"))
-      (fun key ->
-        KH
-          (new_cell_key key
-             (fun h -> H h)
-             (fun () ->
-               {
-                 count = 0;
-                 sum = 0.0;
-                 mn = infinity;
-                 mx = neg_infinity;
-                 buckets = Array.make n_buckets 0;
-               })))
-  in
-  reinstall key (H (Domain.DLS.get k));
-  k
+(* handles are kind-checked at registration: the other arms never run *)
+let counter_cell k = match cell k with C c -> c | G _ | H _ -> assert false
+let gauge_cell k = match cell k with G g -> g | C _ | H _ -> assert false
+let histogram_cell k = match cell k with H h -> h | C _ | G _ -> assert false
 
 let incr k =
-  let c = Domain.DLS.get k in
+  let c = counter_cell k in
   c.c <- c.c + 1
 
 let add k n =
-  let c = Domain.DLS.get k in
+  let c = counter_cell k in
   c.c <- c.c + n
 
-let counter_value k = (Domain.DLS.get k).c
+let counter_value k = (counter_cell k).c
 
-let set k v =
-  let g = Domain.DLS.get k in
-  g.g <- v
+let set k v = (gauge_cell k).g <- v
 
 let accum k v =
-  let g = Domain.DLS.get k in
+  let g = gauge_cell k in
   g.g <- g.g +. v
 
-let gauge_value k = (Domain.DLS.get k).g
+let gauge_value k = (gauge_cell k).g
 
 let observe k v =
-  let h = Domain.DLS.get k in
+  let h = histogram_cell k in
   h.count <- h.count + 1;
   h.sum <- h.sum +. v;
   if v < h.mn then h.mn <- v;
@@ -192,7 +174,7 @@ let summary_of_cell (h : histogram_cell) =
   done;
   { count = h.count; sum = h.sum; min = h.mn; max = h.mx; buckets = !buckets }
 
-let histogram_summary (k : histogram) = summary_of_cell (Domain.DLS.get k)
+let histogram_summary k = summary_of_cell (histogram_cell k)
 
 let histogram_mean s =
   if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
@@ -231,16 +213,19 @@ type value =
 type snapshot = (string * labels * value) list
 
 let snapshot () =
-  Hashtbl.fold
-    (fun (name, labels) inst acc ->
-      let v =
-        match inst with
-        | C c -> Counter c.c
-        | G g -> Gauge g.g
-        | H h -> Histogram (summary_of_cell h)
-      in
-      (name, labels, v) :: acc)
-    (registry ()) []
+  Array.fold_left
+    (fun acc slot ->
+      match slot with
+      | None -> acc
+      | Some ({ key = name, labels; _ }, c) ->
+          let v =
+            match c with
+            | C c -> Counter c.c
+            | G g -> Gauge g.g
+            | H h -> Histogram (summary_of_cell h)
+          in
+          (name, labels, v) :: acc)
+    [] (current_registry ()).cells
   |> List.sort compare
 
 let entries s = s
@@ -442,72 +427,17 @@ let read_json path =
       | Error msg -> Error (path ^ ": " ^ msg))
 
 let reset () =
-  Hashtbl.iter
-    (fun _ inst ->
-      match inst with
-      | C c -> c.c <- 0
-      | G g -> g.g <- 0.0
-      | H h ->
-          h.count <- 0;
-          h.sum <- 0.0;
-          h.mn <- infinity;
-          h.mx <- neg_infinity;
-          Array.fill h.buckets 0 n_buckets 0)
-    (registry ())
-
-(* --------------------- request-scoped rebasing ----------------------- *)
-
-let registered () =
-  Mutex.protect handles_mu (fun () ->
-      Hashtbl.fold (fun key _ acc -> key :: acc) handles [])
-  |> List.sort compare
-
-let zero_cell = function
-  | C c -> c.c <- 0
-  | G g -> g.g <- 0.0
-  | H h ->
-      h.count <- 0;
-      h.sum <- 0.0;
-      h.mn <- infinity;
-      h.mx <- neg_infinity;
-      Array.fill h.buckets 0 n_buckets 0
-
-let rebase keys =
-  let reg = registry () in
-  Hashtbl.reset reg;
-  (* zero every cell this domain ever materialised — including cells a
-     previous rebase made invisible — so no prior request's value can
-     bleed into this one when an instrument is lazily re-registered *)
-  Hashtbl.iter (fun _ inst -> zero_cell inst) (materialized ());
-  List.iter
-    (fun key ->
-      let handle =
-        Mutex.protect handles_mu (fun () -> Hashtbl.find_opt handles key)
-      in
-      match handle with
-      | None -> () (* unregistered key: nothing to materialise *)
-      | Some h ->
-          (* DLS cells are per-domain singletons: re-getting returns the
-             same cell this domain always writes through, so after
-             re-registering it here every later bump lands in a cell the
-             next snapshot sees *)
-          let inst =
-            match h with
-            | KC k -> C (Domain.DLS.get k)
-            | KG k -> G (Domain.DLS.get k)
-            | KH k -> H (Domain.DLS.get k)
-          in
-          zero_cell inst;
-          Hashtbl.replace reg key inst)
-    keys
+  let r = current_registry () in
+  r.cells <- (zeroed_copy r).cells
 
 (* ------------------------- shard absorption ------------------------- *)
 
-(* Absorption mutates only the calling domain's DLS cells, so absorbs on
-   distinct domains never share state and may run concurrently (the serve
-   daemon's request workers each coordinate their own pool).  The hazard
-   is two absorbs interleaving on the *same* shard — two sys-threads of
-   one domain — which this per-domain flag rejects loudly. *)
+(* Absorption mutates only the calling domain's current registry, so
+   absorbs on distinct domains never share state and may run
+   concurrently (the serve daemon's request workers each coordinate
+   their own pool).  The hazard is two absorbs interleaving on the
+   *same* domain — two sys-threads sharing its registry — which this
+   per-domain flag rejects loudly. *)
 let absorbing_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
 let absorb (s : snapshot) =
@@ -531,7 +461,7 @@ let absorb (s : snapshot) =
           | Gauge g -> accum (gauge ~labels name) g
           | Histogram { count = 0; _ } -> ()
           | Histogram hs ->
-              let cell = Domain.DLS.get (histogram ~labels name) in
+              let cell = histogram_cell (histogram ~labels name) in
               cell.count <- cell.count + hs.count;
               cell.sum <- cell.sum +. hs.sum;
               if hs.min < cell.mn then cell.mn <- hs.min;

@@ -1,10 +1,10 @@
-(** Process-global metrics registry.
+(** Metrics registries.
 
     Named counters, gauges and log-scale histograms, optionally
     distinguished by a small static label set (e.g. [("phase", "route")]
     or [("dir", "H")]).  Instruments register once (typically at module
-    initialisation or lazily at first use) and then mutate a single heap
-    cell per event, so recording is an increment — cheap enough for the
+    initialisation or at first use) and then mutate a single heap cell
+    per event, so recording is an increment — cheap enough for the
     routers' inner loops.  Registration is idempotent: asking for an
     existing (name, labels) pair returns the same instrument; asking for
     the same pair with a different kind is a programming error
@@ -18,33 +18,39 @@
 
     {2 Sharding contract (multicore)}
 
-    Instrument cells are sharded per domain: a handle names one metric,
-    but each domain that records through it writes a private
-    domain-local cell, so recording is still a plain (unsynchronised)
-    increment and never races.  The rules:
+    Instruments are process-wide; their cells live in a {!registry}
+    value, one cell per instrument the registry has seen.  Every domain
+    records into its {e current} registry — a fresh one of its own when
+    the domain starts, swapped for the extent of a call by
+    {!with_registry} — so recording is still a plain (unsynchronised)
+    increment and never races, as long as a registry is current on at
+    most one domain at a time.  The rules:
 
     - Registration is process-global and mutex-guarded: any domain may
       create any instrument at any time; (name, labels) pairs resolve to
       the same handle everywhere, and kind mismatches raise
-      [Invalid_argument] as before.
-    - {!snapshot} and {!reset} see {e only the calling domain's shard}.
-      A worker domain finishing a batch takes [snapshot ()] of its own
+      [Invalid_argument].  Registering an instrument, or recording
+      through its handle, materialises its cell in the current registry,
+      so a registered instrument exports (at zero) even if never
+      recorded.
+    - {!snapshot} and {!reset} see {e only the current registry}.  A
+      worker domain finishing a batch takes [snapshot ()] of its own
       cells, [reset ()]s them, and hands the snapshot to the
       coordinator.
-    - The coordinator folds worker shards into its own shard with
+    - The coordinator folds worker shards into its current registry with
       {!absorb}, one at a time, in a deterministic (worker-index) order.
-      [absorb] mutates only the calling domain's cells, so coordinators
-      on distinct domains (the serve daemon's request workers) may absorb
-      concurrently; re-entering [absorb] on the {e same} domain (two
-      sys-threads sharing a shard) raises [Invalid_argument] — misuse
-      fails loudly instead of silently corrupting counts.  [Eda_exec]
-      does all of this automatically.
-    - A long-lived process serving many requests on one domain gives each
-      request a fresh context with {!rebase}: zero the shard {e and}
-      shrink it back to a fixed baseline instrument set (captured with
-      {!registered} at startup), so a snapshot at end of request [N] is
-      byte-identical to one from a fresh process — instruments a previous
-      request registered lazily do not leak into the next export.
+      [absorb] mutates only the calling domain's current registry, so
+      coordinators on distinct domains (the serve daemon's request
+      workers) may absorb concurrently; re-entering [absorb] on the
+      {e same} domain (two sys-threads sharing a registry) raises
+      [Invalid_argument] — misuse fails loudly instead of silently
+      corrupting counts.  [Eda_exec] does all of this automatically.
+    - A long-lived process serving many requests runs each request in a
+      registry of its own: [with_registry (zeroed_copy template)], where
+      [template] is a {!zeroed_copy} of the start-up registry.  A
+      request's snapshot then holds the start-up instrument set plus
+      exactly what the request touched, as a fresh process's would;
+      nothing a previous request registered or recorded can leak in.
 
     Everything below the snapshot layer ({!merge}, JSON, {!quantile}) is
     pure and safe anywhere. *)
@@ -55,6 +61,28 @@ type labels = (string * string) list
 type counter
 type gauge
 type histogram
+
+(** {1 Registries} *)
+
+(** The cells of one recording context. *)
+type registry
+
+(** A registry with no cell materialised. *)
+val fresh_registry : unit -> registry
+
+(** The calling domain's current registry: the one its recording,
+    {!snapshot}, {!reset} and {!absorb} act on. *)
+val current_registry : unit -> registry
+
+(** [zeroed_copy r] — a new registry holding a zero cell for every
+    instrument [r] holds.  Recording or registering in the copy leaves
+    [r] unchanged. *)
+val zeroed_copy : registry -> registry
+
+(** [with_registry r f] — run [f] with [r] as the calling domain's
+    current registry, restoring the previous one when [f] returns or
+    raises. *)
+val with_registry : registry -> (unit -> 'a) -> 'a
 
 (** {1 Registration} *)
 
@@ -141,31 +169,17 @@ val of_json : Json.t -> (snapshot, string) result
     with the path. *)
 val read_json : string -> (snapshot, string) result
 
-(** Zero every instrument cell of the calling domain's shard
-    (registrations survive). *)
+(** Zero every cell of the current registry (registrations survive). *)
 val reset : unit -> unit
 
-(** Every (name, labels) pair registered process-wide so far, sorted.
-    The serve daemon captures this at startup as the per-request baseline
-    for {!rebase}. *)
-val registered : unit -> (string * labels) list
-
-(** [rebase keys] — make the calling domain's shard consist of exactly
-    the registered instruments in [keys], all zeroed: cells for keys not
-    listed are dropped from this domain's snapshots (they reappear, from
-    zero, if re-touched), listed keys are materialised eagerly so they
-    export at zero even if the request never bumps them.  Keys never
-    registered are ignored.  See the sharding contract above. *)
-val rebase : (string * labels) list -> unit
-
-(** [absorb shard] — fold a worker shard into the calling domain's live
-    cells: counters and histogram buckets add, gauges accumulate (add —
-    worker gauges are treated as contributions, not last-writer
-    overrides).  Instruments absent locally are registered on the fly;
-    zero-valued entries (counter 0, gauge 0.0, empty histogram) are
-    skipped entirely — they contribute nothing, and skipping them keeps
-    instruments a previous request materialised on a long-lived pool
-    worker from leaking into a later request's shard.  Safe from any
-    domain concurrently; re-entry on one domain's shard raises
-    [Invalid_argument] (see the sharding contract above). *)
+(** [absorb shard] — fold a worker shard into the current registry:
+    counters and histogram buckets add, gauges accumulate (add — worker
+    gauges are treated as contributions, not last-writer overrides).
+    Instruments absent locally are registered on the fly; zero-valued
+    entries (counter 0, gauge 0.0, empty histogram) are skipped entirely
+    — they contribute nothing, and skipping them keeps instruments a
+    previous request touched on a long-lived pool worker out of a later
+    request's registry.  Safe from any domain concurrently; re-entry on
+    one domain raises [Invalid_argument] (see the sharding contract
+    above). *)
 val absorb : snapshot -> unit

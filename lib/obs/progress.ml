@@ -1,5 +1,4 @@
 type state = {
-  owner : int;  (** Domain.self of the enabling domain, as int *)
   interval_ms : int;
   emit : string -> unit;
   t_start : float;  (** monotonic seconds at enable *)
@@ -19,13 +18,18 @@ let default_emit line =
   prerr_string line;
   prerr_newline ()
 
-let current : state option ref = ref None
+(* The heartbeat is domain-local, like Trace's ring: only a domain that
+   called [enable] emits.  Eda_exec workers never enable, so their ticks
+   are no-ops and instrumented code can be fanned out freely. *)
+let state_key : state option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let current () = Domain.DLS.get state_key
 
 let enable ?(interval_ms = 1000) ?(emit = default_emit) () =
-  current :=
-    Some
+  current ()
+  := Some
       {
-        owner = (Domain.self () :> int);
         interval_ms = max 1 interval_ms;
         emit;
         t_start = Clock.now_s ();
@@ -37,15 +41,11 @@ let enable ?(interval_ms = 1000) ?(emit = default_emit) () =
         countdown = 0;
       }
 
-let disable () = current := None
-let enabled () = !current <> None
-
-let on_owner s = (Domain.self () :> int) = s.owner
+let disable () = current () := None
+let enabled () = !(current ()) <> None
 
 let set_deadline f =
-  match !current with
-  | Some s when on_owner s -> s.deadline <- Some f
-  | _ -> ()
+  match !(current ()) with Some s -> s.deadline <- Some f | None -> ()
 
 let line s now =
   let b = Buffer.create 96 in
@@ -73,29 +73,27 @@ let emit_now s =
   s.emit (line s now)
 
 let phase name =
-  match !current with
-  | Some s when on_owner s ->
+  match !(current ()) with
+  | Some s ->
       s.phase <- name;
       s.items_done <- 0;
       s.items_total <- 0;
       s.countdown <- 0;
       emit_now s
-  | _ -> ()
+  | None -> ()
 
 let tick ?items_total ~items_done () =
-  match !current with
+  match !(current ()) with
   | None -> ()
   | Some s ->
-      if on_owner s then begin
-        s.items_done <- items_done;
-        (match items_total with Some t -> s.items_total <- t | None -> ());
-        if s.countdown <= 0 then begin
-          s.countdown <- stride;
-          let now = Clock.now_s () in
-          if (now -. s.last_emit) *. 1000.0 >= float_of_int s.interval_ms then begin
-            s.last_emit <- now;
-            s.emit (line s now)
-          end
+      s.items_done <- items_done;
+      (match items_total with Some t -> s.items_total <- t | None -> ());
+      if s.countdown <= 0 then begin
+        s.countdown <- stride;
+        let now = Clock.now_s () in
+        if (now -. s.last_emit) *. 1000.0 >= float_of_int s.interval_ms then begin
+          s.last_emit <- now;
+          s.emit (line s now)
         end
-        else s.countdown <- s.countdown - 1
       end
+      else s.countdown <- s.countdown - 1

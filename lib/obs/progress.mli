@@ -6,11 +6,12 @@
     so an operator watching a multi-minute route knows which phase is
     running, how far along it is, and how much deadline budget remains.
 
-    {!tick} is designed for inner loops: disabled it is one ref read,
-    enabled it reads the monotonic clock only every few dozen calls and
-    emits at most one line per [interval_ms].  Like {!Trace}, the
-    emitter is single-writer — ticks from [Eda_exec] worker domains are
-    ignored, so instrumented code can be fanned out freely.
+    {!tick} is designed for inner loops: disabled it is one
+    domain-local read, enabled it reads the monotonic clock only every
+    few dozen calls and emits at most one line per [interval_ms].  Like
+    {!Trace}'s ring, the heartbeat state is domain-local: only the
+    domain that called {!enable} emits, ticks from [Eda_exec] worker
+    domains are no-ops, so instrumented code can be fanned out freely.
 
     Lines go to [stderr] (never stdout, which report sinks like
     [--out -] may own); override [emit] to capture them in tests. *)

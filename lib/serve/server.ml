@@ -65,7 +65,7 @@ type t = {
   mutable accept_done : bool;
   mutable workers_live : int;
   cache : Cache.t;
-  baseline : (string * Metrics.labels) list;
+  template : Metrics.registry;
   m_queue_depth : Metrics.gauge;
   m_served : Metrics.counter;
   m_errors : Metrics.counter;
@@ -297,14 +297,14 @@ let handle_route t pool (job : job) =
   locked t (fun () -> Hashtbl.replace t.active_deadlines job.serial deadline);
   let stop = Atomic.make false in
   let monitor = Thread.create (fun () -> monitor_fd job.fd deadline stop) () in
-  (* fresh per-request observability context on this domain: metrics
-     shard rebased to the startup instrument set, journal shard cleared,
-     trace ring armed only when the client asked for the artifact *)
-  Metrics.rebase t.baseline;
-  Journal.clear ();
-  if List.mem Protocol.Trace job.options.artifacts then Trace.enable ()
-  else Trace.disable ();
   let response =
+    (* fresh per-request observability context on this domain: a zeroed
+       copy of the start-up metrics registry, journal shard cleared,
+       trace ring armed only when the client asked for the artifact *)
+    Metrics.with_registry (Metrics.zeroed_copy t.template) @@ fun () ->
+    Journal.clear ();
+    if List.mem Protocol.Trace job.options.artifacts then Trace.enable ()
+    else Trace.disable ();
     (* per-request guard: any failure becomes a framed typed error — the
        daemon never dies for one request *)
     try route_result t pool job deadline
@@ -374,13 +374,13 @@ let start_draining draining cfg =
      request's. *)
   ignore (Flow.analyze_config Tech.default);
   (* The journal records on any domain once enabled; enabling (and
-     registering journal.events) before the baseline capture makes the
+     registering journal.events) before the template is taken makes the
      per-request instrument set match a batch `--journal` run. *)
   Journal.enable ();
-  let baseline = Metrics.registered () in
-  (* serve.* instruments register *after* the capture, so request-scoped
-     metrics exports carry no serve series — they are daemon-lifetime
-     series, exported by the daemon itself. *)
+  let template = Metrics.zeroed_copy (Metrics.current_registry ()) in
+  (* serve.* instruments register *after* the template is taken, so
+     request-scoped metrics exports carry no serve series — they are
+     daemon-lifetime series, exported by the daemon itself. *)
   let m_queue_depth = Metrics.gauge "serve.queue_depth" in
   let m_served = Metrics.counter "serve.served" in
   let m_errors = Metrics.counter "serve.errors" in
@@ -418,7 +418,7 @@ let start_draining draining cfg =
       accept_done = false;
       workers_live = cfg.workers;
       cache;
-      baseline;
+      template;
       m_queue_depth;
       m_served;
       m_errors;

@@ -21,8 +21,9 @@
     - a client that disconnects mid-request cancels that request's
       deadline cooperatively; the flow degrades and the slot frees;
     - request metrics/journal/trace exports are byte-comparable to the
-      batch CLI's ([Metrics.rebase] to a startup baseline per request;
-      the [serve.*] series belong to the daemon, not to requests). *)
+      batch CLI's (each request records into a zeroed copy of the
+      start-up metrics registry; the [serve.*] series belong to the
+      daemon, not to requests). *)
 
 type config = {
   socket : string;  (** path to bind; stale files are unlinked *)

@@ -326,28 +326,13 @@ let cost inst params slots =
   let shields = Array.fold_left (fun acc v -> if v = shield then acc + 1 else acc) 0 slots in
   float_of_int shields +. violation_cost inst params slots
 
-module Anneal = struct
-  type cooling = Linear | Geometric
-
-  type schedule = { moves : int; t0 : float; t_end : float; cooling : cooling }
-
-  let default = { moves = 4000; t0 = 1.5; t_end = 1e-3; cooling = Linear }
-
-  let temp { moves; t0; t_end; cooling } step =
-    let frac = float_of_int step /. float_of_int moves in
-    match cooling with
-    | Linear -> (t0 *. (1.0 -. frac)) +. t_end
-    | Geometric -> t0 *. ((t_end /. t0) ** frac)
-end
-
 let g_accept_ratio = Metrics.gauge "sino.acceptance_ratio"
 
-let anneal ?(params = Keff.default) ?(schedule = Anneal.default)
-    ?(deadline = Deadline.none) rng inst layout =
+let anneal ?(params = Keff.default) ?(moves = 4000) ?(deadline = Deadline.none)
+    rng inst layout =
   let n = Instance.size inst in
   if n <= 1 then layout
   else begin
-    let moves = schedule.Anneal.moves in
     let accepted = ref 0 and rejected = ref 0 in
     let slots =
       ref
@@ -371,7 +356,8 @@ let anneal ?(params = Keff.default) ?(schedule = Anneal.default)
     do
       let step = !step_ref in
       incr step_ref;
-      let temp = Anneal.temp schedule step in
+      (* linear cooling from 1.5 down to a floor of 1e-3 *)
+      let temp = (1.5 *. (1.0 -. (float_of_int step /. float_of_int moves))) +. 1e-3 in
       let s = !slots in
       let len = Array.length s in
       (* propose: 0 = swap two tracks, 1 = remove a shield, 2 = move a

@@ -23,21 +23,6 @@
       construct-then-repair heuristic with a shield-removal clean-up
       pass. *)
 
-(** Simulated-annealing temperature schedule (see {!anneal}). *)
-module Anneal : sig
-  type cooling =
-    | Linear  (** T(s) = t0·(1 − s/moves) + t_end *)
-    | Geometric  (** T(s) = t0·(t_end/t0)^(s/moves) *)
-
-  type schedule = { moves : int; t0 : float; t_end : float; cooling : cooling }
-
-  (** 4000 moves, t0 = 1.5, t_end = 1e-3, [Linear] — the historical
-      schedule.  Its low floor is why [sino.moves_rejected] runs an
-      order of magnitude above accepted on integer-ish cost surfaces;
-      read [sino.acceptance_ratio] after a run to calibrate. *)
-  val default : schedule
-end
-
 type mode = Order_only | Min_area
 
 (** Everything one panel solve is parameterized on.  [seed] is the
@@ -143,11 +128,14 @@ val repair :
   Layout.t ->
   Layout.t
 
-(** [anneal ?params ?schedule rng inst layout] — simulated-annealing
-    improvement of a feasible layout: random adjacent swaps, shield
-    removals and shield moves, accepted by the Metropolis rule on the cost
-    [#shields + big · violations] under [schedule]'s temperature curve
-    (default {!Anneal.default}).  SINO is NP-hard; this quantifies how
+(** [anneal ?params ?moves rng inst layout] — simulated-annealing
+    improvement of a feasible layout: [moves] (default 4000) random
+    adjacent swaps, shield removals and shield moves, accepted by the
+    Metropolis rule on the cost [#shields + big · violations] while the
+    temperature cools linearly from 1.5 to a floor of 1e-3.  That low
+    floor is why [sino.moves_rejected] runs an order of magnitude above
+    accepted on integer-ish cost surfaces; read [sino.acceptance_ratio]
+    after a run to calibrate.  SINO is NP-hard; this quantifies how
     far the greedy {!min_area} heuristic is from a slower, stronger
     optimizer (the bench's solver ablation).  Returns a layout no worse
     than the input.  [deadline] is polled every 256 moves; on expiry the
@@ -155,7 +143,7 @@ val repair :
     accepted/(accepted+rejected) as the [sino.acceptance_ratio] gauge. *)
 val anneal :
   ?params:Keff.params ->
-  ?schedule:Anneal.schedule ->
+  ?moves:int ->
   ?deadline:Eda_guard.Deadline.t ->
   Eda_util.Rng.t ->
   Instance.t ->

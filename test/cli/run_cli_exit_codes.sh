@@ -7,7 +7,7 @@
 # asserts the documented exit status (see README "Failure modes &
 # degradation"): 0 ok/degraded, 1 findings or regression breach,
 # 2 usage or input error, 5 internal (injected worker crash GSL0022,
-# non-finite value GSL0023).
+# non-finite value GSL0023), 7 stream i/o failure (GSL0032).
 #
 # Every invocation also checks that no uncaught exception leaked: a
 # typed failure prints exactly one GSL-coded line, never an OCaml
@@ -185,6 +185,20 @@ expect 0 "deadline run degrades (within 2x wall budget)" -- \
   timeout 10 "$RUN" run "${base[@]}" --jobs 1 --deadline 1 \
   --metrics deadline.json
 expect_metric deadline.json "guard.deadline_hits"
+
+# ---- exit 7: stdout closed mid-run ----
+# `head -1` closes the pipe after one line, so a later write fails: the
+# run must leave through the funnel (GSL0032, exit 7) without the
+# at-exit flush of the buffered stdout re-raising past it
+expect 7 "gsino_run into a closed pipe (GSL0032)" -- bash -c \
+  '"$0" "$@" | head -1 >/dev/null; exit "${PIPESTATUS[0]}"' \
+  "$RUN" run "${base[@]}" --jobs 1
+expect_stderr "GSL0032"
+if grep -q "uncaught exception" stderr.log; then
+  echo "FAIL closed pipe: uncaught exception on stderr"
+  sed 's/^/  stderr: /' stderr.log
+  failures=$((failures + 1))
+fi
 
 # ---- exit 1: findings / regression breach ----
 # provably infeasible fixture: over-capacity cuts (GSL0024) and Kth

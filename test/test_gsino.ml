@@ -411,23 +411,6 @@ let test_weights_gamma_matters () =
     true
     (balanced <= greedy_wl)
 
-let test_prepare_cap_quantile () =
-  let nl, _, _ = Lazy.force tiny in
-  let g_tight, _ =
-    Flow.prepare
-      ~config:{ Flow.Config.default with Flow.Config.cap_quantile = 0.5 }
-      tech nl
-  in
-  let g_loose, _ =
-    Flow.prepare
-      ~config:{ Flow.Config.default with Flow.Config.cap_quantile = 1.0 }
-      tech nl
-  in
-  let cap g d = Grid.cap g (p 0 0) d in
-  Alcotest.(check bool) "lower quantile, tighter caps" true
-    (cap g_tight Dir.H <= cap g_loose Dir.H
-    && cap g_tight Dir.V <= cap g_loose Dir.V)
-
 let test_demand_quantile () =
   let grid = Grid.make ~w:2 ~h:1 ~hcap:8 ~vcap:8 in
   let route = Route.of_edges grid ~net:0 [ Grid.edge_id grid (p 0 0) Dir.H ] in
@@ -522,7 +505,6 @@ let suites =
     ( "gsino.coverage",
       [
         Alcotest.test_case "gamma matters" `Quick test_weights_gamma_matters;
-        Alcotest.test_case "prepare cap quantile" `Slow test_prepare_cap_quantile;
         Alcotest.test_case "demand quantile" `Quick test_demand_quantile;
         Alcotest.test_case "lsk model cached" `Slow test_lsk_model_cached;
         Alcotest.test_case "models shared across domains" `Slow

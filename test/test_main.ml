@@ -17,11 +17,11 @@ let () =
          Test_guard.suites;
          Test_extensions.suites;
          Test_refine.suites;
-         Test_serve.suites;
          Test_obs.suites;
          Test_diff.suites;
          Test_journal.suites;
          Test_reportviz.suites;
          Test_exec.suites;
         Test_cache.suites;
+         Test_serve.suites;
        ])

@@ -184,6 +184,57 @@ let test_metrics_json_parses () =
   | Some (Json.List (_ :: _)) -> ()
   | Some _ | None -> Alcotest.fail "metrics array missing or empty"
 
+let test_with_registry_restores () =
+  fresh ();
+  let c = Metrics.counter "t.scoped" in
+  Metrics.add c 2;
+  let outer = Metrics.current_registry () in
+  Metrics.with_registry (Metrics.fresh_registry ()) (fun () ->
+      Alcotest.(check bool) "swapped in" true
+        (Metrics.current_registry () != outer);
+      Metrics.add c 40;
+      Alcotest.(check int) "own cell" 40 (Metrics.counter_value c));
+  Alcotest.(check bool) "restored on return" true
+    (Metrics.current_registry () == outer);
+  Alcotest.(check int) "outer cell untouched" 2 (Metrics.counter_value c);
+  (match
+     Metrics.with_registry (Metrics.fresh_registry ()) (fun () ->
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "expected Failure"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "restored on exception" true
+    (Metrics.current_registry () == outer)
+
+let test_zeroed_copy () =
+  fresh ();
+  let c = Metrics.counter "t.template_c" in
+  Metrics.add c 5;
+  Metrics.observe (Metrics.histogram "t.template_h") 2.0;
+  let snapshot_of r = Metrics.with_registry r Metrics.snapshot in
+  let template = Metrics.zeroed_copy (Metrics.current_registry ()) in
+  let before = snapshot_of template in
+  let names snap = List.map (fun (n, l, _) -> (n, l)) (Metrics.entries snap) in
+  Alcotest.(check bool) "same series as the source" true
+    (names before = names (Metrics.snapshot ()));
+  Alcotest.(check bool) "all at zero" true
+    (List.for_all
+       (fun (_, _, v) ->
+         match v with
+         | Metrics.Counter n -> n = 0
+         | Metrics.Gauge g -> g = 0.0
+         | Metrics.Histogram h -> h.Metrics.count = 0)
+       (Metrics.entries before));
+  let copy = Metrics.zeroed_copy template in
+  Metrics.with_registry copy (fun () ->
+      Metrics.add c 7;
+      Metrics.incr (Metrics.counter "t.copy_only"));
+  Alcotest.(check bool) "copy recorded" true
+    (Metrics.find (snapshot_of copy) "t.copy_only" = Some (Metrics.Counter 1));
+  Alcotest.(check bool) "template unchanged" true
+    (snapshot_of template = before);
+  Alcotest.(check int) "source unchanged" 5 (Metrics.counter_value c)
+
 (* ---------------------------- Trace -------------------------------- *)
 
 let test_span_nesting () =
@@ -652,6 +703,9 @@ let suites =
         Alcotest.test_case "snapshot find/merge" `Quick
           test_snapshot_find_and_merge;
         Alcotest.test_case "json export parses" `Quick test_metrics_json_parses;
+        Alcotest.test_case "with_registry restores" `Quick
+          test_with_registry_restores;
+        Alcotest.test_case "zeroed copy" `Quick test_zeroed_copy;
       ] );
     ( "obs.trace",
       [

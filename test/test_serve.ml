@@ -261,21 +261,20 @@ let test_oversized_frame () =
 
 let volatile_prefixes = [ "exec."; "gc."; "prof."; "sino.cache_"; "serve." ]
 
+let metrics_of_artifact artifact =
+  match Result.bind (Eda_obs.Json.of_string artifact) Eda_obs.Metrics.of_json with
+  | Ok snap -> snap
+  | Error msg -> Alcotest.fail ("metrics artifact unreadable: " ^ msg)
+
 let stable_metric_entries artifact =
-  match Eda_obs.Json.of_string artifact with
-  | Error msg -> Alcotest.fail ("metrics artifact not json: " ^ msg)
-  | Ok j -> (
-      match Eda_obs.Metrics.of_json j with
-      | Error msg -> Alcotest.fail ("metrics artifact not v1: " ^ msg)
-      | Ok snap ->
-          List.filter
-            (fun (name, _, _) ->
-              name <> "flow.phase_seconds"
-              && not
-                   (List.exists
-                      (fun p -> String.starts_with ~prefix:p name)
-                      volatile_prefixes))
-            (Eda_obs.Metrics.entries snap))
+  List.filter
+    (fun (name, _, _) ->
+      name <> "flow.phase_seconds"
+      && not
+           (List.exists
+              (fun p -> String.starts_with ~prefix:p name)
+              volatile_prefixes))
+    (Eda_obs.Metrics.entries (metrics_of_artifact artifact))
 
 let test_route_identity_concurrent () =
   with_server ~workers:2 @@ fun ~socket _t ->
@@ -314,25 +313,28 @@ let test_route_identity_concurrent () =
       | _, _ -> Alcotest.fail "expected exactly the metrics artifact")
     rs
 
+(* The metrics artifact of one route request. *)
+let route_metrics ~socket what artifacts =
+  let _, _, _, arts =
+    expect_result what
+      (Client.request ~timeout_s:120.0 socket (route_request ~artifacts ()))
+  in
+  match List.assoc_opt "metrics" arts with
+  | Some m -> m
+  | None -> Alcotest.fail (what ^ ": no metrics artifact")
+
 (* A request that registers an instrument lazily (the trace artifact
    registers trace.dropped_spans) must not leak it into the next
    requests' exports on the same reused worker domain, and a later
    request that registers it again must export it again. *)
 let test_lazy_instrument_isolated () =
-  (* The daemon's baseline is the process-wide instrument set at start,
-     so this needs a process where nothing has enabled tracing yet
-     (test_main runs the serve suites before the obs suites). *)
-  Alcotest.(check bool) "trace.dropped_spans not registered yet" false
-    (List.mem ("trace.dropped_spans", []) (Eda_obs.Metrics.registered ()));
+  (* started from an empty registry, the daemon's template holds only
+     what its own start-up registers, whatever ran earlier in this
+     process *)
+  Eda_obs.Metrics.(with_registry (fresh_registry ())) @@ fun () ->
   with_server ~workers:1 @@ fun ~socket _t ->
   let metrics what artifacts =
-    let _, _, _, arts =
-      expect_result what
-        (Client.request ~timeout_s:120.0 socket (route_request ~artifacts ()))
-    in
-    match List.assoc_opt "metrics" arts with
-    | Some m -> stable_metric_entries m
-    | None -> Alcotest.fail (what ^ ": no metrics artifact")
+    stable_metric_entries (route_metrics ~socket what artifacts)
   in
   let dropped = List.exists (fun (name, _, _) -> name = "trace.dropped_spans") in
   let m1 = metrics "trace request" [ Protocol.Trace; Protocol.Metrics ] in
@@ -344,6 +346,29 @@ let test_lazy_instrument_isolated () =
   Alcotest.(check bool) "stable series of 2 and 3 equal" true (m2 = m3);
   let m4 = metrics "second trace request" [ Protocol.Trace; Protocol.Metrics ] in
   Alcotest.(check bool) "re-registered instrument exported again" true (dropped m4)
+
+(* Every request on a one-worker jobs=2 daemon runs its parallel
+   sections on the worker's pool; each export must count them (sections,
+   imbalance samples), not only the first request's. *)
+let test_parallel_sections_every_request () =
+  with_server ~workers:1 ~jobs:2 @@ fun ~socket _t ->
+  let sections what =
+    let snap =
+      metrics_of_artifact (route_metrics ~socket what [ Protocol.Metrics ])
+    in
+    let imbalance =
+      match Eda_obs.Metrics.find snap "exec.imbalance" with
+      | Some (Eda_obs.Metrics.Histogram h) -> h.Eda_obs.Metrics.count
+      | Some (Eda_obs.Metrics.Counter _ | Eda_obs.Metrics.Gauge _) | None -> 0
+    in
+    (Eda_obs.Metrics.counter_total snap "exec.sections", imbalance)
+  in
+  let s1 = sections "request 1" in
+  Alcotest.(check bool) "request 1 ran parallel sections" true (fst s1 > 0);
+  Alcotest.(check (pair int int)) "request 2 exports them too" s1
+    (sections "request 2");
+  Alcotest.(check (pair int int)) "request 3 exports them too" s1
+    (sections "request 3")
 
 let test_request_deadline_degrades () =
   with_server @@ fun ~socket _t ->
@@ -457,6 +482,8 @@ let suites =
           test_route_identity_concurrent;
         Alcotest.test_case "lazy instrument isolated" `Slow
           test_lazy_instrument_isolated;
+        Alcotest.test_case "parallel sections every request" `Slow
+          test_parallel_sections_every_request;
         Alcotest.test_case "deadline degrades request" `Slow
           test_request_deadline_degrades;
         Alcotest.test_case "injected fault isolated" `Slow

@@ -235,9 +235,7 @@ let test_anneal_improves_or_keeps () =
     in
     let greedy = Solver.min_area (Rng.split rng) inst in
     let annealed =
-      Solver.anneal
-        ~schedule:{ Solver.Anneal.default with Solver.Anneal.moves = 1500 }
-        (Rng.split rng) inst greedy
+      Solver.anneal ~moves:1500 (Rng.split rng) inst greedy
     in
     Alcotest.(check bool) (Printf.sprintf "trial %d no worse" trial) true
       (Layout.num_shields annealed <= Layout.num_shields greedy);
