@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   plus the numeric claims of the modelling sections, then times the
-   pipeline stages with Bechamel.
+   plus the numeric claims of the modelling sections, the ablations, and
+   the in-process guards of the panel cache, the audit and the journal.
+   Performance is measured by bench/perf (see BENCHMARK.json).
 
    Environment knobs:
      GSINO_BENCH_SCALE    instance scale (default 0.05; paper size = 1.0)
@@ -16,8 +17,9 @@
                                   noise; noise grows ~linearly with length
      formula3                   — §3.1: Formula (3) accuracy vs min-area
                                   SINO
-     timings                    — Bechamel micro-benchmarks per pipeline
-                                  stage (§5: ID routing dominates) *)
+     panel cache / audit /      — asserted guards: cache output identity
+     journal                      and hit rate, audit cost vs routing,
+                                  journal overhead and reconciliation *)
 open Gsino
 module Generator = Eda_netlist.Generator
 module Keff = Eda_sino.Keff
@@ -289,56 +291,6 @@ let run_solver_ablation () =
   Format.printf
     "  (the greedy construct-and-repair heuristic is what Phases II/III run;@.    \   the gap to a slower annealer bounds what better SINO could buy)@."
 
-(* ------------- parallel execution: jobs=1 vs jobs=N ----------------- *)
-
-(* The Eda_exec claim: Phase II (per-panel SINO) and Phase III (noise
-   scans) speed up with worker domains while producing identical routing
-   results.  Wall-clock comes from the flow's own phase timers; the
-   gauges land in BENCH_METRICS.json so the speedup is tracked across
-   commits like every other bench number. *)
-let run_parallel_speedup () =
-  (* on a single-core machine extra domains only oversubscribe; measure
-     the pool overhead there (expect ~1.0x) and the speedup elsewhere *)
-  let jobs_n = max 2 (Eda_exec.default_jobs ()) in
-  section
-    (Printf.sprintf "parallel (Eda_exec): phases II+III, 1 vs %d domains%s"
-       jobs_n
-       (if Domain.recommended_domain_count () = 1 then
-          " (single core: overhead check only)"
-        else ""));
-  let tech = Tech.default in
-  let nl =
-    Generator.generate ~gcell_um:tech.Tech.gcell_um
-      ~scale:(Float.max scale 0.05) ~seed Generator.ibm01
-  in
-  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
-  let config jobs = { Flow.Config.default with Flow.Config.seed; jobs } in
-  let grid, _ = Flow.prepare ~config:(config 1) tech nl in
-  let phase23 jobs =
-    let r = Flow.run ~grid (config jobs) tech ~sensitivity:sens nl in
-    let s = r.Flow.sino_s +. r.Flow.refine_s in
-    Metrics.set
-      (Metrics.gauge
-         ~labels:[ ("jobs", string_of_int jobs) ]
-         "bench.phase23_seconds")
-      s;
-    (r, s)
-  in
-  let r1, s1 = phase23 1 in
-  let rn, sn = phase23 jobs_n in
-  let speedup = if sn > 0. then s1 /. sn else 0. in
-  Metrics.set (Metrics.gauge "bench.phase23_speedup") speedup;
-  let same =
-    r1.Flow.shields = rn.Flow.shields
-    && Float.equal r1.Flow.total_wl_um rn.Flow.total_wl_um
-    && r1.Flow.violations = rn.Flow.violations
-  in
-  Format.printf
-    "  phase II+III: %.2fs @ 1 domain | %.2fs @ %d domains | speedup %.2fx | \
-     results %s@."
-    s1 sn jobs_n speedup
-    (if same then "identical" else "DIFFER (determinism bug!)")
-
 (* ------------- panel cache: hit rate and output identity ------------- *)
 
 (* The ROADMAP acceptance number: run the flow twice against one shared
@@ -385,7 +337,6 @@ let run_panel_cache () =
     if hits + misses > 0 then float_of_int hits /. float_of_int (hits + misses)
     else 0.0
   in
-  Metrics.set (Metrics.gauge "bench.cache_hit_rate") rate;
   let identical = off = cold && cold = warm in
   Format.printf
     "  two runs, one store: %d hits / %d misses | hit rate %.2f (floor 0.25)@."
@@ -422,7 +373,6 @@ let run_audit_cost () =
     ignore (Eda_analyze.Analyze.run acfg ~grid ~sensitivity:sens nl)
   done;
   let audit_ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int reps in
-  Metrics.set (Metrics.gauge "bench.audit_ms") audit_ms;
   let route_ms = r.Flow.route_s *. 1000.0 in
   let pct = if route_ms > 0.0 then 100.0 *. audit_ms /. route_ms else 0.0 in
   Format.printf
@@ -471,7 +421,6 @@ let run_journal_overhead () =
   done;
   let t_off = !t_off and t_on = !t_on in
   let overhead_pct = 100.0 *. ((t_on -. t_off) /. t_off) in
-  Metrics.set (Metrics.gauge "bench.journal_overhead_pct") overhead_pct;
   Format.printf
     "  flow %.2fs journal off | %.2fs on | overhead %+.2f%% (budget 3%%)@."
     t_off t_on overhead_pct;
@@ -502,7 +451,6 @@ let run_journal_overhead () =
     if span_us > 0.0 then 100.0 *. Float.abs (span_us -. panel_us) /. span_us
     else 0.0
   in
-  Metrics.set (Metrics.gauge "bench.journal_reconcile_pct") reconcile_pct;
   Format.printf
     "  phase2.panels span %.1f ms | sum of panel.solve events %.1f ms | gap \
      %.2f%% (budget 5%%)@."
@@ -532,106 +480,10 @@ let run_journal_overhead () =
      sino.panel_sig_dups %d@."
     (Metrics.counter_total snap "sino.panel_sig_unique")
     (Metrics.counter_total snap "sino.panel_sig_dups");
-  (* machine-readable counterpart for `gsino_explain` drill-down in CI *)
-  let journal_file =
-    match Sys.getenv_opt "GSINO_BENCH_JOURNAL" with
-    | Some f -> f
-    | None -> "BENCH_JOURNAL.jsonl"
-  in
-  if journal_file <> "" then begin
-    Journal.write_file journal_file evs;
-    Format.printf "  journal blob: %s (%d events)@." journal_file
-      (List.length evs)
-  end;
   Journal.disable ();
   (* attribution must stay a rounding error on the flow it explains *)
   assert (overhead_pct < 3.0);
   assert (span_us <= 0.0 || reconcile_pct < 5.0)
-
-(* ----------------------- Bechamel timings --------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let tech = Tech.default in
-  (* small shared fixtures so each sample is milliseconds *)
-  let nl =
-    Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:0.02 ~seed:3
-      Generator.ibm01
-  in
-  let grid, base = Flow.prepare tech nl in
-  let sens = Eda_netlist.Sensitivity.make ~seed:5 ~rate:0.30 in
-  let fcfg kind = { Flow.Config.default with Flow.Config.kind; seed = 1 } in
-  let lsk_model = Tech.lsk_model tech in
-  let inst =
-    Eda_sino.Instance.make
-      ~nets:(Array.init 24 (fun i -> i))
-      ~kth:(Array.make 24 0.6)
-      ~sensitive:(fun i j -> i <> j && Eda_util.Rng.pair_hash ~seed:9 i j < 0.4)
-  in
-  let pins =
-    Array.init 5 (fun i -> Eda_geom.Point.make (7 * i mod 13) (11 * i mod 17))
-  in
-  let spec =
-    Table_builder.spec_of Table_builder.default_electrical ~keff:tech.Tech.keff
-      ~length_m:1e-3
-  in
-  let drive = coupled_drive () in
-  [
-    (* Table 1 pipeline: conventional routing + NO + violation count *)
-    Test.make ~name:"table1:id_no-flow"
-      (Staged.stage (fun () ->
-           ignore (Flow.run ~grid ~base (fcfg Flow.Id_no) tech ~sensitivity:sens nl)));
-    (* Tables 2 and 3, GSINO column: the full three-phase flow *)
-    Test.make ~name:"table2+3:gsino-flow"
-      (Staged.stage (fun () ->
-           ignore (Flow.run ~grid (fcfg Flow.Gsino) tech ~sensitivity:sens nl)));
-    (* Table 3, iSINO column *)
-    Test.make ~name:"table3:isino-flow"
-      (Staged.stage (fun () ->
-           ignore (Flow.run ~grid ~base (fcfg Flow.Isino) tech ~sensitivity:sens nl)));
-    (* stage ablations *)
-    Test.make ~name:"stage:id-routing"
-      (Staged.stage (fun () -> ignore (Flow.base_routes tech grid nl)));
-    Test.make ~name:"stage:sino-region-24nets"
-      (Staged.stage (fun () ->
-           ignore (Eda_sino.Solver.min_area (Eda_util.Rng.create 4) inst)));
-    Test.make ~name:"stage:rsmt-5pins"
-      (Staged.stage (fun () -> ignore (Eda_steiner.Rsmt.length pins)));
-    Test.make ~name:"stage:lsk-lookup"
-      (Staged.stage (fun () -> ignore (Eda_lsk.Lsk.noise lsk_model ~lsk:500.0)));
-    Test.make ~name:"stage:coupled-line-spice"
-      (Staged.stage (fun () ->
-           ignore
-             (Eda_circuit.Coupled_line.worst_victim_noise spec drive
-                [|
-                  Eda_circuit.Coupled_line.Aggressor;
-                  Eda_circuit.Coupled_line.Victim;
-                  Eda_circuit.Coupled_line.Shield;
-                  Eda_circuit.Coupled_line.Aggressor;
-                |])));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  section "timings (Bechamel, monotonic clock per run)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let tbl = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) ->
-              Format.printf "  %-28s %10.3f ms/run@." name (est /. 1e6)
-          | Some [] | None -> Format.printf "  %-28s (no estimate)@." name)
-        tbl)
-    (List.map (fun t -> Test.make_grouped ~name:"" ~fmt:"%s%s" [ t ]) (bechamel_tests ()))
 
 let () =
   run_tables ();
@@ -641,48 +493,7 @@ let () =
   run_countermeasures ();
   run_ablations ();
   run_solver_ablation ();
-  run_parallel_speedup ();
   run_panel_cache ();
   run_audit_cost ();
   run_journal_overhead ();
-  run_bechamel ();
-  section "timings (per-stage totals across the whole benchmark)";
-  print_stage_durations ();
-  (* machine-readable counterpart: the whole registry as
-     gsino-metrics-v1 JSON, for trajectory tracking across commits *)
-  let metrics_file =
-    match Sys.getenv_opt "GSINO_BENCH_METRICS" with
-    | Some f -> f
-    | None -> "BENCH_METRICS.json"
-  in
-  let snapshot = Metrics.snapshot () in
-  Metrics.write_json metrics_file snapshot;
-  Format.printf "metrics blob: %s@." metrics_file;
-  (* trajectory across commits: the same snapshot, appended as one JSONL
-     record per bench run; summarize with `gsino_diff --history` *)
-  let history_file =
-    match Sys.getenv_opt "GSINO_BENCH_HISTORY" with
-    | Some f -> f
-    | None -> "BENCH_HISTORY.jsonl"
-  in
-  if history_file <> "" then begin
-    let module Json = Eda_obs.Json in
-    let record =
-      Json.Obj
-        [
-          ("schema", Json.Str "gsino-bench-history-v1");
-          ("ts", Json.Int (int_of_float (Unix.time ())));
-          ("scale", Json.Float scale);
-          ("seed", Json.Int seed);
-          ("circuits", Json.Int (List.length profiles));
-          ("snapshot", Metrics.to_json snapshot);
-        ]
-    in
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 history_file in
-    output_string oc (Json.to_string record);
-    output_char oc '\n';
-    close_out oc;
-    Format.printf "history: appended to %s (disable: GSINO_BENCH_HISTORY=)@."
-      history_file
-  end;
   Format.printf "@.done.@."

@@ -131,6 +131,50 @@ let quiet_arg =
   let doc = "Silence logging entirely (overrides GSINO_LOG and $(b,-v))." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
+let set_verbosity ~verbose ~quiet =
+  if quiet then Log.set_level Log.Quiet
+  else if verbose then Log.set_level (Log.Level Log.Debug)
+
+(* ---------------- diagnostic printing ---------------- *)
+
+let pretty_arg =
+  let doc = "Human-readable diagnostics instead of machine one-liners." in
+  Arg.(value & flag & info [ "pretty" ] ~doc)
+
+(* How gsino_lint and gsino_audit print their findings. *)
+type diag_print = { pretty : bool; max_print : int; errors_only : bool }
+
+let diag_print_term =
+  let max_print_arg =
+    let doc =
+      "Print at most $(docv) diagnostics (0 = unlimited); with several \
+       flows the limit applies to each."
+    in
+    Arg.(value & opt int 50 & info [ "max-print" ] ~docv:"N" ~doc)
+  in
+  let errors_only_arg =
+    let doc = "Only print Error-severity diagnostics." in
+    Arg.(value & flag & info [ "e"; "errors-only" ] ~doc)
+  in
+  Term.(
+    const (fun pretty max_print errors_only -> { pretty; max_print; errors_only })
+    $ pretty_arg $ max_print_arg $ errors_only_arg)
+
+let print_diags out { pretty; max_print; errors_only } diags =
+  let shown =
+    List.filter (fun d -> (not errors_only) || d.Diag.severity = Diag.Error) diags
+  in
+  List.iteri
+    (fun i d ->
+      if max_print <= 0 || i < max_print then
+        if pretty then Format.fprintf out "%a@." Diag.pp d
+        else Format.fprintf out "%s@." (Diag.to_line d))
+    shown;
+  let n_shown = List.length shown in
+  if max_print > 0 && n_shown > max_print then
+    Format.fprintf out "... %d more diagnostics suppressed (--max-print)@."
+      (n_shown - max_print)
+
 (* ---------------- output sinks ---------------- *)
 
 (* Each driver exposes a subset of the artifact sinks below.  One
@@ -364,20 +408,19 @@ let write_profile = function
 
 (* Apply -v/-q, configure fault injection, enable tracing (--trace, or
    --profile which needs the same spans) and the --progress heartbeat
-   when requested, run [f] inside the {!guard_exceptions} funnel, then
-   flush the trace/profile/metrics artifacts even if [f] raises or exits
-   — so a fault-injected or deadline-killed run still leaves its
-   observability artifacts behind ([pretty] switches diagnostics to the
-   human-readable renderer).  Flush order matters: the profile folds the
-   trace ring and publishes prof.* gauges, so it runs after the trace
-   export and before the metrics snapshot.  The report sink stays a
-   per-driver concern (it needs the flow result); everything else flushes
-   here. *)
+   when requested, then run [f] and flush the trace/profile/metrics
+   artifacts, both inside the {!guard_exceptions} funnel: an unwritable
+   sink fails like any other error (GSL0022, exit 5).  A run that fails
+   first still flushes its artifacts for triage, and keeps its own exit
+   code ([pretty] switches diagnostics to the human-readable renderer).
+   Flush order matters: the profile folds the trace ring and publishes
+   prof.* gauges, so it runs after the trace export and before the
+   metrics snapshot.  The report sink stays a per-driver concern (it
+   needs the flow result); everything else flushes here. *)
 let with_obs ?(pretty = false) ?(prog = "gsino") ?(progress = false) ~sinks
     ~verbose ~quiet f =
   let { Sinks.trace; profile; metrics; journal; report = _ } = sinks in
-  if quiet then Log.set_level Log.Quiet
-  else if verbose then Log.set_level (Log.Level Log.Debug);
+  set_verbosity ~verbose ~quiet;
   init_faults ~prog ();
   (match (trace, profile) with
   | Some _, _ | _, Some _ -> Trace.enable ()
@@ -385,9 +428,10 @@ let with_obs ?(pretty = false) ?(prog = "gsino") ?(progress = false) ~sinks
   (* before any worker domain exists, so workers see the flag *)
   (match journal with Some _ -> Eda_obs.Journal.enable () | None -> ());
   if progress then Eda_obs.Progress.enable ();
-  (* idempotent and registered with at_exit: report_error leaves through
-     Stdlib.exit, which does not unwind Fun.protect, yet a failed run
-     must still drop its artifacts for triage *)
+  (* idempotent, and also registered with at_exit: report_error leaves
+     through Stdlib.exit, which does not unwind, yet a failed run must
+     still drop its artifacts.  There a sink that cannot be written is
+     ignored, so the error already reported keeps its exit code. *)
   let flushed = ref false in
   let finish () =
     if not !flushed then begin
@@ -401,8 +445,11 @@ let with_obs ?(pretty = false) ?(prog = "gsino") ?(progress = false) ~sinks
       write_metrics metrics
     end
   in
-  at_exit finish;
-  Fun.protect ~finally:finish (fun () -> guard_exceptions ~pretty f)
+  at_exit (fun () -> try finish () with _ -> ());
+  guard_exceptions ~pretty (fun () ->
+      let code = f () in
+      finish ();
+      code)
 
 (* ---------------- netlist acquisition ---------------- *)
 

@@ -13,7 +13,6 @@
    selection) come from Cli_common. *)
 open Cmdliner
 open Gsino
-module Diag = Eda_check.Diag
 module Analyze = Eda_analyze.Analyze
 module Grid = Eda_grid.Grid
 module Dir = Eda_grid.Dir
@@ -36,18 +35,6 @@ let vcap_arg =
   let doc = "Vertical track capacity per region (0 = auto-provision)." in
   Arg.(value & opt int 0 & info [ "vcap" ] ~docv:"N" ~doc)
 
-let pretty_arg =
-  let doc = "Human-readable diagnostics instead of machine one-liners." in
-  Arg.(value & flag & info [ "pretty" ] ~doc)
-
-let max_print_arg =
-  let doc = "Print at most $(docv) diagnostics (0 = unlimited)." in
-  Arg.(value & opt int 50 & info [ "max-print" ] ~docv:"N" ~doc)
-
-let errors_only_arg =
-  let doc = "Only print Error-severity diagnostics." in
-  Arg.(value & flag & info [ "e"; "errors-only" ] ~doc)
-
 let grid_of tech netlist ~hcap ~vcap =
   let auto = Tech.grid_for tech netlist in
   if hcap <= 0 && vcap <= 0 then auto
@@ -61,32 +48,19 @@ let grid_of tech netlist ~hcap ~vcap =
       ~vcap:(if vcap > 0 then vcap else auto_cap Dir.V)
   end
 
-let audit circuit scale seed rate hcap vcap netlist_file pretty max_print
-    errors_only sinks progress verbose quiet =
+let audit circuit scale seed rate hcap vcap netlist_file print sinks progress
+    verbose quiet =
   let claimed = C.claim_stdout ~prog:"gsino_audit" sinks in
   let out = C.out_formatter ~claimed in
-  C.with_obs ~pretty ~prog:"gsino_audit" ~progress ~sinks ~verbose ~quiet
+  C.with_obs ~pretty:print.C.pretty ~prog:"gsino_audit" ~progress ~sinks
+    ~verbose ~quiet
   @@ fun () ->
   let tech = Tech.default in
   let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
   let grid = grid_of tech netlist ~hcap ~vcap in
   let sensitivity = Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate in
   let t = Analyze.run (Flow.analyze_config tech) ~grid ~sensitivity netlist in
-  let shown =
-    List.filter
-      (fun d -> (not errors_only) || d.Diag.severity = Diag.Error)
-      t.Analyze.findings
-  in
-  let n_shown = List.length shown in
-  List.iteri
-    (fun i d ->
-      if max_print <= 0 || i < max_print then
-        if pretty then Format.fprintf out "%a@." Diag.pp d
-        else Format.fprintf out "%s@." (Diag.to_line d))
-    shown;
-  if max_print > 0 && n_shown > max_print then
-    Format.fprintf out "... %d more diagnostics suppressed (--max-print)@."
-      (n_shown - max_print);
+  C.print_diags out print t.Analyze.findings;
   Format.fprintf out "%a@." Analyze.pp_summary t;
   if Analyze.has_errors t then C.exit_findings else C.exit_ok
 
@@ -114,8 +88,7 @@ let cmd =
     (Cmd.info "gsino_audit" ~version:"1.0.0" ~doc ~man)
     Term.(
       const audit $ C.circuit_arg $ C.scale_arg ~default:0.02 () $ C.seed_arg
-      $ C.rate_arg $ hcap_arg $ vcap_arg $ netlist_file_arg $ pretty_arg
-      $ max_print_arg $ errors_only_arg
+      $ C.rate_arg $ hcap_arg $ vcap_arg $ netlist_file_arg $ C.diag_print_term
       $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
       $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 

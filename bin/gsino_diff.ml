@@ -8,13 +8,12 @@
 open Cmdliner
 module Metrics = Eda_obs.Metrics
 module Diff = Eda_obs.Diff
-module Log = Eda_obs.Log
 module C = Cli_common
 
-(* plain strings, not Arg.file: a missing path must leave through our
-   documented exit 2 with a readable message, not cmdliner's 124.
-   Positional snapshots are optional at the cmdliner layer because
-   --history needs neither; their presence is enforced in [run]. *)
+(* plain strings, not Arg.file, and optional at the cmdliner layer: a
+   missing or unreadable snapshot must leave through our documented
+   exit 2 with a readable message, not cmdliner's 124.  Their presence
+   is enforced in [run]. *)
 let baseline_arg =
   let doc = "Baseline metrics snapshot (gsino-metrics-v1 JSON)." in
   Arg.(value & pos 0 (some string) None & info [] ~docv:"BASELINE" ~doc)
@@ -22,17 +21,6 @@ let baseline_arg =
 let current_arg =
   let doc = "Current metrics snapshot (gsino-metrics-v1 JSON)." in
   Arg.(value & pos 1 (some string) None & info [] ~docv:"CURRENT" ~doc)
-
-let history_arg =
-  let doc =
-    "Summarize metric trends across a bench history file (JSONL, one \
-     gsino-bench-history-v1 object per bench run — see \
-     $(b,BENCH_HISTORY.jsonl)): one row per metric name with first/last \
-     values, relative drift and the min/max envelope.  With $(b,--history) \
-     the BASELINE/CURRENT snapshots are optional; a $(b,--policy) exclude \
-     list still filters the rows."
-  in
-  Arg.(value & opt (some string) None & info [ "history" ] ~docv:"FILE" ~doc)
 
 let policy_arg =
   let doc =
@@ -70,44 +58,8 @@ let is_changed e =
   | Diff.Changed _ -> true
   | Diff.Added _ | Diff.Removed _ | Diff.Unchanged _ -> false
 
-let show_history pol file =
-  match Diff.History.load file with
-  | Error msg ->
-      Format.eprintf "gsino_diff: %s@." msg;
-      exit C.exit_usage
-  | Ok [] -> Format.printf "history %s: no snapshots@." file
-  | Ok entries ->
-      let span =
-        match (entries, List.rev entries) with
-        | first :: _, last :: _ -> last.Diff.History.ts -. first.Diff.History.ts
-        | [], _ | _, [] -> 0.0
-      in
-      Format.printf "history %s: %d snapshot(s) spanning %.1f h@." file
-        (List.length entries)
-        (span /. 3600.0);
-      (match entries with
-      | e :: _ when e.Diff.History.meta <> [] ->
-          Format.printf "  first run: %s@."
-            (String.concat ", "
-               (List.map
-                  (fun (k, v) -> k ^ "=" ^ v)
-                  e.Diff.History.meta))
-      | _ -> ());
-      Format.printf "  %-44s %3s %14s %14s %7s %14s %14s@." "series" "n"
-        "first" "last" "drift" "min" "max";
-      List.iter
-        (fun t ->
-          let keep =
-            match pol with
-            | Some p -> not (Diff.excluded p t.Diff.History.name)
-            | None -> true
-          in
-          if keep then Format.printf "  %a@." Diff.History.pp_trend t)
-        (Diff.History.trends entries)
-
-let run policy all history verbose quiet baseline current =
-  if quiet then Log.set_level Log.Quiet
-  else if verbose then Log.set_level (Log.Level Log.Debug);
+let run policy all verbose quiet baseline current =
+  C.set_verbosity ~verbose ~quiet;
   C.guard_exceptions @@ fun () ->
   let pol =
     match policy with
@@ -119,15 +71,14 @@ let run policy all history verbose quiet baseline current =
             exit C.exit_usage
         | Ok p -> Some p)
   in
-  (match history with Some file -> show_history pol file | None -> ());
-  match (baseline, current) with
-  | None, None when history <> None -> C.exit_ok
-  | None, _ | _, None ->
-      Format.eprintf
-        "gsino_diff: BASELINE and CURRENT snapshots are required (unless \
-         --history alone is wanted)@.";
-      exit C.exit_usage
-  | Some baseline, Some current ->
+  let baseline, current =
+    match (baseline, current) with
+    | Some baseline, Some current -> (baseline, current)
+    | None, _ | _, None ->
+        Format.eprintf
+          "gsino_diff: BASELINE and CURRENT snapshots are required@.";
+        exit C.exit_usage
+  in
   let entries = Diff.diff (load baseline) (load current) in
   let entries =
     match pol with Some p -> Diff.apply_exclude p entries | None -> entries
@@ -177,7 +128,7 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "gsino_diff" ~version:"1.0.0" ~doc ~man)
-    Term.(const run $ policy_arg $ all_arg $ history_arg $ C.verbose_arg
-          $ C.quiet_arg $ baseline_arg $ current_arg)
+    Term.(const run $ policy_arg $ all_arg $ C.verbose_arg $ C.quiet_arg
+          $ baseline_arg $ current_arg)
 
 let () = exit (Cmd.eval' cmd)

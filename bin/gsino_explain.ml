@@ -10,7 +10,6 @@
 open Cmdliner
 module Journal = Eda_obs.Journal
 module Agg = Journal.Agg
-module Log = Eda_obs.Log
 module C = Cli_common
 
 let journal_pos =
@@ -235,8 +234,7 @@ let view_net net evs =
   end
 
 let run top net by_sig verbose quiet file =
-  if quiet then Log.set_level Log.Quiet
-  else if verbose then Log.set_level (Log.Level Log.Debug);
+  C.set_verbosity ~verbose ~quiet;
   C.guard_exceptions @@ fun () ->
   match Journal.load file with
   | Error msg ->

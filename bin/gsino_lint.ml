@@ -33,24 +33,12 @@ let kind_arg =
          [ Flow.Gsino ]
      & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
 
-let pretty_arg =
-  let doc = "Human-readable diagnostics instead of machine one-liners." in
-  Arg.(value & flag & info [ "pretty" ] ~doc)
-
-let max_print_arg =
-  let doc = "Print at most $(docv) diagnostics per flow (0 = unlimited)." in
-  Arg.(value & opt int 50 & info [ "max-print" ] ~docv:"N" ~doc)
-
-let errors_only_arg =
-  let doc = "Only print Error-severity diagnostics." in
-  Arg.(value & flag & info [ "e"; "errors-only" ] ~doc)
-
 let lint circuit scale seed rate router budgeting jobs deadline netlist_file
-    kinds pretty max_print errors_only sinks panel_cache progress verbose quiet
-    =
+    kinds print sinks panel_cache progress verbose quiet =
   let claimed = C.claim_stdout ~prog:"gsino_lint" sinks in
   let out = C.out_formatter ~claimed in
-  C.with_obs ~pretty ~prog:"gsino_lint" ~progress ~sinks ~verbose ~quiet
+  C.with_obs ~pretty:print.C.pretty ~prog:"gsino_lint" ~progress ~sinks
+    ~verbose ~quiet
   @@ fun () ->
   let tech = Tech.default in
   let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
@@ -73,21 +61,7 @@ let lint circuit scale seed rate router budgeting jobs deadline netlist_file
   let lint_one kind =
     let r = Flow.run ~grid ~base (config kind) tech ~sensitivity netlist in
     let diags = Flow.check ~tech r in
-    let shown =
-      List.filter
-        (fun d -> (not errors_only) || d.Diag.severity = Diag.Error)
-        diags
-    in
-    let n_shown = List.length shown in
-    List.iteri
-      (fun i d ->
-        if max_print <= 0 || i < max_print then
-          if pretty then Format.fprintf out "%a@." Diag.pp d
-          else Format.fprintf out "%s@." (Diag.to_line d))
-      shown;
-    if max_print > 0 && n_shown > max_print then
-      Format.fprintf out "... %d more diagnostics suppressed (--max-print)@."
-        (n_shown - max_print);
+    C.print_diags out print diags;
     Format.fprintf out "gsino_lint: %s on %s: %a@." (Flow.kind_name kind)
       netlist.Eda_netlist.Netlist.name Diag.pp_summary diags;
     diags
@@ -114,8 +88,7 @@ let cmd =
     Term.(
       const lint $ C.circuit_arg $ C.scale_arg ~default:0.02 () $ C.seed_arg
       $ C.rate_arg $ C.router_arg $ C.budgeting_arg $ C.jobs_arg
-      $ C.deadline_arg $ netlist_file_arg $ kind_arg $ pretty_arg
-      $ max_print_arg $ errors_only_arg
+      $ C.deadline_arg $ netlist_file_arg $ kind_arg $ C.diag_print_term
       $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
       $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 

@@ -21,16 +21,11 @@ module Protocol = Eda_serve.Protocol
 module Io = Eda_netlist.Io
 module Error = Eda_guard.Error
 module Diag = Eda_check.Diag
-module Log = Eda_obs.Log
 
 let socket_arg =
   let doc = "Unix-domain socket path of the daemon." in
   let env = Cmd.Env.info "GSINO_SERVE_SOCKET" ~doc:"Default for $(b,--socket)." in
   Arg.(value & opt string "gsino.sock" & info [ "socket" ] ~docv:"PATH" ~env ~doc)
-
-let apply_verbosity ~verbose ~quiet =
-  if quiet then Log.set_level Log.Quiet
-  else if verbose then Log.set_level (Log.Level Log.Debug)
 
 (* ---------------- daemon ---------------- *)
 
@@ -124,12 +119,10 @@ let netlist_file_arg =
   C.netlist_file_arg
     ~doc:"Route FILE (gsino-netlist v1) instead of a generated circuit."
 
-let write_artifact ~claimed sink contents =
+let write_artifact sink contents =
   match sink with
   | None -> ()
-  | Some "-" ->
-      ignore claimed;
-      print_string contents
+  | Some "-" -> print_string contents
   | Some file ->
       let oc = open_out file in
       Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
@@ -150,7 +143,7 @@ let route socket timeout circuit scale seed rate router budgeting kind deadline
     netlist_file pretty sinks verbose quiet =
   let claimed = C.claim_stdout ~prog:"gsino_serve" sinks in
   let out = C.out_formatter ~claimed in
-  apply_verbosity ~verbose ~quiet;
+  C.set_verbosity ~verbose ~quiet;
   C.guard_exceptions ~pretty @@ fun () ->
   let tech = Tech.default in
   let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
@@ -196,7 +189,7 @@ let route socket timeout circuit scale seed rate router budgeting kind deadline
             | Some Protocol.Trace -> C.Sinks.get sinks C.Sinks.Trace
             | None -> None
           in
-          write_artifact ~claimed sink contents)
+          write_artifact sink contents)
         artifacts;
       List.iter (fun line -> Format.fprintf out "%s@." line) findings;
       Format.fprintf out "gsino_serve: %s: %s@." status summary;
@@ -216,14 +209,14 @@ let route_cmd =
       const route $ socket_arg $ timeout_arg $ C.circuit_arg
       $ C.scale_arg ~default:0.02 () $ C.seed_arg $ C.rate_arg $ C.router_arg
       $ C.budgeting_arg $ kind_arg $ C.deadline_arg $ netlist_file_arg
-      $ Arg.(value & flag & info [ "pretty" ] ~doc:"Human-readable diagnostics.")
+      $ C.pretty_arg
       $ C.Sinks.(term [ Trace; Metrics; Journal; Report ])
       $ C.verbose_arg $ C.quiet_arg)
 
 (* ---------------- client: ping / stats ---------------- *)
 
 let ping socket timeout verbose quiet =
-  apply_verbosity ~verbose ~quiet;
+  C.set_verbosity ~verbose ~quiet;
   C.guard_exceptions @@ fun () ->
   let timeout_s = if timeout > 0.0 then Some timeout else None in
   match Client.request ?timeout_s socket Protocol.Ping with
@@ -258,7 +251,7 @@ let print_stats (s : Protocol.stats) =
   Printf.printf "draining: %b\n" s.Protocol.draining
 
 let stats socket timeout json verbose quiet =
-  apply_verbosity ~verbose ~quiet;
+  C.set_verbosity ~verbose ~quiet;
   C.guard_exceptions @@ fun () ->
   let timeout_s = if timeout > 0.0 then Some timeout else None in
   match Client.request ?timeout_s socket Protocol.Stats with

@@ -24,7 +24,7 @@ let () =
     Budget.uniform ~lsk:lsk_model ~noise_v:tech.Tech.noise_bound_v ~gcell_um netlist
   in
   let phase2 =
-    Phase2.solve ~grid ~netlist ~routes ~kth:(Budget.kth budget) ~sensitivity
+    Phase2.solve ~grid ~routes ~kth:(Budget.kth budget) ~sensitivity
       ~keff:tech.Tech.keff ~mode:Phase2.Order_only ~seed:3 ()
   in
   let noise_of i =

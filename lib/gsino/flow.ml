@@ -259,7 +259,7 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
   in
   let phase2, sino_s =
     timed_phase "sino" (fun () ->
-        Phase2.solve ~grid ~netlist ~routes ~kth:(Budget.kth budget) ~sensitivity
+        Phase2.solve ~grid ~routes ~kth:(Budget.kth budget) ~sensitivity
           ~keff:tech.Tech.keff ~mode ~seed ~deadline ?cache ~pool ())
   in
   let usage = Usage.of_routes grid ~gcell_um (Array.to_list routes) in

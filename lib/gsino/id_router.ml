@@ -6,7 +6,6 @@ module Net = Eda_netlist.Net
 module Netlist = Eda_netlist.Netlist
 module Heap = Eda_util.Heap
 module Rsmt = Eda_steiner.Rsmt
-module Estimate = Eda_sino.Estimate
 module Metrics = Eda_obs.Metrics
 module Trace = Eda_obs.Trace
 
@@ -28,7 +27,6 @@ let default_weights = { alpha = 2.0; beta = 1.0; gamma = 50.0 }
 
 type shield_model =
   | No_shields
-  | Estimated of { coeffs : Estimate.coeffs; rate : float }
   | Per_net of { keff : Eda_sino.Keff.params; rate : float; kth : int -> float }
 
 let shield_demand ~keff ~rate kth =
@@ -226,7 +224,8 @@ let route ~grid ~netlist ?(weights = default_weights)
   let inc_h = Array.make n_regions 0 in
   let inc_v = Array.make n_regions 0 in
   let inc_of dir = match dir with Dir.H -> inc_h | Dir.V -> inc_v in
-  (* per-region predicted shield tracks (Per_net model) *)
+  (* per-region predicted shield tracks (Per_net model; all zero under
+     No_shields) *)
   let nss_h = Array.make n_regions 0.0 in
   let nss_v = Array.make n_regions 0.0 in
   let nss_arr dir = match dir with Dir.H -> nss_h | Dir.V -> nss_v in
@@ -234,7 +233,7 @@ let route ~grid ~netlist ?(weights = default_weights)
     match shield_model with
     | Per_net { keff; rate; kth } ->
         Array.map (fun n -> shield_demand ~keff ~rate (kth n.Net.id)) nets
-    | No_shields | Estimated _ -> [||]
+    | No_shields -> [||]
   in
   let account e delta =
     occ.(e) <- occ.(e) + delta;
@@ -263,13 +262,6 @@ let route ~grid ~netlist ?(weights = default_weights)
         [ a; b ]
     end
   in
-  let nss_of r dir nns =
-    match shield_model with
-    | No_shields -> 0.0
-    | Estimated { coeffs; rate } ->
-        if nns <= 0 then 0.0 else Estimate.predict_uniform coeffs ~nns ~rate
-    | Per_net _ -> (nss_arr dir).(r)
-  in
   let weight_of st e =
     let dir = Grid.edge_dir grid e in
     let a, b = Grid.edge_ends grid e in
@@ -278,7 +270,7 @@ let route ~grid ~netlist ?(weights = default_weights)
       (fun p ->
         let r = Grid.region_id grid p in
         let nns = (inc_of dir).(r) / 2 in
-        let hu = float_of_int nns +. nss_of r dir nns in
+        let hu = float_of_int nns +. (nss_arr dir).(r) in
         let cap = float_of_int (Grid.cap grid p dir) in
         hd := Float.max !hd (hu /. cap);
         ofr := Float.max !ofr (Float.max 0.0 ((hu -. cap) /. cap)))

@@ -16,8 +16,9 @@
       the net's RSMT estimate (static per net/edge);
     - [HD(R)]: track density [HU/HC] of the regions flanking [e], where
       [HU = Nns + Nss]: the live net-segment count plus — this is GSINO's
-      shield-aware extension — the Formula (3) estimate of the shields the
-      region will need.  The baselines (ID+NO, iSINO) drop the [Nss] term;
+      shield-aware extension — the shields the region is predicted to
+      need (the [Per_net] reading of Formula (3)).  The baselines (ID+NO,
+      iSINO) drop the [Nss] term;
     - [HOFR(R)]: relative overflow, with γ ≫ α, β so overflow is all but
       forbidden.
 
@@ -31,8 +32,6 @@ val default_weights : weights
 (** How the router accounts for shielding area. *)
 type shield_model =
   | No_shields  (** conventional routing: HU = Nns *)
-  | Estimated of { coeffs : Eda_sino.Estimate.coeffs; rate : float }
-      (** HU = Nns + Formula-3 estimate at the given sensitivity rate *)
   | Per_net of { keff : Eda_sino.Keff.params; rate : float; kth : int -> float }
       (** HU = Nns + Σ over member nets of that net's expected per-region
           shield demand given its Kth bound — the sharper, Kth-aware

@@ -4,7 +4,6 @@ module Dir = Eda_grid.Dir
 module Net = Eda_netlist.Net
 module Netlist = Eda_netlist.Netlist
 module Rmst = Eda_steiner.Rmst
-module Estimate = Eda_sino.Estimate
 module Heap = Eda_util.Heap
 module Metrics = Eda_obs.Metrics
 module Trace = Eda_obs.Trace
@@ -57,16 +56,11 @@ let route ~grid ~netlist ?(shield_model = Id_router.No_shields)
     match shield_model with
     | Id_router.Per_net { keff; rate; kth } ->
         Array.map (fun n -> Id_router.shield_demand ~keff ~rate (kth n.Net.id)) nets
-    | Id_router.No_shields | Id_router.Estimated _ -> [||]
+    | Id_router.No_shields -> [||]
   in
-  let formula_nss r dir =
-    match shield_model with
-    | Id_router.Estimated { coeffs; rate } ->
-        let nns = (use_of pools dir).(r) in
-        if nns <= 0 then 0.0 else Estimate.predict_uniform coeffs ~nns ~rate
-    | Id_router.No_shields | Id_router.Per_net _ -> (nss_of pools dir).(r)
+  let load r dir =
+    float_of_int (use_of pools dir).(r) +. (nss_of pools dir).(r)
   in
-  let load r dir = float_of_int (use_of pools dir).(r) +. formula_nss r dir in
   let cap r dir = float_of_int (Grid.cap grid (Grid.region_pt grid r) dir) in
   (* PathFinder pricing: base wirelength + present overuse + history *)
   let pres_fac = ref 0.6 in

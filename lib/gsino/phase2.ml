@@ -2,7 +2,6 @@ module Grid = Eda_grid.Grid
 module Route = Eda_grid.Route
 module Dir = Eda_grid.Dir
 module Usage = Eda_grid.Usage
-module Netlist = Eda_netlist.Netlist
 module Sensitivity = Eda_netlist.Sensitivity
 module Instance = Eda_sino.Instance
 module Layout = Eda_sino.Layout
@@ -110,7 +109,7 @@ let fallback_layout mode inst =
   in
   Layout.make inst slots
 
-let solve ~grid ~netlist ~routes ~kth ~sensitivity ~keff ~mode ~seed
+let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
     ?(deadline = Eda_guard.Deadline.none) ?cache ?pool () =
   Trace.span "phase2.solve" @@ fun () ->
   let members : (key, int list) Hashtbl.t = Hashtbl.create 256 in
@@ -119,16 +118,13 @@ let solve ~grid ~netlist ~routes ~kth ~sensitivity ~keff ~mode ~seed
     (fun route ->
       let net = Route.net route in
       List.iter
-        (fun ((r, d) as key) ->
-          ignore r;
-          ignore d;
+        (fun key ->
           Hashtbl.replace members key
             (net :: Option.value (Hashtbl.find_opt members key) ~default:[]);
           Hashtbl.replace net_regions net
             (key :: Option.value (Hashtbl.find_opt net_regions net) ~default:[]))
         (Route.occupied grid route))
     routes;
-  ignore netlist;
   (* Each panel is an independent SINO instance with a panel-keyed RNG
      seed, so panels can be solved in any order (or concurrently) with
      identical results.  Key-sort for a stable worklist, fan out, then

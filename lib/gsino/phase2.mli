@@ -22,7 +22,7 @@ type t
 
 type mode = Order_only | Min_area
 
-(** [solve ~grid ~netlist ~routes ~kth ~sensitivity ~keff ~mode ~seed ()]
+(** [solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed ()]
     builds and solves every non-empty region instance.  [kth net] supplies
     the per-net bound from Phase I budgeting.  Every panel goes through
     the {!Eda_sino.Solver.solve} choke point, which derives its RNG
@@ -46,7 +46,6 @@ type mode = Order_only | Min_area
     is a fault-injection site. *)
 val solve :
   grid:Eda_grid.Grid.t ->
-  netlist:Eda_netlist.Netlist.t ->
   routes:Eda_grid.Route.t array ->
   kth:(int -> float) ->
   sensitivity:Eda_netlist.Sensitivity.t ->

@@ -273,135 +273,3 @@ let pp_breach fmt b =
   match b.entry with
   | None -> Format.fprintf fmt "%s: %s" b.tolerance.metric b.reason
   | Some e -> Format.fprintf fmt "%s: %s" (series_name e.name e.labels) b.reason
-
-(* ------------------------------ history ----------------------------- *)
-
-module History = struct
-  type entry = {
-    ts : float;
-    meta : (string * string) list;
-    snapshot : Metrics.snapshot;
-  }
-
-  let meta_string = function
-    | Json.Str s -> s
-    | Json.Int i -> string_of_int i
-    | Json.Float f -> Printf.sprintf "%g" f
-    | Json.Bool b -> string_of_bool b
-    | Json.Null | Json.List _ | Json.Obj _ -> "?"
-
-  let entry_of_json j =
-    let ts =
-      match Json.member "ts" j with
-      | Some (Json.Int i) -> Ok (float_of_int i)
-      | Some (Json.Float f) -> Ok f
-      | Some
-          ( Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ )
-      | None ->
-          Error "history entry: missing numeric 'ts'"
-    in
-    let meta =
-      match j with
-      | Json.Obj fields ->
-          List.filter_map
-            (fun (k, v) ->
-              match k with
-              | "schema" | "ts" | "snapshot" -> None
-              | _ -> Some (k, meta_string v))
-            fields
-      | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-      | Json.List _ ->
-          []
-    in
-    match (ts, Json.member "snapshot" j) with
-    | Error e, _ -> Error e
-    | Ok _, None -> Error "history entry: missing 'snapshot'"
-    | Ok ts, Some s -> (
-        match Metrics.of_json s with
-        | Ok snapshot -> Ok { ts; meta; snapshot }
-        | Error e -> Error e)
-
-  (* JSONL, one snapshot per line, oldest first (bench appends). *)
-  let load path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error msg -> Error msg
-    | contents ->
-        let lines = String.split_on_char '\n' contents in
-        let rec go i acc = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest ->
-              let line = String.trim line in
-              if line = "" then go (i + 1) acc rest
-              else begin
-                match Json.of_string line with
-                | Error e ->
-                    Error (Printf.sprintf "%s:%d: %s" path i e)
-                | Ok j -> (
-                    match entry_of_json j with
-                    | Error e ->
-                        Error (Printf.sprintf "%s:%d: %s" path i e)
-                    | Ok entry -> go (i + 1) (entry :: acc) rest)
-              end
-        in
-        go 1 [] lines
-
-  type trend = {
-    name : string;
-    n : int;  (** snapshots the series appears in *)
-    first : float;
-    last : float;
-    lo : float;
-    hi : float;
-  }
-
-  (* One scalar per (snapshot, name): series summed across label sets,
-     so e.g. flow.phase_seconds trends as total flow time. *)
-  let scalar_by_name snap =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (name, _labels, v) ->
-        let s = (scalar_of v).value in
-        Hashtbl.replace tbl name
-          (s +. Option.value ~default:0.0 (Hashtbl.find_opt tbl name)))
-      (Metrics.entries snap);
-    tbl
-
-  let trends entries =
-    let acc : (string, trend) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun e ->
-        Hashtbl.iter
-          (fun name v ->
-            match Hashtbl.find_opt acc name with
-            | None ->
-                Hashtbl.replace acc name
-                  { name; n = 1; first = v; last = v; lo = v; hi = v }
-            | Some t ->
-                Hashtbl.replace acc name
-                  {
-                    t with
-                    n = t.n + 1;
-                    last = v;
-                    lo = Float.min t.lo v;
-                    hi = Float.max t.hi v;
-                  })
-          (scalar_by_name e.snapshot))
-      entries;
-    Hashtbl.fold (fun _ t l -> t :: l) acc []
-    |> List.sort (fun a b -> compare a.name b.name)
-
-  let pp_trend fmt t =
-    (* drift needs two snapshots and a finite, non-zero start: a
-       single-snapshot history (bench's first run) or a NaN/inf series
-       must render "n/a", never NaN% or a division by zero *)
-    let rel =
-      if t.n < 2 || t.first = 0.0 || not (Float.is_finite t.first) then
-        "    n/a"
-      else
-        let pct = 100.0 *. ((t.last -. t.first) /. Float.abs t.first) in
-        if Float.is_finite pct then Printf.sprintf "%+6.1f%%" pct
-        else "    n/a"
-    in
-    Format.fprintf fmt "%-44s %3d %14g %14g %s %14g %14g" t.name t.n t.first
-      t.last rel t.lo t.hi
-end

@@ -91,40 +91,3 @@ val series_name : string -> Metrics.labels -> string
 val pp_entry : Format.formatter -> entry -> unit
 
 val pp_breach : Format.formatter -> breach -> unit
-
-(** {1 Bench history}
-
-    The bench harness appends one JSON object per run to
-    [BENCH_HISTORY.jsonl] — [{"schema": "gsino-bench-history-v1", "ts":
-    epoch_seconds, ..., "snapshot": <gsino-metrics-v1>}] — so metric
-    trajectories survive across commits.  [gsino_diff --history] loads
-    the file and prints one trend row per metric name. *)
-module History : sig
-  type entry = {
-    ts : float;  (** epoch seconds the snapshot was taken *)
-    meta : (string * string) list;
-        (** the entry's other top-level scalars (scale, seed, ...) *)
-    snapshot : Metrics.snapshot;
-  }
-
-  (** [load path] — parse a JSONL history file, oldest first; blank
-      lines are skipped, a malformed line fails with its line number. *)
-  val load : string -> (entry list, string) result
-
-  type trend = {
-    name : string;
-    n : int;  (** snapshots the series appears in *)
-    first : float;
-    last : float;
-    lo : float;
-    hi : float;
-  }
-
-  (** Per-name trajectory across the entries (chronological order).
-      Each snapshot contributes one scalar per name: the sum of the
-      series' scalar summaries across label sets. *)
-  val trends : entry list -> trend list
-
-  (** Fixed-width trend row: name, n, first, last, rel drift, min, max. *)
-  val pp_trend : Format.formatter -> trend -> unit
-end

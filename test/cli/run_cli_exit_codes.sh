@@ -72,6 +72,15 @@ expect_stdout() {
   done
 }
 
+# stderr of the last expect must not contain the given pattern
+expect_stderr_lacks() {
+  if grep -q -- "$1" stderr.log; then
+    echo "FAIL stderr contains '$1'"
+    sed 's/^/  stderr: /' stderr.log
+    failures=$((failures + 1))
+  fi
+}
+
 # a metric series must exist in a snapshot file
 expect_metric() {
   local file="$1" name="$2"
@@ -116,6 +125,11 @@ expect 2 "malformed GSINO_FAULTS spec" -- \
   env GSINO_FAULTS="bogus" "$RUN" run "${base[@]}"
 expect_stderr "GSINO_FAULTS"
 expect 2 "gsino_diff missing snapshot" -- "$DIFF" missing.json clean.json
+# a missing positional is checked by gsino_diff itself (exit 2, not
+# cmdliner's 124)
+expect 2 "gsino_diff without CURRENT" -- "$DIFF" clean.json
+expect_stderr "BASELINE and CURRENT snapshots are required"
+expect_stderr_lacks "uncaught exception"
 # two artifact sinks may not both claim stdout: one coded usage error,
 # exit 2, before any work starts
 expect 2 "conflicting stdout sinks (GSL0029)" -- \
@@ -158,6 +172,16 @@ expect 5 "refine.resolve fault" -- \
 expect_stderr "GSL0022" "refine.resolve"
 # a crashed run must still flush its --metrics artifact for triage
 expect_metric crash.json "guard.injected"
+# an unwritable artifact sink leaves through the funnel like any other
+# failure: GSL0022, exit 5
+expect 5 "gsino_run unwritable --metrics (GSL0022)" -- \
+  "$RUN" run "${base[@]}" --jobs 1 --metrics no-such-dir/m.json
+expect_stderr "GSL0022" "no-such-dir/m.json"
+expect_stderr_lacks "uncaught exception"
+expect 5 "gsino_audit unwritable --trace (GSL0022)" -- \
+  "$AUDIT" "${base[@]}" --trace no-such-dir/t.json
+expect_stderr "GSL0022" "no-such-dir/t.json"
+expect_stderr_lacks "uncaught exception"
 # the LSK table build simulates circuits: a corrupted LU solve is caught
 # at the source as the typed non-finite error (GSL0023), not as garbage
 # noise values downstream
@@ -194,11 +218,7 @@ expect 7 "gsino_run into a closed pipe (GSL0032)" -- bash -c \
   '"$0" "$@" | head -1 >/dev/null; exit "${PIPESTATUS[0]}"' \
   "$RUN" run "${base[@]}" --jobs 1
 expect_stderr "GSL0032"
-if grep -q "uncaught exception" stderr.log; then
-  echo "FAIL closed pipe: uncaught exception on stderr"
-  sed 's/^/  stderr: /' stderr.log
-  failures=$((failures + 1))
-fi
+expect_stderr_lacks "uncaught exception"
 
 # ---- exit 1: findings / regression breach ----
 # provably infeasible fixture: over-capacity cuts (GSL0024) and Kth

@@ -13,6 +13,8 @@
 # - SIGTERM drains gracefully: exit 0, no orphaned socket file, the
 #   daemon-lifetime serve.* metrics flushed — also when it arrives right
 #   after the daemon's first pong
+# - a --metrics path that cannot be written fails the drain through the
+#   funnel: exit 5, GSL0022, no uncaught exception
 #
 # Every check also asserts no uncaught exception leaked (no OCaml
 # "Fatal error" banner / backtrace on stderr).
@@ -25,10 +27,12 @@ cd "$work"
 
 DAEMON_PID=""
 FAULT_PID=""
+SINK_PID=""
 EARLY_PID=""
 cleanup() {
   [ -n "$DAEMON_PID" ] && kill -9 "$DAEMON_PID" 2>/dev/null
   [ -n "$FAULT_PID" ] && kill -9 "$FAULT_PID" 2>/dev/null
+  [ -n "$SINK_PID" ] && kill -9 "$SINK_PID" 2>/dev/null
   [ -n "$EARLY_PID" ] && kill -9 "$EARLY_PID" 2>/dev/null
   rm -rf "$work"
 }
@@ -179,6 +183,29 @@ if [ -f pc/panels.v1 ]; then
 else
   echo "FAIL drain did not flush the panel cache"
   failures=$((failures + 1))
+fi
+
+# ---- unwritable --metrics: the drain's flush fails through the funnel ----
+"$SERVE" daemon --socket sink.sock -w 1 -j 1 -q \
+  --metrics no-such-dir/d.json 2>sink_stderr.log &
+SINK_PID=$!
+wait_socket sink.sock
+expect 0 "ping the unwritable-metrics daemon" -- "$SERVE" ping --socket sink.sock
+kill -TERM "$SINK_PID"
+wait "$SINK_PID"
+code=$?
+SINK_PID=""
+if [ "$code" -ne 5 ]; then
+  echo "FAIL unwritable daemon --metrics: exit $code, expected 5"
+  sed 's/^/  stderr: /' sink_stderr.log
+  failures=$((failures + 1))
+elif ! grep -q "GSL0022" sink_stderr.log \
+  || grep -q "uncaught exception" sink_stderr.log; then
+  echo "FAIL unwritable daemon --metrics: want GSL0022, no uncaught exception"
+  sed 's/^/  stderr: /' sink_stderr.log
+  failures=$((failures + 1))
+else
+  echo "ok   unwritable daemon --metrics fails at drain (exit 5, GSL0022)"
 fi
 
 # ---- early drain: SIGTERM at once after the first pong ----

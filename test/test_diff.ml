@@ -274,119 +274,6 @@ let test_policy_exclude_parse_and_filter () =
       | Ok _ -> Alcotest.fail "numeric exclude accepted"
       | Error _ -> ())
 
-(* ----------------------------- history ------------------------------ *)
-
-let history_file lines =
-  let path = Filename.temp_file "gsino_hist" ".jsonl" in
-  let oc = open_out path in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  close_out oc;
-  path
-
-let history_line ts metrics =
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.Str "gsino-bench-history-v1");
-         ("ts", Json.Int ts);
-         ("scale", Json.Float 0.1);
-         ("seed", Json.Int 7);
-         ("snapshot", snap_json metrics);
-       ])
-
-let test_history_load_and_trends () =
-  let path =
-    history_file
-      [
-        history_line 1000 [ ("m", [], 1); ("once", [], 3) ];
-        "";
-        (* blank lines are skipped *)
-        history_line 2000
-          [ ("m", [ ("kind", "A") ], 2); ("m", [ ("kind", "B") ], 3) ];
-        history_line 4600 [ ("m", [], 9) ];
-      ]
-  in
-  (match Diff.History.load path with
-  | Error msg -> Alcotest.failf "load: %s" msg
-  | Ok entries ->
-      Alcotest.(check int) "three snapshots" 3 (List.length entries);
-      (match entries with
-      | e :: _ ->
-          Alcotest.(check bool) "ts" true (e.Diff.History.ts = 1000.0);
-          Alcotest.(check bool) "meta carries scale/seed" true
-            (List.mem ("scale", "0.1") e.Diff.History.meta
-            && List.mem ("seed", "7") e.Diff.History.meta)
-      | [] -> Alcotest.fail "no entries");
-      let trends = Diff.History.trends entries in
-      (match List.find_opt (fun t -> t.Diff.History.name = "m") trends with
-      | Some t ->
-          Alcotest.(check int) "m in all three" 3 t.Diff.History.n;
-          (* the middle snapshot's two label sets sum to one scalar *)
-          Alcotest.(check bool) "envelope" true
-            (t.Diff.History.first = 1.0 && t.Diff.History.last = 9.0
-           && t.Diff.History.lo = 1.0 && t.Diff.History.hi = 9.0)
-      | None -> Alcotest.fail "trend for m missing");
-      match List.find_opt (fun t -> t.Diff.History.name = "once") trends with
-      | Some t ->
-          Alcotest.(check int) "sparse series counted once" 1 t.Diff.History.n
-      | None -> Alcotest.fail "trend for once missing");
-  Sys.remove path
-
-let test_history_single_snapshot () =
-  (* bench's very first run appends exactly one snapshot: --history must
-     render first/last and an "n/a" drift, never +0.0%, NaN or a
-     division by zero *)
-  let path = history_file [ history_line 1000 [ ("m", [], 5) ] ] in
-  (match Diff.History.load path with
-  | Error msg -> Alcotest.failf "load: %s" msg
-  | Ok entries ->
-      let trends = Diff.History.trends entries in
-      let t = List.find (fun t -> t.Diff.History.name = "m") trends in
-      Alcotest.(check int) "one snapshot" 1 t.Diff.History.n;
-      let line = Format.asprintf "%a" Diff.History.pp_trend t in
-      Alcotest.(check bool) "drift renders n/a" true (contains ~sub:"n/a" line);
-      Alcotest.(check bool) "no percentage printed" false
-        (contains ~sub:"%" line));
-  Sys.remove path;
-  (* a non-finite series start must not leak NaN% into the drift column *)
-  let t =
-    {
-      Diff.History.name = "x";
-      n = 3;
-      first = Float.nan;
-      last = 2.0;
-      lo = 1.0;
-      hi = 2.0;
-    }
-  in
-  let line = Format.asprintf "%a" Diff.History.pp_trend t in
-  Alcotest.(check bool) "nan first renders n/a" true (contains ~sub:"n/a" line);
-  Alcotest.(check bool) "nan first prints no percentage" false
-    (contains ~sub:"%" line)
-
-let test_history_rejects_malformed () =
-  let path =
-    history_file [ history_line 1000 [ ("m", [], 1) ]; "{not json" ]
-  in
-  (match Diff.History.load path with
-  | Ok _ -> Alcotest.fail "malformed line accepted"
-  | Error msg ->
-      Alcotest.(check bool) "error names the line" true
-        (contains ~sub:":2:" msg));
-  Sys.remove path;
-  let path2 = history_file [ "{\"schema\":\"gsino-bench-history-v1\"}" ] in
-  (match Diff.History.load path2 with
-  | Ok _ -> Alcotest.fail "entry without ts/snapshot accepted"
-  | Error _ -> ());
-  Sys.remove path2;
-  match Diff.History.load "/nonexistent/gsino_history.jsonl" with
-  | Ok _ -> Alcotest.fail "missing file accepted"
-  | Error _ -> ()
-
 let suites =
   [
     ( "obs.diff",
@@ -409,11 +296,5 @@ let suites =
         Alcotest.test_case "pp_entry" `Quick test_pp_entry_renders;
         Alcotest.test_case "exclude prefixes" `Quick
           test_policy_exclude_parse_and_filter;
-        Alcotest.test_case "history load + trends" `Quick
-          test_history_load_and_trends;
-        Alcotest.test_case "history single snapshot" `Quick
-          test_history_single_snapshot;
-        Alcotest.test_case "history rejects malformed" `Quick
-          test_history_rejects_malformed;
       ] );
   ]

@@ -175,7 +175,7 @@ let phase2_of ?(mode = Phase2.Min_area) rate =
     grid,
     base,
     b,
-    Phase2.solve ~grid ~netlist:nl ~routes:base ~kth:(Budget.kth b)
+    Phase2.solve ~grid ~routes:base ~kth:(Budget.kth b)
       ~sensitivity:sens ~keff:tech.Tech.keff ~mode ~seed:3 () )
 
 let test_phase2_covers_occupied () =
@@ -240,7 +240,7 @@ let test_noise_hand_computed () =
   let m = Lazy.force lsk_model in
   let b = Budget.uniform ~lsk:m ~noise_v:0.15 ~gcell_um:100.0 nl in
   let p2 =
-    Phase2.solve ~grid:g ~netlist:nl ~routes ~kth:(Budget.kth b)
+    Phase2.solve ~grid:g ~routes ~kth:(Budget.kth b)
       ~sensitivity:(Sensitivity.make ~seed:1 ~rate:1.0) ~keff:tech.Tech.keff
       ~mode:Phase2.Min_area ~seed:1 ()
   in

@@ -9,8 +9,6 @@ module Fault = Eda_guard.Fault
 module Matrix = Eda_util.Matrix
 module Point = Eda_geom.Point
 module Io = Eda_netlist.Io
-module Net = Eda_netlist.Net
-module Netlist = Eda_netlist.Netlist
 module Generator = Eda_netlist.Generator
 module Sensitivity = Eda_netlist.Sensitivity
 module Grid = Eda_grid.Grid
@@ -360,13 +358,6 @@ let tech = Tech.default
    bound is a negative Kth, which no non-negative coupling can meet. *)
 let tight () =
   let grid = Grid.make ~w:4 ~h:1 ~hcap:8 ~vcap:8 in
-  let nets =
-    [|
-      Net.make ~id:0 ~source:(p 0 0) ~sinks:[| p 2 0 |];
-      Net.make ~id:1 ~source:(p 0 0) ~sinks:[| p 2 0 |];
-    |]
-  in
-  let nl = Netlist.make ~name:"tight" ~grid_w:4 ~grid_h:1 ~gcell_um:50.0 nets in
   let e x = Grid.edge_id grid (p x 0) Dir.H in
   let routes =
     [|
@@ -374,11 +365,11 @@ let tight () =
       Route.of_edges grid ~net:1 [ e 0; e 1 ];
     |]
   in
-  (grid, nl, routes, Sensitivity.make ~seed:1 ~rate:1.0)
+  (grid, routes, Sensitivity.make ~seed:1 ~rate:1.0)
 
 let solve_tight ~kth () =
-  let grid, nl, routes, sens = tight () in
-  Phase2.solve ~grid ~netlist:nl ~routes ~kth ~sensitivity:sens
+  let grid, routes, sens = tight () in
+  Phase2.solve ~grid ~routes ~kth ~sensitivity:sens
     ~keff:tech.Tech.keff ~mode:Phase2.Min_area ~seed:3 ()
 
 let test_phase2_degrade_fallback () =

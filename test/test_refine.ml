@@ -26,7 +26,7 @@ let setup =
          ~gcell_um:nl.Netlist.gcell_um nl
      in
      let phase2 =
-       Phase2.solve ~grid ~netlist:nl ~routes:base ~kth:(Budget.kth budget)
+       Phase2.solve ~grid ~routes:base ~kth:(Budget.kth budget)
          ~sensitivity:sens ~keff:tech.Tech.keff ~mode:Phase2.Min_area ~seed:3 ()
      in
      let usage =
