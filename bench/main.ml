@@ -85,7 +85,8 @@ let run_tables () =
   Format.printf "%a" Report.violations_summary suite;
   section "phase timing per circuit";
   Format.printf "%a" Report.timing_summary suite;
-  print_stage_durations ()
+  print_stage_durations ();
+  suite
 
 (* -------------------- V1: LSK model fidelity ------------------------ *)
 
@@ -257,39 +258,45 @@ let run_countermeasures () =
   Format.printf
     "  (shielding and differential signaling both beat plain spacing — the@.    \   §1 landscape SINO lives in; SINO automates the shield variant)@."
 
-(* -------------- Ablation: SINO solver quality (greedy vs SA) -------- *)
+(* ------------ Ablation: SINO solver quality (greedy vs exact) ------- *)
 
-let run_solver_ablation () =
-  section "ablation: min-area SINO solver (greedy heuristic vs +annealing)";
-  let rng = Eda_util.Rng.create 123 in
-  let module I = Eda_sino.Instance in
+(* The greedy heuristic Phases II/III run against the exact optimum, on
+   every feasible panel of at most 10 nets in the final layouts of the
+   suite's iSINO and GSINO flows.  Asserted per panel: the exact layout
+   is feasible and lower bound <= exact <= flow. *)
+let run_solver_ablation (suite : Report.suite) =
+  section "ablation: min-area SINO solver (greedy heuristic vs exact optimum)";
   let module L = Eda_sino.Layout in
-  let module S = Eda_sino.Solver in
-  let total_g = ref 0 and total_a = ref 0 and trials = 30 in
-  for _ = 1 to trials do
-    let n = Eda_util.Rng.int_in rng 8 36 in
-    let inst_seed = Eda_util.Rng.int rng 100000 in
-    let rate = 0.2 +. Eda_util.Rng.float rng 0.5 in
-    let inst =
-      I.make
-        ~nets:(Array.init n (fun i -> i))
-        ~kth:(Array.init n (fun _ -> 0.2 +. Eda_util.Rng.float rng 1.0))
-        ~sensitive:(fun i j ->
-          i <> j && Eda_util.Rng.pair_hash ~seed:inst_seed i j < rate)
-    in
-    let greedy = S.min_area (Eda_util.Rng.split rng) inst in
-    let annealed =
-      S.anneal ~moves:3000 (Eda_util.Rng.split rng) inst greedy
-    in
-    total_g := !total_g + L.num_shields greedy;
-    total_a := !total_a + L.num_shields annealed
-  done;
-  Format.printf
-    "  %d random instances: greedy %d shields total, +annealing %d (%.1f%% fewer)@."
-    trials !total_g !total_a
-    (100. *. float_of_int (!total_g - !total_a) /. float_of_int (max 1 !total_g));
-  Format.printf
-    "  (the greedy construct-and-repair heuristic is what Phases II/III run;@.    \   the gap to a slower annealer bounds what better SINO could buy)@."
+  List.iter
+    (fun (run : Report.circuit_run) ->
+      List.iter
+        (fun (kind, (r : Flow.result)) ->
+          let keff = Phase2.keff r.Flow.phase2 in
+          let gaps = ref [] and flow_sh = ref 0 and secs = ref 0.0 in
+          Phase2.iter r.Flow.phase2 (fun _ { Phase2.inst; layout; feasible; _ } ->
+              if feasible && Eda_sino.Instance.size inst <= 10 then begin
+                let t0 = Unix.gettimeofday () in
+                let l = Eda_sino.Solver.exact ~params:keff inst in
+                secs := !secs +. (Unix.gettimeofday () -. t0);
+                let fs = L.num_shields layout and es = L.num_shields l in
+                assert (L.feasible l keff && es <= fs);
+                assert (Eda_sino.Bound.shield_lower_bound ~params:keff inst <= es);
+                flow_sh := !flow_sh + fs;
+                gaps := (fs - es) :: !gaps
+              end);
+          let count g = List.length (List.filter (( = ) g) !gaps) in
+          Format.printf
+            "  %-6s rate %.0f%% %-5s %4d panels: flow %4d shields, exact %4d | \
+             gap:panels %s | oracle %.2fs@."
+            run.Report.profile.Generator.name (run.Report.rate *. 100.) kind
+            (List.length !gaps) !flow_sh
+            (!flow_sh - List.fold_left ( + ) 0 !gaps)
+            (List.sort_uniq compare !gaps
+            |> List.map (fun g -> Printf.sprintf "%d:%d" g (count g))
+            |> String.concat " ")
+            !secs)
+        [ ("iSINO", run.Report.isino); ("GSINO", run.Report.gsino) ])
+    suite.Report.runs
 
 (* ------------- panel cache: hit rate and output identity ------------- *)
 
@@ -486,13 +493,12 @@ let run_journal_overhead () =
   assert (span_us <= 0.0 || reconcile_pct < 5.0)
 
 let () =
-  run_tables ();
+  run_solver_ablation (run_tables ());
   run_lsk_fidelity ();
   run_formula3 ();
   run_delay_claim ();
   run_countermeasures ();
   run_ablations ();
-  run_solver_ablation ();
   run_panel_cache ();
   run_audit_cost ();
   run_journal_overhead ();

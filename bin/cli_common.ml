@@ -213,7 +213,7 @@ module Sinks = struct
         ( "journal",
           "Record the attribution journal — dimension-keyed cost events \
            (per-net route churn, per-region reweights, per-panel SINO \
-           time/moves/outcome with canonical panel signatures and cache \
+           time/shields/outcome with canonical panel signatures and cache \
            hit/miss/stored dispositions) — and write it as gsino-journal-v1 \
            JSONL to $(docv) on exit; '-' writes it to stdout and silences \
            the human-readable output.  Drill down with $(b,gsino_explain)." )

@@ -99,11 +99,11 @@ let view_top_refined ~k evs =
   in
   if rows <> [] then begin
     Format.printf "@.Top %d nets by refinement time:@." (List.length rows);
-    Format.printf "  %-8s %10s %10s %10s@." "net" "time_ms" "resolves" "moves";
+    Format.printf "  %-8s %10s %10s@." "net" "time_ms" "resolves";
     List.iter
       (fun r ->
-        Format.printf "  %-8s %10.2f %10d %10d%a@." r.Agg.key (ms r "time_us")
-          r.Agg.count (i r "moves") pp_outcomes r)
+        Format.printf "  %-8s %10.2f %10d%a@." r.Agg.key (ms r "time_us")
+          r.Agg.count pp_outcomes r)
       rows
   end
 

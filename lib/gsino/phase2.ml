@@ -36,8 +36,6 @@ let c_infeasible () = Metrics.counter "phase2.infeasible_panels"
    are identical for any jobs value. *)
 let m_sig_unique () = Metrics.counter "sino.panel_sig_unique"
 let m_sig_dups () = Metrics.counter "sino.panel_sig_dups"
-let c_moves_acc () = Metrics.counter "sino.moves_accepted"
-let c_moves_rej () = Metrics.counter "sino.moves_rejected"
 
 (* The cache disposition is journaled as its own dimension, not folded
    into the outcome: the outcome describes the solution (identical for
@@ -69,7 +67,7 @@ type soln = {
   degraded : bool;
 }
 
-type mode = Order_only | Min_area
+type mode = Solver.mode = Order_only | Min_area
 
 type t = {
   grid : Grid.t;
@@ -136,14 +134,11 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
   let sigs : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let sig_mu = Mutex.create () in
   let req =
-    Solver.request
-      ~mode:(match mode with Order_only -> Solver.Order_only | Min_area -> Solver.Min_area)
-      ~params:keff ~deadline ~fault_site:"phase2.solve" ~seed ()
+    Solver.request ~mode ~params:keff ~deadline ~fault_site:"phase2.solve" ~seed
+      ()
   in
   let solve_panel (((r, d) as _key), nets) =
     let t0 = Clock.now_ns () in
-    let acc0 = Metrics.counter_value (c_moves_acc ())
-    and rej0 = Metrics.counter_value (c_moves_rej ()) in
     let nets = Array.of_list (List.sort_uniq compare nets) in
     let kth_arr = Array.map kth nets in
     let inst =
@@ -188,11 +183,7 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
     note_signature ~sigs ~mu:sig_mu sg;
     let soln = soln_of_layout ~keff ~degraded inst layout in
     if Journal.enabled () then begin
-      (* the whole panel solve ran on this domain, so the move deltas of
-         this domain's sino.* counter cells are exactly this panel's *)
       let time_us = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e3 in
-      let acc = Metrics.counter_value (c_moves_acc ()) - acc0
-      and rej = Metrics.counter_value (c_moves_rej ()) - rej0 in
       Journal.record "panel.solve"
         ([
            ("region", string_of_int r);
@@ -206,8 +197,6 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
           [
             ("nets", float_of_int (Array.length nets));
             ("time_us", time_us);
-            ("moves_accepted", float_of_int acc);
-            ("moves_rejected", float_of_int rej);
             ("shields", float_of_int (Layout.num_shields layout));
           ]
         ~outcome:
@@ -265,8 +254,6 @@ let replace t key soln = Hashtbl.replace t.table key soln
 
 let resolve ?(deadline = Eda_guard.Deadline.none) ?net ?pass t key inst =
   let t0 = Clock.now_ns () in
-  let acc0 = Metrics.counter_value (c_moves_acc ())
-  and rej0 = Metrics.counter_value (c_moves_rej ()) in
   Metrics.incr m_resolves;
   Eda_guard.Fault.point "refine.resolve";
   (* warm-start from the current layout when the instance is the same net
@@ -298,11 +285,6 @@ let resolve ?(deadline = Eda_guard.Deadline.none) ?net ?pass t key inst =
   if Journal.enabled () then begin
     let r, d = key in
     let time_us = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e3 in
-    let moves =
-      Metrics.counter_value (c_moves_acc ())
-      - acc0
-      + (Metrics.counter_value (c_moves_rej ()) - rej0)
-    in
     Journal.record "panel.resolve"
       ([
          ("region", string_of_int r);
@@ -317,7 +299,6 @@ let resolve ?(deadline = Eda_guard.Deadline.none) ?net ?pass t key inst =
       ~data:
         [
           ("time_us", time_us);
-          ("moves", float_of_int moves);
           ("shields", float_of_int (Layout.num_shields layout));
         ]
       ~outcome:(if soln.feasible then "feasible" else "infeasible")

@@ -20,7 +20,7 @@ type soln = {
 
 type t
 
-type mode = Order_only | Min_area
+type mode = Eda_sino.Solver.mode = Order_only | Min_area
 
 (** [solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed ()]
     builds and solves every non-empty region instance.  [kth net] supplies

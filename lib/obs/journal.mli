@@ -11,17 +11,21 @@
     [--jobs N] run produces the same journal as [--jobs 1] (modulo the
     [_us] timing payloads).
 
-    Event vocabulary (see DESIGN §9):
-    - [net.budget]     dim [net]; data [kth]
-    - [net.route]      dim [net]; data [pops deletions reweights essential]
+    Event vocabulary (see DESIGN §9).  Each event of a kind carries
+    exactly these [dim] and [data] keys; a parenthesized dim is optional.
+    The [cache] dim is the panel-cache disposition (hit, miss or stored)
+    of a [Min_area] solve that went through a panel cache.
+    - [net.budget]      dim [net]; data [kth]
+    - [net.route]       dim [net]; data [pops deletions reweights essential];
+                        outcome [routed|direct|empty]
     - [region.reweight] dim [region dir]; data [reweights]
-    - [panel.solve]    dim [region dir sig members]; data
-                       [nets time_us moves_accepted moves_rejected shields];
-                       outcome [feasible|degraded|infeasible]
-    - [panel.resolve]  dim [region dir sig net pass]; data
-                       [time_us shields moves]; outcome as above
-    - [net.refine]     dim [net pass]; data [resolves]; outcome
-                       [fixed|gave_up|relaxed] *)
+    - [panel.solve]     dim [region dir sig members (cache)]; data
+                        [nets time_us shields];
+                        outcome [feasible|degraded|infeasible]
+    - [panel.resolve]   dim [region dir sig net pass (cache)]; data
+                        [time_us shields]; outcome [feasible|infeasible]
+    - [net.refine]      dim [net pass]; data [resolves]; outcome
+                        [fixed|gave_up] *)
 
 type event = {
   ev : string;  (** event kind, e.g. ["panel.solve"] *)

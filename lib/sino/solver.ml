@@ -2,13 +2,10 @@ module Rng = Eda_util.Rng
 module Metrics = Eda_obs.Metrics
 module Deadline = Eda_guard.Deadline
 
-(* SINO solver telemetry: shields placed/dropped by the heuristic and the
-   annealer's move acceptance *)
+(* SINO solver telemetry: shields placed/dropped by the heuristic *)
 let m_instances = Metrics.counter "sino.instances"
 let m_inserted = Metrics.counter "sino.shields_inserted"
 let m_removed = Metrics.counter "sino.shields_removed"
-let m_accepted = Metrics.counter "sino.moves_accepted"
-let m_rejected = Metrics.counter "sino.moves_rejected"
 let m_swaps = Metrics.counter "sino.swap_improvements"
 let m_repairs = Metrics.counter "sino.repairs"
 
@@ -20,6 +17,11 @@ let shield = -1
 let to_layout inst slots =
   Layout.make inst
     (Array.map (fun s -> if s = shield then Layout.Shield else Layout.Net s) slots)
+
+let slots_of_layout layout =
+  Array.map
+    (function Layout.Shield -> shield | Layout.Net i -> i)
+    (Layout.slots layout)
 
 let k_at inst p slots t =
   let n = Array.length slots in
@@ -204,7 +206,8 @@ let cap_fix inst slots =
    that spans them, so the total violation is non-increasing and reaches
    zero; place each shield at the locally best gap near the worst
    violator. *)
-let inductive_fix ?(deadline = Deadline.none) inst params slots max_passes =
+let inductive_fix ?(deadline = Deadline.none) inst params slots =
+  let max_passes = 10 * Instance.size inst in
   let slots = ref slots in
   let iter = ref 0 in
   let continue_ = ref true in
@@ -274,166 +277,125 @@ let shield_cleanup ?(deadline = Deadline.none) inst params slots =
   done;
   !slots
 
-let min_area ?(params = Keff.default) ?max_passes ?(deadline = Deadline.none)
-    rng inst =
+let min_area ?(params = Keff.default) ?(deadline = Deadline.none) rng inst =
   Metrics.incr m_instances;
-  let n = Instance.size inst in
-  if n = 0 then to_layout inst [||]
+  if Instance.size inst = 0 then to_layout inst [||]
   else begin
-    let max_passes = Option.value max_passes ~default:(10 * n) in
     (* greedy_order and cap_fix always run (they are cheap and establish
        a valid, capacitively clean layout); the improvement stages check
        the deadline at their own pass boundaries *)
     let slots = greedy_order rng inst in
     swap_improve ~deadline inst slots ~passes:4;
     let slots = cap_fix inst slots in
-    let slots = inductive_fix ~deadline inst params slots max_passes in
+    let slots = inductive_fix ~deadline inst params slots in
     let slots = shield_cleanup ~deadline inst params slots in
     to_layout inst slots
   end
 
-let repair ?(params = Keff.default) ?max_passes ?(deadline = Deadline.none)
-    inst layout =
+let repair ?(params = Keff.default) ?(deadline = Deadline.none) inst layout =
   Metrics.incr m_repairs;
-  let n = Instance.size inst in
-  if n = 0 then to_layout inst [||]
+  if Instance.size inst = 0 then to_layout inst [||]
   else begin
-    let max_passes = Option.value max_passes ~default:(10 * n) in
-    let slots =
-      Array.map
-        (function Layout.Shield -> shield | Layout.Net i -> i)
-        (Layout.slots layout)
-    in
-    let slots = cap_fix inst slots in
-    let slots = inductive_fix ~deadline inst params slots max_passes in
+    let slots = cap_fix inst (slots_of_layout layout) in
+    let slots = inductive_fix ~deadline inst params slots in
     let slots = shield_cleanup ~deadline inst params slots in
     to_layout inst slots
   end
 
-(* ---------------- simulated-annealing improvement ------------------ *)
+(* ---------------- exact min-shield oracle --------------------------- *)
 
-let violation_cost inst params slots =
-  let s = ref 0.0 in
-  for t = 0 to Array.length slots - 1 do
-    if slots.(t) >= 0 then begin
-      let excess = k_at inst params slots t -. Instance.kth inst slots.(t) in
-      if excess > 0.0 then s := !s +. excess
-    end
-  done;
-  float_of_int (100 * cap_violations_raw inst slots) +. (100.0 *. !s)
-
-let cost inst params slots =
-  let shields = Array.fold_left (fun acc v -> if v = shield then acc + 1 else acc) 0 slots in
-  float_of_int shields +. violation_cost inst params slots
-
-let g_accept_ratio = Metrics.gauge "sino.acceptance_ratio"
-
-let anneal ?(params = Keff.default) ?(moves = 4000) ?(deadline = Deadline.none)
-    rng inst layout =
+(* Depth-first branch and bound laying tracks left to right.  Each step
+   appends a net not sensitive to the previous track's net, or a shield:
+   never first, and never more than [window] in a row, which already
+   zeroes every coupling across the gap (so a layout is always found).
+   A pair's coupling is final once both nets are placed and couplings
+   are non-negative, so a branch dies as soon as some K_i exceeds its
+   bound (Layout's 1e-12 tolerance), or once its shields plus those the
+   unplaced nets still need reach the best layout found.  The search
+   stops early at the sound lower bound.  It is exponential in the net
+   count: on random panels with Kth in [0.05, 1.25) and an x86-64 core,
+   the worst of 200 at 10 nets took 0.13 s, the worst of 40 at 11, 0.67 s. *)
+let exact ?(params = Keff.default) inst =
   let n = Instance.size inst in
-  if n <= 1 then layout
-  else begin
-    let accepted = ref 0 and rejected = ref 0 in
-    let slots =
-      ref
-        (Array.map
-           (function Layout.Shield -> shield | Layout.Net i -> i)
-           (Layout.slots layout))
-    in
-    let input_feasible = violation_cost inst params !slots = 0.0 in
-    (* a feasible input must yield a feasible output: only feasible states
-       are eligible as "best" in that case *)
-    let eligible t = (not input_feasible) || violation_cost inst params t = 0.0 in
-    let best = ref (Array.copy !slots) in
-    let cur_cost = ref (cost inst params !slots) in
-    let best_cost = ref !cur_cost in
-    (* checkpoint: the deadline is polled every 256 moves; the annealer
-       tracks best-so-far, so an early stop returns a valid improvement *)
-    let step_ref = ref 0 in
-    while
-      !step_ref < moves
-      && ((!step_ref land 255 <> 0) || not (Deadline.expired deadline))
-    do
-      let step = !step_ref in
-      incr step_ref;
-      (* linear cooling from 1.5 down to a floor of 1e-3 *)
-      let temp = (1.5 *. (1.0 -. (float_of_int step /. float_of_int moves))) +. 1e-3 in
-      let s = !slots in
-      let len = Array.length s in
-      (* propose: 0 = swap two tracks, 1 = remove a shield, 2 = move a
-         shield to a random gap *)
-      let proposal =
-        match Rng.int rng 3 with
-        | 0 when len >= 2 ->
-            let a = Rng.int rng len and b = Rng.int rng len in
-            if a = b then None
-            else begin
-              let t = Array.copy s in
-              let tmp = t.(a) in
-              t.(a) <- t.(b);
-              t.(b) <- tmp;
-              Some t
-            end
-        | 1 ->
-            let shield_positions =
-              Array.to_list (Array.mapi (fun i v -> (i, v)) s)
-              |> List.filter (fun (_, v) -> v = shield)
-              |> List.map fst
-            in
-            if shield_positions = [] then None
-            else begin
-              let pos = List.nth shield_positions (Rng.int rng (List.length shield_positions)) in
-              Some (Array.init (len - 1) (fun q -> if q < pos then s.(q) else s.(q + 1)))
-            end
-        | _ ->
-            let shield_positions =
-              Array.to_list (Array.mapi (fun i v -> (i, v)) s)
-              |> List.filter (fun (_, v) -> v = shield)
-              |> List.map fst
-            in
-            if shield_positions = [] then None
-            else begin
-              let pos = List.nth shield_positions (Rng.int rng (List.length shield_positions)) in
-              let without =
-                Array.init (len - 1) (fun q -> if q < pos then s.(q) else s.(q + 1))
-              in
-              Some (insert_at without (Rng.int rng len))
-            end
-      in
-      match proposal with
-      | None -> ()
-      | Some t ->
-          let c = cost inst params t in
-          let accept =
-            c <= !cur_cost || Rng.float rng 1.0 < exp ((!cur_cost -. c) /. temp)
-          in
-          if accept then begin
-            Metrics.incr m_accepted;
-            incr accepted;
-            slots := t;
-            cur_cost := c;
-            if c < !best_cost && eligible t then begin
-              best_cost := c;
-              best := Array.copy t
-            end
-          end
-          else begin
-            Metrics.incr m_rejected;
-            incr rejected
-          end
+  if n > 10 then invalid_arg "Solver.exact: more than 10 nets";
+  for i = 0 to n - 1 do
+    if not (Instance.kth inst i >= 0.0) then
+      invalid_arg "Solver.exact: negative Kth"
+  done;
+  let w = params.Keff.window and lb = Bound.shield_lower_bound ~params inst in
+  let slots = Array.make (n + (max 0 (n - 1) * w)) shield in
+  (* k.(d) = every net's K once the first d nets are placed *)
+  let k = Array.make_matrix (n + 1) n 0.0 in
+  let best = ref None and best_shields = ref max_int in
+  let improves s = s < !best_shields && !best_shields > lb in
+  (* ins.(v) = the nets not sensitive to v, as a bit set *)
+  let ins =
+    Array.init n (fun v ->
+        List.fold_left
+          (fun m q -> if q = v || Instance.sens inst v q then m else m lor (1 lsl q))
+          0 (List.init n Fun.id))
+  in
+  (* Shields still needed to lay the unplaced nets [free] after [tail]
+     (the last track's net, -1 after a shield): shields separate runs in
+     which neighbours are not sensitive, each run has two ends, and the
+     tail and every net with at most one insensitive partner left must
+     take one. *)
+  let shields_to_come free tail =
+    let pool = if tail >= 0 then free lor (1 lsl tail) else free in
+    let ends = ref 0 in
+    for v = 0 to n - 1 do
+      let partners = ins.(v) land pool in
+      if pool land (1 lsl v) = 0 then ()
+      else if partners = 0 then ends := !ends + 2
+      else if partners land (partners - 1) = 0 || v = tail then incr ends
     done;
-    (let total = !accepted + !rejected in
-     if total > 0 then
-       Metrics.set g_accept_ratio (float_of_int !accepted /. float_of_int total));
-    (* never return something worse than the input *)
-    let input_cost =
-      cost inst params
-        (Array.map
-           (function Layout.Shield -> shield | Layout.Net i -> i)
-           (Layout.slots layout))
-    in
-    if !best_cost < input_cost then to_layout inst !best else layout
-  end
+    max 0 (((!ends + 1) / 2) - 1)
+  in
+  let rec go len depth free shields run =
+    let tail = if run = 0 && len > 0 then slots.(len - 1) else -1 in
+    if free = 0 then begin
+      let l = to_layout inst (Array.sub slots 0 len) in
+      if Layout.feasible l params then begin
+        best := Some l;
+        best_shields := shields
+      end
+    end
+    else if improves (shields + shields_to_come free tail) then begin
+      for j = 0 to n - 1 do
+        if
+          free land (1 lsl j) <> 0
+          && (tail < 0 || ins.(tail) land (1 lsl j) <> 0)
+          && improves shields
+        then begin
+          let kn = k.(depth + 1) and between = ref 0 and ok = ref true in
+          Array.blit k.(depth) 0 kn 0 n;
+          for t = len - 1 downto max 0 (len - w) do
+            let i = slots.(t) in
+            if i = shield then incr between
+            else if Instance.sens inst i j then begin
+              let c =
+                Keff.pair_coupling params ~dist:(len - t)
+                  ~shields_between:!between
+              in
+              kn.(i) <- kn.(i) +. c;
+              kn.(j) <- kn.(j) +. c;
+              ok := !ok && kn.(i) <= Instance.kth inst i +. 1e-12
+            end
+          done;
+          if !ok && kn.(j) <= Instance.kth inst j +. 1e-12 then begin
+            slots.(len) <- j;
+            go (len + 1) (depth + 1) (free lxor (1 lsl j)) shields 0
+          end
+        end
+      done;
+      if len > 0 && run < w && improves (shields + 1) then begin
+        slots.(len) <- shield;
+        go (len + 1) depth free (shields + 1) (run + 1)
+      end
+    end
+  in
+  go 0 0 ((1 lsl n) - 1) 0 0;
+  Option.get !best
 
 let shields_needed ?params rng inst = Layout.num_shields (min_area ?params rng inst)
 
@@ -446,14 +408,13 @@ type request = {
   params : Keff.params;
   seed : int;
   retries : int;
-  max_passes : int option;
   deadline : Deadline.t;
   fault_site : string option;
 }
 
 let request ?(mode = Min_area) ?(params = Keff.default) ?(retries = 2)
-    ?max_passes ?(deadline = Deadline.none) ?fault_site ~seed () =
-  { mode; params; seed; retries; max_passes; deadline; fault_site }
+    ?(deadline = Deadline.none) ?fault_site ~seed () =
+  { mode; params; seed; retries; deadline; fault_site }
 
 type disposition = Hit | Miss | Stored
 
@@ -461,7 +422,6 @@ type solution = {
   layout : Layout.t;
   acceptable : bool;
   degraded : bool;
-  attempts : int;
   cache : disposition option;
   signature : string;
 }
@@ -504,11 +464,6 @@ let replay_effort (e : Cache.effort) =
   Metrics.add m_repairs e.Cache.repairs;
   if e.Cache.retries > 0 then Metrics.add (c_retries ()) e.Cache.retries
 
-let slots_of_layout layout =
-  Array.map
-    (function Layout.Shield -> shield | Layout.Net i -> i)
-    (Layout.slots layout)
-
 (* canonical slot ints -> layout on the original labeling *)
 let layout_on orig canon slots =
   let perm = canon.Instance.perm in
@@ -538,10 +493,9 @@ let fnv_ints a =
    check at lookup). *)
 let key_of req ~signature ~warm_digest =
   let p = req.params in
-  Printf.sprintf "%s|%s|k1=%h;sb=%h;w=%d|s=%d|mp=%s%s" signature
+  Printf.sprintf "%s|%s|k1=%h;sb=%h;w=%d|s=%d%s" signature
     (match req.mode with Order_only -> "oo" | Min_area -> "ma")
     p.Keff.k1 p.Keff.shield_block p.Keff.window req.seed
-    (match req.max_passes with None -> "-" | Some m -> string_of_int m)
     (match warm_digest with None -> "" | Some d -> "|w=" ^ d)
 
 let solve ?cache ?warm req inst =
@@ -581,7 +535,6 @@ let solve ?cache ?warm req inst =
         layout = layout_on inst canon v.Cache.slots;
         acceptable = true;
         degraded = false;
-        attempts = 0;
         cache = Some Hit;
         signature;
       }
@@ -593,7 +546,7 @@ let solve ?cache ?warm req inst =
         | Order_only -> true
         | Min_area -> Layout.feasible l req.params
       in
-      let finish ~acceptable:ok ~degraded ~attempts ~retries ~crashed clayout =
+      let finish ~acceptable:ok ~degraded ~retries ~crashed clayout =
         let cslots = slots_of_layout clayout in
         let store_ok =
           cacheable && ok && (not degraded) && (not crashed)
@@ -609,7 +562,6 @@ let solve ?cache ?warm req inst =
           layout = layout_on inst canon cslots;
           acceptable = ok;
           degraded;
-          attempts;
           cache =
             (if not cacheable then None
              else if store_ok then Some Stored
@@ -625,17 +577,11 @@ let solve ?cache ?warm req inst =
              nothing except making the result content-addressed. *)
           fault ();
           let cl =
-            repair ~params:req.params ?max_passes:req.max_passes
-              ~deadline:req.deadline cinst
-              (Layout.make cinst
-                 (Array.map
-                    (fun s ->
-                      if s = shield then Layout.Shield else Layout.Net s)
-                    (Option.get canon_warm)))
+            repair ~params:req.params ~deadline:req.deadline cinst
+              (to_layout cinst (Option.get canon_warm))
           in
-          finish
-            ~acceptable:(acceptable cl)
-            ~degraded:false ~attempts:1 ~retries:0 ~crashed:false cl
+          finish ~acceptable:(acceptable cl) ~degraded:false ~retries:0
+            ~crashed:false cl
       | None ->
           let attempt i =
             (* content-derived stream: identical panels get identical
@@ -645,27 +591,24 @@ let solve ?cache ?warm req inst =
             match req.mode with
             | Order_only -> order_only rng cinst
             | Min_area ->
-                min_area ~params:req.params ?max_passes:req.max_passes
-                  ~deadline:req.deadline rng cinst
+                min_area ~params:req.params ~deadline:req.deadline rng cinst
           in
           let rec run i ~crashed =
             match attempt i with
             | l when acceptable l ->
-                finish ~acceptable:true ~degraded:false ~attempts:(i + 1)
-                  ~retries:i ~crashed l
+                finish ~acceptable:true ~degraded:false ~retries:i ~crashed l
             | l ->
                 if Deadline.expired req.deadline then
                   (* out of time: keep the best-so-far, tagged degraded *)
-                  finish ~acceptable:false ~degraded:true ~attempts:(i + 1)
-                    ~retries:i ~crashed l
+                  finish ~acceptable:false ~degraded:true ~retries:i ~crashed l
                 else if i < req.retries then begin
                   Metrics.incr (c_retries ());
                   run (i + 1) ~crashed
                 end
                 else
                   (* exhausted: the caller applies its policy *)
-                  finish ~acceptable:false ~degraded:false ~attempts:(i + 1)
-                    ~retries:i ~crashed l
+                  finish ~acceptable:false ~degraded:false ~retries:i ~crashed
+                    l
             | exception
                 Eda_guard.Error.Error (Eda_guard.Error.Worker_crash _)
               when i < req.retries ->

@@ -1,4 +1,4 @@
-(** Heuristic solvers for the per-region problems.
+(** Solvers for the per-region problems.
 
     {!solve} is the single entry point the flows use (Phase2 per-panel
     solves and Phase3 re-solves both route through it): it carries the
@@ -21,7 +21,10 @@
       that is capacitive-crosstalk free and meets every K_i ≤ Kth_i, with
       as few shields as possible.  SINO is NP-hard [4]; this is a greedy
       construct-then-repair heuristic with a shield-removal clean-up
-      pass. *)
+      pass.
+    - {!exact} is the optimum for panels of at most 10 nets: the oracle
+      the tests and the bench's solver ablation check the heuristic
+      against.  No flow runs it. *)
 
 type mode = Order_only | Min_area
 
@@ -37,7 +40,6 @@ type request = {
   params : Keff.params;
   seed : int;
   retries : int;
-  max_passes : int option;  (** repair-loop bound; default 10·size *)
   deadline : Eda_guard.Deadline.t;
   fault_site : string option;
       (** fault-injection point name pulled per attempt, e.g.
@@ -48,14 +50,13 @@ val request :
   ?mode:mode ->
   ?params:Keff.params ->
   ?retries:int ->
-  ?max_passes:int ->
   ?deadline:Eda_guard.Deadline.t ->
   ?fault_site:string ->
   seed:int ->
   unit ->
   request
-(** Defaults: [Min_area], {!Keff.default}, 2 retries, no [max_passes]
-    override, no deadline, no fault site. *)
+(** Defaults: [Min_area], {!Keff.default}, 2 retries, no deadline, no
+    fault site. *)
 
 (** How the cache participated in a solve; [panel.solve] journal events
     carry it as the ["cache"] dimension. *)
@@ -70,7 +71,6 @@ type solution = {
   degraded : bool;
       (** the deadline expired before an acceptable layout was reached;
           [layout] is the best effort *)
-  attempts : int;  (** ladder attempts consumed (0 on a cache hit) *)
   cache : disposition option;  (** [None] when no cache was supplied *)
   signature : string;  (** canonical signature, for journaling *)
 }
@@ -80,8 +80,8 @@ type solution = {
     deterministic {!repair} kernel runs from the warm layout; otherwise
     the {!min_area} / {!order_only} ladder runs with content-derived
     reseeding.  With [cache], [Min_area] results are memoized under a
-    key covering signature, Keff parameters, seed, retries, max_passes
-    and (for warm solves) a digest of the warm slots; hits are verified
+    key covering signature, mode, Keff parameters, seed and (for warm
+    solves) a digest of the warm slots; hits are verified
     by content equality plus the {!Bound.shield_lower_bound} cross-check
     and replay the recorded solver-effort counters, so cumulative
     [sino.*] series match a cache-off run exactly.  Degraded, crashed or
@@ -96,22 +96,21 @@ val solve : ?cache:Cache.t -> ?warm:Layout.t -> request -> Instance.t -> solutio
     The layout has exactly [size inst] tracks and no shields. *)
 val order_only : Eda_util.Rng.t -> Instance.t -> Layout.t
 
-(** [min_area ?params ?max_passes ?deadline rng inst] — feasible layout
-    unless the instance is pathologically tight, in which case the best
-    effort is returned (check {!Layout.feasible}; {!solve} counts and
-    retries these).  [max_passes] bounds the repair loop (default
-    10 · size).  An expired [deadline] skips the improvement stages at
+(** [min_area ?params ?deadline rng inst] — feasible layout unless the
+    instance is pathologically tight, in which case the best effort is
+    returned (check {!Layout.feasible}; {!solve} counts and retries
+    these).  The inductive repair loop inserts at most 10 · size
+    shields.  An expired [deadline] skips the improvement stages at
     their pass boundaries — the result is always a valid layout, just
     less optimized (greedy order + capacitive fix still run). *)
 val min_area :
   ?params:Keff.params ->
-  ?max_passes:int ->
   ?deadline:Eda_guard.Deadline.t ->
   Eda_util.Rng.t ->
   Instance.t ->
   Layout.t
 
-(** [repair ?params ?max_passes inst layout] — re-establish feasibility for
+(** [repair ?params ?deadline inst layout] — re-establish feasibility for
     an instance whose bounds changed (Phase III tightens/relaxes one net at
     a time), starting from the existing layout: keep the net ordering,
     add shields where bounds are now violated, then drop shields the new
@@ -122,33 +121,19 @@ val min_area :
     why {!solve} may run it on the canonical form and map back. *)
 val repair :
   ?params:Keff.params ->
-  ?max_passes:int ->
   ?deadline:Eda_guard.Deadline.t ->
   Instance.t ->
   Layout.t ->
   Layout.t
 
-(** [anneal ?params ?moves rng inst layout] — simulated-annealing
-    improvement of a feasible layout: [moves] (default 4000) random
-    adjacent swaps, shield removals and shield moves, accepted by the
-    Metropolis rule on the cost [#shields + big · violations] while the
-    temperature cools linearly from 1.5 to a floor of 1e-3.  That low
-    floor is why [sino.moves_rejected] runs an order of magnitude above
-    accepted on integer-ish cost surfaces; read [sino.acceptance_ratio]
-    after a run to calibrate.  SINO is NP-hard; this quantifies how
-    far the greedy {!min_area} heuristic is from a slower, stronger
-    optimizer (the bench's solver ablation).  Returns a layout no worse
-    than the input.  [deadline] is polled every 256 moves; on expiry the
-    best-so-far layout is returned.  Each call publishes this run's
-    accepted/(accepted+rejected) as the [sino.acceptance_ratio] gauge. *)
-val anneal :
-  ?params:Keff.params ->
-  ?moves:int ->
-  ?deadline:Eda_guard.Deadline.t ->
-  Eda_util.Rng.t ->
-  Instance.t ->
-  Layout.t ->
-  Layout.t
+(** [exact ?params inst] — a feasible layout with the fewest shields
+    any feasible layout of [inst] can have.  A deterministic depth-first
+    branch and bound (no RNG, no metrics) that lays tracks left to right,
+    prunes on the bounds and the best shield count so far, and stops
+    early at {!Bound.shield_lower_bound}.  Raises [Invalid_argument] on
+    more than 10 nets (the search is exponential in the net count) or on
+    a negative Kth. *)
+val exact : ?params:Keff.params -> Instance.t -> Layout.t
 
 (** [shields_needed ?params rng inst] = number of shields in the
     {!min_area} solution — the quantity Formula (3) estimates. *)

@@ -1,8 +1,9 @@
 (* Unit tests for Eda_obs.Journal: recording gate, dim/data key
    normalisation, the worker drain -> coordinator absorb contract, the
    canonical (ev, dim) export sort, JSONL round-trip with the schema
-   header, loader error reporting, and the Agg folds gsino_explain is
-   built on. *)
+   header, loader error reporting, the Agg folds gsino_explain is built
+   on, and a seeded flow's events against the vocabulary journal.mli
+   documents. *)
 module Journal = Eda_obs.Journal
 
 let with_journal f =
@@ -188,6 +189,110 @@ let test_filter_dim () =
   Alcotest.(check (option string)) "missing key" None
     (Journal.dim_value { Journal.ev = "x"; dim = []; data = []; outcome = None } "net")
 
+(* ------------- the emitted vocabulary vs journal.mli ------------- *)
+
+(* The "Event vocabulary" list of journal.mli, one
+   (kind, dims, optional dims, data keys, outcomes) per entry.  An entry
+   starts at "- [kind]" and runs to the next one; the list ends with
+   the doc comment. *)
+let documented_vocabulary () =
+  let rec from_header = function
+    | [] -> []
+    | l :: rest ->
+        if String.starts_with ~prefix:"Event vocabulary" l then rest
+        else from_header rest
+  in
+  let rec to_close = function
+    | [] -> []
+    | l :: rest -> if String.ends_with ~suffix:"*)" l then [ l ] else l :: to_close rest
+  in
+  let entries =
+    In_channel.with_open_text "../lib/obs/journal.mli" In_channel.input_all
+    |> String.split_on_char '\n' |> List.map String.trim |> from_header
+    |> to_close
+    |> List.fold_left
+         (fun acc l ->
+           match acc with
+           | _ when String.starts_with ~prefix:"- [" l -> l :: acc
+           | e :: acc -> (e ^ " " ^ l) :: acc
+           | [] -> [])
+         []
+    |> List.rev
+  in
+  let words s = String.split_on_char ' ' s |> List.filter (( <> ) "") in
+  List.map
+    (fun e ->
+      (* "- [kind] dim [a b (c)]; data [x y]; outcome [p|q]" *)
+      match
+        String.split_on_char '[' e
+        |> List.tl
+        |> List.map (fun f -> String.sub f 0 (String.index f ']'))
+      with
+      | kind :: dims :: data :: outcome ->
+          let optional, required =
+            List.partition (fun d -> d.[0] = '(') (words dims)
+          in
+          ( kind,
+            required,
+            List.map (fun d -> String.sub d 1 (String.length d - 2)) optional,
+            words data,
+            List.concat_map (String.split_on_char '|') outcome )
+      | _ -> Alcotest.failf "unparsable vocabulary entry %S" e)
+    entries
+
+let test_vocabulary_matches_docs () =
+  let vocab = documented_vocabulary () in
+  Alcotest.(check (list string))
+    "documented kinds"
+    [ "net.budget"; "net.route"; "region.reweight"; "panel.solve";
+      "panel.resolve"; "net.refine" ]
+    (List.map (fun (kind, _, _, _, _) -> kind) vocab);
+  let evs =
+    with_journal @@ fun () ->
+    let open Gsino in
+    let tech = Tech.default in
+    let nl =
+      Eda_netlist.Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:0.02
+        ~seed:7 Eda_netlist.Generator.ibm01
+    in
+    let grid, _ = Flow.prepare tech nl in
+    ignore
+      (Flow.run ~grid
+         { Flow.Config.default with Flow.Config.kind = Flow.Gsino; seed = 7 }
+         tech
+         ~sensitivity:(Eda_netlist.Sensitivity.make ~seed:11 ~rate:0.30)
+         nl);
+    Journal.events ()
+  in
+  List.iter
+    (fun (kind, required, optional, data, outcomes) ->
+      let evs = List.filter (fun e -> e.Journal.ev = kind) evs in
+      if evs = [] then Alcotest.failf "the flow emitted no %s event" kind;
+      List.iter
+        (fun e ->
+          let dims = List.map fst e.Journal.dim in
+          Alcotest.(check (list string))
+            (kind ^ " dims")
+            (List.sort compare
+               (required @ List.filter (fun d -> List.mem d dims) optional))
+            dims;
+          Alcotest.(check (list string))
+            (kind ^ " data") (List.sort compare data)
+            (List.map fst e.Journal.data);
+          match (outcomes, e.Journal.outcome) with
+          | [], None -> ()
+          | _, Some o when List.mem o outcomes -> ()
+          | _, o ->
+              Alcotest.failf "%s outcome %s is not documented" kind
+                (Option.value o ~default:"(none)"))
+        evs;
+      List.iter
+        (fun d ->
+          if not (List.exists (fun e -> List.mem_assoc d e.Journal.dim) evs)
+          then Alcotest.failf "no %s event carries the optional %s dim" kind d)
+        optional)
+    vocab
+
 let suites =
   [
     ( "journal.record",
@@ -210,5 +315,10 @@ let suites =
         Alcotest.test_case "by_dim" `Quick test_agg_by_dim;
         Alcotest.test_case "top" `Quick test_agg_top;
         Alcotest.test_case "filter_dim" `Quick test_filter_dim;
+      ] );
+    ( "journal.vocabulary",
+      [
+        Alcotest.test_case "flow events match journal.mli" `Slow
+          test_vocabulary_matches_docs;
       ] );
   ]
