@@ -174,31 +174,107 @@ let pass1 ?pool ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes
 
 (* ---------------- Pass 2: reduce congestion ------------------------ *)
 
-let pass2 ?pool ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes
-    ~phase2 ~usage ~lsk_model ~bound_v () =
+(* Pass-2 candidates: shielded panels, most utilized first, with ties
+   broken on the key so the pick never depends on hash-table order. *)
+module Candidates = Set.Make (struct
+  type t = float * Phase2.key
+
+  let compare (ua, ka) (ub, kb) =
+    match Float.compare ub ua with 0 -> compare ka kb | c -> c
+end)
+
+let pass2 ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes ~phase2
+    ~usage ~lsk_model ~bound_v () =
   let gcell_um = Usage.gcell_um usage in
   let removed = ref 0 and resolves = ref 0 in
   let lsk_budget = Eda_lsk.Lsk.lsk_bound lsk_model ~noise:bound_v in
-  let attempted : (Phase2.key, unit) Hashtbl.t = Hashtbl.create 64 in
-  let keys_by_congestion () =
-    let acc = ref [] in
-    Phase2.iter phase2 (fun key soln ->
-        if Layout.num_shields soln.Phase2.layout > 0 && not (Hashtbl.mem attempted key)
-        then acc := key :: !acc);
-    (* [acc] comes out of a hash table, so break utilization ties on the
-       key itself — the pick must not depend on table insertion order *)
-    List.sort
-      (fun ((ra, da) as ka) ((rb, db) as kb) ->
-        match
-          compare (Usage.utilization usage rb db) (Usage.utilization usage ra da)
-        with
-        | 0 -> compare ka kb
-        | c -> c)
-      !acc
-  in
-  let n_keys = ref 0 in
-  Phase2.iter phase2 (fun _ _ -> incr n_keys);
+  let candidate ((r, d) as key) = (Usage.utilization usage r d, key) in
+  (* a round changes the shields, and so the utilization, of the panel it
+     picks and of no other, so the set is built once: the picked panel
+     leaves it and comes back only after an accepted drop *)
+  let candidates = ref Candidates.empty and n_keys = ref 0 in
+  Phase2.iter phase2 (fun key soln ->
+      incr n_keys;
+      if Layout.num_shields soln.Phase2.layout > 0 then
+        candidates := Candidates.add (candidate key) !candidates);
   let resolve_budget = 25 * max 1 !n_keys in
+  (* the re-solved layout of the shortest grant prefix that drops a
+     shield, if any prefix does *)
+  let first_drop key soln =
+    let inst = soln.Phase2.inst in
+    (* per-net LSK slack, converted into a K allowance here *)
+    let slack li =
+      let gid = Instance.net_id inst li in
+      let net = netlist.Netlist.nets.(gid) in
+      let lsk_worst, _ =
+        Noise.net_worst ~grid ~gcell_um ~phase2 ~lsk_model ~net routes.(gid)
+      in
+      let len = segment_length ~grid ~gcell_um routes.(gid) key in
+      if len <= 0.0 then 0.0 else Float.max 0.0 ((lsk_budget -. lsk_worst) /. len)
+    in
+    (* relaxed bounds, largest slack first, for the nets with slack *)
+    let grants =
+      List.init (Instance.size inst) (fun li -> (li, slack li))
+      |> List.sort (fun (_, a) (_, b) -> compare b a)
+      |> List.filter (fun (_, s) -> s > 1e-9)
+      |> List.map (fun (li, s) ->
+             let k_now = Layout.k_of soln.Phase2.layout (Phase2.keff phase2) li in
+             (li, Float.max (Instance.kth inst li) (k_now +. (0.9 *. s))))
+      |> Array.of_list
+    in
+    let shields_before = Layout.num_shields soln.Phase2.layout in
+    (* re-solve under the first [j] grants, warm from the stored layout *)
+    let probe j =
+      let inst' =
+        Array.fold_left
+          (fun inst (li, kth) -> Instance.with_kth inst li kth)
+          inst (Array.sub grants 0 j)
+      in
+      let soln' =
+        Phase2.resolve ~deadline
+          ~net:(Instance.net_id inst (fst grants.(j - 1)))
+          ~pass:"pass2" phase2 key inst'
+      in
+      incr resolves;
+      Metrics.incr m_resolves;
+      Metrics.add m_reordered (Instance.size inst');
+      if Layout.num_shields soln'.Phase2.layout < shields_before then Some soln'
+      else None
+    in
+    (* from a feasible stored layout, "prefix j drops a shield" is
+       monotone in j (refine.mli): every grant at once decides the
+       panel, and bisection finds the shortest dropping prefix, knowing
+       that prefix [lo] drops nothing and prefix [hi] drops *)
+    let rec bisect lo hi best =
+      if hi - lo <= 1 then best
+      else
+        let mid = (lo + hi) / 2 in
+        match probe mid with
+        | Some s -> bisect lo mid s
+        | None -> bisect mid hi best
+    in
+    let m = Array.length grants in
+    if m = 0 then None
+    else Option.map (bisect 0 m) (probe m)
+  in
+  (* the accept must introduce no violation.  A net whose K did not rise
+     gains no noise (the LSK table is isotonic), so only the nets whose
+     K rose are checked, sequentially, up to the first one over the
+     bound *)
+  let no_new_violation ~old soln' =
+    let inst = old.Phase2.inst in
+    let rec ok li =
+      li >= Instance.size inst
+      ||
+      let gid = Instance.net_id inst li in
+      (Hashtbl.find soln'.Phase2.k gid <= Hashtbl.find old.Phase2.k gid
+      || net_noise ~grid ~gcell_um ~phase2 ~lsk_model netlist.Netlist.nets.(gid)
+           routes.(gid)
+         <= bound_v +. 1e-12)
+      && ok (li + 1)
+    in
+    ok 0
+  in
   let progress = ref true in
   (* checkpoint: pass 2 is pure optimisation (shield removal with a
      revert-on-violation guard), so any round boundary is a safe stop *)
@@ -207,89 +283,31 @@ let pass2 ?pool ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes
     && not (Eda_guard.Deadline.check deadline ~phase:"refine")
   do
     progress := false;
-    match keys_by_congestion () with
-    | [] -> ()
-    | key :: _ -> (
-        Hashtbl.replace attempted key ();
-        match Phase2.find phase2 key with
+    match Candidates.min_elt_opt !candidates with
+    | None -> ()
+    | Some ((_, key) as top) ->
+        candidates := Candidates.remove top !candidates;
+        (match Phase2.find phase2 key with
         | None -> ()
-        | Some soln ->
-            let inst = soln.Phase2.inst in
-            let n = Instance.size inst in
-            (* per-net LSK slack, converted into a K allowance here *)
-            let slack li =
-              let gid = Instance.net_id inst li in
-              let net = netlist.Netlist.nets.(gid) in
-              let lsk_worst, _ =
-                Noise.net_worst ~grid ~gcell_um ~phase2 ~lsk_model ~net
-                  routes.(gid)
-              in
-              let len = segment_length ~grid ~gcell_um routes.(gid) key in
-              if len <= 0.0 then 0.0
-              else Float.max 0.0 ((lsk_budget -. lsk_worst) /. len)
-            in
-            let order =
-              List.sort
-                (fun (_, a) (_, b) -> compare b a)
-                (List.init n (fun li -> (li, slack li)))
-            in
-            let shields_before = Layout.num_shields soln.Phase2.layout in
-            (* relax bounds cumulatively, largest slack first, re-running
-               SINO after each grant until a shield disappears *)
-            let rec relax inst_cur = function
-              | [] -> None
-              | (li, s) :: rest ->
-                  if s <= 1e-9 then None
-                  else begin
-                    let k_now =
-                      Layout.k_of soln.Phase2.layout (Phase2.keff phase2) li
-                    in
-                    let new_kth =
-                      Float.max (Instance.kth inst_cur li) (k_now +. (0.9 *. s))
-                    in
-                    let inst' = Instance.with_kth inst_cur li new_kth in
-                    let soln' =
-                      Phase2.resolve ~deadline
-                        ~net:(Instance.net_id inst_cur li)
-                        ~pass:"pass2" phase2 key inst'
-                    in
-                    incr resolves;
-                    Metrics.incr m_resolves;
-                    Metrics.add m_reordered (Instance.size inst');
-                    if Layout.num_shields soln'.Phase2.layout < shields_before then
-                      Some (inst', soln')
-                    else relax inst' rest
-                  end
-            in
-            (match relax inst order with
+        | Some old -> (
+            match first_drop key old with
             | None -> ()
-            | Some (_, soln') ->
-                (* accept only if no net in this region starts violating *)
-                let old = soln in
+            | Some soln' ->
                 Phase2.replace phase2 key soln';
                 sync_shields usage key soln';
-                let ok =
-                  Eda_exec.parallel_map ?pool ~name:"refine.region_check" n
-                    (fun li ->
-                      let gid = Instance.net_id inst li in
-                      net_noise ~grid ~gcell_um ~phase2 ~lsk_model
-                        netlist.Netlist.nets.(gid) routes.(gid)
-                      <= bound_v +. 1e-12)
-                  |> Array.for_all (fun b -> b)
-                in
-                if ok then begin
-                  removed :=
-                    !removed
-                    + (shields_before - Layout.num_shields soln'.Phase2.layout);
+                let left = Layout.num_shields soln'.Phase2.layout in
+                if no_new_violation ~old soln' then begin
+                  removed := !removed + Layout.num_shields old.Phase2.layout - left;
                   progress := true;
-                  Hashtbl.remove attempted key
+                  if left > 0 then
+                    candidates := Candidates.add (candidate key) !candidates
                 end
                 else begin
                   Phase2.replace phase2 key old;
                   sync_shields usage key old
-                end);
-            (* even without an accept, other regions may still improve *)
-            if keys_by_congestion () <> [] then progress := true)
+                end));
+        (* even without an accept, other regions may still improve *)
+        if not (Candidates.is_empty !candidates) then progress := true
   done;
   (!removed, !resolves)
 
@@ -303,7 +321,7 @@ let run ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model ~bound_v
   in
   let p2_removed, p2_res =
     Trace.span "refine.pass2" (fun () ->
-        pass2 ?pool ~deadline ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model
+        pass2 ~deadline ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model
           ~bound_v ())
   in
   let residual =

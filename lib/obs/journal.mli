@@ -23,7 +23,10 @@
                         [nets time_us shields];
                         outcome [feasible|degraded|infeasible]
     - [panel.resolve]   dim [region dir sig net pass (cache)]; data
-                        [time_us shields]; outcome [feasible|infeasible]
+                        [time_us shields]; outcome [feasible|infeasible].
+                        Refinement pass 2 writes one per probed grant
+                        prefix, whose net dim names the prefix's last
+                        granted net.
     - [net.refine]      dim [net pass]; data [resolves]; outcome
                         [fixed|gave_up] *)
 

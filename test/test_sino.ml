@@ -302,10 +302,16 @@ let test_exact_rejects () =
     (Invalid_argument "Solver.exact: negative Kth") (fun () ->
       ignore (Solver.exact (mk_inst ~kth:(-0.1) 3)))
 
-(* Refinement pass 2 grants slack to one net of a panel at a time and
-   re-solves from the warm layout after each grant.  Pinned: once a
-   prefix of the grants drops a shield, every longer prefix keeps fewer
-   shields than the warm layout.  The count itself may rise again. *)
+(* Refinement pass 2 raises the bounds of a panel's nets, largest slack
+   first, and keeps the shortest grant prefix whose re-solve from the
+   warm layout drops a shield.  A feasible warm layout leaves repair's
+   capacitive and inductive fixes nothing to do under raised bounds, so
+   repair is shield_cleanup from the warm layout: it drops a shield
+   exactly when some single warm shield can go, which only gets easier
+   as bounds rise.  So "prefix j drops a shield" is monotone in j,
+   bisecting the prefix lengths finds the linear scan's first drop, and
+   since repair only removes shields, no net's K falls below its warm
+   K.  The shield count itself may rise again after a drop. *)
 let test_repair_keeps_a_drop () =
   let rng = Rng.create 16 in
   let panels = ref 0 in
@@ -320,24 +326,52 @@ let test_repair_keeps_a_drop () =
       let order = Array.init n Fun.id in
       Rng.shuffle rng order;
       let warm_shields = Layout.num_shields warm in
-      let dropped = ref false in
-      ignore
-        (Array.fold_left
-           (fun inst i ->
-             let kth =
-               Float.max (Instance.kth inst i)
-                 (Layout.k_of warm k i +. (0.9 *. Rng.float rng s_max))
-             in
-             let inst = Instance.with_kth inst i kth in
-             let shields =
-               Layout.num_shields (Solver.repair ~params:k inst warm)
-             in
-             if !dropped && shields >= warm_shields then
-               Alcotest.failf "panel %d (%d nets): %d shields after a drop, warm %d"
-                 !panels n shields warm_shields;
-             if shields < warm_shields then dropped := true;
-             inst)
-           inst order)
+      (* prefixes.(j): the instance under the first [j] grants *)
+      let prefixes = Array.make (n + 1) inst in
+      Array.iteri
+        (fun j i ->
+          let prev = prefixes.(j) in
+          let kth =
+            Float.max (Instance.kth prev i)
+              (Layout.k_of warm k i +. (0.9 *. Rng.float rng s_max))
+          in
+          prefixes.(j + 1) <- Instance.with_kth prev i kth)
+        order;
+      let shields =
+        Array.mapi
+          (fun j inst ->
+            let l = Solver.repair ~params:k inst warm in
+            for i = 0 to n - 1 do
+              if Layout.k_of l k i < Layout.k_of warm k i then
+                Alcotest.failf "panel %d (%d nets), prefix %d: net %d's K fell"
+                  !panels n j i
+            done;
+            Layout.num_shields l)
+          prefixes
+      in
+      let drops j = shields.(j) < warm_shields in
+      let first = List.find_opt drops (List.init n succ) in
+      Option.iter
+        (fun j0 ->
+          for j = j0 to n do
+            if not (drops j) then
+              Alcotest.failf
+                "panel %d (%d nets): %d shields after a drop, warm %d" !panels
+                n shields.(j) warm_shields
+          done)
+        first;
+      let rec bisect lo hi =
+        if hi - lo <= 1 then hi
+        else
+          let mid = (lo + hi) / 2 in
+          if drops mid then bisect lo mid else bisect mid hi
+      in
+      let bisected = if drops n then Some (bisect 0 n) else None in
+      if bisected <> first then
+        Alcotest.failf "panel %d (%d nets): bisection %s, linear scan %s"
+          !panels n
+          (Option.fold ~none:"none" ~some:string_of_int bisected)
+          (Option.fold ~none:"none" ~some:string_of_int first)
     end
   done
 
