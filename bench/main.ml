@@ -319,13 +319,15 @@ let run_panel_cache () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gsino_bench_cache.%d" (Unix.getpid ()))
   in
-  let config cache cache_dir =
-    { Flow.Config.default with Flow.Config.seed; cache; cache_dir }
-  in
-  let grid, _ = Flow.prepare ~config:(config false None) tech nl in
-  let timed cfg =
+  let config cache = { Flow.Config.default with Flow.Config.seed; cache } in
+  let grid, _ = Flow.prepare ~config:(config false) tech nl in
+  (* each cached run loads the store, solves against it and saves it
+     back, as a front end with --panel-cache does *)
+  let timed cache =
     let t0 = Unix.gettimeofday () in
-    let r = Flow.run ~grid cfg tech ~sensitivity:sens nl in
+    let store = if cache then Some (Eda_sino.Cache.load dir) else None in
+    let r = Flow.run ~grid ?cache:store (config cache) tech ~sensitivity:sens nl in
+    Option.iter (fun c -> Eda_sino.Cache.save c dir) store;
     ((r.Flow.shields, r.Flow.total_wl_um, r.Flow.violations, r.Flow.area),
      Unix.gettimeofday () -. t0)
   in
@@ -334,10 +336,10 @@ let run_panel_cache () =
     ( Metrics.counter_total snap "sino.cache_hits",
       Metrics.counter_total snap "sino.cache_misses" )
   in
-  let off, t_off = timed (config false None) in
+  let off, t_off = timed false in
   let h0, m0 = cache_counters () in
-  let cold, t_cold = timed (config true (Some dir)) in
-  let warm, t_warm = timed (config true (Some dir)) in
+  let cold, t_cold = timed true in
+  let warm, t_warm = timed true in
   let h1, m1 = cache_counters () in
   let hits = h1 - h0 and misses = m1 - m0 in
   let rate =

@@ -1,7 +1,8 @@
-(* cli_common — flags, exit codes and observability plumbing shared by
-   the gsino_* command-line drivers.
+(* cli_common — flags, exit codes, observability plumbing and the panel
+   store shared by the two command-line drivers, gsino_run and
+   gsino_serve.
 
-   Every binary exposes the same conventions:
+   Every subcommand exposes the same conventions:
    --trace/--metrics/--profile/--journal/--report accept '-' for stdout,
    at most one sink may claim it (two claims are a GSL0029 usage error),
    and a claimed stdout silences the human-readable output so the
@@ -16,8 +17,8 @@
 open Cmdliner
 open Gsino
 module Generator = Eda_netlist.Generator
-module Metrics = Eda_obs.Metrics
 module Trace = Eda_obs.Trace
+module Artifact = Eda_obs.Artifact
 module Log = Eda_obs.Log
 module Diag = Eda_check.Diag
 module Error = Eda_guard.Error
@@ -95,8 +96,8 @@ let audit_arg =
   let doc =
     "Run the pre-route static audit (Eda_analyze) before each flow.  \
      Provable infeasibilities are logged as GSL0024+/GSL0026 diagnostics \
-     and the flow then proceeds anyway.  Use the $(b,gsino_audit) driver \
-     to fail fast (exit 1) without routing."
+     and the flow then proceeds anyway.  Use $(b,gsino_run audit) to fail \
+     fast (exit 1) without routing."
   in
   Arg.(value & flag & info [ "audit" ] ~doc)
 
@@ -141,7 +142,7 @@ let pretty_arg =
   let doc = "Human-readable diagnostics instead of machine one-liners." in
   Arg.(value & flag & info [ "pretty" ] ~doc)
 
-(* How gsino_lint and gsino_audit print their findings. *)
+(* How the lint and audit subcommands print their findings. *)
 type diag_print = { pretty : bool; max_print : int; errors_only : bool }
 
 let diag_print_term =
@@ -216,7 +217,7 @@ module Sinks = struct
            time/shields/outcome with canonical panel signatures and cache \
            hit/miss/stored dispositions) — and write it as gsino-journal-v1 \
            JSONL to $(docv) on exit; '-' writes it to stdout and silences \
-           the human-readable output.  Drill down with $(b,gsino_explain)." )
+           the human-readable output.  Drill down with $(b,gsino_run explain)." )
     | Report ->
         ( "report",
           "Write a self-contained HTML run report for the GSINO flow \
@@ -261,17 +262,18 @@ end
 
 (* ---------------- panel cache ---------------- *)
 
-(* (enabled, directory): what Flow.Config.{cache, cache_dir} consume.
-   The cache never changes a byte of output (DESIGN §10), so both flags
-   are pure performance knobs. *)
+(* (enabled, directory): Flow.Config.cache and the store directory
+   {!with_panel_store} owns.  The cache never changes a byte of output
+   (DESIGN §10), so both flags are pure performance knobs. *)
 let panel_cache_term =
   let dir_arg =
     let doc =
-      "Persist the content-addressed SINO panel cache in $(docv): solved \
-       panels are loaded before Phase II and saved back after refinement, \
-       so later runs (any circuit, any driver) skip re-solving identical \
-       panels.  Cached solutions are byte-identical to fresh ones.  A \
-       missing or corrupt store is treated as empty, never an error."
+      "Persist the content-addressed SINO panel cache in $(docv): the \
+       store is loaded once when the command starts and saved back once \
+       when it ends, so later runs (any circuit, any driver) skip \
+       re-solving identical panels.  Cached solutions are byte-identical \
+       to fresh ones.  A missing or corrupt store is treated as empty, \
+       never an error."
     in
     let env =
       Cmd.Env.info "GSINO_PANEL_CACHE"
@@ -291,6 +293,27 @@ let panel_cache_term =
   Term.(
     const (fun dir off -> (not off, if off then None else dir))
     $ dir_arg $ off_arg)
+
+(* [with_panel_store panel_cache f] — the invocation's panel store: with
+   a --panel-cache directory, [f] gets the store loaded from it once and
+   the store is saved back once when [f] ends, however many flows [f]
+   runs on it; without one, [f] gets [None] and the caller's flows use
+   in-process caches only.  [f] raising still saves (a failure there
+   is dropped so [f]'s error is the one reported): the solves made
+   before the failure are kept, and every entry is verified on hit. *)
+let with_panel_store (_, dir) f =
+  match dir with
+  | None -> f None
+  | Some dir -> (
+      let store = Eda_sino.Cache.load dir in
+      match f (Some store) with
+      | v ->
+          Eda_sino.Cache.save store dir;
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          (try Eda_sino.Cache.save store dir with _ -> ());
+          Printexc.raise_with_backtrace e bt)
 
 (* ---------------- stdout arbitration ---------------- *)
 
@@ -375,36 +398,9 @@ let guard_exceptions ?(pretty = false) f =
 
 (* ---------------- observability lifecycle ---------------- *)
 
-let write_trace = function
-  | None -> ()
-  | Some "-" -> print_endline (Eda_obs.Json.to_string (Trace.to_chrome_json ()))
-  | Some file -> Trace.write_chrome file
-
-let write_metrics = function
-  | None -> ()
-  | Some "-" ->
-      print_endline
-        (Eda_obs.Json.to_string (Metrics.to_json (Metrics.snapshot ())))
-  | Some file -> Metrics.write_json file (Metrics.snapshot ())
-
-let write_journal = function
-  | None -> ()
-  | Some sink -> (
-      let evs = Eda_obs.Journal.events () in
-      match sink with
-      | "-" -> Eda_obs.Journal.output stdout evs
-      | file -> Eda_obs.Journal.write_file file evs)
-
-let write_profile = function
-  | None -> ()
-  | Some sink ->
-      let rows = Eda_obs.Prof.current () in
-      (* publish prof.* gauges before write_metrics snapshots, so the
-         metrics artifact carries the profile series too *)
-      Eda_obs.Prof.export_metrics rows;
-      (match sink with
-      | "-" -> print_string (Eda_obs.Prof.to_text rows)
-      | file -> Eda_obs.Prof.write_json file rows)
+(* [flush sink render] — write the artifact [render ()] to [sink] when
+   the flag was given. *)
+let flush sink render = Option.iter (fun s -> Artifact.write s (render s)) sink
 
 (* Apply -v/-q, configure fault injection, enable tracing (--trace, or
    --profile which needs the same spans) and the --progress heartbeat
@@ -437,12 +433,17 @@ let with_obs ?(pretty = false) ?(prog = "gsino") ?(progress = false) ~sinks
     if not !flushed then begin
       flushed := true;
       Eda_obs.Progress.disable ();
-      write_trace trace;
-      write_profile profile;
+      flush trace (fun _ -> Artifact.trace ());
+      flush profile (fun sink ->
+          let rows = Eda_obs.Prof.current () in
+          (* publish prof.* gauges before the metrics snapshot, so the
+             metrics artifact carries the profile series too *)
+          Eda_obs.Prof.export_metrics rows;
+          Artifact.profile ~sink rows);
       (* before the metrics snapshot: journal.events is already counted,
          and the journal write must not disturb the registry *)
-      write_journal journal;
-      write_metrics metrics
+      flush journal (fun _ -> Artifact.journal ());
+      flush metrics (fun _ -> Artifact.metrics ())
     end
   in
   at_exit (fun () -> try finish () with _ -> ());

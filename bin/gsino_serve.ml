@@ -6,8 +6,8 @@
    graceful SIGTERM/SIGINT drain.  `route`/`ping`/`stats` are the
    client: `route` builds the same netlist the batch drivers would,
    sends it, and writes the returned artifacts to the standard sink
-   flags — so `gsino_serve route` is a drop-in for `gsino_lint` with
-   the computation happening in the daemon.
+   flags — so `gsino_serve route` is a drop-in for `gsino_run lint`
+   with the computation happening in the daemon.
 
    Exit codes mirror the batch drivers (see cli_common): a framed error
    response exits with the code the batch CLI would have used; client
@@ -73,7 +73,7 @@ let daemon socket workers jobs queue_bound max_frame request_deadline drain_ms
     read_timeout panel_cache sinks verbose quiet =
   ignore (C.claim_stdout ~prog:"gsino_serve" sinks);
   C.with_obs ~prog:"gsino_serve" ~sinks ~verbose ~quiet @@ fun () ->
-  let _, cache_dir = panel_cache in
+  C.with_panel_store panel_cache @@ fun cache ->
   Server.run
     {
       Server.socket;
@@ -84,7 +84,7 @@ let daemon socket workers jobs queue_bound max_frame request_deadline drain_ms
       request_deadline_ms = request_deadline;
       drain_ms;
       read_timeout_s = read_timeout;
-      cache_dir;
+      cache;
     };
   C.exit_ok
 
@@ -119,14 +119,12 @@ let netlist_file_arg =
   C.netlist_file_arg
     ~doc:"Route FILE (gsino-netlist v1) instead of a generated circuit."
 
-let write_artifact sink contents =
-  match sink with
-  | None -> ()
-  | Some "-" -> print_string contents
-  | Some file ->
-      let oc = open_out file in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-          output_string oc contents)
+(* The sink flag a response artifact is written to. *)
+let sink_kind = function
+  | Protocol.Report -> C.Sinks.Report
+  | Protocol.Metrics -> C.Sinks.Metrics
+  | Protocol.Journal -> C.Sinks.Journal
+  | Protocol.Trace -> C.Sinks.Trace
 
 let finding_is_error line =
   match String.split_on_char ' ' line with
@@ -148,15 +146,9 @@ let route socket timeout circuit scale seed rate router budgeting kind deadline
   let tech = Tech.default in
   let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
   let artifacts =
-    List.filter_map
-      (fun (kind, art) ->
-        match C.Sinks.get sinks kind with Some _ -> Some art | None -> None)
-      [
-        (C.Sinks.Report, Protocol.Report);
-        (C.Sinks.Metrics, Protocol.Metrics);
-        (C.Sinks.Journal, Protocol.Journal);
-        (C.Sinks.Trace, Protocol.Trace);
-      ]
+    List.filter
+      (fun a -> C.Sinks.get sinks (sink_kind a) <> None)
+      [ Protocol.Report; Protocol.Metrics; Protocol.Journal; Protocol.Trace ]
   in
   let options =
     {
@@ -181,15 +173,9 @@ let route socket timeout circuit scale seed rate router budgeting kind deadline
          pass through the with_obs flush *)
       List.iter
         (fun (name, contents) ->
-          let sink =
-            match Protocol.artifact_of_name name with
-            | Some Protocol.Report -> C.Sinks.get sinks C.Sinks.Report
-            | Some Protocol.Metrics -> C.Sinks.get sinks C.Sinks.Metrics
-            | Some Protocol.Journal -> C.Sinks.get sinks C.Sinks.Journal
-            | Some Protocol.Trace -> C.Sinks.get sinks C.Sinks.Trace
-            | None -> None
-          in
-          write_artifact sink contents)
+          Option.bind (Protocol.artifact_of_name name) (fun a ->
+              C.Sinks.get sinks (sink_kind a))
+          |> Option.iter (fun s -> Eda_obs.Artifact.write s contents))
         artifacts;
       List.iter (fun line -> Format.fprintf out "%s@." line) findings;
       Format.fprintf out "gsino_serve: %s: %s@." status summary;
@@ -293,8 +279,9 @@ let cmd =
          running, flush the panel cache, exit 0.";
       `P
         "The client subcommands speak the gsino-serve-v1 framed protocol; \
-         $(b,route) mirrors $(b,gsino_lint)'s flags and output, with the \
-         flow executed by the daemon against its warm shared panel cache.";
+         $(b,route) mirrors $(b,gsino_run lint)'s flags and output, with \
+         the flow executed by the daemon against its warm shared panel \
+         cache.";
     ]
   in
   Cmd.group (Cmd.info "gsino_serve" ~version:"1.0.0" ~doc ~man)

@@ -52,5 +52,5 @@ let () =
   Format.printf "@.%d findings total; every error above is a proof — no@."
     (List.length t.Analyze.findings);
   Format.printf "router, ordering or shielding heuristic can satisfy this@.";
-  Format.printf "instance.  gsino_audit rejects it (exit 1) before any@.";
+  Format.printf "instance.  gsino_run audit rejects it (exit 1) before any@.";
   Format.printf "routing; the flow's --audit pre-pass logs it and degrades.@."

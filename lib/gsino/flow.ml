@@ -40,7 +40,6 @@ module Config = struct
     deadline_ms : int;
     audit : bool;
     cache : bool;
-    cache_dir : string option;
   }
 
   let default =
@@ -53,7 +52,6 @@ module Config = struct
       deadline_ms = 0;
       audit = false;
       cache = true;
-      cache_dir = None;
     }
 end
 
@@ -93,7 +91,7 @@ let analyze_config tech =
 
 (* Pre-route audit: log what the static analyzer can prove infeasible,
    then proceed — the SINO fallbacks and the checker cope downstream.
-   Failing fast before routing is gsino_audit's job. *)
+   Failing fast before routing is gsino_run audit's job. *)
 let audit_prepass tech grid ~sensitivity netlist =
   let audit, _audit_s =
     timed_phase "audit" (fun () ->
@@ -183,7 +181,6 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
     deadline_ms;
     audit;
     cache = cache_on;
-    cache_dir;
   } =
     config
   in
@@ -240,22 +237,17 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
   let mode =
     match kind with Id_no -> Phase2.Order_only | Isino | Gsino -> Phase2.Min_area
   in
-  (* The panel cache is per-run unless [cache_dir] makes it persistent,
-     or the caller supplies one (the serve daemon's shared warm cache,
-     whose lifecycle — load at startup, save at drain — the caller then
-     owns).  Solutions are content-determined either way, so enabling it
-     never changes a byte of output (DESIGN §10) — it only skips repeat
-     work. *)
-  let cache, owns_cache =
-    match ext_cache with
-    | Some c -> ((if cache_on then Some c else None), false)
-    | None ->
-        ( (if not cache_on then None
-           else
-             match cache_dir with
-             | Some dir -> Some (Eda_sino.Cache.load dir)
-             | None -> Some (Eda_sino.Cache.create ())),
-          true )
+  (* The panel cache is per-run unless the caller supplies one (a front
+     end's loaded --panel-cache store, the serve daemon's shared warm
+     cache), whose lifecycle the caller owns.  Solutions are
+     content-determined either way, so enabling it never changes a byte
+     of output (DESIGN §10) — it only skips repeat work. *)
+  let cache =
+    if not cache_on then None
+    else
+      match ext_cache with
+      | Some c -> Some c
+      | None -> Some (Eda_sino.Cache.create ())
   in
   let phase2, sino_s =
     timed_phase "sino" (fun () ->
@@ -275,9 +267,6 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
         in
         (Some stats, s)
   in
-  (match (cache, cache_dir) with
-  | Some c, Some dir when owns_cache -> Eda_sino.Cache.save c dir
-  | _ -> ());
   Log.debug
     ~fields:[ ("kind", kind_name kind); ("circuit", netlist.Netlist.name) ]
     "flow phases done: route %.2fs, sino %.2fs, refine %.2fs" route_s sino_s
@@ -294,7 +283,7 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
   in
   let shields = Phase2.total_shields phase2 in
   (* per-kind outcome metrics, cumulative across the runs of the process
-     like flow.phase_seconds — the series gsino_diff guards in CI *)
+     like flow.phase_seconds — the series gsino_run diff guards in CI *)
   let kl = [ ("kind", kind_name kind) ] in
   Metrics.add (Metrics.counter ~labels:kl "flow.violations") (List.length violations);
   Metrics.add (Metrics.counter ~labels:kl "flow.shields") shields;
@@ -319,6 +308,23 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
     refine_s;
     deadline_hits = Eda_guard.Deadline.hits deadline;
   }
+
+let run_kinds ?pool ?cache ?deadline config tech ~rate kinds netlist ~f =
+  (* The LSK table's simulations run before prepare's routings, so they
+     do not allocate on top of the routings' garbage; the table is
+     memoized, so nothing else changes. *)
+  Trace.span "lsk.table_build" (fun () -> ignore (Tech.lsk_model tech));
+  with_pool_opt ~jobs:config.Config.jobs pool @@ fun pool ->
+  let grid, base = prepare ~config ~pool tech netlist in
+  let sensitivity =
+    Sensitivity.make ~seed:(config.Config.seed lxor 0xbeef) ~rate
+  in
+  List.map
+    (fun kind ->
+      f
+        (run ~grid ~base ~pool ?cache ?deadline { config with Config.kind }
+           tech ~sensitivity netlist))
+    kinds
 
 let degraded r =
   r.deadline_hits <> [] || Phase2.degraded_panels r.phase2 <> []

@@ -64,20 +64,15 @@ module Config : sig
             [flow.phase_seconds{phase="audit"}]. *)
     cache : bool;
         (** memoize panel solves in a content-addressed
-            {!Eda_sino.Cache} (default [true]).  Solutions are
+            {!Eda_sino.Cache} (default [true]): the caller's, when
+            {!run} gets one, else a fresh one per run.  Solutions are
             byte-identical with the cache on or off (DESIGN §10); turn it
             off only to measure its effect. *)
-    cache_dir : string option;
-        (** persist the panel cache in this directory (loaded before
-            Phase II, saved after refinement), sharing solved panels
-            across runs — the CLI's [--panel-cache DIR] /
-            [GSINO_PANEL_CACHE].  [None] (default) keeps the cache
-            in-process only.  Ignored when [cache] is [false]. *)
   }
 
   (** [Gsino], iterative deletion, uniform budgeting, [jobs = 1],
-      [seed = 7], no deadline, no audit pre-pass, in-process panel cache
-      enabled with no persistence directory. *)
+      [seed = 7], no deadline, no audit pre-pass, panel cache
+      enabled. *)
   val default : t
 end
 
@@ -150,9 +145,8 @@ val prepare :
     - [pool] reuses a caller-owned {!Eda_exec} pool ([config.jobs] is
       then ignored for pool sizing);
     - [cache] uses a caller-owned panel cache, staying warm across runs;
-      its load/save lifecycle belongs to the caller ([config.cache_dir]
-      is not read or written; [config.cache = false] still disables
-      memoization for the run);
+      its load/save lifecycle belongs to the caller ([config.cache =
+      false] still disables memoization for the run);
     - [deadline] supplies an externally armed (possibly cancellable)
       deadline instead of starting one from [config.deadline_ms] —
       cancellation degrades the run at the next checkpoint exactly like
@@ -169,6 +163,28 @@ val run :
   Eda_netlist.Netlist.t ->
   result
 
+(** [run_kinds ?pool ?cache ?deadline config tech ~rate kinds netlist ~f]
+    — one request of the paper's evaluation (§4), the entry of
+    [gsino_run run]/[lint]/[map] and of the serve daemon: build the LSK
+    model, {!prepare} once with [config], draw the sensitivity model
+    from [config.seed lxor 0xbeef] at [rate], then one {!run} per kind,
+    in [kinds] order, on the shared grid and base routes.  [f] gets each
+    result as its flow ends, so a result [f] does not keep is garbage
+    before the next flow starts; [f]'s values come back in [kinds]
+    order.  [pool], [cache] and [deadline] go to every call; without
+    [pool] one [config.jobs]-domain pool serves them all. *)
+val run_kinds :
+  ?pool:Eda_exec.t ->
+  ?cache:Eda_sino.Cache.t ->
+  ?deadline:Eda_guard.Deadline.t ->
+  Config.t ->
+  Tech.t ->
+  rate:float ->
+  kind list ->
+  Eda_netlist.Netlist.t ->
+  f:(result -> 'a) ->
+  'a list
+
 (** [degraded r] — did resilience machinery alter this result?  True when
     the deadline truncated a phase or any SINO panel took the fallback
     path.  A degraded result is still structurally valid (routes
@@ -180,14 +196,14 @@ val degraded : result -> bool
     {!Eda_check.Checker} invariant rule against the solution and return
     the coded findings, sorted errors-first.  [tech] (default
     {!Tech.default}) supplies the LSK table and noise bound the run used.
-    A healthy refined flow yields no [Error]-severity findings; the
-    [gsino_lint] binary turns that into an exit code. *)
+    A healthy refined flow yields no [Error]-severity findings;
+    [gsino_run lint] turns that into an exit code. *)
 val check : ?tech:Tech.t -> result -> Eda_check.Diag.t list
 
 (** [analyze_config tech] — the {!Eda_analyze.Analyze.config} matching a
     flow run under [tech]: its coupling model, LSK table, noise bound and
     the default Formula-3 coefficients.  Shared by the audit pre-pass and
-    the [gsino_audit] CLI so both judge the instance the flow will see. *)
+    [gsino_run audit] so both judge the instance the flow will see. *)
 val analyze_config : Tech.t -> Eda_analyze.Analyze.config
 
 (** [violation_count r] / [violation_pct r] — Table 1's metrics. *)

@@ -71,13 +71,13 @@ module Paper = struct
 end
 
 let run_circuit ?(tech = Tech.default) ?(jobs = 1)
-    ?(cache = Flow.Config.default.Flow.Config.cache) ?cache_dir ~scale ~seed
+    ?(cache = Flow.Config.default.Flow.Config.cache) ?store ~scale ~seed
     profile rates =
   let netlist =
     Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed profile
   in
   let config kind =
-    { Flow.Config.default with Flow.Config.kind; seed; jobs; cache; cache_dir }
+    { Flow.Config.default with Flow.Config.kind; seed; jobs; cache }
   in
   let grid, base = Flow.prepare ~config:(config Flow.Id_no) tech netlist in
   List.map
@@ -85,19 +85,21 @@ let run_circuit ?(tech = Tech.default) ?(jobs = 1)
       let sensitivity =
         Sensitivity.make ~seed:(seed lxor Hashtbl.hash (profile.Generator.name, rate)) ~rate
       in
-      let idno = Flow.run ~grid ~base (config Flow.Id_no) tech ~sensitivity netlist in
-      let isino = Flow.run ~grid ~base (config Flow.Isino) tech ~sensitivity netlist in
-      let gsino = Flow.run ~grid (config Flow.Gsino) tech ~sensitivity netlist in
+      let run kind =
+        Flow.run ~grid ~base ?cache:store (config kind) tech ~sensitivity netlist
+      in
+      let idno = run Flow.Id_no in
+      let isino = run Flow.Isino in
+      let gsino = run Flow.Gsino in
       { profile; rate; idno; isino; gsino })
     rates
 
 let run_suite ?(tech = Tech.default) ?(profiles = Generator.all_ibm)
     ?(rates = [ 0.30; 0.50 ]) ?(jobs = 1)
-    ?(cache = Flow.Config.default.Flow.Config.cache) ?cache_dir ~scale ~seed ()
-    =
+    ?(cache = Flow.Config.default.Flow.Config.cache) ?store ~scale ~seed () =
   let runs =
     List.concat_map
-      (fun p -> run_circuit ~tech ~jobs ~cache ?cache_dir ~scale ~seed p rates)
+      (fun p -> run_circuit ~tech ~jobs ~cache ?store ~scale ~seed p rates)
       profiles
   in
   { scale; seed; runs }

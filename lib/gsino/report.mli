@@ -33,13 +33,13 @@ end
 (** [run_circuit ?tech ?jobs ~scale ~seed profile rates] — prepare the
     circuit once (shared grid and conventional base routes) and run the
     three flows at each rate, on a [jobs]-domain pool (default 1).
-    [cache]/[cache_dir] mirror {!Flow.Config} (panel-cache enable and
-    persistence directory). *)
+    [cache] is {!Flow.Config}'s panel-cache switch; [store] is a
+    caller-owned panel cache every run shares (as [Flow.run ~cache]). *)
 val run_circuit :
   ?tech:Tech.t ->
   ?jobs:int ->
   ?cache:bool ->
-  ?cache_dir:string ->
+  ?store:Eda_sino.Cache.t ->
   scale:float ->
   seed:int ->
   Eda_netlist.Generator.profile ->
@@ -54,7 +54,7 @@ val run_suite :
   ?rates:float list ->
   ?jobs:int ->
   ?cache:bool ->
-  ?cache_dir:string ->
+  ?store:Eda_sino.Cache.t ->
   scale:float ->
   seed:int ->
   unit ->

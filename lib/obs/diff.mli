@@ -7,7 +7,7 @@
     or unchanged on its scalar summary — a counter's value, a gauge's
     value, a histogram's sample count.  A {!policy} names the guarded
     metrics and their per-metric tolerances; {!check} returns the
-    breaches, which [gsino_diff] renders and converts into a non-zero
+    breaches, which [gsino_run diff] renders and converts into a non-zero
     exit code.  See bench/regression_policy.json for the live policy. *)
 
 (** Scalar summary of one series: counter value, gauge value, or

@@ -102,12 +102,6 @@ let to_string evs =
     evs;
   Buffer.contents b
 
-let output oc evs = output_string oc (to_string evs)
-
-let write_file path evs =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc evs)
-
 (* ------------------------------ loading ------------------------------ *)
 
 exception Bad of string

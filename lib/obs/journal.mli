@@ -76,15 +76,9 @@ val clear : unit -> unit
 val events : unit -> event list
 
 (** Events as [gsino-journal-v1] JSONL: a schema header line, then one
-    JSON object per event (what {!output}/{!write_file} emit; the serve
-    daemon frames this string into responses). *)
+    JSON object per event ({!Artifact.journal} renders the calling
+    domain's events with it). *)
 val to_string : event list -> string
-
-(** Write events as [gsino-journal-v1] JSONL: a schema header line, then
-    one JSON object per event. *)
-val output : out_channel -> event list -> unit
-
-val write_file : string -> event list -> unit
 
 (** {1 Loading} *)
 
@@ -93,7 +87,7 @@ val read_channel : in_channel -> (event list, string) result
 (** [load path] — read a journal file ([-] reads stdin). *)
 val load : string -> (event list, string) result
 
-(** {1 Folding} — the aggregation [gsino_explain] and the HTML report
+(** {1 Folding} — the aggregation [gsino_run explain] and the HTML report
     drill down with. *)
 
 val dim_value : event -> string -> string option

@@ -317,8 +317,6 @@ let to_json s =
              s) );
     ]
 
-let write_json path s = Json.write_file path (to_json s)
-
 (* ------------------------- snapshot loading ------------------------- *)
 
 exception Bad of string

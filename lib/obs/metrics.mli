@@ -158,11 +158,9 @@ val merge : snapshot -> snapshot -> snapshot
     "labels", ...}]}]. *)
 val to_json : snapshot -> Json.t
 
-val write_json : string -> snapshot -> unit
-
 (** [of_json j] — parse a [gsino-metrics-v1] document (the {!to_json}
     schema) back into a snapshot; [to_json] then [of_json] is the
-    identity.  Used by [gsino_diff] to align two exported runs. *)
+    identity.  Used by [gsino_run diff] to align two exported runs. *)
 val of_json : Json.t -> (snapshot, string) result
 
 (** [read_json path] — {!of_json} on a JSON file; errors are prefixed

@@ -132,8 +132,6 @@ let to_json rows =
              rows) );
     ]
 
-let write_json path rows = Json.write_file path (to_json rows)
-
 let export_metrics rows =
   List.iter
     (fun r ->

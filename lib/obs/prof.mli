@@ -47,8 +47,6 @@ val to_text : ?top:int -> row list -> string
     "calls", "total_us", "self_us", "p95_us", "max_us"}]}]. *)
 val to_json : row list -> Json.t
 
-val write_json : string -> row list -> unit
-
 (** Publish the profile into the {!Metrics} registry as [prof.calls],
     [prof.total_us] and [prof.self_us] gauges labeled
     [("span", name)] (set, not accumulated — re-exporting replaces).

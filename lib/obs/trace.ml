@@ -193,5 +193,3 @@ let to_chrome_json () =
             ("droppedSpans", Json.Int (dropped_spans ()));
           ] );
     ]
-
-let write_chrome path = Json.write_file path (to_chrome_json ())

@@ -8,7 +8,7 @@
     nothing in production runs ({!timed_span} additionally reads the
     clock twice, because its callers need the duration regardless).
 
-    {!write_chrome} / {!to_chrome_json} render the buffer in the Chrome
+    {!to_chrome_json} renders the buffer in the Chrome
     Trace Event format (JSON object with a ["traceEvents"] array of
     ["B"]/["E"]/["i"] events, timestamps in µs), loadable by
     [chrome://tracing] and {{:https://ui.perfetto.dev}Perfetto}.
@@ -84,6 +84,3 @@ val dropped_spans : unit -> int
 val clear : unit -> unit
 
 val to_chrome_json : unit -> Json.t
-
-(** [write_chrome path] — write the Chrome-trace JSON file. *)
-val write_chrome : string -> unit

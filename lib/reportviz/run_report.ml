@@ -147,7 +147,7 @@ let html ?(tech = Tech.default) ?(title = "GSINO run report") ~snapshot
       add "</tbody>\n</table>\n");
 
   (* attribution drill-down, present only when --journal was on — the
-     same folds gsino_explain performs, inlined for the report *)
+     same folds gsino_run explain performs, inlined for the report *)
   (match Eda_obs.Journal.events () with
   | [] -> ()
   | evs ->

@@ -78,7 +78,7 @@ type options = {
 (** [gsino] flow, iterative deletion, uniform budgeting, seed 7, rate
     0.30, no deadline, no artifacts — the same defaults as the batch
     CLIs, so an empty [options] object routes exactly like
-    [gsino_lint -k gsino]. *)
+    [gsino_run lint -k gsino]. *)
 val default_options : options
 
 type request = Ping | Stats | Route of { netlist : string; options : options }

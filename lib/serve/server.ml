@@ -2,7 +2,7 @@ module Metrics = Eda_obs.Metrics
 module Journal = Eda_obs.Journal
 module Trace = Eda_obs.Trace
 module Log = Eda_obs.Log
-module Json = Eda_obs.Json
+module Artifact = Eda_obs.Artifact
 module Clock = Eda_obs.Clock
 module Error = Eda_guard.Error
 module Deadline = Eda_guard.Deadline
@@ -10,7 +10,6 @@ module Fault = Eda_guard.Fault
 module Flow = Gsino.Flow
 module Tech = Gsino.Tech
 module Diag = Eda_check.Diag
-module Sensitivity = Eda_netlist.Sensitivity
 module Io = Eda_netlist.Io
 module Cache = Eda_sino.Cache
 
@@ -23,7 +22,7 @@ type config = {
   request_deadline_ms : int;
   drain_ms : int;
   read_timeout_s : float;
-  cache_dir : string option;
+  cache : Cache.t option;
 }
 
 let default_config =
@@ -36,7 +35,7 @@ let default_config =
     request_deadline_ms = 0;
     drain_ms = 0;
     read_timeout_s = 10.0;
-    cache_dir = None;
+    cache = None;
   }
 
 type job = {
@@ -241,10 +240,9 @@ let effective_budget_ms t (options : Protocol.options) =
   let req = max 0 options.deadline_ms and cap = t.cfg.request_deadline_ms in
   if cap <= 0 then req else if req <= 0 then cap else min req cap
 
-(* The route computation itself, mirroring gsino_lint's sequence exactly
-   (prepare on the GSINO config, sensitivity from seed lxor 0xbeef, one
-   Flow.run, Flow.check) so a served response is byte-comparable to the
-   batch CLI's artifacts. *)
+(* The route computation itself: the batch commands' Flow.run_kinds on
+   the request's one kind, then Flow.check, so a served response is
+   byte-comparable to the batch CLI's artifacts. *)
 let route_result t pool (job : job) deadline =
   Fault.point "serve.request";
   let { Protocol.kind; router; budgeting; seed; rate; artifacts; _ } =
@@ -252,23 +250,13 @@ let route_result t pool (job : job) deadline =
   in
   let tech = Tech.default in
   let netlist = Io.of_string job.netlist_text in
-  let config kind =
-    {
-      Flow.Config.default with
-      Flow.Config.kind;
-      router;
-      budgeting;
-      seed;
-      jobs = t.cfg.jobs;
-    }
+  let config =
+    { Flow.Config.default with Flow.Config.router; budgeting; seed; jobs = t.cfg.jobs }
   in
-  let grid, base =
-    Flow.prepare ~config:(config Flow.Gsino) ~pool tech netlist
-  in
-  let sensitivity = Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate in
   let r =
-    Flow.run ~grid ~base ~pool ~cache:t.cache ~deadline (config kind) tech
-      ~sensitivity netlist
+    List.hd
+      (Flow.run_kinds ~pool ~cache:t.cache ~deadline config tech ~rate [ kind ]
+         netlist ~f:Fun.id)
   in
   let diags = Flow.check ~tech r in
   let artifact = function
@@ -276,11 +264,9 @@ let route_result t pool (job : job) deadline =
         ( "report",
           Eda_reportviz.Run_report.text ~tech ~snapshot:(Metrics.snapshot ()) r
         )
-    | Protocol.Metrics ->
-        ("metrics", Json.to_string (Metrics.to_json (Metrics.snapshot ())) ^ "\n")
-    | Protocol.Journal -> ("journal", Journal.to_string (Journal.events ()))
-    | Protocol.Trace ->
-        ("trace", Json.to_string (Trace.to_chrome_json ()) ^ "\n")
+    | Protocol.Metrics -> ("metrics", Artifact.metrics ())
+    | Protocol.Journal -> ("journal", Artifact.journal ())
+    | Protocol.Trace -> ("trace", Artifact.trace ())
   in
   Protocol.Result
     {
@@ -369,10 +355,11 @@ let start_draining draining cfg =
   in
   if Sys.os_type = "Unix" then
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  (* Build the shared models (LSK table, Formula-3 fit) before the
-     socket opens, so their cost is start-up time rather than the first
-     request's. *)
-  ignore (Flow.analyze_config Tech.default);
+  (* Build the LSK table, the model every route request reads, before
+     the socket opens, so its cost is start-up time rather than the
+     first request's.  The Formula-3 fit only serves the static
+     analyzer, which no request runs. *)
+  ignore (Tech.lsk_model Tech.default);
   (* The journal records on any domain once enabled; enabling (and
      registering journal.events) before the template is taken makes the
      per-request instrument set match a batch `--journal` run. *)
@@ -386,9 +373,7 @@ let start_draining draining cfg =
   let m_errors = Metrics.counter "serve.errors" in
   let m_disconnects = Metrics.counter "serve.disconnects" in
   let cache =
-    match cfg.cache_dir with
-    | Some dir -> Cache.load dir
-    | None -> Cache.create ()
+    match cfg.cache with Some c -> c | None -> Cache.create ()
   in
   (try Unix.unlink cfg.socket with Unix.Unix_error (_, _, _) -> ());
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -451,8 +436,8 @@ let start_draining draining cfg =
 let start cfg = start_draining (Atomic.make false) cfg
 
 (* Signal-handler-safe: one atomic store.  Everything that must happen
-   after — waking workers, the drain grace timer, the cache flush —
-   happens on the thread sitting in [wait]. *)
+   after — waking workers, the drain grace timer — happens on the
+   thread sitting in [wait]. *)
 let drain t = Atomic.set t.draining true
 let draining t = Atomic.get t.draining
 
@@ -503,9 +488,6 @@ let wait t =
   loop ();
   List.iter Domain.join t.domains;
   t.domains <- [];
-  (match t.cfg.cache_dir with
-  | Some dir -> Cache.save t.cache dir
-  | None -> ());
   (try Unix.unlink t.cfg.socket with Unix.Unix_error (_, _, _) -> ());
   publish_metrics t;
   Log.info

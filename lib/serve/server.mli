@@ -6,9 +6,10 @@
     [jobs] workers and a private metrics/journal/trace context);
     {!drain} (async-signal-safe) stops admission; {!wait} blocks until
     every in-flight request has finished or timed out, joins the
-    domains, flushes the shared panel cache to [cache_dir] and unlinks
-    the socket.  {!run} wires SIGTERM/SIGINT to {!drain} and does all of
-    it.
+    domains and unlinks the socket.  {!run} wires SIGTERM/SIGINT to
+    {!drain} and does all of it.  The shared panel cache is the
+    caller's: [gsino_serve daemon] loads its [--panel-cache] store
+    before {!run} and saves it after.
 
     Isolation invariants (tested in [test_serve] and the CI serve gate):
     - any per-request failure — parse error, router panic, injected
@@ -37,13 +38,14 @@ type config = {
       (** grace after {!drain} before in-flight deadlines are tripped;
           0 = wait for natural completion *)
   read_timeout_s : float;  (** per-wait stall bound reading a request *)
-  cache_dir : string option;
-      (** warm the shared panel cache from, and flush it to, this
-          directory *)
+  cache : Eda_sino.Cache.t option;
+      (** the panel cache every request shares; [None] = a fresh
+          in-process one *)
 }
 
 (** [gsino.sock], 2 workers, 1 job each, queue bound 16, 64 MiB frames,
-    no deadline cap, no drain grace, 10 s read timeout, no cache dir. *)
+    no deadline cap, no drain grace, 10 s read timeout, a fresh panel
+    cache. *)
 val default_config : config
 
 type t
@@ -60,8 +62,8 @@ val draining : t -> bool
 val stats : t -> Protocol.stats
 
 (** Block until drained (call {!drain} first or from elsewhere), then
-    tear down: join domains, flush the panel cache, unlink the socket,
-    publish the daemon-lifetime [serve.*] metrics. *)
+    tear down: join domains, unlink the socket, publish the
+    daemon-lifetime [serve.*] metrics. *)
 val wait : t -> unit
 
 (** Route SIGTERM/SIGINT to {!drain}, then {!start} and {!wait}.  The

@@ -7,9 +7,11 @@
     The paper takes the coefficients from its tech report [7]; we re-fit
     them with the same methodology — least squares against min-area SINO
     solutions over a sweep of instance sizes and sensitivity profiles —
-    and verify the ~10 % accuracy claim in the test suite.  The ID
-    router's weight (Formula 2) uses this estimate to reserve and minimize
-    shielding area during routing. *)
+    and verify the ~10 % accuracy claim in the test suite.  The static
+    analyzer ([Eda_analyze]) reads the fitted coefficients for its Nss
+    cross-check (GSL0027).  The ID router's Formula-2 weight does not use
+    this estimate: it reserves shielding area with its own per-net
+    demand model ([Gsino.Id_router.shield_demand]). *)
 
 type coeffs = { a1 : float; a2 : float; a3 : float; a4 : float; a5 : float; a6 : float }
 

@@ -44,8 +44,8 @@ let sensitivity t i =
 let sensitivities t = Array.init (size t) (sensitivity t)
 
 (* ---------------------- canonical panel signature ---------------------
-   The content-address the ROADMAP panel cache will be keyed by: net
-   count + sensitivity matrix up to permutation + bucketed Kth bounds.
+   The content-address the panel cache (Cache) is keyed by: net count +
+   sensitivity matrix up to permutation + bucketed Kth bounds.
    Canonicalisation is one-dimensional Weisfeiler-Leman colour
    refinement — initial colours are (Kth bucket, degree), refined by the
    sorted multiset of neighbour colours — and the digest folds the size,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CLI exit-code contract test for the batch gsino drivers (gsino_run,
-# gsino_lint, gsino_audit, gsino_diff, gsino_explain); the daemon's
-# contract lives in run_serve.sh.
+# CLI exit-code contract test for the batch driver, gsino_run, and its
+# subcommands (run, lint, audit, diff, explain); the daemon's contract
+# lives in run_serve.sh.
 #
 # Exercises the failure classes reachable from a batch command line and
 # asserts the documented exit status (see README "Failure modes &
@@ -15,13 +15,9 @@
 set -u
 
 RUN=$(realpath "$1")
-LINT=$(realpath "$2")
-DIFF=$(realpath "$3")
-POLICY=$(realpath "$4")
-BASELINE=$(realpath "$5")
-AUDIT=$(realpath "$6")
-FIXTURE=$(realpath "$7")
-EXPLAIN=$(realpath "$8")
+POLICY=$(realpath "$2")
+BASELINE=$(realpath "$3")
+FIXTURE=$(realpath "$4")
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -95,8 +91,8 @@ base=(-c ibm01 -s 0.02 --seed 7 -q)
 # ---- exit 0: clean runs ----
 expect 0 "gsino_run clean" -- "$RUN" run "${base[@]}" --jobs 1 \
   --metrics clean.json
-expect 0 "gsino_lint clean" -- "$LINT" "${base[@]}"
-expect 0 "gsino_audit clean" -- "$AUDIT" "${base[@]}" --metrics audit.json
+expect 0 "gsino_run lint clean" -- "$RUN" lint "${base[@]}"
+expect 0 "gsino_run audit clean" -- "$RUN" audit "${base[@]}" --metrics audit.json
 expect_metric audit.json "analyze.runs"
 expect_metric audit.json "analyze.cut_overflows"
 expect_metric audit.json "analyze.findings"
@@ -107,27 +103,27 @@ expect 0 "gsino_run --audit clean" -- "$RUN" run "${base[@]}" --jobs 1 --audit
 printf 'gsino-netlist v1\nname bad\ngrid 4 4 10\nnet 0 0 0 9 9\n' >bad.nl
 expect 2 "gsino_run parse error (GSL0020)" -- "$RUN" run -q --netlist bad.nl
 expect_stderr "GSL0020" "line 4" "9 9"
-expect 2 "gsino_lint parse error (GSL0020)" -- "$LINT" -q --netlist bad.nl
+expect 2 "gsino_run lint parse error (GSL0020)" -- "$RUN" lint -q --netlist bad.nl
 expect_stderr "GSL0020"
-expect 2 "gsino_audit parse error (GSL0020)" -- "$AUDIT" -q --netlist bad.nl
+expect 2 "gsino_run audit parse error (GSL0020)" -- "$RUN" audit -q --netlist bad.nl
 expect_stderr "GSL0020"
 # an unreadable netlist is the same typed input error, not a bare message
 expect 2 "gsino_run missing netlist (GSL0020)" -- \
   "$RUN" run -q --netlist missing.nl
 expect_stderr "GSL0020" "missing.nl"
-expect 2 "gsino_lint missing netlist (GSL0020)" -- \
-  "$LINT" -q --netlist missing.nl
+expect 2 "gsino_run lint missing netlist (GSL0020)" -- \
+  "$RUN" lint -q --netlist missing.nl
 expect_stderr "GSL0020"
-expect 2 "gsino_audit missing netlist (GSL0020)" -- \
-  "$AUDIT" -q --netlist missing.nl
+expect 2 "gsino_run audit missing netlist (GSL0020)" -- \
+  "$RUN" audit -q --netlist missing.nl
 expect_stderr "GSL0020"
 expect 2 "malformed GSINO_FAULTS spec" -- \
   env GSINO_FAULTS="bogus" "$RUN" run "${base[@]}"
 expect_stderr "GSINO_FAULTS"
-expect 2 "gsino_diff missing snapshot" -- "$DIFF" missing.json clean.json
-# a missing positional is checked by gsino_diff itself (exit 2, not
+expect 2 "gsino_run diff missing snapshot" -- "$RUN" diff missing.json clean.json
+# a missing positional is checked by gsino_run diff itself (exit 2, not
 # cmdliner's 124)
-expect 2 "gsino_diff without CURRENT" -- "$DIFF" clean.json
+expect 2 "gsino_run diff without CURRENT" -- "$RUN" diff clean.json
 expect_stderr "BASELINE and CURRENT snapshots are required"
 expect_stderr_lacks "uncaught exception"
 # two artifact sinks may not both claim stdout: one coded usage error,
@@ -146,16 +142,16 @@ if [ ! -s j.jsonl ]; then
   echo "FAIL --journal wrote no events"
   failures=$((failures + 1))
 fi
-expect 0 "gsino_explain default views" -- "$EXPLAIN" j.jsonl --top 3
+expect 0 "gsino_run explain default views" -- "$RUN" explain j.jsonl --top 3
 expect_stdout "net.route" "panel.solve" "Top 3 nets by route churn" \
   "Panel signatures"
-expect 0 "gsino_explain --by-signature" -- "$EXPLAIN" j.jsonl --by-signature
+expect 0 "gsino_run explain --by-signature" -- "$RUN" explain j.jsonl --by-signature
 expect_stdout "unique"
-expect 0 "gsino_explain --net provenance" -- "$EXPLAIN" j.jsonl --net 0
+expect 0 "gsino_run explain --net provenance" -- "$RUN" explain j.jsonl --net 0
 expect_stdout "Provenance of net 0" "net.budget" "net.route"
-expect 2 "gsino_explain missing journal" -- "$EXPLAIN" missing.jsonl
+expect 2 "gsino_run explain missing journal" -- "$RUN" explain missing.jsonl
 printf '{"schema":"gsino-journal-v0"}\n' >old.jsonl
-expect 2 "gsino_explain unsupported schema" -- "$EXPLAIN" old.jsonl
+expect 2 "gsino_run explain unsupported schema" -- "$RUN" explain old.jsonl
 expect_stderr "unsupported schema"
 
 # ---- exit 5: injected internal failures (GSL0022) ----
@@ -172,14 +168,26 @@ expect 5 "refine.resolve fault" -- \
 expect_stderr "GSL0022" "refine.resolve"
 # a crashed run must still flush its --metrics artifact for triage
 expect_metric crash.json "guard.injected"
+# ... and save its --panel-cache store: the fault fires in iSINO's
+# refinement, after ID+NO and iSINO's Phase II solves were stored
+expect 5 "gsino_run lint refine.resolve fault keeps the store" -- \
+  env GSINO_FAULTS="refine.resolve=raise#123" "$RUN" lint "${base[@]}" \
+  --kind all --jobs 1 --panel-cache crashstore
+expect_stderr "GSL0022" "refine.resolve"
+if [ -s crashstore/panels.v1 ] && [ "$(wc -l <crashstore/panels.v1)" -gt 1 ]; then
+  echo "ok   crashed lint saved its panel store"
+else
+  echo "FAIL crashed lint left no panel store entries"
+  failures=$((failures + 1))
+fi
 # an unwritable artifact sink leaves through the funnel like any other
 # failure: GSL0022, exit 5
 expect 5 "gsino_run unwritable --metrics (GSL0022)" -- \
   "$RUN" run "${base[@]}" --jobs 1 --metrics no-such-dir/m.json
 expect_stderr "GSL0022" "no-such-dir/m.json"
 expect_stderr_lacks "uncaught exception"
-expect 5 "gsino_audit unwritable --trace (GSL0022)" -- \
-  "$AUDIT" "${base[@]}" --trace no-such-dir/t.json
+expect 5 "gsino_run audit unwritable --trace (GSL0022)" -- \
+  "$RUN" audit "${base[@]}" --trace no-such-dir/t.json
 expect_stderr "GSL0022" "no-such-dir/t.json"
 expect_stderr_lacks "uncaught exception"
 # the LSK table build simulates circuits: a corrupted LU solve is caught
@@ -196,7 +204,7 @@ expect 0 "phase2.solve fault degrades" -- \
 expect_metric degraded.json "guard.retries"
 expect_metric degraded.json "guard.fallbacks"
 env GSINO_FAULTS="phase2.solve=raise#123" \
-  "$LINT" "${base[@]}" --max-print 0 >lint.out 2>/dev/null
+  "$RUN" lint "${base[@]}" --max-print 0 >lint.out 2>/dev/null
 if ! grep -q "GSL0018" lint.out; then
   echo "FAIL degraded lint: no GSL0018 finding"
   failures=$((failures + 1))
@@ -223,12 +231,12 @@ expect_stderr_lacks "uncaught exception"
 # ---- exit 1: findings / regression breach ----
 # provably infeasible fixture: over-capacity cuts (GSL0024) and Kth
 # bounds unmeetable even fully shielded (GSL0026), proven before routing
-expect 1 "gsino_audit infeasible fixture" -- \
-  "$AUDIT" --netlist "$FIXTURE" --rate 1.0 --hcap 6 --vcap 6 -q
+expect 1 "gsino_run audit infeasible fixture" -- \
+  "$RUN" audit --netlist "$FIXTURE" --rate 1.0 --hcap 6 --vcap 6 -q
 expect_stdout "GSL0024" "GSL0026"
-expect 0 "gsino_diff identical snapshots" -- "$DIFF" clean.json clean.json
-expect 1 "gsino_diff policy breach" -- \
-  "$DIFF" --policy "$POLICY" "$BASELINE" deadline.json
+expect 0 "gsino_run diff identical snapshots" -- "$RUN" diff clean.json clean.json
+expect 1 "gsino_run diff policy breach" -- \
+  "$RUN" diff --policy "$POLICY" "$BASELINE" deadline.json
 
 if [ "$failures" -gt 0 ]; then
   echo "$failures CLI exit-code check(s) failed"

@@ -222,6 +222,38 @@ let test_disk_concurrent_writers () =
   in
   Alcotest.(check (list string)) "no tmp files left behind" [] litter
 
+let test_disk_store_serves_request () =
+  (* the front ends' store lifecycle (the CI panel-cache gate at unit
+     level): one store loaded per invocation serves a three-kind
+     request and is saved once, by the caller; a second request on the
+     reloaded store then replays every solve *)
+  let module Flow = Gsino.Flow in
+  let module Metrics = Eda_obs.Metrics in
+  let tech = Gsino.Tech.default in
+  let nl =
+    Eda_netlist.Generator.generate ~gcell_um:tech.Gsino.Tech.gcell_um
+      ~scale:0.02 ~seed:7 Eda_netlist.Generator.ibm01
+  in
+  let dir = tmpdir () in
+  let request store =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    ignore
+      (Flow.run_kinds ~cache:store Flow.Config.default tech ~rate:0.30
+         [ Flow.Id_no; Flow.Isino; Flow.Gsino ] nl ~f:ignore);
+    Metrics.counter_total (Metrics.snapshot ()) "sino.cache_misses"
+  in
+  let store = Cache.load dir in
+  let cold_misses = request store in
+  Alcotest.(check bool) "the flows never write the store" false
+    (Sys.file_exists (Filename.concat dir "panels.v1"));
+  Cache.save store dir;
+  let reloaded = Cache.load dir in
+  Alcotest.(check int) "one save holds every entry" (Cache.length store)
+    (Cache.length reloaded);
+  Alcotest.(check bool) "the cold request solved panels" true (cold_misses > 0);
+  Alcotest.(check int) "the warm request replays every solve" 0
+    (request reloaded)
+
 (* ---------------- properties ---------------- *)
 
 let qcheck_tests =
@@ -304,6 +336,8 @@ let suites =
         Alcotest.test_case "corruption tolerated" `Quick test_disk_corruption;
         Alcotest.test_case "concurrent writers race safely" `Quick
           test_disk_concurrent_writers;
+        Alcotest.test_case "one store serves a request" `Slow
+          test_disk_store_serves_request;
       ] );
     ("cache.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

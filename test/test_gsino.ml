@@ -283,6 +283,42 @@ let flows =
      let gsino = Flow.run ~grid (config Flow.Gsino) tech ~sensitivity:sens30 nl in
      (nl, idno, isino, gsino))
 
+(* the shared request path (the batch commands' and the daemon's) is
+   exactly prepare, the seed lxor 0xbeef draw and one run per kind *)
+let test_flow_run_kinds_matches_explicit () =
+  let nl, grid, base = Lazy.force tiny in
+  let config = Flow.Config.default in
+  let sensitivity =
+    Sensitivity.make ~seed:(config.Flow.Config.seed lxor 0xbeef) ~rate:0.30
+  in
+  let kinds = [ Flow.Id_no; Flow.Isino; Flow.Gsino ] in
+  let explicit =
+    List.map
+      (fun kind ->
+        Flow.run ~grid ~base { config with Flow.Config.kind } tech ~sensitivity
+          nl)
+      kinds
+  in
+  let shared = Flow.run_kinds config tech ~rate:0.30 kinds nl ~f:Fun.id in
+  (* the summary line without its wall-clock phase timings *)
+  let summary r =
+    Format.asprintf "%a" Flow.pp_summary
+      { r with Flow.route_s = 0.0; sino_s = 0.0; refine_s = 0.0 }
+  in
+  Alcotest.(check (list string)) "kinds in request order"
+    (List.map Flow.kind_name kinds)
+    (List.map (fun r -> Flow.kind_name r.Flow.kind) shared);
+  List.iter2
+    (fun e s ->
+      let name = Flow.kind_name e.Flow.kind in
+      Alcotest.(check int) (name ^ " shields") e.Flow.shields s.Flow.shields;
+      Alcotest.(check (float 0.0)) (name ^ " wire length") e.Flow.total_wl_um
+        s.Flow.total_wl_um;
+      Alcotest.(check bool) (name ^ " violations") true
+        (e.Flow.violations = s.Flow.violations);
+      Alcotest.(check string) (name ^ " summary") (summary e) (summary s))
+    explicit shared
+
 let test_flow_idno_shape () =
   let _, idno, _, _ = Lazy.force flows in
   Alcotest.(check bool) "no refinement" true (idno.Flow.refine_stats = None);
@@ -499,6 +535,8 @@ let suites =
         Alcotest.test_case "violation pct" `Slow test_flow_violation_pct;
         Alcotest.test_case "refine stats" `Slow test_flow_refine_stats;
         Alcotest.test_case "kind names" `Quick test_flow_kind_names;
+        Alcotest.test_case "run_kinds matches explicit runs" `Slow
+          test_flow_run_kinds_matches_explicit;
         Alcotest.test_case "prepare keeps base overflow low" `Slow
           test_prepare_no_overflow_for_base;
       ] );

@@ -1,8 +1,8 @@
 (* Unit tests for Eda_obs.Journal: recording gate, dim/data key
    normalisation, the worker drain -> coordinator absorb contract, the
    canonical (ev, dim) export sort, JSONL round-trip with the schema
-   header, loader error reporting, the Agg folds gsino_explain is built
-   on, and a seeded flow's events against the vocabulary journal.mli
+   header, loader error reporting, the Agg folds `gsino_run explain` is
+   built on, and a seeded flow's events against the vocabulary journal.mli
    documents. *)
 module Journal = Eda_obs.Journal
 
@@ -95,7 +95,7 @@ let test_jsonl_round_trip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Journal.write_file path evs;
+      Eda_obs.Artifact.write path (Eda_obs.Artifact.journal ());
       match Journal.load path with
       | Ok loaded -> Alcotest.(check (list ev_t)) "round trip" evs loaded
       | Error e -> Alcotest.fail e)

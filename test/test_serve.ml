@@ -43,7 +43,7 @@ let tmpdir () =
 
 let with_server ?(workers = 1) ?(jobs = 1) ?(queue_bound = 4)
     ?(max_frame = Protocol.max_frame_default) ?(request_deadline_ms = 0)
-    ?(drain_ms = 0) ?cache_dir f =
+    ?(drain_ms = 0) f =
   let dir = tmpdir () in
   let socket = Filename.concat dir "s.sock" in
   let t =
@@ -57,7 +57,7 @@ let with_server ?(workers = 1) ?(jobs = 1) ?(queue_bound = 4)
         request_deadline_ms;
         drain_ms;
         read_timeout_s = 2.0;
-        cache_dir;
+        cache = None;
       }
   in
   Fun.protect
