@@ -305,8 +305,8 @@ let run_solver_ablation (suite : Report.suite) =
    cold (only in-run duplicate panels hit); run 2 replays entirely from
    the store, so the two-run rate sits well above the 0.25 floor.  The
    solver derives every solution from panel content alone, so all three
-   result summaries (cache off, cold, warm) must be byte-identical —
-   the cache is an accelerator, never an oracle. *)
+   result summaries (no store, cold, warm) must be byte-identical — the
+   cache is an accelerator, never an oracle. *)
 let run_panel_cache () =
   section "panel cache (Eda_sino.Cache): hit rate over a shared store";
   let tech = Tech.default in
@@ -319,14 +319,15 @@ let run_panel_cache () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gsino_bench_cache.%d" (Unix.getpid ()))
   in
-  let config cache = { Flow.Config.default with Flow.Config.seed; cache } in
-  let grid, _ = Flow.prepare ~config:(config false) tech nl in
-  (* each cached run loads the store, solves against it and saves it
-     back, as a front end with --panel-cache does *)
-  let timed cache =
+  let config = { Flow.Config.default with Flow.Config.seed } in
+  let grid, _ = Flow.prepare ~config tech nl in
+  (* each store run loads the store, solves against it and saves it
+     back, as a front end with --panel-cache does; the no-store run
+     memoizes in the flow's own cache *)
+  let timed with_store =
     let t0 = Unix.gettimeofday () in
-    let store = if cache then Some (Eda_sino.Cache.load dir) else None in
-    let r = Flow.run ~grid ?cache:store (config cache) tech ~sensitivity:sens nl in
+    let store = if with_store then Some (Eda_sino.Cache.load dir) else None in
+    let r = Flow.run ~grid ?cache:store config tech ~sensitivity:sens nl in
     Option.iter (fun c -> Eda_sino.Cache.save c dir) store;
     ((r.Flow.shields, r.Flow.total_wl_um, r.Flow.violations, r.Flow.area),
      Unix.gettimeofday () -. t0)
@@ -336,7 +337,7 @@ let run_panel_cache () =
     ( Metrics.counter_total snap "sino.cache_hits",
       Metrics.counter_total snap "sino.cache_misses" )
   in
-  let off, t_off = timed false in
+  let none, t_none = timed false in
   let h0, m0 = cache_counters () in
   let cold, t_cold = timed true in
   let warm, t_warm = timed true in
@@ -346,13 +347,14 @@ let run_panel_cache () =
     if hits + misses > 0 then float_of_int hits /. float_of_int (hits + misses)
     else 0.0
   in
-  let identical = off = cold && cold = warm in
+  let identical = none = cold && cold = warm in
   Format.printf
     "  two runs, one store: %d hits / %d misses | hit rate %.2f (floor 0.25)@."
     hits misses rate;
   Format.printf
-    "  flow seconds: %.2f cache off | %.2f cold | %.2f warm | results %s@."
-    t_off t_cold t_warm
+    "  flow seconds: %.2f no store | %.2f cold store | %.2f warm store | \
+     results %s@."
+    t_none t_cold t_warm
     (if identical then "byte-identical" else "DIFFER (cache corrupts output!)");
   (try
      Sys.remove (Filename.concat dir "panels.v1");

@@ -262,46 +262,34 @@ end
 
 (* ---------------- panel cache ---------------- *)
 
-(* (enabled, directory): Flow.Config.cache and the store directory
-   {!with_panel_store} owns.  The cache never changes a byte of output
-   (DESIGN §10), so both flags are pure performance knobs. *)
+(* The --panel-cache store directory {!with_panel_store} owns.  The
+   cache never changes a byte of output (DESIGN §10), so the flag is a
+   pure performance knob. *)
 let panel_cache_term =
-  let dir_arg =
-    let doc =
-      "Persist the content-addressed SINO panel cache in $(docv): the \
-       store is loaded once when the command starts and saved back once \
-       when it ends, so later runs (any circuit, any driver) skip \
-       re-solving identical panels.  Cached solutions are byte-identical \
-       to fresh ones.  A missing or corrupt store is treated as empty, \
-       never an error."
-    in
-    let env =
-      Cmd.Env.info "GSINO_PANEL_CACHE"
-        ~doc:"Default directory for $(b,--panel-cache)."
-    in
-    Arg.(value & opt (some string) None & info [ "panel-cache" ] ~docv:"DIR" ~env ~doc)
+  let doc =
+    "Persist the content-addressed SINO panel cache in $(docv): the \
+     store is loaded once when the command starts and saved back once \
+     when it ends, so later runs (any circuit, any driver) skip \
+     re-solving identical panels.  Cached solutions are byte-identical \
+     to fresh ones.  A missing or corrupt store is treated as empty, \
+     never an error.  Without a store each flow memoizes in a cache of \
+     its own."
   in
-  let off_arg =
-    let doc =
-      "Disable the in-process SINO panel cache (and ignore \
-       $(b,--panel-cache) / $(b,GSINO_PANEL_CACHE)).  Solutions are \
-       unchanged — this only stops repeat panels from being memoized; \
-       useful for measuring the cache's effect."
-    in
-    Arg.(value & flag & info [ "no-panel-cache" ] ~doc)
+  let env =
+    Cmd.Env.info "GSINO_PANEL_CACHE"
+      ~doc:"Default directory for $(b,--panel-cache)."
   in
-  Term.(
-    const (fun dir off -> (not off, if off then None else dir))
-    $ dir_arg $ off_arg)
+  Arg.(value & opt (some string) None & info [ "panel-cache" ] ~docv:"DIR" ~env ~doc)
 
-(* [with_panel_store panel_cache f] — the invocation's panel store: with
-   a --panel-cache directory, [f] gets the store loaded from it once and
+(* [with_panel_store dir f] — the invocation's panel store: with a
+   --panel-cache directory, [f] gets the store loaded from it once and
    the store is saved back once when [f] ends, however many flows [f]
-   runs on it; without one, [f] gets [None] and the caller's flows use
-   in-process caches only.  [f] raising still saves (a failure there
-   is dropped so [f]'s error is the one reported): the solves made
-   before the failure are kept, and every entry is verified on hit. *)
-let with_panel_store (_, dir) f =
+   runs on it; without one, [f] gets [None] and each of the caller's
+   flows memoizes in a cache of its own.  [f] raising still saves (a
+   failure there is dropped so [f]'s error is the one reported): the
+   solves made before the failure are kept, and every entry is verified
+   on hit. *)
+let with_panel_store dir f =
   match dir with
   | None -> f None
   | Some dir -> (

@@ -59,7 +59,6 @@ let run_cmd =
         jobs;
         deadline_ms = deadline;
         audit;
-        cache = fst panel_cache;
       }
     in
     (* each flow is rendered as it ends, so only one flow's solution is
@@ -130,9 +129,7 @@ let map_cmd =
     C.guard_exceptions @@ fun () ->
     let tech = Tech.default in
     let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
-    let config =
-      { Flow.Config.default with Flow.Config.seed; jobs; cache = fst panel_cache }
-    in
+    let config = { Flow.Config.default with Flow.Config.seed; jobs } in
     let usages =
       C.with_panel_store panel_cache (fun cache ->
           Flow.run_kinds ?cache config tech ~rate [ Flow.Id_no; Flow.Gsino ]
@@ -183,8 +180,7 @@ let suite_cmd =
     in
     let suite =
       C.with_panel_store panel_cache (fun store ->
-          Report.run_suite ~profiles ~jobs ~cache:(fst panel_cache) ?store
-            ~scale ~seed ())
+          Report.run_suite ~profiles ~jobs ?store ~scale ~seed ())
     in
     Format.fprintf out "%a@.%a@.%a@.%a@.%a@.%a@.%a@." Report.table1 suite
       Report.table2 suite Report.table3 suite Report.violations_summary suite
@@ -255,7 +251,6 @@ let lint_cmd =
         seed;
         jobs;
         deadline_ms = deadline;
-        cache = fst panel_cache;
       }
     in
     let lint_one r =

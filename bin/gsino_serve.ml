@@ -276,12 +276,12 @@ let cmd =
          keeps serving.  Admission is bounded (typed 'overloaded' rejects), \
          disconnected clients cancel their in-flight work, and \
          SIGTERM/SIGINT drains gracefully: stop accepting, finish what is \
-         running, flush the panel cache, exit 0.";
+         running, save the $(b,--panel-cache) store, exit 0.";
       `P
         "The client subcommands speak the gsino-serve-v1 framed protocol; \
          $(b,route) mirrors $(b,gsino_run lint)'s flags and output, with \
-         the flow executed by the daemon against its warm shared panel \
-         cache.";
+         the flow executed by the daemon against its warm LSK model and, \
+         with $(b,--panel-cache), its shared panel store.";
     ]
   in
   Cmd.group (Cmd.info "gsino_serve" ~version:"1.0.0" ~doc ~man)

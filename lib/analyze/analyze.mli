@@ -105,8 +105,13 @@ val run :
   Eda_netlist.Netlist.t ->
   t
 
-(** Expected track demand per region for one direction (the RUDY map —
-    shared with the report's predicted-congestion heatmap). *)
+(** [demand_map grid netlist dir] — expected track demand per region for
+    one direction: the RUDY map {!run} builds, alone, for the report's
+    predicted-congestion heatmap.  Records no metric. *)
+val demand_map :
+  Eda_grid.Grid.t -> Eda_netlist.Netlist.t -> Eda_grid.Dir.t -> float array
+
+(** {!demand_map} of the audited instance. *)
 val demand : t -> Eda_grid.Dir.t -> float array
 
 (** Peak predicted utilization over all regions and directions, in

@@ -39,7 +39,6 @@ module Config = struct
     seed : int;
     deadline_ms : int;
     audit : bool;
-    cache : bool;
   }
 
   let default =
@@ -51,7 +50,6 @@ module Config = struct
       seed = 7;
       deadline_ms = 0;
       audit = false;
-      cache = true;
     }
 end
 
@@ -170,18 +168,8 @@ let prepare ?(config = Config.default) ?pool tech netlist =
   let base = base_routes ~router ~pool tech grid netlist in
   (grid, base)
 
-let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
-    netlist =
-  let {
-    Config.kind;
-    router;
-    budgeting;
-    jobs;
-    seed;
-    deadline_ms;
-    audit;
-    cache = cache_on;
-  } =
+let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
+  let { Config.kind; router; budgeting; jobs; seed; deadline_ms; audit } =
     config
   in
   let deadline =
@@ -237,22 +225,17 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
   let mode =
     match kind with Id_no -> Phase2.Order_only | Isino | Gsino -> Phase2.Min_area
   in
-  (* The panel cache is per-run unless the caller supplies one (a front
-     end's loaded --panel-cache store, the serve daemon's shared warm
-     cache), whose lifecycle the caller owns.  Solutions are
-     content-determined either way, so enabling it never changes a byte
-     of output (DESIGN §10) — it only skips repeat work. *)
+  (* The panel cache is the caller's (a front end's loaded --panel-cache
+     store, whose lifecycle the caller owns), else one of this run's own.
+     Solutions are content-determined either way, so the cache never
+     changes a byte of output (DESIGN §10); it only skips repeat work. *)
   let cache =
-    if not cache_on then None
-    else
-      match ext_cache with
-      | Some c -> Some c
-      | None -> Some (Eda_sino.Cache.create ())
+    match cache with Some c -> c | None -> Eda_sino.Cache.create ()
   in
   let phase2, sino_s =
     timed_phase "sino" (fun () ->
         Phase2.solve ~grid ~routes ~kth:(Budget.kth budget) ~sensitivity
-          ~keff:tech.Tech.keff ~mode ~seed ~deadline ?cache ~pool ())
+          ~keff:tech.Tech.keff ~mode ~seed ~deadline ~cache ~pool ())
   in
   let usage = Usage.of_routes grid ~gcell_um (Array.to_list routes) in
   Phase2.apply_shields usage phase2;

@@ -62,17 +62,10 @@ module Config : sig
             [false]) and log its error-severity findings; the flow
             proceeds either way.  Timing is recorded as
             [flow.phase_seconds{phase="audit"}]. *)
-    cache : bool;
-        (** memoize panel solves in a content-addressed
-            {!Eda_sino.Cache} (default [true]): the caller's, when
-            {!run} gets one, else a fresh one per run.  Solutions are
-            byte-identical with the cache on or off (DESIGN §10); turn it
-            off only to measure its effect. *)
   }
 
   (** [Gsino], iterative deletion, uniform budgeting, [jobs = 1],
-      [seed = 7], no deadline, no audit pre-pass, panel cache
-      enabled. *)
+      [seed = 7], no deadline, no audit pre-pass. *)
   val default : t
 end
 
@@ -144,9 +137,11 @@ val prepare :
     server, which owns these resources across many runs:
     - [pool] reuses a caller-owned {!Eda_exec} pool ([config.jobs] is
       then ignored for pool sizing);
-    - [cache] uses a caller-owned panel cache, staying warm across runs;
-      its load/save lifecycle belongs to the caller ([config.cache =
-      false] still disables memoization for the run);
+    - [cache] memoizes panel solves in a caller-owned
+      {!Eda_sino.Cache}, staying warm across runs; its load/save
+      lifecycle belongs to the caller.  Without it the run memoizes in a
+      fresh cache of its own.  Solutions are byte-identical either way
+      (DESIGN §10);
     - [deadline] supplies an externally armed (possibly cancellable)
       deadline instead of starting one from [config.deadline_ms] —
       cancellation degrades the run at the next checkpoint exactly like
@@ -172,7 +167,8 @@ val run :
     result as its flow ends, so a result [f] does not keep is garbage
     before the next flow starts; [f]'s values come back in [kinds]
     order.  [pool], [cache] and [deadline] go to every call; without
-    [pool] one [config.jobs]-domain pool serves them all. *)
+    [pool] one [config.jobs]-domain pool serves them all, and without
+    [cache] each run memoizes in a cache of its own. *)
 val run_kinds :
   ?pool:Eda_exec.t ->
   ?cache:Eda_sino.Cache.t ->

@@ -23,7 +23,9 @@ module Journal = Eda_obs.Journal
 
 type weights = { alpha : float; beta : float; gamma : float }
 
-let default_weights = { alpha = 2.0; beta = 1.0; gamma = 50.0 }
+(* Regions of slack around each net's pin bounding box: the detour
+   freedom a candidate route gets. *)
+let bbox_expand = 1
 
 type shield_model =
   | No_shields
@@ -209,9 +211,8 @@ type prep =
   | P_state of net_state * int list  (** connection graph + candidate edges *)
   | P_empty  (** single-region net *)
 
-let route ~grid ~netlist ?(weights = default_weights)
-    ?(shield_model = No_shields) ?(big_net_threshold = 5000) ?(bbox_expand = 1)
-    ?(deadline = Eda_guard.Deadline.none) ?pool () =
+let route ~grid ~netlist ~weights ?(shield_model = No_shields)
+    ?(big_net_threshold = 5000) ?(deadline = Eda_guard.Deadline.none) ?pool () =
   Trace.span_args "id_router.route"
     [ ("nets", string_of_int (Array.length netlist.Netlist.nets)) ]
   @@ fun () ->

@@ -25,9 +25,8 @@
     Densities only decrease during deletion, so a lazy max-heap with
     recompute-on-pop pops edges in exact weight order. *)
 
+(** Formula (2)'s constants; {!Flow} passes {!Tech}'s. *)
 type weights = { alpha : float; beta : float; gamma : float }
-
-val default_weights : weights
 
 (** How the router accounts for shielding area. *)
 type shield_model =
@@ -50,13 +49,12 @@ val shield_demand : keff:Eda_sino.Keff.params -> rate:float -> float -> float
 (** [route ~grid ~netlist ()] routes every net, returning one route per
     net (indexed by net id).
 
-    @param weights Formula (2) constants (default α=2, β=1, γ=50)
+    @param weights Formula (2) constants
     @param shield_model default [No_shields]
     @param big_net_threshold nets whose bounding box exceeds this many
     regions bypass iterative deletion and take their RSMT route directly
-    (engineering guard for chip-spanning nets; default 5000)
-    @param bbox_expand regions of slack added around each net's pin
-    bounding box (detour freedom; default 1)
+    (engineering guard for chip-spanning nets; default 5000); a net's
+    bounding box is its pins' plus one region of detour slack
     @param pool parallelizes the per-net candidate evaluation (connection
     graphs and detour factors); the deletion loop itself is sequential,
     so routes are identical for any job count
@@ -66,10 +64,9 @@ val shield_demand : keff:Eda_sino.Keff.params -> rate:float -> float -> float
 val route :
   grid:Eda_grid.Grid.t ->
   netlist:Eda_netlist.Netlist.t ->
-  ?weights:weights ->
+  weights:weights ->
   ?shield_model:shield_model ->
   ?big_net_threshold:int ->
-  ?bbox_expand:int ->
   ?deadline:Eda_guard.Deadline.t ->
   ?pool:Eda_exec.t ->
   unit ->

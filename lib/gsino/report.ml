@@ -70,15 +70,12 @@ module Paper = struct
     | _ -> None
 end
 
-let run_circuit ?(tech = Tech.default) ?(jobs = 1)
-    ?(cache = Flow.Config.default.Flow.Config.cache) ?store ~scale ~seed
-    profile rates =
+let run_circuit ?(tech = Tech.default) ?(jobs = 1) ?store ~scale ~seed profile
+    rates =
   let netlist =
     Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed profile
   in
-  let config kind =
-    { Flow.Config.default with Flow.Config.kind; seed; jobs; cache }
-  in
+  let config kind = { Flow.Config.default with Flow.Config.kind; seed; jobs } in
   let grid, base = Flow.prepare ~config:(config Flow.Id_no) tech netlist in
   List.map
     (fun rate ->
@@ -95,11 +92,10 @@ let run_circuit ?(tech = Tech.default) ?(jobs = 1)
     rates
 
 let run_suite ?(tech = Tech.default) ?(profiles = Generator.all_ibm)
-    ?(rates = [ 0.30; 0.50 ]) ?(jobs = 1)
-    ?(cache = Flow.Config.default.Flow.Config.cache) ?store ~scale ~seed () =
+    ?(rates = [ 0.30; 0.50 ]) ?(jobs = 1) ?store ~scale ~seed () =
   let runs =
     List.concat_map
-      (fun p -> run_circuit ~tech ~jobs ~cache ?store ~scale ~seed p rates)
+      (fun p -> run_circuit ~tech ~jobs ?store ~scale ~seed p rates)
       profiles
   in
   { scale; seed; runs }

@@ -33,12 +33,11 @@ end
 (** [run_circuit ?tech ?jobs ~scale ~seed profile rates] — prepare the
     circuit once (shared grid and conventional base routes) and run the
     three flows at each rate, on a [jobs]-domain pool (default 1).
-    [cache] is {!Flow.Config}'s panel-cache switch; [store] is a
-    caller-owned panel cache every run shares (as [Flow.run ~cache]). *)
+    [store] is a caller-owned panel cache every run shares (as
+    [Flow.run ~cache]); without it each run memoizes in its own. *)
 val run_circuit :
   ?tech:Tech.t ->
   ?jobs:int ->
-  ?cache:bool ->
   ?store:Eda_sino.Cache.t ->
   scale:float ->
   seed:int ->
@@ -53,7 +52,6 @@ val run_suite :
   ?profiles:Eda_netlist.Generator.profile list ->
   ?rates:float list ->
   ?jobs:int ->
-  ?cache:bool ->
   ?store:Eda_sino.Cache.t ->
   scale:float ->
   seed:int ->

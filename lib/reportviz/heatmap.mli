@@ -23,7 +23,7 @@ val render :
   string
 
 (** [render_predicted grid demand dir] — the pre-route RUDY expected
-    demand ({!Eda_analyze.Analyze.demand}) on the utilization encoding,
+    demand ({!Eda_analyze.Analyze.demand_map}) on the utilization encoding,
     so the report can show the analyzer's prediction side by side with
     the realized congestion of {!render}.  [demand.(r)] is the expected
     track demand of region [r]; cells where it exceeds capacity get the

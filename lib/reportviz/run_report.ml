@@ -216,10 +216,6 @@ let html ?(tech = Tech.default) ?(title = "GSINO run report") ~snapshot
      preceded by the pre-route predicted demand so prediction quality is
      visible at a glance *)
   add "<h2>Congestion and shields</h2>\n";
-  let analysis =
-    Eda_analyze.Analyze.run (Flow.analyze_config tech) ~grid:r.Flow.grid
-      ~sensitivity:r.Flow.sensitivity r.Flow.netlist
-  in
   List.iter
     (fun dir ->
       let d = Dir.to_string dir in
@@ -229,7 +225,7 @@ let html ?(tech = Tech.default) ?(title = "GSINO run report") ~snapshot
          RUDY); red cells predicted over capacity</figcaption>\n%s\n</figure>\n"
         (esc d)
         (Heatmap.render_predicted r.Flow.grid
-           (Eda_analyze.Analyze.demand analysis dir)
+           (Eda_analyze.Analyze.demand_map r.Flow.grid r.Flow.netlist dir)
            dir);
       addf
         "<figure><figcaption>Track utilization per region (%s); red cells exceed capacity</figcaption>\n%s\n</figure>\n"

@@ -14,7 +14,7 @@
        "options": {...}}] — run the flow.  [options] mirrors
       {!Gsino.Flow.Config} where a client may choose ([flow], [router],
       [budgeting], [seed], [rate], [deadline_ms]) plus the [artifacts]
-      the response should embed; [jobs] and the panel cache stay server
+      the response should embed; [jobs] and the panel store stay server
       decisions.  Unknown option fields are rejected, not ignored — a
       typo must not silently change a routing run.
 
@@ -93,7 +93,9 @@ type stats = {
   active : int;  (** requests currently being served *)
   workers : int;
   jobs : int;
-  cache_len : int;  (** entries in the shared panel cache *)
+  cache_len : int;
+      (** entries in the daemon's [--panel-cache] store; 0 without one
+          (each request's cache then ends with the request) *)
   draining : bool;
 }
 

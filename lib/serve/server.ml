@@ -63,7 +63,6 @@ type t = {
   mutable next_serial : int;
   mutable accept_done : bool;
   mutable workers_live : int;
-  cache : Cache.t;
   template : Metrics.registry;
   m_queue_depth : Metrics.gauge;
   m_served : Metrics.counter;
@@ -97,7 +96,7 @@ let stats t =
         active = t.active;
         workers = t.cfg.workers;
         jobs = t.cfg.jobs;
-        cache_len = Cache.length t.cache;
+        cache_len = Option.fold ~none:0 ~some:Cache.length t.cfg.cache;
         draining = Atomic.get t.draining;
       })
 
@@ -242,7 +241,10 @@ let effective_budget_ms t (options : Protocol.options) =
 
 (* The route computation itself: the batch commands' Flow.run_kinds on
    the request's one kind, then Flow.check, so a served response is
-   byte-comparable to the batch CLI's artifacts. *)
+   byte-comparable to the batch CLI's artifacts.  Its flow memoizes in
+   the daemon's --panel-cache store when there is one, else in a cache
+   of its own: the cache key holds the flow seed, so requests that
+   differ only in seed share no entry. *)
 let route_result t pool (job : job) deadline =
   Fault.point "serve.request";
   let { Protocol.kind; router; budgeting; seed; rate; artifacts; _ } =
@@ -255,8 +257,8 @@ let route_result t pool (job : job) deadline =
   in
   let r =
     List.hd
-      (Flow.run_kinds ~pool ~cache:t.cache ~deadline config tech ~rate [ kind ]
-         netlist ~f:Fun.id)
+      (Flow.run_kinds ~pool ?cache:t.cfg.cache ~deadline config tech ~rate
+         [ kind ] netlist ~f:Fun.id)
   in
   let diags = Flow.check ~tech r in
   let artifact = function
@@ -372,9 +374,6 @@ let start_draining draining cfg =
   let m_served = Metrics.counter "serve.served" in
   let m_errors = Metrics.counter "serve.errors" in
   let m_disconnects = Metrics.counter "serve.disconnects" in
-  let cache =
-    match cfg.cache with Some c -> c | None -> Cache.create ()
-  in
   (try Unix.unlink cfg.socket with Unix.Unix_error (_, _, _) -> ());
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -402,7 +401,6 @@ let start_draining draining cfg =
       next_serial = 0;
       accept_done = false;
       workers_live = cfg.workers;
-      cache;
       template;
       m_queue_depth;
       m_served;

@@ -7,9 +7,10 @@
     {!drain} (async-signal-safe) stops admission; {!wait} blocks until
     every in-flight request has finished or timed out, joins the
     domains and unlinks the socket.  {!run} wires SIGTERM/SIGINT to
-    {!drain} and does all of it.  The shared panel cache is the
-    caller's: [gsino_serve daemon] loads its [--panel-cache] store
-    before {!run} and saves it after.
+    {!drain} and does all of it.  The panel store is the caller's:
+    [gsino_serve daemon] loads its [--panel-cache] store before {!run}
+    and saves it after.  Without a store each request memoizes in a
+    cache of its own.
 
     Isolation invariants (tested in [test_serve] and the CI serve gate):
     - any per-request failure — parse error, router panic, injected
@@ -39,13 +40,13 @@ type config = {
           0 = wait for natural completion *)
   read_timeout_s : float;  (** per-wait stall bound reading a request *)
   cache : Eda_sino.Cache.t option;
-      (** the panel cache every request shares; [None] = a fresh
-          in-process one *)
+      (** the panel store every request shares; [None] = none, each
+          request's flow memoizes in a cache of its own *)
 }
 
 (** [gsino.sock], 2 workers, 1 job each, queue bound 16, 64 MiB frames,
-    no deadline cap, no drain grace, 10 s read timeout, a fresh panel
-    cache. *)
+    no deadline cap, no drain grace, 10 s read timeout, no panel
+    store. *)
 val default_config : config
 
 type t

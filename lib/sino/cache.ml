@@ -345,8 +345,8 @@ let parse_entry t lines =
       insert t ~key ~inst ~warm { slots; effort };
       rest
 
-let load ?capacity dir =
-  let t = create ?capacity () in
+let load dir =
+  let t = create () in
   let file = file_of dir in
   if not (Sys.file_exists file) then t
   else begin
@@ -373,10 +373,10 @@ let load ?capacity dir =
           Log.warn
             ~fields:[ ("file", file) ]
             "corrupt panel cache store (%s); starting empty" msg;
-          create ?capacity ())
+          create ())
     | _ :: _ | [] ->
         Log.warn
           ~fields:[ ("file", file) ]
           "unrecognized panel cache store header; starting empty";
-        create ?capacity ()
+        create ()
   end

@@ -76,9 +76,10 @@ val find :
     the most-recently-used position. *)
 val store : t -> key:string -> inst:Instance.t -> ?warm:int array -> value -> unit
 
-(** [load ?capacity dir] — read [dir]'s store file; a missing file is an
-    empty cache, a malformed one is an empty cache plus a warning. *)
-val load : ?capacity:int -> string -> t
+(** [load dir] — read [dir]'s store file into a cache of the default
+    capacity; a missing file is an empty cache, a malformed one is an
+    empty cache plus a warning. *)
+val load : string -> t
 
 (** [save t dir] — atomically write the store file (unique per-writer
     temp file + rename), creating [dir] if needed, least-recently-used

@@ -1,5 +1,6 @@
 module Rng = Eda_util.Rng
 module Matrix = Eda_util.Matrix
+module Metrics = Eda_obs.Metrics
 
 type coeffs = { a1 : float; a2 : float; a3 : float; a4 : float; a5 : float; a6 : float }
 
@@ -34,7 +35,11 @@ let random_instance rng ~kth_of =
   let sensitive i j = i <> j && Rng.pair_hash ~seed:pair_seed i j < rate in
   Instance.make ~nets ~kth ~sensitive
 
+(* The solves record into a registry of their own: they model the
+   solver, they are not work of the caller's flow, whose sino.* series
+   would otherwise count them. *)
 let sample_set ?(params = Keff.default) ~trials ~seed ~kth_of () =
+  Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
   let rng = Rng.create seed in
   List.init trials (fun _ ->
       let inst = random_instance rng ~kth_of in

@@ -29,7 +29,9 @@ val predict_uniform : coeffs -> nns:int -> rate:float -> float
 (** [fit ?params ?trials ?seed ~kth_of ()] generates random instances
     (sizes 2–80, sensitivity rates 0.1–0.8), solves min-area SINO on each,
     and returns the least-squares coefficients.  [kth_of rng] samples the
-    per-net K bound; use the distribution your budgeting produces. *)
+    per-net K bound; use the distribution your budgeting produces.  The
+    solves, here and in {!accuracy}, record their [sino.*] metrics in a
+    private registry: the caller's registry is unchanged. *)
 val fit :
   ?params:Keff.params ->
   ?trials:int ->

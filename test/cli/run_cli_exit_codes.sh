@@ -86,6 +86,35 @@ expect_metric() {
   fi
 }
 
+# the value of a label-less counter in a snapshot file (empty if absent)
+metric_value() {
+  grep -o "\"name\":\"$2\",\"labels\":{},\"kind\":\"counter\",\"value\":[0-9]*" "$1" \
+    | grep -o '[0-9]*$'
+}
+
+# a label-less counter must be positive in a snapshot file
+expect_metric_positive() {
+  local v
+  v=$(metric_value "$1" "$2")
+  if [ -z "$v" ] || [ "$v" -le 0 ]; then
+    echo "FAIL $1: $2 = ${v:-missing}, expected > 0"
+    failures=$((failures + 1))
+  fi
+}
+
+# a label-less counter must be present and equal in two snapshot files
+expect_same_metric() {
+  local a b
+  a=$(metric_value "$1" "$3")
+  b=$(metric_value "$2" "$3")
+  if [ -z "$a" ] || [ "$a" != "$b" ]; then
+    echo "FAIL $3: ${a:-missing} in $1, ${b:-missing} in $2"
+    failures=$((failures + 1))
+  else
+    echo "ok   $3 equal in $1 and $2 ($a)"
+  fi
+}
+
 base=(-c ibm01 -s 0.02 --seed 7 -q)
 
 # ---- exit 0: clean runs ----
@@ -97,7 +126,11 @@ expect_metric audit.json "analyze.runs"
 expect_metric audit.json "analyze.cut_overflows"
 expect_metric audit.json "analyze.findings"
 # the flow's pre-route audit pass is an exit-0 no-op on a healthy instance
-expect 0 "gsino_run --audit clean" -- "$RUN" run "${base[@]}" --jobs 1 --audit
+expect 0 "gsino_run --audit clean" -- "$RUN" run "${base[@]}" --jobs 1 --audit \
+  --metrics audited.json
+# ... and its Formula-3 fit solves record privately, so the flows'
+# sino.* series do not count them
+expect_same_metric clean.json audited.json "sino.instances"
 
 # ---- exit 2: usage / input errors ----
 printf 'gsino-netlist v1\nname bad\ngrid 4 4 10\nnet 0 0 0 9 9\n' >bad.nl
@@ -201,8 +234,8 @@ expect_stderr "GSL0023" "matrix.lu"
 expect 0 "phase2.solve fault degrades" -- \
   env GSINO_FAULTS="phase2.solve=raise#123" "$RUN" run "${base[@]}" --jobs 1 \
   --metrics degraded.json
-expect_metric degraded.json "guard.retries"
-expect_metric degraded.json "guard.fallbacks"
+expect_metric_positive degraded.json "guard.retries"
+expect_metric_positive degraded.json "guard.fallbacks"
 env GSINO_FAULTS="phase2.solve=raise#123" \
   "$RUN" lint "${base[@]}" --max-print 0 >lint.out 2>/dev/null
 if ! grep -q "GSL0018" lint.out; then

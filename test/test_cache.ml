@@ -122,6 +122,24 @@ let test_order_only_not_cached () =
     (s.Solver.cache = None);
   Alcotest.(check int) "nothing stored" 0 (Cache.length cache)
 
+(* Without a caller's store a flow memoizes in a cache of its own; its
+   in-run repeats are what that cache saves. *)
+let test_flow_memoizes_without_store () =
+  let module Flow = Gsino.Flow in
+  let module Metrics = Eda_obs.Metrics in
+  let tech = Gsino.Tech.default in
+  let nl =
+    Eda_netlist.Generator.generate ~gcell_um:tech.Gsino.Tech.gcell_um
+      ~scale:0.02 ~seed:7 Eda_netlist.Generator.ibm01
+  in
+  let sensitivity = Eda_netlist.Sensitivity.make ~seed:11 ~rate:0.30 in
+  let stores =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    ignore (Flow.run Flow.Config.default tech ~sensitivity nl);
+    Metrics.counter_total (Metrics.snapshot ()) "sino.cache_stores"
+  in
+  Alcotest.(check bool) "the flow's own cache stored solves" true (stores > 0)
+
 (* ---------------- on-disk store ---------------- *)
 
 let tmpdir () = Filename.temp_file "gsino_cache" "" |> fun f ->
@@ -329,6 +347,8 @@ let suites =
         Alcotest.test_case "dispositions and byte-identity" `Quick
           test_solve_dispositions;
         Alcotest.test_case "order-only bypass" `Quick test_order_only_not_cached;
+        Alcotest.test_case "a flow without a store memoizes" `Slow
+          test_flow_memoizes_without_store;
       ] );
     ( "cache.disk",
       [

@@ -19,6 +19,14 @@ open Gsino
 let p = Point.make
 let tech = Tech.default
 
+(* Formula (2)'s constants, as Flow passes them to the ID router *)
+let weights =
+  {
+    Id_router.alpha = tech.Tech.alpha;
+    beta = tech.Tech.beta;
+    gamma = tech.Tech.gamma;
+  }
+
 let tiny =
   lazy
     (Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:0.02 ~seed:7
@@ -338,7 +346,7 @@ let qcheck_tests =
             routes
         in
         ok (Nc_router.route ~grid ~netlist:nl ())
-        && ok (Id_router.route ~grid ~netlist:nl ()));
+        && ok (Id_router.route ~grid ~netlist:nl ~weights ()));
     Test.make ~name:"io roundtrip on random netlists" ~count:20
       (int_range 1 10_000)
       (fun seed ->

@@ -17,6 +17,15 @@ open Gsino
 
 let p = Point.make
 let tech = Tech.default
+
+(* Formula (2)'s constants, as Flow passes them to the ID router *)
+let weights =
+  {
+    Id_router.alpha = tech.Tech.alpha;
+    beta = tech.Tech.beta;
+    gamma = tech.Tech.gamma;
+  }
+
 let lsk_model = lazy (Tech.lsk_model tech)
 
 (* shared tiny benchmark circuit: a scaled ibm01 *)
@@ -141,7 +150,9 @@ let test_router_big_net_fallback () =
   in
   let nl = Netlist.make ~name:"big" ~grid_w:10 ~grid_h:10 ~gcell_um:50.0 nets in
   (* threshold 4 forces the direct-RSMT path *)
-  let routes = Id_router.route ~grid:g ~netlist:nl ~big_net_threshold:4 () in
+  let routes =
+    Id_router.route ~grid:g ~netlist:nl ~weights ~big_net_threshold:4 ()
+  in
   Alcotest.(check bool) "fallback still connects" true
     (Route.connects g routes.(0) (Net.pins nets.(0)));
   Alcotest.(check int) "L-route length" 18 (Route.num_edges routes.(0))
@@ -154,7 +165,7 @@ let test_router_congestion_balancing () =
     Array.init 8 (fun id -> Net.make ~id ~source:(p 0 1) ~sinks:[| p 1 1 |])
   in
   let nl = Netlist.make ~name:"chan" ~grid_w:2 ~grid_h:4 ~gcell_um:50.0 nets in
-  let routes = Id_router.route ~grid:g ~netlist:nl () in
+  let routes = Id_router.route ~grid:g ~netlist:nl ~weights () in
   let u = Usage.of_routes g ~gcell_um:50.0 (Array.to_list routes) in
   (* all 8 nets cross from column 0 to column 1; capacity per region is 3,
      so at least two rows must be used *)

@@ -199,6 +199,35 @@ let test_html_report_heatmaps_per_dir () =
     (count_sub ~sub:"<figure><figcaption>Track utilization" html
     + count_sub ~sub:"<figure><figcaption>Shield tracks" html)
 
+(* The predicted-congestion figure needs the RUDY map only: rendering
+   runs no audit (analyze.runs stays put), and the figure is the one a
+   full audit's demand would draw. *)
+let test_html_report_runs_no_audit () =
+  let module Analyze = Eda_analyze.Analyze in
+  let r, snapshot = Lazy.force fixture in
+  let html, runs =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    let html = Run_report.html ~tech ~snapshot r in
+    (html, Metrics.counter_total (Metrics.snapshot ()) "analyze.runs")
+  in
+  Alcotest.(check int) "no analyze.runs" 0 runs;
+  let audit =
+    Analyze.run (Flow.analyze_config tech) ~grid:r.Flow.grid
+      ~sensitivity:r.Flow.sensitivity r.Flow.netlist
+  in
+  List.iter
+    (fun dir ->
+      let demand = Analyze.demand audit dir in
+      Alcotest.(check bool)
+        (Dir.to_string dir ^ " demand_map = the audit's demand")
+        true
+        (Analyze.demand_map r.Flow.grid r.Flow.netlist dir = demand);
+      Alcotest.(check bool)
+        (Dir.to_string dir ^ " figure drawn from it")
+        true
+        (contains ~sub:(Heatmap.render_predicted r.Flow.grid demand dir) html))
+    Dir.all
+
 let test_text_report () =
   let r, snapshot = Lazy.force fixture in
   let txt = Run_report.text ~tech ~snapshot r in
@@ -238,6 +267,8 @@ let suites =
           test_html_report_self_contained;
         Alcotest.test_case "html heatmaps per dir" `Quick
           test_html_report_heatmaps_per_dir;
+        Alcotest.test_case "html runs no audit" `Quick
+          test_html_report_runs_no_audit;
         Alcotest.test_case "text report" `Quick test_text_report;
         Alcotest.test_case "write_html" `Quick test_write_html;
       ] );

@@ -323,6 +323,25 @@ let route_metrics ~socket what artifacts =
   | Some m -> m
   | None -> Alcotest.fail (what ^ ": no metrics artifact")
 
+(* A daemon without a store gives each request a cache of its own: a
+   repeat request hits exactly as often as the first, and the daemon
+   keeps no entry. *)
+let test_storeless_requests_independent () =
+  with_server @@ fun ~socket _t ->
+  let hits what =
+    Eda_obs.Metrics.counter_total
+      (metrics_of_artifact (route_metrics ~socket what [ Protocol.Metrics ]))
+      "sino.cache_hits"
+  in
+  let h1 = hits "request 1" in
+  Alcotest.(check int) "a repeat hits no entry of request 1" h1
+    (hits "request 2");
+  match Client.request ~timeout_s:10.0 socket Protocol.Stats with
+  | Protocol.Stats_reply s ->
+      Alcotest.(check int) "cache_len" 0 s.Protocol.cache_len
+  | Protocol.Pong | Protocol.Result _ | Protocol.Err _ ->
+      Alcotest.fail "stats: wrong response kind"
+
 (* A request that registers an instrument lazily (the trace artifact
    registers trace.dropped_spans) must not leak it into the next
    requests' exports on the same reused worker domain, and a later
@@ -480,6 +499,8 @@ let suites =
       [
         Alcotest.test_case "concurrent identity" `Slow
           test_route_identity_concurrent;
+        Alcotest.test_case "storeless requests independent" `Slow
+          test_storeless_requests_independent;
         Alcotest.test_case "lazy instrument isolated" `Slow
           test_lazy_instrument_isolated;
         Alcotest.test_case "parallel sections every request" `Slow

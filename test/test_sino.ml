@@ -407,6 +407,22 @@ let test_estimate_fit_quality () =
     (Printf.sprintf "MAE %.2f <= 2.5 shields" q.Estimate.mean_abs_err)
     true (q.Estimate.mean_abs_err <= 2.5)
 
+(* The fit's solves model the solver; they are no work of the caller,
+   whose sino.* series must not count them. *)
+let test_estimate_private_metrics () =
+  let module Metrics = Eda_obs.Metrics in
+  let sino () =
+    List.filter
+      (fun (name, _, _) -> String.starts_with ~prefix:"sino." name)
+      (Metrics.entries (Metrics.snapshot ()))
+  in
+  Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+  let before = sino () in
+  let kth_of _ = 0.8 in
+  let c = Estimate.fit ~trials:12 ~seed:5 ~kth_of () in
+  ignore (Estimate.accuracy ~trials:6 ~seed:6 ~kth_of c);
+  Alcotest.(check bool) "caller's sino.* series unchanged" true (sino () = before)
+
 let test_estimate_monotone_in_density () =
   let c = Gsino.Tech.estimate_coeffs () in
   let lo = Estimate.predict_uniform c ~nns:30 ~rate:0.2 in
@@ -569,6 +585,8 @@ let suites =
         Alcotest.test_case "features" `Quick test_estimate_features;
         Alcotest.test_case "predict clamped" `Quick test_estimate_predict_clamped;
         Alcotest.test_case "fit quality" `Slow test_estimate_fit_quality;
+        Alcotest.test_case "fit records privately" `Quick
+          test_estimate_private_metrics;
         Alcotest.test_case "monotone in density" `Slow test_estimate_monotone_in_density;
       ] );
     ("sino.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
