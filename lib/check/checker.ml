@@ -13,6 +13,7 @@ type panel = {
   dir : Dir.t;
   shields : int;
   nets : int array;
+  kth : float array;
   feasible : bool;
   degraded : bool;
 }
@@ -441,8 +442,10 @@ let rule_deadline sol =
 
 (* GSL0028: a feasible panel must carry at least as many shields as the
    clique lower bound of Eda_sino.Bound, which holds for every feasible
-   layout of its nets.  Fewer shields means the layout cannot actually
-   satisfy the capacitive + inductive constraints it claims to. *)
+   layout of its nets under the bounds it was solved against (refinement
+   relaxes those per panel).  Fewer shields means the layout cannot
+   actually satisfy the capacitive + inductive constraints it claims
+   to. *)
 let rule_shield_lb sol =
   let n = Array.length sol.kth in
   List.filter_map
@@ -450,12 +453,11 @@ let rule_shield_lb sol =
       if
         p.feasible
         && Array.length p.nets >= 2
+        && Array.length p.kth = Array.length p.nets
         && Array.for_all (fun i -> i >= 0 && i < n) p.nets
       then begin
         let inst =
-          Eda_sino.Instance.make ~nets:p.nets
-            ~kth:(Array.map (fun i -> sol.kth.(i)) p.nets)
-            ~sensitive:sol.sensitive
+          Eda_sino.Instance.make ~nets:p.nets ~kth:p.kth ~sensitive:sol.sensitive
         in
         let lb = Eda_sino.Bound.shield_lower_bound ~params:sol.keff inst in
         if p.shields < lb then

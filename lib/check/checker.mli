@@ -45,7 +45,8 @@
     - [GSL0019 [W]] deadline expired during the run: the named phases
       returned best-so-far results
     - [GSL0028 [E]] feasible SINO panel carries fewer shields than the
-      clique lower bound of {!Eda_sino.Bound} proves necessary (codes
+      clique lower bound of {!Eda_sino.Bound} proves necessary under the
+      panel's own [kth] bounds (codes
       0020–0023 belong to the [Eda_guard] failure classes and 0024–0027
       to the [Eda_analyze] pre-route audit) *)
 
@@ -55,7 +56,10 @@ type panel = {
   dir : Eda_grid.Dir.t;
   shields : int;  (** shield tracks the SINO layout inserted there *)
   nets : int array;  (** global ids of the nets in the panel *)
-  feasible : bool;  (** SINO layout feasible under the [Kth] bounds *)
+  kth : float array;
+      (** the bound of each of [nets], as the layout was solved against
+          it: Phase I's, or the one refinement relaxed it to *)
+  feasible : bool;  (** SINO layout feasible under the [kth] bounds *)
   degraded : bool;  (** layout came from the retry/fallback path *)
 }
 

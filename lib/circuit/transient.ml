@@ -2,6 +2,9 @@ module M = Eda_util.Matrix
 
 type result = { times : float array; data : float array array }
 
+(* Voltage of [node] in the state vector [st] (node 0 is ground). *)
+let[@inline] node_v st node = if node = 0 then 0.0 else st.(node - 1)
+
 (* Unknown ordering: node voltages 1..N (ground dropped), then inductor
    currents, then source currents. *)
 let run c ~dt ~t_end ~probes =
@@ -32,18 +35,37 @@ let run c ~dt ~t_end ~probes =
       M.add_to a (vrow n2) (vrow n1) (-.g)
     end
   in
-  let lmat = Mna.inductance_matrix c in
+  (* the inductance matrix's non-zero entries: row [i] holds columns
+     [kcol.(kptr.(i)) .. kcol.(kptr.(i + 1) - 1)], ascending *)
+  let kptr, kcol, kval = M.nonzero_rows (Mna.inductance_matrix c) in
   let two_over_h = 2.0 /. dt in
-  (* capacitor bookkeeping for companion-model state *)
+  (* per-step element tables, in element order: capacitors as
+     (a, b, companion conductance), inductors as (a, b, index), sources
+     as (waveform, index) *)
   let caps =
-    List.filter_map
-      (function
-        | Mna.C (x, y, v) -> Some (x, y, v)
-        | Mna.R _ | Mna.L _ | Mna.K _ | Mna.V _ -> None)
-      elems
+    Array.of_list
+      (List.filter_map
+         (function
+           | Mna.C (x, y, cv) -> Some (x, y, two_over_h *. cv)
+           | Mna.R _ | Mna.L _ | Mna.K _ | Mna.V _ -> None)
+         elems)
   in
-  let n_c = List.length caps in
-  let cap_arr = Array.of_list caps in
+  let inds =
+    Array.of_list
+      (List.filter_map
+         (function
+           | Mna.L (x, y, _, i) -> Some (x, y, i)
+           | Mna.R _ | Mna.C _ | Mna.K _ | Mna.V _ -> None)
+         elems)
+  in
+  let srcs =
+    Array.of_list
+      (List.filter_map
+         (function
+           | Mna.V (_, _, w, i) -> Some (w, i)
+           | Mna.R _ | Mna.C _ | Mna.L _ | Mna.K _ -> None)
+         elems)
+  in
   List.iter
     (function
       | Mna.R (x, y, r) -> stamp_g x y (1.0 /. r)
@@ -55,9 +77,8 @@ let run c ~dt ~t_end ~probes =
           (* branch voltage equation *)
           if x > 0 then M.add_to a (lrow i) (vrow x) 1.0;
           if y > 0 then M.add_to a (lrow i) (vrow y) (-1.0);
-          for k = 0 to n_l - 1 do
-            let lik = M.get lmat i k in
-            if lik <> 0.0 then M.add_to a (lrow i) (lrow k) (-.two_over_h *. lik)
+          for p = kptr.(i) to kptr.(i + 1) - 1 do
+            M.add_to a (lrow i) (lrow kcol.(p)) (-.two_over_h *. kval.(p))
           done
       | Mna.K _ -> ()
       | Mna.V (x, y, _, i) ->
@@ -69,66 +90,69 @@ let run c ~dt ~t_end ~probes =
   Eda_guard.Fault.point "matrix.lu";
   let lu = M.lu_factor a in
   let steps = int_of_float (Float.ceil (t_end /. dt)) in
-  let x = Array.make size 0.0 in
-  let cap_i = Array.make n_c 0.0 in
-  let node_v st n = if n = 0 then 0.0 else st.(vrow n) in
+  (* [x] is the previous step's state, [x'] the new one *)
+  let x = Array.make size 0.0 and x' = Array.make size 0.0 in
+  let cap_i = Array.make (Array.length caps) 0.0 in
   let probe_arr = Array.of_list probes in
+  let n_p = Array.length probe_arr in
   let times = Array.make (steps + 1) 0.0 in
   let data = Array.map (fun _ -> Array.make (steps + 1) 0.0) probe_arr in
-  Array.iteri (fun p n -> data.(p).(0) <- node_v x n) probe_arr;
+  for p = 0 to n_p - 1 do
+    data.(p).(0) <- node_v x probe_arr.(p)
+  done;
   let rhs = Array.make size 0.0 in
   for step = 1 to steps do
     let t = float_of_int step *. dt in
     Array.fill rhs 0 size 0.0;
     (* capacitor companion sources from previous state *)
-    Array.iteri
-      (fun ci (nx, ny, cv) ->
-        let geq = two_over_h *. cv in
-        let v_prev = node_v x nx -. node_v x ny in
-        let ieq = (geq *. v_prev) +. cap_i.(ci) in
-        if nx > 0 then rhs.(vrow nx) <- rhs.(vrow nx) +. ieq;
-        if ny > 0 then rhs.(vrow ny) <- rhs.(vrow ny) -. ieq)
-      cap_arr;
+    for ci = 0 to Array.length caps - 1 do
+      let nx, ny, geq = caps.(ci) in
+      let v_prev = node_v x nx -. node_v x ny in
+      let ieq = (geq *. v_prev) +. cap_i.(ci) in
+      if nx > 0 then rhs.(vrow nx) <- rhs.(vrow nx) +. ieq;
+      if ny > 0 then rhs.(vrow ny) <- rhs.(vrow ny) -. ieq
+    done;
     (* inductor branch equations *)
-    List.iter
-      (function
-        | Mna.L (nx, ny, _, i) ->
-            let v_prev = node_v x nx -. node_v x ny in
-            let flux = ref 0.0 in
-            for k = 0 to n_l - 1 do
-              flux := !flux +. (M.get lmat i k *. x.(lrow k))
-            done;
-            rhs.(lrow i) <- -.v_prev -. (two_over_h *. !flux)
-        | Mna.V (_, _, w, i) -> rhs.(srow i) <- Waveform.value w t
-        | Mna.R _ | Mna.C _ | Mna.K _ -> ())
-      elems;
-    let x' = M.lu_solve lu rhs in
+    for j = 0 to Array.length inds - 1 do
+      let nx, ny, i = inds.(j) in
+      let v_prev = node_v x nx -. node_v x ny in
+      let flux = ref 0.0 in
+      for p = kptr.(i) to kptr.(i + 1) - 1 do
+        flux := !flux +. (kval.(p) *. x.(lrow kcol.(p)))
+      done;
+      rhs.(lrow i) <- -.v_prev -. (two_over_h *. !flux)
+    done;
+    for j = 0 to Array.length srcs - 1 do
+      let w, i = srcs.(j) in
+      rhs.(srow i) <- Waveform.value w t
+    done;
+    M.lu_solve_into lu rhs x';
     x'.(0) <- Eda_guard.Fault.corrupt "matrix.lu" x'.(0);
     (* A NaN/Inf here would otherwise propagate through the companion
        state and surface downstream as a garbage noise figure; fail at
        the source with the step that produced it. *)
-    Array.iteri
-      (fun i v ->
-        if not (Float.is_finite v) then
-          Eda_guard.Error.raise_
-            (Eda_guard.Error.Nonfinite
-               {
-                 site = "matrix.lu";
-                 what = Printf.sprintf "unknown %d at t=%.4e s" i t;
-               }))
-      x';
+    for i = 0 to size - 1 do
+      if not (Float.is_finite x'.(i)) then
+        Eda_guard.Error.raise_
+          (Eda_guard.Error.Nonfinite
+             {
+               site = "matrix.lu";
+               what = Printf.sprintf "unknown %d at t=%.4e s" i t;
+             })
+    done;
     (* update capacitor currents: i_n = Geq v_n - Ieq(prev) *)
-    Array.iteri
-      (fun ci (nx, ny, cv) ->
-        let geq = two_over_h *. cv in
-        let v_prev = node_v x nx -. node_v x ny in
-        let ieq = (geq *. v_prev) +. cap_i.(ci) in
-        let v_now = node_v x' nx -. node_v x' ny in
-        cap_i.(ci) <- (geq *. v_now) -. ieq)
-      cap_arr;
+    for ci = 0 to Array.length caps - 1 do
+      let nx, ny, geq = caps.(ci) in
+      let v_prev = node_v x nx -. node_v x ny in
+      let ieq = (geq *. v_prev) +. cap_i.(ci) in
+      let v_now = node_v x' nx -. node_v x' ny in
+      cap_i.(ci) <- (geq *. v_now) -. ieq
+    done;
     Array.blit x' 0 x 0 size;
     times.(step) <- t;
-    Array.iteri (fun p n -> data.(p).(step) <- node_v x n) probe_arr
+    for p = 0 to n_p - 1 do
+      data.(p).(step) <- node_v x probe_arr.(p)
+    done
   done;
   { times; data }
 

@@ -1,9 +1,13 @@
 (** Fixed-step trapezoidal transient analysis of an {!Mna} circuit.
 
     The system matrix is constant for a fixed step, so it is LU-factored
-    once and each timestep is a single back-substitution — the standard
-    linear-circuit fast path.  The circuit is assumed at rest at t = 0
-    (all waveforms must start at 0; checked). *)
+    once and each timestep is a single forward and back substitution —
+    the standard linear-circuit fast path.  The factors are kept
+    row-compressed ({!Eda_util.Matrix.lu_solve_into}), so a step walks
+    only their non-zero entries, and the inductor flux terms read the
+    inductance matrix's non-zero rows precomputed once per run; a step
+    allocates no more than a few boxed floats.  The circuit is
+    assumed at rest at t = 0 (all waveforms must start at 0; checked). *)
 
 type result = {
   times : float array;

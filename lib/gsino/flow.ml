@@ -316,14 +316,21 @@ let check ?(tech = Tech.default) r =
   let module Checker = Eda_check.Checker in
   let panels = ref [] in
   Phase2.iter r.phase2 (fun (region, dir) s ->
-      let nets = Array.of_seq (Hashtbl.to_seq_keys s.Phase2.k) in
-      Array.sort compare nets;
+      (* the panel's nets by id, with the bounds its layout was solved
+         against *)
+      let inst = s.Phase2.inst in
+      let bounds =
+        Array.init (Eda_sino.Instance.size inst) (fun slot ->
+            (Eda_sino.Instance.net_id inst slot, Eda_sino.Instance.kth inst slot))
+      in
+      Array.sort (fun (a, _) (b, _) -> compare a b) bounds;
       panels :=
         {
           Checker.region;
           dir;
           shields = Eda_sino.Layout.num_shields s.Phase2.layout;
-          nets;
+          nets = Array.map fst bounds;
+          kth = Array.map snd bounds;
           feasible = s.Phase2.feasible;
           degraded = s.Phase2.degraded;
         }

@@ -69,6 +69,40 @@ let steiner_route grid net =
   Route.of_edges grid ~net:net.Net.id edges
 
 (* ------------------------------------------------------------------ *)
+(* Per-edge geometry, decoded once per [route] call so the deletion loop
+   reads flat arrays instead of edge ids. *)
+
+type geometry = {
+  dir : int array;  (** 0 for an H edge, 1 for a V edge *)
+  ra : int array;  (** region of the edge's first end *)
+  rb : int array;  (** region of its second end *)
+  cap_a : float array;  (** capacity of [ra] in the edge's direction *)
+  cap_b : float array;  (** capacity of [rb] in the edge's direction *)
+}
+
+let geometry grid =
+  let n = Grid.num_edges grid in
+  let g =
+    {
+      dir = Array.make n 0;
+      ra = Array.make n 0;
+      rb = Array.make n 0;
+      cap_a = Array.make n 0.0;
+      cap_b = Array.make n 0.0;
+    }
+  in
+  for e = 0 to n - 1 do
+    let d = Grid.edge_dir grid e in
+    let a, b = Grid.edge_ends grid e in
+    g.dir.(e) <- (match d with Dir.H -> 0 | Dir.V -> 1);
+    g.ra.(e) <- Grid.region_id grid a;
+    g.rb.(e) <- Grid.region_id grid b;
+    g.cap_a.(e) <- float_of_int (Grid.cap grid a d);
+    g.cap_b.(e) <- float_of_int (Grid.cap grid b d)
+  done;
+  g
+
+(* ------------------------------------------------------------------ *)
 (* Per-net connection-graph state. *)
 
 type net_state = {
@@ -85,7 +119,7 @@ type net_state = {
 let region_dist grid r1 r2 =
   Point.manhattan (Grid.region_pt grid r1) (Grid.region_pt grid r2)
 
-let build_state grid net rsmt_len edges =
+let build_state grid geo net rsmt_len edges =
   let pin_regions =
     Net.pins net
     |> List.map (Grid.region_id grid)
@@ -102,8 +136,7 @@ let build_state grid net rsmt_len edges =
   List.iter
     (fun e ->
       Hashtbl.replace alive e (ref false);
-      let a, b = Grid.edge_ends grid e in
-      let ra = Grid.region_id grid a and rb = Grid.region_id grid b in
+      let ra = geo.ra.(e) and rb = geo.rb.(e) in
       add_incident ra e;
       add_incident rb e;
       (* detour factor: cheapest pin-to-pin connection forced through e,
@@ -130,45 +163,51 @@ let build_state grid net rsmt_len edges =
     mem = Hashtbl.create 32;
   }
 
+let rec mem_from (a : int array) x i =
+  i < Array.length a && (a.(i) = x || mem_from a x (i + 1))
+
+let incident_of st r =
+  match Hashtbl.find st.incident r with l -> l | exception Not_found -> []
+
 (* Are all pins still connected if [skip] is ignored?  BFS over alive
-   edges, marks in a stamped scratch array to avoid re-allocation. *)
-let connected_without grid st ~mark ~stamp ~skip =
+   edges on the caller's flat [queue] (one slot per region), marking in
+   a stamped scratch array: nothing is allocated per call. *)
+let connected_without geo st ~mark ~queue ~stamp ~skip =
   let npins = Array.length st.pin_regions in
   if npins <= 1 then true
   else begin
     let start = st.pin_regions.(0) in
-    let q = Queue.create () in
     mark.(start) <- stamp;
-    Queue.add start q;
+    queue.(0) <- start;
+    let head = ref 0 and tail = ref 1 in
     let seen_pins = ref 1 in
-    let is_pin r = Array.exists (fun p -> p = r) st.pin_regions in
-    (try
-       while not (Queue.is_empty q) do
-         let r = Queue.take q in
-         List.iter
-           (fun e ->
-             if e <> skip && Hashtbl.mem st.alive e then begin
-               let a, b = Grid.edge_ends grid e in
-               let ra = Grid.region_id grid a and rb = Grid.region_id grid b in
-               let other = if ra = r then rb else ra in
-               if mark.(other) <> stamp then begin
-                 mark.(other) <- stamp;
-                 if is_pin other then begin
-                   incr seen_pins;
-                   if !seen_pins = npins then raise Exit
-                 end;
-                 Queue.add other q
-               end
-             end)
-           (Option.value (Hashtbl.find_opt st.incident r) ~default:[])
-       done
-     with Exit -> ());
+    while !head < !tail && !seen_pins < npins do
+      let r = queue.(!head) in
+      incr head;
+      let rest = ref (incident_of st r) in
+      while !seen_pins < npins && not (List.is_empty !rest) do
+        match !rest with
+        | [] -> ()
+        | e :: tl ->
+            rest := tl;
+            if e <> skip && Hashtbl.mem st.alive e then begin
+              let ra = geo.ra.(e) and rb = geo.rb.(e) in
+              let other = if ra = r then rb else ra in
+              if mark.(other) <> stamp then begin
+                mark.(other) <- stamp;
+                if mem_from st.pin_regions other 0 then incr seen_pins;
+                queue.(!tail) <- other;
+                incr tail
+              end
+            end
+      done
+    done;
     !seen_pins = npins
   end
 
 (* Prune to the minimal Steiner tree: repeatedly drop degree-1 regions
    that are not pins. *)
-let prune_tree grid st =
+let prune_tree geo st =
   let deg = Hashtbl.create 32 in
   let bump r d =
     Hashtbl.replace deg r (d + Option.value (Hashtbl.find_opt deg r) ~default:0)
@@ -176,21 +215,19 @@ let prune_tree grid st =
   let edge_list () = List.of_seq (Hashtbl.to_seq_keys st.alive) in
   List.iter
     (fun e ->
-      let a, b = Grid.edge_ends grid e in
-      bump (Grid.region_id grid a) 1;
-      bump (Grid.region_id grid b) 1)
+      bump geo.ra.(e) 1;
+      bump geo.rb.(e) 1)
     (edge_list ());
-  let is_pin r = Array.exists (fun p -> p = r) st.pin_regions in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun e ->
         if Hashtbl.mem st.alive e then begin
-          let a, b = Grid.edge_ends grid e in
-          let ra = Grid.region_id grid a and rb = Grid.region_id grid b in
+          let ra = geo.ra.(e) and rb = geo.rb.(e) in
           let leaf r =
-            Option.value (Hashtbl.find_opt deg r) ~default:0 = 1 && not (is_pin r)
+            Option.value (Hashtbl.find_opt deg r) ~default:0 = 1
+            && not (mem_from st.pin_regions r 0)
           in
           if leaf ra || leaf rb then begin
             Hashtbl.remove st.alive e;
@@ -211,6 +248,12 @@ type prep =
   | P_state of net_state * int list  (** connection graph + candidate edges *)
   | P_empty  (** single-region net *)
 
+(* [Float.max] for the router's weights, which are never NaN, without
+   the call: the larger operand, and [y] on a tie unless it would turn a
+   +0 into a -0. *)
+let[@inline] fmax (x : float) y =
+  if y > x || (y = x && Float.sign_bit x) then y else x
+
 let route ~grid ~netlist ~weights ?(shield_model = No_shields)
     ?(big_net_threshold = 5000) ?(deadline = Eda_guard.Deadline.none) ?pool () =
   Trace.span_args "id_router.route"
@@ -219,12 +262,11 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
   let nets = netlist.Netlist.nets in
   let n_edges = Grid.num_edges grid in
   let n_regions = Grid.num_regions grid in
-  (* global live-occupancy: per-edge net count, and its per-region,
-     per-direction incidence sums (HU(R) = incidence/2) *)
-  let occ = Array.make n_edges 0 in
+  let geo = geometry grid in
+  (* global live-occupancy: per-region, per-direction incidence sums of
+     the live edges (HU(R) = incidence/2) *)
   let inc_h = Array.make n_regions 0 in
   let inc_v = Array.make n_regions 0 in
-  let inc_of dir = match dir with Dir.H -> inc_h | Dir.V -> inc_v in
   (* per-region predicted shield tracks (Per_net model; all zero under
      No_shields) *)
   let nss_h = Array.make n_regions 0.0 in
@@ -236,48 +278,45 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
         Array.map (fun n -> shield_demand ~keff ~rate (kth n.Net.id)) nets
     | No_shields -> [||]
   in
+  let shielded = Array.length sdemand > 0 in
   let account e delta =
-    occ.(e) <- occ.(e) + delta;
-    let a, b = Grid.edge_ends grid e in
-    let inc = inc_of (Grid.edge_dir grid e) in
-    inc.(Grid.region_id grid a) <- inc.(Grid.region_id grid a) + delta;
-    inc.(Grid.region_id grid b) <- inc.(Grid.region_id grid b) + delta
+    let inc = if geo.dir.(e) = 0 then inc_h else inc_v in
+    let ra = geo.ra.(e) and rb = geo.rb.(e) in
+    inc.(ra) <- inc.(ra) + delta;
+    inc.(rb) <- inc.(rb) + delta
   in
   (* membership maintenance: a net contributes its shield demand to every
      (region, dir) where it still has a live incident edge *)
-  let dir_idx = function Dir.H -> 0 | Dir.V -> 1 in
+  let member_bump_region st r d delta =
+    let key = (2 * r) + d in
+    let old = match Hashtbl.find st.mem key with n -> n | exception Not_found -> 0 in
+    let now = old + delta in
+    Hashtbl.replace st.mem key now;
+    let nss = if d = 0 then nss_h else nss_v in
+    if old = 0 && now = 1 then nss.(r) <- nss.(r) +. sdemand.(st.idx)
+    else if old = 1 && now = 0 then nss.(r) <- nss.(r) -. sdemand.(st.idx)
+  in
   let member_bump st e delta =
-    if Array.length sdemand > 0 then begin
-      let dir = Grid.edge_dir grid e in
-      let a, b = Grid.edge_ends grid e in
-      List.iter
-        (fun p ->
-          let r = Grid.region_id grid p in
-          let key = (2 * r) + dir_idx dir in
-          let old = Option.value (Hashtbl.find_opt st.mem key) ~default:0 in
-          let now = old + delta in
-          Hashtbl.replace st.mem key now;
-          let nss = nss_arr dir in
-          if old = 0 && now = 1 then nss.(r) <- nss.(r) +. sdemand.(st.idx)
-          else if old = 1 && now = 0 then nss.(r) <- nss.(r) -. sdemand.(st.idx))
-        [ a; b ]
+    if shielded then begin
+      member_bump_region st geo.ra.(e) geo.dir.(e) delta;
+      member_bump_region st geo.rb.(e) geo.dir.(e) delta
     end
   in
+  (* Formula (2) over the edge's two flanking regions, first end first *)
   let weight_of st e =
-    let dir = Grid.edge_dir grid e in
-    let a, b = Grid.edge_ends grid e in
-    let hd = ref 0.0 and ofr = ref 0.0 in
-    List.iter
-      (fun p ->
-        let r = Grid.region_id grid p in
-        let nns = (inc_of dir).(r) / 2 in
-        let hu = float_of_int nns +. (nss_arr dir).(r) in
-        let cap = float_of_int (Grid.cap grid p dir) in
-        hd := Float.max !hd (hu /. cap);
-        ofr := Float.max !ofr (Float.max 0.0 ((hu -. cap) /. cap)))
-      [ a; b ];
+    let h = geo.dir.(e) = 0 in
+    let inc = if h then inc_h else inc_v in
+    let nss = if h then nss_h else nss_v in
+    let ra = geo.ra.(e) and rb = geo.rb.(e) in
+    let cap_a = geo.cap_a.(e) and cap_b = geo.cap_b.(e) in
+    let hu_a = float_of_int (inc.(ra) / 2) +. nss.(ra) in
+    let hd = fmax 0.0 (hu_a /. cap_a) in
+    let ofr = fmax 0.0 (fmax 0.0 ((hu_a -. cap_a) /. cap_a)) in
+    let hu_b = float_of_int (inc.(rb) / 2) +. nss.(rb) in
+    let hd = fmax hd (hu_b /. cap_b) in
+    let ofr = fmax ofr (fmax 0.0 ((hu_b -. cap_b) /. cap_b)) in
     (weights.alpha *. Hashtbl.find st.f_wl e)
-    +. (weights.beta *. !hd) +. (weights.gamma *. !ofr)
+    +. (weights.beta *. hd) +. (weights.gamma *. ofr)
   in
   (* Build per-net states; big or trivial nets take direct routes.  The
      candidate evaluation (bbox clip, candidate edge sweep, per-edge
@@ -314,7 +353,7 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
           | edges ->
               Metrics.observe h_candidates (float_of_int (List.length edges));
               let pins = Array.of_list (Net.pins net) in
-              P_state (build_state grid net (Rsmt.length pins) edges, edges)
+              P_state (build_state grid geo net (Rsmt.length pins) edges, edges)
         end)
       nets
   in
@@ -326,7 +365,7 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
         | P_direct r ->
             Hashtbl.replace direct net.Net.id r;
             Array.iter (fun e -> account e 1) (Route.edges r);
-            if Array.length sdemand > 0 then
+            if shielded then
               List.iter
                 (fun (reg, d) ->
                   let nss = nss_arr d in
@@ -343,15 +382,19 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
             Some st)
       preps
   in
-  (* Seed the heap with every (net, edge) pair. *)
+  (* Seed the heap with every (net, edge) pair, encoded as one int
+     [net * n_edges + edge]. *)
   let heap = Heap.create () in
   Array.iter
     (function
       | None -> ()
       | Some st ->
-          Hashtbl.iter (fun e _ -> Heap.push heap (weight_of st e) (st.idx, e)) st.alive)
+          Hashtbl.iter
+            (fun e _ -> Heap.push heap (weight_of st e) ((st.idx * n_edges) + e))
+            st.alive)
     states;
   let mark = Array.make n_regions 0 in
+  let queue = Array.make n_regions 0 in
   let stamp = ref 0 in
   let iters = ref 0 in
   (* checkpoint: every pop leaves all nets connected (deletion is the
@@ -367,35 +410,32 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
     (* total is unknowable up front (reweighed edges re-enter the heap),
        so the heartbeat reports a bare iteration count *)
     Eda_obs.Progress.tick ~items_done:!iters ();
-    let w_old, (i, e) = Heap.pop_max heap in
+    let w_old = Heap.top_key heap and v = Heap.top heap in
+    Heap.pop heap;
+    let i = v / n_edges and e = v mod n_edges in
     if jnl then net_pops.(i) <- net_pops.(i) + 1;
     match states.(i) with
     | None -> ()
     | Some st -> (
-        match Hashtbl.find_opt st.alive e with
-        | None -> () (* already deleted *)
-        | Some essential when !essential -> ()
-        | Some essential ->
+        match Hashtbl.find st.alive e with
+        | exception Not_found -> () (* already deleted *)
+        | essential when !essential -> ()
+        | essential ->
             let w_cur = weight_of st e in
             if w_cur < w_old -. 1e-9 then begin
               Metrics.incr m_reweights;
               if jnl then begin
                 net_reweights.(i) <- net_reweights.(i) + 1;
-                let rw =
-                  match Grid.edge_dir grid e with
-                  | Dir.H -> region_rw_h
-                  | Dir.V -> region_rw_v
-                in
-                let a, b = Grid.edge_ends grid e in
-                let ra = Grid.region_id grid a and rb = Grid.region_id grid b in
+                let rw = if geo.dir.(e) = 0 then region_rw_h else region_rw_v in
+                let ra = geo.ra.(e) and rb = geo.rb.(e) in
                 rw.(ra) <- rw.(ra) + 1;
                 if rb <> ra then rw.(rb) <- rw.(rb) + 1
               end;
-              Heap.push heap w_cur (i, e)
+              Heap.push heap w_cur v
             end
             else begin
               incr stamp;
-              if connected_without grid st ~mark ~stamp:!stamp ~skip:e then begin
+              if connected_without geo st ~mark ~queue ~stamp:!stamp ~skip:e then begin
                 Metrics.incr m_deletions;
                 if jnl then net_deletions.(i) <- net_deletions.(i) + 1;
                 Hashtbl.remove st.alive e;
@@ -413,7 +453,8 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
      shields) exceeds capacity in some direction *)
   List.iter
     (fun dir ->
-      let inc = inc_of dir and nss = nss_arr dir in
+      let inc = match dir with Dir.H -> inc_h | Dir.V -> inc_v in
+      let nss = nss_arr dir in
       for r = 0 to n_regions - 1 do
         let hu = float_of_int (inc.(r) / 2) +. nss.(r) in
         let cap = float_of_int (Grid.cap grid (Grid.region_pt grid r) dir) in
@@ -462,6 +503,6 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
           | Some r -> r
           | None -> Route.of_edges grid ~net:net.Net.id [])
       | Some st ->
-          prune_tree grid st;
+          prune_tree geo st;
           Route.of_edges grid ~net:net.Net.id (List.of_seq (Hashtbl.to_seq_keys st.alive)))
     nets

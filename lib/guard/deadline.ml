@@ -38,9 +38,11 @@ let budget_ms = function None -> 0 | Some s -> s.budget_ms
 let cancel = function None -> () | Some s -> Atomic.set s.cancelled true
 let cancelled = function None -> false | Some s -> Atomic.get s.cancelled
 
+(* A cancel-only deadline never reads the clock: the ID router asks
+   once per heap pop. *)
 let expired = function
   | None -> false
-  | Some s -> Atomic.get s.cancelled || now () >= s.until
+  | Some s -> Atomic.get s.cancelled || (s.until < infinity && now () >= s.until)
 
 let remaining_ms = function
   | None -> None

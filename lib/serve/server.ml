@@ -220,18 +220,20 @@ let accept_loop t =
    CPU-bound).  The protocol allows no client bytes after the request
    frame, so readability means EOF (peer closed) or garbage; EOF and
    socket errors cancel the request's deadline, which the flow observes
-   at its next cooperative checkpoint. *)
-let monitor_fd fd deadline stop =
+   at its next cooperative checkpoint.  The request's end closes the
+   write end of [wake], which makes [wake] readable and returns the
+   watcher at once. *)
+let monitor_fd fd ~wake deadline =
   let buf = Bytes.create 1 in
   let rec loop () =
-    if not (Atomic.get stop) then begin
-      if not (readable fd 0.15) then loop ()
-      else
+    match Unix.select [ fd; wake ] [] [] (-1.0) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+    | ready, _, _ when List.mem wake ready -> ()
+    | _ -> (
         match Unix.recv fd buf 0 1 [] with
         | 0 -> Deadline.cancel deadline
         | _ -> loop () (* protocol garbage; consume and keep watching *)
-        | exception Unix.Unix_error (_, _, _) -> Deadline.cancel deadline
-    end
+        | exception Unix.Unix_error (_, _, _) -> Deadline.cancel deadline)
   in
   loop ()
 
@@ -283,8 +285,8 @@ let handle_route t pool (job : job) =
     Deadline.cancellable ~budget_ms:(effective_budget_ms t job.options) ()
   in
   locked t (fun () -> Hashtbl.replace t.active_deadlines job.serial deadline);
-  let stop = Atomic.make false in
-  let monitor = Thread.create (fun () -> monitor_fd job.fd deadline stop) () in
+  let wake, wake_w = Unix.pipe ~cloexec:true () in
+  let monitor = Thread.create (fun () -> monitor_fd job.fd ~wake deadline) () in
   let response =
     (* fresh per-request observability context on this domain: a zeroed
        copy of the start-up metrics registry, journal shard cleared,
@@ -300,8 +302,10 @@ let handle_route t pool (job : job) =
       Protocol.error_response (Error.classify ~site:"serve.request" exn)
   in
   Trace.disable ();
-  Atomic.set stop true;
+  (* stop the watcher, and close what it selects on only once it is gone *)
+  close_quiet wake_w;
   Thread.join monitor;
+  close_quiet wake;
   let sent = try_respond job.fd response in
   close_quiet job.fd;
   locked t (fun () ->

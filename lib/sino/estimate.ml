@@ -37,8 +37,10 @@ let random_instance rng ~kth_of =
 
 (* The solves record into a registry of their own: they model the
    solver, they are not work of the caller's flow, whose sino.* series
-   would otherwise count them. *)
+   would otherwise count them.  They run in a leaf span of their own, so
+   a profile names them instead of charging the caller's phase. *)
 let sample_set ?(params = Keff.default) ~trials ~seed ~kth_of () =
+  Eda_obs.Trace.span "estimate.sample" @@ fun () ->
   Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
   let rng = Rng.create seed in
   List.init trials (fun _ ->

@@ -31,7 +31,8 @@ val predict_uniform : coeffs -> nns:int -> rate:float -> float
     and returns the least-squares coefficients.  [kth_of rng] samples the
     per-net K bound; use the distribution your budgeting produces.  The
     solves, here and in {!accuracy}, record their [sino.*] metrics in a
-    private registry: the caller's registry is unchanged. *)
+    private registry: the caller's registry is unchanged.  They run in an
+    [estimate.sample] trace span. *)
 val fit :
   ?params:Keff.params ->
   ?trials:int ->

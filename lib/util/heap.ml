@@ -58,15 +58,26 @@ let peek_max h =
   if h.n = 0 then raise Not_found;
   (h.keys.(0), h.vals.(0))
 
-let pop_max h =
+let top_key h =
   if h.n = 0 then raise Not_found;
-  let top = (h.keys.(0), h.vals.(0)) in
+  h.keys.(0)
+
+let top h =
+  if h.n = 0 then raise Not_found;
+  h.vals.(0)
+
+let pop h =
+  if h.n = 0 then raise Not_found;
   h.n <- h.n - 1;
   if h.n > 0 then begin
     h.keys.(0) <- h.keys.(h.n);
     h.vals.(0) <- h.vals.(h.n);
     sift_down h 0
-  end;
+  end
+
+let pop_max h =
+  let top = (top_key h, top h) in
+  pop h;
   top
 
 let clear h = h.n <- 0

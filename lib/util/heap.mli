@@ -25,4 +25,13 @@ val pop_max : 'a t -> float * 'a
 (** [peek_max h] returns the max entry without removing it. *)
 val peek_max : 'a t -> float * 'a
 
+(** [top_key h] and [top h] are the largest key and its payload, and
+    [pop h] removes that entry: [pop_max] in three calls that build no
+    tuple, for loops that pop millions of times.  Each raises
+    [Not_found] when empty. *)
+val top_key : 'a t -> float
+
+val top : 'a t -> 'a
+val pop : 'a t -> unit
+
 val clear : 'a t -> unit

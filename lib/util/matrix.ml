@@ -84,7 +84,51 @@ let mulv a x =
       done;
       !s)
 
-type lu = { n : int; f : float array; perm : int array }
+(* The factors, row-compressed: row [i] of the unit lower factor keeps
+   its non-zero columns [lcol.(lptr.(i)) .. lcol.(lptr.(i + 1) - 1)]
+   (ascending, all [< i]) with values in [lval]; row [i] of the upper
+   factor keeps its non-zero columns [> i] the same way in [ucol]/[uval],
+   and its diagonal in [diag]. *)
+type lu = {
+  n : int;
+  perm : int array;
+  lptr : int array;
+  lcol : int array;
+  lval : float array;
+  uptr : int array;
+  ucol : int array;
+  uval : float array;
+  diag : float array;
+}
+
+(* Row-compress the entries of the [rows]-by-[cols] row-major [f] in
+   columns [lo i .. hi i] of each row [i], keeping the non-zero ones:
+   count, then fill. *)
+let compress ~rows ~cols f ~lo ~hi =
+  let ptr = Array.make (rows + 1) 0 in
+  for i = 0 to rows - 1 do
+    let c = ref 0 in
+    for j = lo i to hi i do
+      if f.((i * cols) + j) <> 0.0 then incr c
+    done;
+    ptr.(i + 1) <- ptr.(i) + !c
+  done;
+  let col = Array.make ptr.(rows) 0 and v = Array.make ptr.(rows) 0.0 in
+  let p = ref 0 in
+  for i = 0 to rows - 1 do
+    for j = lo i to hi i do
+      let x = f.((i * cols) + j) in
+      if x <> 0.0 then begin
+        col.(!p) <- j;
+        v.(!p) <- x;
+        incr p
+      end
+    done
+  done;
+  (ptr, col, v)
+
+let nonzero_rows m =
+  compress ~rows:m.r ~cols:m.c m.d ~lo:(fun _ -> 0) ~hi:(fun _ -> m.c - 1)
 
 let lu_factor a =
   if a.r <> a.c then invalid_arg "Matrix.lu_factor: not square";
@@ -122,27 +166,49 @@ let lu_factor a =
         done
     done
   done;
-  { n; f; perm }
+  let lptr, lcol, lval =
+    compress ~rows:n ~cols:n f ~lo:(fun _ -> 0) ~hi:(fun i -> i - 1)
+  in
+  let uptr, ucol, uval =
+    compress ~rows:n ~cols:n f ~lo:(fun i -> i + 1) ~hi:(fun _ -> n - 1)
+  in
+  let diag = Array.init n (fun i -> f.((i * n) + i)) in
+  { n; perm; lptr; lcol; lval; uptr; ucol; uval; diag }
 
-let lu_solve { n; f; perm } b =
-  if Array.length b <> n then invalid_arg "Matrix.lu_solve: bad RHS length";
-  let x = Array.init n (fun i -> b.(perm.(i))) in
+(* Skipping an exact-zero factor entry drops a term [s -. 0 *. x] from
+   a row sum, which leaves the sum unchanged up to the sign of a zero:
+   the substitutions below perform the dense algorithm's other
+   operations in its order. *)
+let lu_solve_into lu b x =
+  let n = lu.n in
+  if Array.length b <> n || Array.length x <> n then
+    invalid_arg "Matrix.lu_solve: bad RHS length";
+  let perm = lu.perm in
+  for i = 0 to n - 1 do
+    x.(i) <- b.(perm.(i))
+  done;
   (* forward substitution (unit lower) *)
+  let lptr = lu.lptr and lcol = lu.lcol and lval = lu.lval in
   for i = 1 to n - 1 do
     let s = ref x.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (f.((i * n) + j) *. x.(j))
+    for p = lptr.(i) to lptr.(i + 1) - 1 do
+      s := !s -. (lval.(p) *. x.(lcol.(p)))
     done;
     x.(i) <- !s
   done;
   (* back substitution *)
+  let uptr = lu.uptr and ucol = lu.ucol and uval = lu.uval in
   for i = n - 1 downto 0 do
     let s = ref x.(i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (f.((i * n) + j) *. x.(j))
+    for p = uptr.(i) to uptr.(i + 1) - 1 do
+      s := !s -. (uval.(p) *. x.(ucol.(p)))
     done;
-    x.(i) <- !s /. f.((i * n) + i)
-  done;
+    x.(i) <- !s /. lu.diag.(i)
+  done
+
+let lu_solve lu b =
+  let x = Array.make (Array.length b) 0.0 in
+  lu_solve_into lu b x;
   x
 
 let solve a b = lu_solve (lu_factor a) b

@@ -1,5 +1,6 @@
 (** Dense linear algebra: the small kernel the circuit simulator (MNA) and
-    the Formula-(3) least-squares fit need.  Row-major flat storage. *)
+    the Formula-(3) least-squares fit need.  Row-major flat storage; the
+    LU factors alone are stored row-compressed. *)
 
 type t
 
@@ -36,17 +37,33 @@ val mul : t -> t -> t
 (** [mulv a x] is the matrix–vector product. *)
 val mulv : t -> float array -> float array
 
+(** [nonzero_rows m] is [m] row-compressed, as [(ptr, col, v)]: row [i]
+    holds the entries [v.(p)] at columns [col.(p)], [p] from [ptr.(i)]
+    to [ptr.(i + 1) - 1], columns ascending and exact zeros left out. *)
+val nonzero_rows : t -> int array * int array * float array
+
 (** LU factorization with partial pivoting, reusable across many solves
-    (the transient simulator factors once per timestep size). *)
+    (the transient simulator factors once per timestep size).  The
+    factors are kept row-compressed: each row stores only its non-zero
+    entries, in ascending column order. *)
 type lu
 
-(** [lu_factor a] factors a square matrix.  Raises [Singular] if singular
-    to working precision. *)
+(** [lu_factor a] factors a square matrix by dense elimination, then
+    compresses the factors.  Raises [Singular] if singular to working
+    precision. *)
 val lu_factor : t -> lu
 
 (** [lu_solve lu b] solves [A x = b] for the factored [A]; [b] is not
-    modified. *)
+    modified.  The substitutions walk only the factors' non-zero entries,
+    in the dense algorithm's column order: a skipped term is an exact
+    zero, so the result equals the dense forward and back substitution's
+    (up to the sign of a zero). *)
 val lu_solve : lu -> float array -> float array
+
+(** [lu_solve_into lu b x] is [lu_solve lu b] written into [x] (of the
+    same length; not [b]), allocating nothing — the transient
+    simulator's per-step solve. *)
+val lu_solve_into : lu -> float array -> float array -> unit
 
 (** [solve a b] is [lu_solve (lu_factor a) b]. *)
 val solve : t -> float array -> float array

@@ -103,6 +103,8 @@ let base () =
     |]
   in
   let usage = Usage.of_routes grid ~gcell_um (Array.to_list routes) in
+  (* manhattan source-sink distances are 2 and 1 gcells *)
+  let kth = [| 5.0; 10.0 |] in
   let panels =
     List.concat
       (List.mapi
@@ -114,6 +116,7 @@ let base () =
                  dir;
                  shields = 0;
                  nets = [| i |];
+                 kth = [| kth.(i) |];
                  feasible = true;
                  degraded = false;
                })
@@ -125,8 +128,7 @@ let base () =
     grid;
     routes;
     lsk_budget = 1000.0;
-    (* manhattan source-sink distances are 2 and 1 gcells *)
-    kth = [| 5.0; 10.0 |];
+    kth;
     lsk_table = Lintable.of_points [ (0.0, 0.0); (1000.0, 0.2) ];
     sensitive = (fun _ _ -> false);
     usage;
@@ -218,6 +220,7 @@ let test_gsl0005_over_capacity_is_warning () =
           dir = Dir.H;
           shields = 10;
           nets = [| 0 |];
+          kth = [| 5.0 |];
           feasible = true;
           degraded = false;
         }
@@ -328,7 +331,8 @@ let test_gsl0028_shield_lower_bound () =
     {
       sol with
       Checker.sensitive = (fun i j -> i <> j);
-      panels = [ { p with Checker.nets = [| 0; 1 |]; shields } ];
+      panels =
+        [ { p with Checker.nets = [| 0; 1 |]; kth = [| 5.0; 10.0 |]; shields } ];
     }
   in
   let diags = Checker.run (corrupt 0) in
@@ -340,6 +344,28 @@ let test_gsl0028_shield_lower_bound () =
   let ok = Checker.run (corrupt 1) in
   Alcotest.(check bool) "satisfied bound is silent" false
     (List.exists (fun d -> d.Diag.code = 28) ok)
+
+(* Refinement re-solves panels under relaxed bounds, and a panel's
+   feasibility is judged against those: the clique bound must be too.
+   Nets 0 and 1 are sensitive, net 2 sits between them; under Phase I's
+   tight bounds one net cannot stand in for a shield, under the panel's
+   relaxed bounds it can. *)
+let test_gsl0028_relaxed_panel () =
+  let sol = base () in
+  let p = match sol.Checker.panels with p :: _ -> p | [] -> assert false in
+  let panel kth =
+    {
+      sol with
+      Checker.kth = [| 0.01; 0.01; 0.01 |];
+      sensitive = (fun i j -> i + j = 1);
+      panels = [ { p with Checker.nets = [| 0; 1; 2 |]; kth; shields = 0 } ];
+    }
+  in
+  let has_28 sol = List.exists (fun d -> d.Diag.code = 28) (Checker.run sol) in
+  Alcotest.(check bool) "below the bound under Phase I's kth" true
+    (has_28 (panel [| 0.01; 0.01; 0.01 |]));
+  Alcotest.(check bool) "at the bound under its own kth" false
+    (has_28 (panel [| 5.0; 5.0; 5.0 |]))
 
 let test_gsl0019_deadline () =
   let diags =
@@ -487,6 +513,8 @@ let suites =
         Alcotest.test_case "GSL0019 deadline" `Quick test_gsl0019_deadline;
         Alcotest.test_case "GSL0028 shield lower bound" `Quick
           test_gsl0028_shield_lower_bound;
+        Alcotest.test_case "GSL0028 under a panel's relaxed bounds" `Quick
+          test_gsl0028_relaxed_panel;
       ] );
     ( "check.flow",
       [

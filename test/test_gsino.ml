@@ -126,6 +126,91 @@ let test_router_deterministic () =
     (fun i r -> Alcotest.(check bool) "same edges" true (Route.edges r = Route.edges r2.(i)))
     r1
 
+(* Route the seeded ibm01 @ 0.02 (seed 7) on its auto grid, in a metrics
+   registry of its own: the routes, the id_router.* counters and the
+   minor words the call allocated. *)
+let seeded_route shield_model =
+  let nl =
+    Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:0.02 ~seed:7 Generator.ibm01
+  in
+  let grid = Tech.grid_for tech nl in
+  Eda_obs.Metrics.(with_registry (fresh_registry ())) @@ fun () ->
+  let w0 = Gc.minor_words () in
+  let routes = Id_router.route ~grid ~netlist:nl ~weights ~shield_model () in
+  let words = Gc.minor_words () -. w0 in
+  let snap = Eda_obs.Metrics.snapshot () in
+  let counters =
+    List.map
+      (fun name -> (name, Eda_obs.Metrics.counter_total snap name))
+      [
+        "id_router.iterations";
+        "id_router.edge_deletions";
+        "id_router.essential_edges";
+        "id_router.reweights";
+        "id_router.direct_nets";
+        "id_router.overflowed_regions";
+      ]
+  in
+  (routes, counters, words)
+
+let per_net_model =
+  Id_router.Per_net
+    {
+      keff = tech.Tech.keff;
+      rate = 0.3;
+      kth = (fun n -> 0.4 +. (0.15 *. float_of_int (n mod 7)));
+    }
+
+(* MD5 of the routes' edge lists, one "net:e,e,...," line per net *)
+let routes_digest routes =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun r ->
+      Buffer.add_string b (Printf.sprintf "%d:" (Route.net r));
+      Array.iter (fun e -> Buffer.add_string b (Printf.sprintf "%d," e)) (Route.edges r);
+      Buffer.add_char b '\n')
+    routes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The deletion loop's pop order decides every route: these pin it, with
+   the effort counters, under both shield models. *)
+let test_router_golden () =
+  let check what model ~digest ~counters =
+    let routes, got, _ = seeded_route model in
+    Alcotest.(check string) (what ^ " routes") digest (routes_digest routes);
+    Alcotest.(check (list (pair string int))) (what ^ " counters") counters got
+  in
+  check "No_shields" Id_router.No_shields ~digest:"a819196c29b6864cdc689ff80fc857ae"
+    ~counters:
+      [
+        ("id_router.iterations", 126769);
+        ("id_router.edge_deletions", 4618);
+        ("id_router.essential_edges", 842);
+        ("id_router.reweights", 121309);
+        ("id_router.direct_nets", 0);
+        ("id_router.overflowed_regions", 0);
+      ];
+  check "Per_net" per_net_model ~digest:"ddc66cd395aeaaf36c483638e8fa7819"
+    ~counters:
+      [
+        ("id_router.iterations", 160424);
+        ("id_router.edge_deletions", 4645);
+        ("id_router.essential_edges", 815);
+        ("id_router.reweights", 154964);
+        ("id_router.direct_nets", 0);
+        ("id_router.overflowed_regions", 46);
+      ]
+
+(* The deletion loop allocates little per pop: minor words of a whole
+   route call over its iterations (tuple payloads, boxed weights and a
+   queue per connectivity check took 75.5). *)
+let test_router_allocation () =
+  let _, counters, words = seeded_route Id_router.No_shields in
+  let per_iter = words /. float_of_int (List.assoc "id_router.iterations" counters) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per iteration (budget 25)" per_iter)
+    true (per_iter <= 25.0)
+
 let test_router_stays_near_bbox () =
   let nl, grid, base = Lazy.force tiny in
   Array.iteri
@@ -520,6 +605,8 @@ let suites =
         Alcotest.test_case "routes all nets" `Slow test_router_routes_all;
         Alcotest.test_case "deterministic" `Slow test_router_deterministic;
         Alcotest.test_case "stays near bbox" `Slow test_router_stays_near_bbox;
+        Alcotest.test_case "golden routes and counters" `Slow test_router_golden;
+        Alcotest.test_case "allocation per iteration" `Slow test_router_allocation;
         Alcotest.test_case "big-net fallback" `Quick test_router_big_net_fallback;
         Alcotest.test_case "congestion balancing" `Quick test_router_congestion_balancing;
       ] );

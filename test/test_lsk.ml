@@ -142,6 +142,131 @@ let test_default_model_range () =
   Alcotest.(check bool) "band ordered" true (hi > lo);
   Alcotest.(check int) "100 entries" 100 (Lintable.size m.Lsk.table)
 
+(* The default table, entry by entry as (LSK, noise) in %h: the LU and
+   transient kernels under it must reproduce every bit. *)
+let default_table_golden =
+  [
+    "0x0p+0 0x0p+0";
+    "0x1.9284444444446p+5 0x1.a9c338e873c14p-6";
+    "0x1.9284444444446p+6 0x1.8c485baebd89dp-5";
+    "0x1.2de3333333335p+7 0x1.0f782eca5fdcbp-4";
+    "0x1.9284444444446p+7 0x1.3c4c0e3bfae5p-4";
+    "0x1.f725555555557p+7 0x1.916ecd406f9e2p-4";
+    "0x1.2de3333333335p+8 0x1.bb5c748c2b37ep-4";
+    "0x1.6033bbbbbbbbdp+8 0x1.c2269ef80aeaap-4";
+    "0x1.9284444444446p+8 0x1.17f0c8b7fc094p-3";
+    "0x1.c4d4ccccccccfp+8 0x1.17f0c8b7fc094p-3";
+    "0x1.f725555555557p+8 0x1.2a2bb7bc12297p-3";
+    "0x1.14baeeeeeeefp+9 0x1.4318397df6355p-3";
+    "0x1.2de3333333335p+9 0x1.4318397df6355p-3";
+    "0x1.470b777777779p+9 0x1.4318397df6355p-3";
+    "0x1.6033bbbbbbbbdp+9 0x1.470447ddf9172p-3";
+    "0x1.795c000000002p+9 0x1.866717c227a91p-3";
+    "0x1.9284444444446p+9 0x1.866717c227a91p-3";
+    "0x1.abac88888888ap+9 0x1.866717c227a91p-3";
+    "0x1.c4d4ccccccccfp+9 0x1.866717c227a91p-3";
+    "0x1.ddfd111111112p+9 0x1.8cf6ad99b6226p-3";
+    "0x1.f725555555557p+9 0x1.9f130e31013efp-3";
+    "0x1.0826ccccccccep+10 0x1.b12f6ec84c5b7p-3";
+    "0x1.14baeeeeeeefp+10 0x1.bab609953acbcp-3";
+    "0x1.214f111111112p+10 0x1.bab609953acbcp-3";
+    "0x1.2de3333333335p+10 0x1.bab609953acbcp-3";
+    "0x1.3a77555555557p+10 0x1.bab609953acbcp-3";
+    "0x1.470b777777779p+10 0x1.bab609953acbcp-3";
+    "0x1.539f99999999ap+10 0x1.bab609953acbcp-3";
+    "0x1.6033bbbbbbbbdp+10 0x1.bcd14d2ee2012p-3";
+    "0x1.6cc7ddddddddfp+10 0x1.dedc7cec9d7d6p-3";
+    "0x1.795c000000002p+10 0x1.dedc7cec9d7d6p-3";
+    "0x1.85f0222222224p+10 0x1.dedc7cec9d7d6p-3";
+    "0x1.9284444444446p+10 0x1.dedc7cec9d7d6p-3";
+    "0x1.9f18666666668p+10 0x1.dedc7cec9d7d6p-3";
+    "0x1.abac88888888ap+10 0x1.dedc7cec9d7d6p-3";
+    "0x1.b840aaaaaaaacp+10 0x1.dedc7cec9d7d6p-3";
+    "0x1.c4d4ccccccccfp+10 0x1.e0f40d28c0289p-3";
+    "0x1.d168eeeeeeef1p+10 0x1.e580aeb3382c9p-3";
+    "0x1.ddfd111111112p+10 0x1.ea0d503db0309p-3";
+    "0x1.ea91333333335p+10 0x1.ee99f1c82834ap-3";
+    "0x1.f725555555557p+10 0x1.f3269352a038bp-3";
+    "0x1.01dcbbbbbbbbdp+11 0x1.f7b334dd183cbp-3";
+    "0x1.0826ccccccccep+11 0x1.fc3fd6679040cp-3";
+    "0x1.0e70ddddddddfp+11 0x1.00663bf904226p-2";
+    "0x1.14baeeeeeeefp+11 0x1.00847b6959833p-2";
+    "0x1.1b05000000001p+11 0x1.00847b6959833p-2";
+    "0x1.214f111111112p+11 0x1.00847b6959833p-2";
+    "0x1.2799222222223p+11 0x1.00847b6959833p-2";
+    "0x1.2de3333333335p+11 0x1.00847b6959833p-2";
+    "0x1.342d444444446p+11 0x1.00847b6959833p-2";
+    "0x1.3a77555555557p+11 0x1.00847b6959833p-2";
+    "0x1.40c1666666667p+11 0x1.00847b6959833p-2";
+    "0x1.470b777777779p+11 0x1.00847b6959833p-2";
+    "0x1.4d5588888888ap+11 0x1.00847b6959833p-2";
+    "0x1.539f99999999ap+11 0x1.086739eddb076p-2";
+    "0x1.59e9aaaaaaaacp+11 0x1.13d5daa0f3d32p-2";
+    "0x1.6033bbbbbbbbdp+11 0x1.1f447b540c9ecp-2";
+    "0x1.667dccccccccfp+11 0x1.2ab31c07256a8p-2";
+    "0x1.6cc7ddddddddfp+11 0x1.30a2184a885a2p-2";
+    "0x1.7311eeeeeeefp+11 0x1.32dc7914ca003p-2";
+    "0x1.795c000000002p+11 0x1.3516d9df0ba65p-2";
+    "0x1.7fa6111111112p+11 0x1.37513aa94d4c6p-2";
+    "0x1.85f0222222224p+11 0x1.398b9b738ef27p-2";
+    "0x1.8c3a333333335p+11 0x1.3bc5fc3dd0988p-2";
+    "0x1.9284444444446p+11 0x1.3e005d08123eap-2";
+    "0x1.98ce555555557p+11 0x1.403abdd253e4bp-2";
+    "0x1.9f18666666668p+11 0x1.4189c03d70ec2p-2";
+    "0x1.a562777777779p+11 0x1.4189c03d70ec2p-2";
+    "0x1.abac88888888ap+11 0x1.4189c03d70ec2p-2";
+    "0x1.b1f699999999cp+11 0x1.4189c03d70ec2p-2";
+    "0x1.b840aaaaaaaacp+11 0x1.4189c03d70ec2p-2";
+    "0x1.be8abbbbbbbbdp+11 0x1.4189c03d70ec2p-2";
+    "0x1.c4d4ccccccccfp+11 0x1.4189c03d70ec2p-2";
+    "0x1.cb1eddddddddfp+11 0x1.4189c03d70ec2p-2";
+    "0x1.d168eeeeeeef1p+11 0x1.4189c03d70ec2p-2";
+    "0x1.d7b3000000002p+11 0x1.4189c03d70ec2p-2";
+    "0x1.ddfd111111112p+11 0x1.4189c03d70ec2p-2";
+    "0x1.e447222222224p+11 0x1.4189c03d70ec2p-2";
+    "0x1.ea91333333335p+11 0x1.4189c03d70ec2p-2";
+    "0x1.f0db444444447p+11 0x1.4189c03d70ec2p-2";
+    "0x1.f725555555557p+11 0x1.4189c03d70ec2p-2";
+    "0x1.fd6f666666669p+11 0x1.4189c03d70ec2p-2";
+    "0x1.01dcbbbbbbbbdp+12 0x1.4189c03d70ec2p-2";
+    "0x1.0501c44444445p+12 0x1.4189c03d70ec2p-2";
+    "0x1.0826ccccccccep+12 0x1.4189c03d70ec2p-2";
+    "0x1.0b4bd55555556p+12 0x1.4189c03d70ec2p-2";
+    "0x1.0e70ddddddddfp+12 0x1.4189c03d70ec2p-2";
+    "0x1.1195e66666667p+12 0x1.46f424d4fab91p-2";
+    "0x1.14baeeeeeeefp+12 0x1.4cff439bccc4ep-2";
+    "0x1.17dff77777779p+12 0x1.530a62629ed0cp-2";
+    "0x1.1b05000000001p+12 0x1.5915812970dc7p-2";
+    "0x1.1e2a08888888ap+12 0x1.5f209ff042e84p-2";
+    "0x1.214f111111112p+12 0x1.652bbeb714f4p-2";
+    "0x1.247419999999bp+12 0x1.6b36dd7de6ffdp-2";
+    "0x1.2799222222223p+12 0x1.7141fc44b90b9p-2";
+    "0x1.2abe2aaaaaaacp+12 0x1.774d1b0b8b176p-2";
+    "0x1.2de3333333335p+12 0x1.7d5839d25d234p-2";
+    "0x1.31083bbbbbbbdp+12 0x1.836358992f2efp-2";
+    "0x1.342d444444446p+12 0x1.896e7760013acp-2";
+    "0x1.37524cccccccep+12 0x1.8f799626d3468p-2";
+  ]
+
+let test_default_table_golden () =
+  let m = Gsino.Tech.(lsk_model default) in
+  let got =
+    Array.to_list
+      (Array.map (fun (x, y) -> Printf.sprintf "%h %h" x y) (Lintable.entries m.Lsk.table))
+  in
+  Alcotest.(check (list string)) "entries" default_table_golden got
+
+(* The 98 transient simulations allocate little per step: minor words
+   of one default build (the dense per-step solve and boxed inductance
+   reads took 109.5M). *)
+let test_default_table_allocation () =
+  let w0 = Gc.minor_words () in
+  ignore (Table_builder.build Table_builder.default_electrical);
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1fM minor words (budget 40M)" (words /. 1e6))
+    true (words <= 40e6)
+
 let suites =
   [
     ( "lsk.model",
@@ -159,5 +284,8 @@ let suites =
         Alcotest.test_case "LSK fidelity (rank corr)" `Slow test_lsk_fidelity_rank_correlation;
         Alcotest.test_case "noise ~ linear in length" `Slow test_noise_linear_in_length;
         Alcotest.test_case "default model range" `Slow test_default_model_range;
+        Alcotest.test_case "default table golden" `Slow test_default_table_golden;
+        Alcotest.test_case "default table allocation" `Slow
+          test_default_table_allocation;
       ] );
   ]

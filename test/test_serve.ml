@@ -437,6 +437,48 @@ let test_disconnect_cancels_request () =
   Alcotest.(check int) "counted as disconnect" 1 s.Protocol.disconnects;
   ping_ok ~socket "after mid-request disconnect"
 
+(* A response leaves as soon as its flow ends: the disconnect watcher
+   stops at once, not at its next poll.  The served requests may take
+   little longer than the same flows run in this process; a watcher
+   polling every 0.15 s held each response for 75 ms on average. *)
+let test_response_not_held () =
+  with_server ~workers:1 @@ fun ~socket _t ->
+  let n = 10 in
+  let time f =
+    let t0 = Eda_obs.Clock.now_s () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Eda_obs.Clock.now_s () -. t0
+  in
+  let route () =
+    ignore
+      (expect_result "route" (Client.request ~timeout_s:120.0 socket (route_request ())))
+  in
+  route ();
+  let served = time route in
+  let o = Protocol.default_options in
+  let config =
+    {
+      Flow.Config.default with
+      Flow.Config.router = o.Protocol.router;
+      budgeting = o.Protocol.budgeting;
+      seed = o.Protocol.seed;
+      jobs = 1;
+    }
+  in
+  let direct =
+    time (fun () ->
+        let netlist = Io.of_string (Lazy.force netlist_text) in
+        Flow.run_kinds config Tech.default ~rate:o.Protocol.rate [ o.Protocol.kind ]
+          netlist ~f:(fun r -> ignore (Flow.check r))
+        |> ignore)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d requests served in %.3f s, flows alone %.3f s" n served direct)
+    true
+    (served -. direct < 0.05 *. float_of_int n)
+
 let test_backpressure_queue_full () =
   with_server ~workers:1 ~queue_bound:1 @@ fun ~socket _t ->
   (* hold the single worker busy deterministically *)
@@ -509,6 +551,8 @@ let suites =
           test_request_deadline_degrades;
         Alcotest.test_case "injected fault isolated" `Slow
           test_injected_fault_isolated;
+        Alcotest.test_case "response not held by the watcher" `Slow
+          test_response_not_held;
         Alcotest.test_case "disconnect cancels request" `Slow
           test_disconnect_cancels_request;
         Alcotest.test_case "queue-full backpressure" `Slow

@@ -431,6 +431,103 @@ let test_uf_transitive () =
 
 (* ---------------------------- QCheck props ------------------------- *)
 
+(* The dense LU solve the row-compressed factors replaced, as it was:
+   partial pivoting, then forward and back substitution over full rows.
+   Raises [Matrix.Singular] exactly where [Matrix.lu_factor] must. *)
+let dense_lu_solve n a b =
+  let f = Array.copy a in
+  let perm = Array.init n Fun.id in
+  for k = 0 to n - 1 do
+    let piv = ref k and best = ref (Float.abs f.((k * n) + k)) in
+    for i = k + 1 to n - 1 do
+      let v = Float.abs f.((i * n) + k) in
+      if v > !best then begin
+        best := v;
+        piv := i
+      end
+    done;
+    if !best < 1e-13 then raise (Matrix.Singular { n; column = k; pivot = !best });
+    if !piv <> k then begin
+      for j = 0 to n - 1 do
+        let tmp = f.((k * n) + j) in
+        f.((k * n) + j) <- f.((!piv * n) + j);
+        f.((!piv * n) + j) <- tmp
+      done;
+      let tp = perm.(k) in
+      perm.(k) <- perm.(!piv);
+      perm.(!piv) <- tp
+    end;
+    let pivot = f.((k * n) + k) in
+    for i = k + 1 to n - 1 do
+      let l = f.((i * n) + k) /. pivot in
+      f.((i * n) + k) <- l;
+      if l <> 0.0 then
+        for j = k + 1 to n - 1 do
+          f.((i * n) + j) <- f.((i * n) + j) -. (l *. f.((k * n) + j))
+        done
+    done
+  done;
+  let x = Array.init n (fun i -> b.(perm.(i))) in
+  for i = 1 to n - 1 do
+    let s = ref x.(i) in
+    for j = 0 to i - 1 do
+      s := !s -. (f.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !s
+  done;
+  for i = n - 1 downto 0 do
+    let s = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      s := !s -. (f.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !s /. f.((i * n) + i)
+  done;
+  x
+
+(* Systems of order 1-8, row-major: entries are exact zeros about 40% of
+   the time.  [shape] 0 keeps the draw (some singular, some pivoting),
+   1 makes it diagonally dominant, 2 moves the dominant diagonal to the
+   anti-diagonal so that pivoting must swap rows. *)
+let arb_system =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let entry = frequency [ (2, return 0.0); (3, float_range (-10.) 10.) ] in
+    int_range 1 8 >>= fun n ->
+    array_size (return (n * n)) entry >>= fun a ->
+    array_size (return n) entry >>= fun b ->
+    int_range 0 2 >|= fun shape ->
+    (match shape with
+    | 1 -> for i = 0 to n - 1 do a.((i * n) + i) <- a.((i * n) + i) +. 50.0 done
+    | 2 ->
+        for i = 0 to n - 1 do
+          a.((i * n) + (n - 1 - i)) <- a.((i * n) + (n - 1 - i)) +. 50.0
+        done
+    | _ -> ());
+    (n, a, b)
+  in
+  let print (n, a, b) =
+    Printf.sprintf "n=%d a=[%s] b=[%s]" n
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") b)))
+  in
+  make ~print gen
+
+let lu_outcome f =
+  match f () with
+  | x -> Ok x
+  | exception Matrix.Singular { n; column; pivot } -> Error (n, column, pivot)
+
+let compressed_lu_matches_dense (n, a, b) =
+  let m = Matrix.of_rows (Array.init n (fun i -> Array.sub a (i * n) n)) in
+  match
+    ( lu_outcome (fun () -> Matrix.lu_solve (Matrix.lu_factor m) b),
+      lu_outcome (fun () -> dense_lu_solve n a b) )
+  with
+  | Ok x, Ok y -> Array.for_all2 Float.equal x y
+  | Error (n1, c1, p1), Error (n2, c2, p2) -> n1 = n2 && c1 = c2 && Float.equal p1 p2
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -455,6 +552,8 @@ let qcheck_tests =
           if snd e.(i) > snd e.(i + 1) +. 1e-9 then ok := false
         done;
         !ok);
+    Test.make ~name:"compressed lu_solve equals the dense solve" ~count:600
+      arb_system compressed_lu_matches_dense;
     Test.make ~name:"lu_solve solves Ax=b" ~count:100
       (list_of_size (Gen.return 9) (float_range (-10.) 10.))
       (fun vals ->
