@@ -103,80 +103,123 @@ let geometry grid =
   g
 
 (* ------------------------------------------------------------------ *)
-(* Per-net connection-graph state. *)
+(* Per-net connection-graph state, in flat arrays.  A net's candidate
+   edges are numbered locally (0 .. m-1) and its regions by their place
+   in its bounding box, row-major, so a pop reads no hash table. *)
+
+(* a local edge's status byte *)
+let alive = '\000'
+let essential = '\001'
+let deleted = '\002'
 
 type net_state = {
   idx : int;
-  pin_regions : int array;  (** deduplicated *)
-  alive : (int, bool ref) Hashtbl.t;  (** edge -> essential? *)
-  incident : (int, int list) Hashtbl.t;  (** region -> static incident edges *)
-  f_wl : (int, float) Hashtbl.t;  (** edge -> static detour factor *)
-  mem : (int, int) Hashtbl.t;
-      (** (2·region + dir) -> live incident edges: region membership for
-          the per-net shield-demand accounting *)
+  edges : int array;  (** local edge -> grid edge id *)
+  la : int array;  (** local edge -> local region of its first end *)
+  lb : int array;  (** local edge -> local region of its second end *)
+  f_wl : float array;  (** local edge -> static detour factor *)
+  status : Bytes.t;  (** local edge -> [alive], [essential] or [deleted] *)
+  pins : int array;  (** local pin regions, deduplicated *)
+  is_pin : Bytes.t;  (** local region -> ['\001'] for a pin region *)
+  inc_start : int array;
+      (** local region [r]'s incident local edges are
+          [inc_edge.(inc_start.(r)) .. inc_edge.(inc_start.(r + 1) - 1)] *)
+  inc_edge : int array;
+  mem : int array;
+      (** (2·local region + dir) -> live incident edges: region
+          membership for the per-net shield-demand accounting *)
 }
 
-let region_dist grid r1 r2 =
-  Point.manhattan (Grid.region_pt grid r1) (Grid.region_pt grid r2)
-
-let build_state grid geo net rsmt_len edges =
+let build_state grid geo net bbox rsmt_len candidates =
+  let w = Grid.width grid in
+  let x0 = bbox.Rect.x0 and y0 = bbox.Rect.y0 and bw = Rect.width bbox in
+  let n_local = Rect.cells bbox in
+  let local r = (((r / w) - y0) * bw) + (r mod w) - x0 in
+  (* Local numbering follows the iteration order of a table of the
+     candidates built in [Grid.edges_within] order, which is the order
+     the heap is seeded in.  Equal weights pop by heap position, so that
+     order is part of every route. *)
+  let edges =
+    let tbl = Hashtbl.create (List.length candidates) in
+    List.iter (fun e -> Hashtbl.replace tbl e ()) candidates;
+    let a = Array.make (Hashtbl.length tbl) 0 and k = ref 0 in
+    Hashtbl.iter
+      (fun e () ->
+        a.(!k) <- e;
+        incr k)
+      tbl;
+    a
+  in
+  let m = Array.length edges in
+  let la = Array.map (fun e -> local geo.ra.(e)) edges in
+  let lb = Array.map (fun e -> local geo.rb.(e)) edges in
   let pin_regions =
     Net.pins net
     |> List.map (Grid.region_id grid)
     |> List.sort_uniq compare
     |> Array.of_list
   in
-  let alive = Hashtbl.create (List.length edges) in
-  let incident = Hashtbl.create 64 in
-  let f_wl = Hashtbl.create (List.length edges) in
-  let add_incident r e =
-    Hashtbl.replace incident r (e :: Option.value (Hashtbl.find_opt incident r) ~default:[])
+  let pins = Array.map local pin_regions in
+  let is_pin = Bytes.make n_local '\000' in
+  Array.iter (fun r -> Bytes.set is_pin r '\001') pins;
+  let inc_start = Array.make (n_local + 1) 0 in
+  let count r = inc_start.(r + 1) <- inc_start.(r + 1) + 1 in
+  Array.iter count la;
+  Array.iter count lb;
+  for r = 1 to n_local do
+    inc_start.(r) <- inc_start.(r) + inc_start.(r - 1)
+  done;
+  let next = Array.sub inc_start 0 n_local in
+  let inc_edge = Array.make (2 * m) 0 in
+  let place r j =
+    inc_edge.(next.(r)) <- j;
+    next.(r) <- next.(r) + 1
+  in
+  for j = 0 to m - 1 do
+    place la.(j) j;
+    place lb.(j) j
+  done;
+  (* detour factor: cheapest pin-to-pin connection forced through e,
+     relative to the RSMT estimate.  Its two legs pick their pins
+     independently, so the cheapest joins each end of e to the pin
+     nearest that end. *)
+  let nearest_pin r =
+    let x = r mod w and y = r / w in
+    Array.fold_left
+      (fun best p -> min best (abs (x - (p mod w)) + abs (y - (p / w))))
+      max_int pin_regions
   in
   let rsmt = float_of_int (max 1 rsmt_len) in
-  List.iter
-    (fun e ->
-      Hashtbl.replace alive e (ref false);
-      let ra = geo.ra.(e) and rb = geo.rb.(e) in
-      add_incident ra e;
-      add_incident rb e;
-      (* detour factor: cheapest pin-to-pin connection forced through e,
-         relative to the RSMT estimate *)
-      let best = ref max_int in
-      Array.iter
-        (fun rp ->
-          Array.iter
-            (fun rq ->
-              let via1 = region_dist grid rp ra + 1 + region_dist grid rb rq in
-              let via2 = region_dist grid rp rb + 1 + region_dist grid ra rq in
-              best := min !best (min via1 via2))
-            pin_regions)
-        pin_regions;
-      let f = Float.max 0.0 ((float_of_int !best -. rsmt) /. rsmt) in
-      Hashtbl.replace f_wl e f)
-    edges;
+  let f_wl =
+    Array.map
+      (fun e ->
+        let best = nearest_pin geo.ra.(e) + 1 + nearest_pin geo.rb.(e) in
+        Float.max 0.0 ((float_of_int best -. rsmt) /. rsmt))
+      edges
+  in
   {
     idx = net.Net.id;
-    pin_regions;
-    alive;
-    incident;
+    edges;
+    la;
+    lb;
     f_wl;
-    mem = Hashtbl.create 32;
+    status = Bytes.make m alive;
+    pins;
+    is_pin;
+    inc_start;
+    inc_edge;
+    mem = Array.make (2 * n_local) 0;
   }
 
-let rec mem_from (a : int array) x i =
-  i < Array.length a && (a.(i) = x || mem_from a x (i + 1))
-
-let incident_of st r =
-  match Hashtbl.find st.incident r with l -> l | exception Not_found -> []
-
-(* Are all pins still connected if [skip] is ignored?  BFS over alive
-   edges on the caller's flat [queue] (one slot per region), marking in
-   a stamped scratch array: nothing is allocated per call. *)
-let connected_without geo st ~mark ~queue ~stamp ~skip =
-  let npins = Array.length st.pin_regions in
+(* Are all pins still connected if local edge [skip] is ignored?  BFS
+   over the live edges on the caller's flat [queue] (one slot per
+   region), marking local regions in a stamped scratch array: nothing is
+   allocated per call. *)
+let connected_without st ~mark ~queue ~stamp ~skip =
+  let npins = Array.length st.pins in
   if npins <= 1 then true
   else begin
-    let start = st.pin_regions.(0) in
+    let start = st.pins.(0) in
     mark.(start) <- stamp;
     queue.(0) <- start;
     let head = ref 0 and tail = ref 1 in
@@ -184,22 +227,19 @@ let connected_without geo st ~mark ~queue ~stamp ~skip =
     while !head < !tail && !seen_pins < npins do
       let r = queue.(!head) in
       incr head;
-      let rest = ref (incident_of st r) in
-      while !seen_pins < npins && not (List.is_empty !rest) do
-        match !rest with
-        | [] -> ()
-        | e :: tl ->
-            rest := tl;
-            if e <> skip && Hashtbl.mem st.alive e then begin
-              let ra = geo.ra.(e) and rb = geo.rb.(e) in
-              let other = if ra = r then rb else ra in
-              if mark.(other) <> stamp then begin
-                mark.(other) <- stamp;
-                if mem_from st.pin_regions other 0 then incr seen_pins;
-                queue.(!tail) <- other;
-                incr tail
-              end
-            end
+      let k = ref st.inc_start.(r) and stop = st.inc_start.(r + 1) in
+      while !seen_pins < npins && !k < stop do
+        let e = st.inc_edge.(!k) in
+        incr k;
+        if e <> skip && Bytes.get st.status e <> deleted then begin
+          let other = if st.la.(e) = r then st.lb.(e) else st.la.(e) in
+          if mark.(other) <> stamp then begin
+            mark.(other) <- stamp;
+            if Bytes.get st.is_pin other <> '\000' then incr seen_pins;
+            queue.(!tail) <- other;
+            incr tail
+          end
+        end
       done
     done;
     !seen_pins = npins
@@ -207,36 +247,29 @@ let connected_without geo st ~mark ~queue ~stamp ~skip =
 
 (* Prune to the minimal Steiner tree: repeatedly drop degree-1 regions
    that are not pins. *)
-let prune_tree geo st =
-  let deg = Hashtbl.create 32 in
-  let bump r d =
-    Hashtbl.replace deg r (d + Option.value (Hashtbl.find_opt deg r) ~default:0)
-  in
-  let edge_list () = List.of_seq (Hashtbl.to_seq_keys st.alive) in
-  List.iter
-    (fun e ->
-      bump geo.ra.(e) 1;
-      bump geo.rb.(e) 1)
-    (edge_list ());
+let prune_tree st =
+  let deg = Array.make (Bytes.length st.is_pin) 0 in
+  let m = Array.length st.edges in
+  let bump r d = deg.(r) <- deg.(r) + d in
+  for j = 0 to m - 1 do
+    if Bytes.get st.status j <> deleted then begin
+      bump st.la.(j) 1;
+      bump st.lb.(j) 1
+    end
+  done;
+  let leaf r = deg.(r) = 1 && Bytes.get st.is_pin r = '\000' in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun e ->
-        if Hashtbl.mem st.alive e then begin
-          let ra = geo.ra.(e) and rb = geo.rb.(e) in
-          let leaf r =
-            Option.value (Hashtbl.find_opt deg r) ~default:0 = 1
-            && not (mem_from st.pin_regions r 0)
-          in
-          if leaf ra || leaf rb then begin
-            Hashtbl.remove st.alive e;
-            bump ra (-1);
-            bump rb (-1);
-            changed := true
-          end
-        end)
-      (edge_list ())
+    for j = 0 to m - 1 do
+      if Bytes.get st.status j <> deleted && (leaf st.la.(j) || leaf st.lb.(j))
+      then begin
+        Bytes.set st.status j deleted;
+        bump st.la.(j) (-1);
+        bump st.lb.(j) (-1);
+        changed := true
+      end
+    done
   done
 
 (* ------------------------------------------------------------------ *)
@@ -245,7 +278,7 @@ let prune_tree geo st =
    the shared occupancy arrays, so the prep fans out over a pool. *)
 type prep =
   | P_direct of Route.t  (** big net: direct RSMT embedding *)
-  | P_state of net_state * int list  (** connection graph + candidate edges *)
+  | P_state of net_state  (** connection graph *)
   | P_empty  (** single-region net *)
 
 (* [Float.max] for the router's weights, which are never NaN, without
@@ -260,7 +293,6 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
     [ ("nets", string_of_int (Array.length netlist.Netlist.nets)) ]
   @@ fun () ->
   let nets = netlist.Netlist.nets in
-  let n_edges = Grid.num_edges grid in
   let n_regions = Grid.num_regions grid in
   let geo = geometry grid in
   (* global live-occupancy: per-region, per-direction incidence sums of
@@ -286,24 +318,28 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
     inc.(rb) <- inc.(rb) + delta
   in
   (* membership maintenance: a net contributes its shield demand to every
-     (region, dir) where it still has a live incident edge *)
-  let member_bump_region st r d delta =
-    let key = (2 * r) + d in
-    let old = match Hashtbl.find st.mem key with n -> n | exception Not_found -> 0 in
+     (region, dir) where it still has a live incident edge; [l] is region
+     [r]'s local id in [st] *)
+  let member_bump_region st ~l r d delta =
+    let key = (2 * l) + d in
+    let old = st.mem.(key) in
     let now = old + delta in
-    Hashtbl.replace st.mem key now;
+    st.mem.(key) <- now;
     let nss = if d = 0 then nss_h else nss_v in
     if old = 0 && now = 1 then nss.(r) <- nss.(r) +. sdemand.(st.idx)
     else if old = 1 && now = 0 then nss.(r) <- nss.(r) -. sdemand.(st.idx)
   in
-  let member_bump st e delta =
+  let member_bump st j delta =
     if shielded then begin
-      member_bump_region st geo.ra.(e) geo.dir.(e) delta;
-      member_bump_region st geo.rb.(e) geo.dir.(e) delta
+      let e = st.edges.(j) in
+      member_bump_region st ~l:st.la.(j) geo.ra.(e) geo.dir.(e) delta;
+      member_bump_region st ~l:st.lb.(j) geo.rb.(e) geo.dir.(e) delta
     end
   in
-  (* Formula (2) over the edge's two flanking regions, first end first *)
-  let weight_of st e =
+  (* Formula (2) over local edge [j]'s two flanking regions, first end
+     first *)
+  let weight_of st j =
+    let e = st.edges.(j) in
     let h = geo.dir.(e) = 0 in
     let inc = if h then inc_h else inc_v in
     let nss = if h then nss_h else nss_v in
@@ -315,7 +351,7 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
     let hu_b = float_of_int (inc.(rb) / 2) +. nss.(rb) in
     let hd = fmax hd (hu_b /. cap_b) in
     let ofr = fmax ofr (fmax 0.0 ((hu_b -. cap_b) /. cap_b)) in
-    (weights.alpha *. Hashtbl.find st.f_wl e)
+    (weights.alpha *. st.f_wl.(j))
     +. (weights.beta *. hd) +. (weights.gamma *. ofr)
   in
   (* Build per-net states; big or trivial nets take direct routes.  The
@@ -353,7 +389,7 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
           | edges ->
               Metrics.observe h_candidates (float_of_int (List.length edges));
               let pins = Array.of_list (Net.pins net) in
-              P_state (build_state grid geo net (Rsmt.length pins) edges, edges)
+              P_state (build_state grid geo net bbox (Rsmt.length pins) edges)
         end)
       nets
   in
@@ -373,25 +409,30 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
                 (Route.occupied grid r);
             None
         | P_empty -> None
-        | P_state (st, edges) ->
-            List.iter
-              (fun e ->
+        | P_state st ->
+            Array.iteri
+              (fun j e ->
                 account e 1;
-                member_bump st e 1)
-              edges;
+                member_bump st j 1)
+              st.edges;
             Some st)
       preps
   in
-  (* Seed the heap with every (net, edge) pair, encoded as one int
-     [net * n_edges + edge]. *)
+  (* Seed the heap with every (net, local edge) pair, encoded as one int
+     [net * width + local edge], each net's edges in local order. *)
+  let width =
+    Array.fold_left
+      (fun w -> function None -> w | Some st -> max w (Array.length st.edges))
+      1 states
+  in
   let heap = Heap.create () in
-  Array.iter
-    (function
+  Array.iteri
+    (fun i -> function
       | None -> ()
       | Some st ->
-          Hashtbl.iter
-            (fun e _ -> Heap.push heap (weight_of st e) ((st.idx * n_edges) + e))
-            st.alive)
+          for j = 0 to Array.length st.edges - 1 do
+            Heap.push heap (weight_of st j) ((i * width) + j)
+          done)
     states;
   let mark = Array.make n_regions 0 in
   let queue = Array.make n_regions 0 in
@@ -412,42 +453,41 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
     Eda_obs.Progress.tick ~items_done:!iters ();
     let w_old = Heap.top_key heap and v = Heap.top heap in
     Heap.pop heap;
-    let i = v / n_edges and e = v mod n_edges in
+    let i = v / width and j = v mod width in
     if jnl then net_pops.(i) <- net_pops.(i) + 1;
     match states.(i) with
     | None -> ()
-    | Some st -> (
-        match Hashtbl.find st.alive e with
-        | exception Not_found -> () (* already deleted *)
-        | essential when !essential -> ()
-        | essential ->
-            let w_cur = weight_of st e in
-            if w_cur < w_old -. 1e-9 then begin
-              Metrics.incr m_reweights;
-              if jnl then begin
-                net_reweights.(i) <- net_reweights.(i) + 1;
-                let rw = if geo.dir.(e) = 0 then region_rw_h else region_rw_v in
-                let ra = geo.ra.(e) and rb = geo.rb.(e) in
-                rw.(ra) <- rw.(ra) + 1;
-                if rb <> ra then rw.(rb) <- rw.(rb) + 1
-              end;
-              Heap.push heap w_cur v
+    | Some st ->
+        if Bytes.get st.status j = alive then begin
+          let e = st.edges.(j) in
+          let w_cur = weight_of st j in
+          if w_cur < w_old -. 1e-9 then begin
+            Metrics.incr m_reweights;
+            if jnl then begin
+              net_reweights.(i) <- net_reweights.(i) + 1;
+              let rw = if geo.dir.(e) = 0 then region_rw_h else region_rw_v in
+              let ra = geo.ra.(e) and rb = geo.rb.(e) in
+              rw.(ra) <- rw.(ra) + 1;
+              if rb <> ra then rw.(rb) <- rw.(rb) + 1
+            end;
+            Heap.push heap w_cur v
+          end
+          else begin
+            incr stamp;
+            if connected_without st ~mark ~queue ~stamp:!stamp ~skip:j then begin
+              Metrics.incr m_deletions;
+              if jnl then net_deletions.(i) <- net_deletions.(i) + 1;
+              Bytes.set st.status j deleted;
+              account e (-1);
+              member_bump st j (-1)
             end
             else begin
-              incr stamp;
-              if connected_without geo st ~mark ~queue ~stamp:!stamp ~skip:e then begin
-                Metrics.incr m_deletions;
-                if jnl then net_deletions.(i) <- net_deletions.(i) + 1;
-                Hashtbl.remove st.alive e;
-                account e (-1);
-                member_bump st e (-1)
-              end
-              else begin
-                Metrics.incr m_essential;
-                if jnl then net_essential.(i) <- net_essential.(i) + 1;
-                essential := true
-              end
-            end)
+              Metrics.incr m_essential;
+              if jnl then net_essential.(i) <- net_essential.(i) + 1;
+              Bytes.set st.status j essential
+            end
+          end
+        end
   done;
   (* post-routing overflow census: regions whose demand (nets + predicted
      shields) exceeds capacity in some direction *)
@@ -503,6 +543,10 @@ let route ~grid ~netlist ~weights ?(shield_model = No_shields)
           | Some r -> r
           | None -> Route.of_edges grid ~net:net.Net.id [])
       | Some st ->
-          prune_tree geo st;
-          Route.of_edges grid ~net:net.Net.id (List.of_seq (Hashtbl.to_seq_keys st.alive)))
+          prune_tree st;
+          let live = ref [] in
+          Array.iteri
+            (fun j e -> if Bytes.get st.status j <> deleted then live := e :: !live)
+            st.edges;
+          Route.of_edges grid ~net:net.Net.id !live)
     nets

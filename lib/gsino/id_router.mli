@@ -23,7 +23,20 @@
       forbidden.
 
     Densities only decrease during deletion, so a lazy max-heap with
-    recompute-on-pop pops edges in exact weight order. *)
+    recompute-on-pop pops edges in exact weight order.
+
+    Each net's state is flat: its candidate edges are numbered locally
+    and its regions by their place in its bounding box, and per-edge
+    status bytes, detour factors, CSR incidence (for the connectivity
+    check) and shield membership are arrays over those numbers.  A heap
+    entry is one int, [net * width + local edge], with [width] the
+    largest candidate count.
+
+    Equal weights pop by heap position, so ties are decided by the order
+    the heap is seeded in (net order, then each net's local numbering,
+    which follows the iteration order of a table of its candidates) and
+    by {!Eda_util.Heap}'s comparisons.  Both are part of the output:
+    changing either changes routes. *)
 
 (** Formula (2)'s constants; {!Flow} passes {!Tech}'s. *)
 type weights = { alpha : float; beta : float; gamma : float }

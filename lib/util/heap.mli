@@ -1,37 +1,47 @@
-(** Growable binary max-heap keyed by float priority.
+(** Growable binary max-heap of int payloads keyed by float priority.
 
-    The iterative-deletion router needs "pop the globally heaviest edge"
-    with keys that only ever decrease; the intended protocol is the lazy
-    one: on pop, the caller recomputes the current key and re-inserts if
-    stale.  Duplicates of the same payload are therefore allowed. *)
+    Payloads are ints so that keys and payloads live in two flat arrays:
+    callers encode richer entries as an int (the ID router packs a net
+    and an edge into one).  Duplicates of a payload are allowed, which
+    is what the lazy protocol needs: on pop, the caller recomputes the
+    current key and re-inserts the payload if the popped key was stale.
 
-type 'a t
+    Which of several equal keys pops first is part of the contract,
+    because callers' outputs depend on it.  Entries sit in the usual
+    implicit binary tree; [push] moves a parent below the new entry
+    while the parent's key is strictly smaller ([<]); [pop] moves the
+    last entry to the root and then the larger child above it while the
+    child's key is strictly larger ([>]), testing the left child first
+    so that it wins a tie between the children.  Those are exactly the
+    comparisons of the textbook swap-based sifts. *)
+
+type t
 
 (** [create ()] is an empty heap. *)
-val create : unit -> 'a t
+val create : unit -> t
 
 (** [length h] is the number of stored entries (including stale ones). *)
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
 (** [push h key v] inserts [v] with priority [key]. *)
-val push : 'a t -> float -> 'a -> unit
+val push : t -> float -> int -> unit
 
 (** [pop_max h] removes and returns the entry with the largest key.
     Raises [Not_found] when empty. *)
-val pop_max : 'a t -> float * 'a
+val pop_max : t -> float * int
 
 (** [peek_max h] returns the max entry without removing it. *)
-val peek_max : 'a t -> float * 'a
+val peek_max : t -> float * int
 
 (** [top_key h] and [top h] are the largest key and its payload, and
     [pop h] removes that entry: [pop_max] in three calls that build no
     tuple, for loops that pop millions of times.  Each raises
     [Not_found] when empty. *)
-val top_key : 'a t -> float
+val top_key : t -> float
 
-val top : 'a t -> 'a
-val pop : 'a t -> unit
+val top : t -> int
+val pop : t -> unit
 
-val clear : 'a t -> unit
+val clear : t -> unit

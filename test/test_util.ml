@@ -381,15 +381,15 @@ let test_heap_empty () =
 
 let test_heap_peek () =
   let h = Heap.create () in
-  Heap.push h 2.0 "a";
-  Heap.push h 5.0 "b";
-  Alcotest.(check string) "peek max" "b" (snd (Heap.peek_max h));
+  Heap.push h 2.0 1;
+  Heap.push h 5.0 2;
+  Alcotest.(check int) "peek max" 2 (snd (Heap.peek_max h));
   Alcotest.(check int) "length unchanged" 2 (Heap.length h)
 
 let test_heap_duplicates () =
   let h = Heap.create () in
-  Heap.push h 1.0 "x";
-  Heap.push h 1.0 "y";
+  Heap.push h 1.0 1;
+  Heap.push h 1.0 2;
   ignore (Heap.pop_max h);
   ignore (Heap.pop_max h);
   Alcotest.(check bool) "both popped" true (Heap.is_empty h)
@@ -518,6 +518,80 @@ let lu_outcome f =
   | x -> Ok x
   | exception Matrix.Singular { n; column; pivot } -> Error (n, column, pivot)
 
+(* A textbook swap-based heap over the same implicit tree: the reference
+   whose tie order [Heap] must match (callers' outputs depend on which of
+   several equal keys pops first). *)
+module Swap_heap = struct
+  type t = { keys : float array; vals : int array; mutable n : int }
+
+  let create cap = { keys = Array.make cap 0.0; vals = Array.make cap 0; n = 0 }
+
+  let swap h i j =
+    let k = h.keys.(i) and v = h.vals.(i) in
+    h.keys.(i) <- h.keys.(j);
+    h.vals.(i) <- h.vals.(j);
+    h.keys.(j) <- k;
+    h.vals.(j) <- v
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if h.keys.(parent) < h.keys.(i) then begin
+        swap h parent i;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let best = ref i in
+    if l < h.n && h.keys.(l) > h.keys.(!best) then best := l;
+    if r < h.n && h.keys.(r) > h.keys.(!best) then best := r;
+    if !best <> i then begin
+      swap h i !best;
+      sift_down h !best
+    end
+
+  let push h key v =
+    h.keys.(h.n) <- key;
+    h.vals.(h.n) <- v;
+    h.n <- h.n + 1;
+    sift_up h (h.n - 1)
+
+  let pop_max h =
+    let top = (h.keys.(0), h.vals.(0)) in
+    h.n <- h.n - 1;
+    if h.n > 0 then begin
+      h.keys.(0) <- h.keys.(h.n);
+      h.vals.(0) <- h.vals.(h.n);
+      sift_down h 0
+    end;
+    top
+end
+
+(* Replay [ops] ([Some k] pushes key [k] with the op's index as payload,
+   [None] pops when non-empty), then drain: the (key, payload) pops of
+   [Heap] and of the reference, in order. *)
+let heap_pops ops =
+  let h = Heap.create () and r = Swap_heap.create (List.length ops) in
+  let got = ref [] and want = ref [] in
+  let pop () =
+    got := Heap.pop_max h :: !got;
+    want := Swap_heap.pop_max r :: !want
+  in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Some k ->
+          Heap.push h (float_of_int k) i;
+          Swap_heap.push r (float_of_int k) i
+      | None -> if not (Heap.is_empty h) then pop ())
+    ops;
+  while not (Heap.is_empty h) do
+    pop ()
+  done;
+  (List.rev !got, List.rev !want, r.Swap_heap.n)
+
 let compressed_lu_matches_dense (n, a, b) =
   let m = Matrix.of_rows (Array.init n (fun i -> Array.sub a (i * n) n)) in
   match
@@ -535,12 +609,18 @@ let qcheck_tests =
       (list (float_bound_inclusive 1000.0))
       (fun keys ->
         let h = Heap.create () in
-        List.iter (fun k -> Heap.push h k ()) keys;
+        List.iter (fun k -> Heap.push h k 0) keys;
         let rec drain acc =
           if Heap.is_empty h then List.rev acc
           else drain (fst (Heap.pop_max h) :: acc)
         in
         drain [] = List.sort (fun a b -> compare b a) keys);
+    (* keys from four values make ties the common case *)
+    Test.make ~name:"heap ties pop in the swap-based heap's order" ~count:1000
+      (list_of_size (Gen.int_range 0 80) (option (int_bound 3)))
+      (fun ops ->
+        let got, want, left = heap_pops ops in
+        left = 0 && got = want);
     Test.make ~name:"isotonic output is monotone" ~count:100
       (list_of_size (Gen.int_range 2 30) (pair (float_bound_inclusive 100.) (float_bound_inclusive 100.)))
       (fun pts ->
