@@ -409,7 +409,7 @@ let with_obs ?(pretty = false) ?(prog = "gsino") ?(progress = false) ~sinks
   (match (trace, profile) with
   | Some _, _ | _, Some _ -> Trace.enable ()
   | None, None -> ());
-  (* before any worker domain exists, so workers see the flag *)
+  (* on this domain, which coordinates the flows and records every event *)
   (match journal with Some _ -> Eda_obs.Journal.enable () | None -> ());
   if progress then Eda_obs.Progress.enable ();
   (* idempotent, and also registered with at_exit: report_error leaves

@@ -390,17 +390,6 @@ module Explain = struct
   let is_ev name e = e.Journal.ev = name
   let panel_ev e = is_ev "panel.solve" e || is_ev "panel.resolve" e
 
-  (* synthesize a panel identity dimension ("region/dir") so panel.solve
-     and panel.resolve aggregate into the same row *)
-  let with_panel_dim evs =
-    List.filter_map
-      (fun e ->
-        match (Journal.dim_value e "region", Journal.dim_value e "dir") with
-        | Some r, Some d ->
-            Some { e with Journal.dim = ("panel", r ^ "/" ^ d) :: e.Journal.dim }
-        | (Some _ | None), _ -> None)
-      evs
-
   let ms row field = Agg.datum row field /. 1e3
   let i row field = int_of_float (Agg.datum row field)
 
@@ -427,10 +416,7 @@ module Explain = struct
          (List.map (fun (k, v) -> Printf.sprintf " %s=%d" k v) kinds))
 
   let view_top_nets ~k evs =
-    let rows =
-      Agg.top ~by:"reweights" ~k
-        (Agg.by_dim "net" (List.filter (is_ev "net.route") evs))
-    in
+    let rows = Agg.top_nets ~k evs in
     if rows <> [] then begin
       Format.printf "@.Top %d nets by route churn (reweights):@."
         (List.length rows);
@@ -473,8 +459,8 @@ module Explain = struct
     end
 
   let view_top_panels ~k evs =
-    let panels = with_panel_dim (List.filter panel_ev evs) in
-    let rows = Agg.top ~by:"time_us" ~k (Agg.by_dim "panel" panels) in
+    let panels = Agg.panel_events evs in
+    let rows = Agg.top_panels ~k panels in
     if rows <> [] then begin
       let total =
         List.fold_left

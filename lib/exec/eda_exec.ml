@@ -1,6 +1,5 @@
 module Metrics = Eda_obs.Metrics
 module Trace = Eda_obs.Trace
-module Journal = Eda_obs.Journal
 
 let default_jobs ?(cap = 8) () =
   max 1 (min (max 1 cap) (Domain.recommended_domain_count ()))
@@ -16,7 +15,7 @@ type job = {
   body : int -> unit;
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
   mutable remaining : int;  (** workers yet to finish this section *)
-  mutable shards : (int * Metrics.snapshot * Journal.event list) list;
+  mutable shards : (int * Metrics.snapshot) list;
   busy_ns : int64 array;
       (** per-slot busy time this section; each slot is written only by
           its own domain, read by the coordinator after the barrier *)
@@ -121,12 +120,11 @@ let worker pool slot () =
       let job = Option.get pool.job in
       Mutex.unlock pool.mu;
       steal pool job ~slot ~ctrs;
-      (* ship this domain's metric + journal deltas for the ordered merge *)
+      (* ship this domain's metric deltas for the ordered merge *)
       let shard = Metrics.snapshot () in
       Metrics.reset ();
-      let jshard = Journal.drain () in
       Mutex.lock pool.mu;
-      job.shards <- (slot, shard, jshard) :: job.shards;
+      job.shards <- (slot, shard) :: job.shards;
       job.remaining <- job.remaining - 1;
       if job.remaining = 0 then Condition.broadcast pool.idle;
       Mutex.unlock pool.mu
@@ -223,10 +221,8 @@ let run_range pool ?(name = "section") ?chunk n body =
     Mutex.unlock pool.mu;
     (* deterministic ordered reduction: shards fold back in slot order,
        not completion order *)
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) job.shards
-    |> List.iter (fun (_, shard, jshard) ->
-           Metrics.absorb shard;
-           Journal.absorb jshard);
+    List.sort (fun (a, _) (b, _) -> compare a b) job.shards
+    |> List.iter (fun (_, shard) -> Metrics.absorb shard);
     (let sum =
        Array.fold_left (fun s b -> s +. Int64.to_float b) 0.0 job.busy_ns
      in

@@ -11,14 +11,14 @@
       [i] of the output array regardless of which domain computed it or
       when it finished, so the merged result is identical to the
       sequential one.
-    - {b Sharded metrics and journal.}  Workers record into their own
-      {!Eda_obs.Metrics} and {!Eda_obs.Journal} domain shards; at the end
-      of each parallel section the shards are folded back into the
-      coordinator's registry with [Metrics.absorb] / [Journal.absorb], in
-      worker-index order.  Counter and histogram series — and the
-      canonically-sorted journal — therefore come out the same for any
-      [jobs] value (only the [exec.*] per-domain series and the [_us]
-      journal timings vary).
+    - {b Sharded metrics.}  Workers record into their own
+      {!Eda_obs.Metrics} registries; at the end of each parallel section
+      the shards are folded back into the coordinator's registry with
+      [Metrics.absorb], in worker-index order.  Counter and histogram
+      series therefore come out the same for any [jobs] value (only the
+      [exec.*] per-domain series vary).  Workers never journal: a body
+      that has journal payloads writes them to per-index slots, and the
+      coordinator records them after the section.
     - {b Sequential bypass.}  With no pool, or a pool created with
       [jobs = 1], no domain is ever spawned and no [exec.*] metric or
       span is emitted: the call degenerates to a plain loop, so
@@ -77,7 +77,7 @@ val parallel_iter :
     (default ["section"]) labels the section's [exec.section_items]
     series and trace span.  [body] must not mutate state shared across
     iterations — writes must go to per-index slots or domain-local
-    (e.g. Metrics / Journal) cells.
+    (e.g. Metrics) cells.
 
     Nested sections, and sections entered from a domain other than the
     pool's creator, run sequentially rather than deadlocking. *)

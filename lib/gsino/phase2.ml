@@ -137,7 +137,15 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
     Solver.request ~mode ~params:keff ~deadline ~fault_site:"phase2.solve" ~seed
       ()
   in
-  let solve_panel (((r, d) as _key), nets) =
+  (* panel.solve is recorded by the coordinator after the fan-out, from
+     the solution and the payload the solving domain leaves in the
+     panel's slot: the time, the cache disposition and the signature.
+     Whether to journal is decided here, once, so a run without a
+     journal allocates no payload. *)
+  let jnl = Journal.enabled () in
+  let payloads = if jnl then Array.make (Array.length panels) None else [||] in
+  let solve_panel i =
+    let (_, d), nets = panels.(i) in
     let t0 = Clock.now_ns () in
     let nets = Array.of_list (List.sort_uniq compare nets) in
     let kth_arr = Array.map kth nets in
@@ -182,27 +190,9 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
     Metrics.add m_shields (Layout.num_shields layout);
     note_signature ~sigs ~mu:sig_mu sg;
     let soln = soln_of_layout ~keff ~degraded inst layout in
-    if Journal.enabled () then begin
+    if jnl then begin
       let time_us = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e3 in
-      Journal.record "panel.solve"
-        ([
-           ("region", string_of_int r);
-           ("dir", Dir.to_string d);
-           ("sig", sg);
-           ( "members",
-             String.concat "," (Array.to_list (Array.map string_of_int nets)) );
-         ]
-        @ cache_dim cache_note)
-        ~data:
-          [
-            ("nets", float_of_int (Array.length nets));
-            ("time_us", time_us);
-            ("shields", float_of_int (Layout.num_shields layout));
-          ]
-        ~outcome:
-          (if not soln.feasible then "infeasible"
-           else if degraded then "degraded"
-           else "feasible")
+      payloads.(i) <- Some (time_us, cache_note, sg)
     end;
     soln
   in
@@ -210,8 +200,8 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
      ticks reach the heartbeat (Progress is single-writer), so the line
      reflects total panels finished, not just its own *)
   let done_ = Atomic.make 0 in
-  let solve_panel p =
-    let s = solve_panel p in
+  let solve_panel i =
+    let s = solve_panel i in
     Atomic.incr done_;
     Eda_obs.Progress.tick ~items_total:(Array.length panels)
       ~items_done:(Atomic.get done_) ();
@@ -222,8 +212,38 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
      phase2.solve span also carries worklist construction) *)
   let solns =
     Trace.span "phase2.panels" @@ fun () ->
-    Eda_exec.map_array ?pool ~name:"phase2.panels" solve_panel panels
+    Eda_exec.parallel_map ?pool ~name:"phase2.panels" (Array.length panels)
+      solve_panel
   in
+  Array.iteri
+    (fun i payload ->
+      match payload with
+      | None -> ()
+      | Some (time_us, cache_note, sg) ->
+          let (r, d), _ = panels.(i) and soln = solns.(i) in
+          let n = Instance.size soln.inst in
+          Journal.record "panel.solve"
+            ([
+               ("region", string_of_int r);
+               ("dir", Dir.to_string d);
+               ("sig", sg);
+               ( "members",
+                 String.concat ","
+                   (List.init n (fun q ->
+                        string_of_int (Instance.net_id soln.inst q))) );
+             ]
+            @ cache_dim cache_note)
+            ~data:
+              [
+                ("nets", float_of_int n);
+                ("time_us", time_us);
+                ("shields", float_of_int (Layout.num_shields soln.layout));
+              ]
+            ~outcome:
+              (if not soln.feasible then "infeasible"
+               else if soln.degraded then "degraded"
+               else "feasible"))
+    payloads;
   let table = Hashtbl.create (Array.length panels) in
   Array.iteri (fun i soln -> Hashtbl.replace table (fst panels.(i)) soln) solns;
   (if Eda_guard.Deadline.expired deadline then

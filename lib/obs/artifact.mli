@@ -3,7 +3,7 @@
     exit flush and the serve daemon's per-request responses both take
     their bytes from here, so a served artifact is byte-comparable to
     the batch CLI's.  Each renderer reads the calling domain's current
-    state (trace ring, metrics registry, journal shard). *)
+    state (trace ring, metrics registry, journal). *)
 
 (** Chrome-trace JSON of the trace ring, newline-terminated. *)
 val trace : unit -> string

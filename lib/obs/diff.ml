@@ -78,89 +78,33 @@ let excluded policy name =
 let apply_exclude policy entries =
   List.filter (fun e -> not (excluded policy e.name)) entries
 
-let policy_of_json j =
-  let fail msg = Error msg in
-  let exclude_of () =
-    match Json.member "exclude" j with
-    | None -> Ok []
-    | Some (Json.List l) ->
-        List.fold_left
-          (fun acc x ->
-            match (acc, x) with
-            | Ok ps, Json.Str p -> Ok (p :: ps)
-            | ( Ok _,
-                ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                | Json.List _ | Json.Obj _ ) ) ->
-                Error "policy: exclude entries must be strings"
-            | (Error _ as e), _ -> e)
-          (Ok []) l
-        |> Result.map List.rev
-    | Some
-        ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-        | Json.Obj _ ) ->
-        fail "policy: exclude must be a list of name prefixes"
+let tolerance_of_json what t =
+  let metric = Json.str (what ^ ".metric") (Json.field what t "metric") in
+  let optional read key = Option.map (read (metric ^ "." ^ key)) (Json.member key t) in
+  let direction =
+    match optional Json.str "direction" with
+    | Some "up" | None -> Up
+    | Some "down" -> Down
+    | Some "both" -> Any_change
+    | Some d -> Json.fail "%s: direction %s is not up|down|both" metric d
   in
-  match Json.member "schema" j with
-  | Some (Json.Str "gsino-diff-policy-v1") -> (
-      match Json.member "tolerances" j with
-      | Some (Json.List ts) -> (
-          let tol_of t =
-            match Json.member "metric" t with
-            | Some (Json.Str metric) -> (
-                let num key =
-                  match Json.member key t with
-                  | Some (Json.Int i) -> Ok (Some (float_of_int i))
-                  | Some (Json.Float f) -> Ok (Some f)
-                  | None -> Ok None
-                  | Some
-                      ( Json.Null | Json.Bool _ | Json.Str _ | Json.List _
-                      | Json.Obj _ ) ->
-                      Error (metric ^ ": " ^ key ^ " must be a number")
-                in
-                let dir =
-                  match Json.member "direction" t with
-                  | Some (Json.Str "up") | None -> Ok Up
-                  | Some (Json.Str "down") -> Ok Down
-                  | Some (Json.Str "both") -> Ok Any_change
-                  | Some
-                      ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                      | Json.Str _ | Json.List _ | Json.Obj _ ) ->
-                      Error (metric ^ ": direction must be up|down|both")
-                in
-                match (num "max_abs", num "max_rel", dir) with
-                | Ok max_abs, Ok max_rel, Ok direction ->
-                    Ok { metric; max_abs; max_rel; direction }
-                | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e)
-            | Some
-                ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                | Json.List _ | Json.Obj _ )
-            | None ->
-                Error "tolerance entry: missing string field 'metric'"
-          in
-          match
-            List.fold_left
-              (fun acc t ->
-                match (acc, tol_of t) with
-                | Ok l, Ok tol -> Ok (tol :: l)
-                | (Error _ as e), _ | _, (Error _ as e) -> e)
-              (Ok []) ts
-          with
-          | Ok l -> (
-              match exclude_of () with
-              | Ok exclude -> Ok { tolerances = List.rev l; exclude }
-              | Error e -> Error e)
-          | Error e -> Error e)
-      | Some
-          ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-          | Json.Obj _ )
-      | None ->
-          fail "policy: missing 'tolerances' list")
-  | Some (Json.Str s) -> fail ("unsupported policy schema " ^ s)
-  | Some
-      ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-      | Json.Obj _ )
-  | None ->
-      fail "policy: missing schema (want gsino-diff-policy-v1)"
+  let max_abs = optional Json.num "max_abs" in
+  let max_rel = optional Json.num "max_rel" in
+  { metric; max_abs; max_rel; direction }
+
+let policy_of_json =
+  Json.decode (fun j ->
+      Json.schema "gsino-diff-policy-v1" j;
+      let tolerances =
+        Json.list "tolerances" tolerance_of_json
+          (Json.field "policy" j "tolerances")
+      in
+      let exclude =
+        match Json.member "exclude" j with
+        | Some l -> Json.list "exclude" Json.str l
+        | None -> []
+      in
+      { tolerances; exclude })
 
 let load_policy path =
   match Json.read_file path with

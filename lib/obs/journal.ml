@@ -5,34 +5,26 @@ type event = {
   outcome : string option;
 }
 
-(* Recording must stay near-free when the journal is off: a run without
-   --journal pays one atomic load per call site.  The flag is process-
-   global (workers inherit it; it is set on the coordinator before the
-   pool spawns). *)
-let on = Atomic.make false
-let enabled () = Atomic.get on
+(* The journal of one domain: the events it recorded, newest first, and
+   the journal.events counter, registered by [enable] so binaries that
+   never journal don't grow an always-zero series.  Like Trace's ring,
+   the state is domain-local: only a domain that called [enable]
+   records, so pool workers never do — the flows hand their payloads
+   back to the coordinating domain, which records them. *)
+type state = { mutable evs : event list; m_events : Metrics.counter }
 
-(* Per-domain shard, mirroring Metrics: every domain buffers privately,
-   so recording never shares a mutable cell across domains. *)
-let shard_key : event list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let state_key : state option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
-let shard () = Domain.DLS.get shard_key
-
-(* The journal observes itself: journal.events counts recorded events.
-   Registered on [enable] (coordinator, before workers exist) so binaries
-   that never journal don't grow an always-zero series. *)
-let h_events : Metrics.counter option ref = ref None
+let active () = !(Domain.DLS.get state_key)
+let enabled () = active () <> None
 
 let enable () =
-  if !h_events = None then h_events := Some (Metrics.counter "journal.events");
-  Atomic.set on true
+  Domain.DLS.get state_key
+  := Some { evs = []; m_events = Metrics.counter "journal.events" }
 
-let clear () = shard () := []
-
-let disable () =
-  Atomic.set on false;
-  clear ()
+let disable () = Domain.DLS.get state_key := None
+let clear () = Option.iter (fun s -> s.evs <- []) (active ())
 
 let norm_keys what l =
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) l in
@@ -44,38 +36,26 @@ let norm_keys what l =
   sorted
 
 let record ?(data = []) ?outcome ev dim =
-  if Atomic.get on then begin
-    if ev = "" then invalid_arg "Journal.record: empty event kind";
-    let e =
-      { ev; dim = norm_keys "dim" dim; data = norm_keys "data" data; outcome }
-    in
-    let s = shard () in
-    s := e :: !s;
-    match !h_events with Some h -> Metrics.incr h | None -> ()
-  end
-
-(* ------------------------------ sharding ----------------------------- *)
-
-let drain () =
-  let s = shard () in
-  let evs = List.rev !s in
-  s := [];
-  evs
-
-let absorb evs =
-  let s = shard () in
-  s := List.rev_append evs !s
+  match active () with
+  | None -> ()
+  | Some s ->
+      if ev = "" then invalid_arg "Journal.record: empty event kind";
+      s.evs <-
+        { ev; dim = norm_keys "dim" dim; data = norm_keys "data" data; outcome }
+        :: s.evs;
+      Metrics.incr s.m_events
 
 (* ------------------------------- export ------------------------------ *)
 
 let events () =
-  (* stable sort: same-key events keep their (deterministic, sequential)
-     emission order; cross-domain interleaving is normalised away because
-     parallel-phase events are unique per (ev, dim) *)
-  List.stable_sort
-    (fun a b ->
-      match compare a.ev b.ev with 0 -> compare a.dim b.dim | c -> c)
-    (List.rev !(shard ()))
+  (* stable sort: same-key events keep their emission order *)
+  match active () with
+  | None -> []
+  | Some s ->
+      List.stable_sort
+        (fun a b ->
+          match compare a.ev b.ev with 0 -> compare a.dim b.dim | c -> c)
+        (List.rev s.evs)
 
 let schema = "gsino-journal-v1"
 
@@ -104,100 +84,46 @@ let to_string evs =
 
 (* ------------------------------ loading ------------------------------ *)
 
-exception Bad of string
+let event_of_json what j =
+  let ev = Json.str (what ^ ": ev") (Json.field what j "ev") in
+  let keyed key value =
+    match Json.member key j with
+    | Some v -> Json.dict (what ^ ": " ^ key) value v
+    | None -> []
+  in
+  let dim = keyed "dim" Json.str in
+  let data = keyed "data" Json.num in
+  let outcome =
+    Option.map (Json.str (what ^ ": outcome")) (Json.member "outcome" j)
+  in
+  { ev; dim; data; outcome }
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
-
-let event_of_json line j =
-  let str what = function
-    | Json.Str s -> s
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-    | Json.Obj _ ->
-        fail "line %d: %s: expected a string" line what
-  in
-  let strs what = function
-    | Json.Obj fields ->
-        List.map (fun (k, v) -> (k, str (what ^ "." ^ k) v)) fields
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-    | Json.List _ ->
-        fail "line %d: %s: expected an object" line what
-  in
-  let nums what = function
-    | Json.Obj fields ->
-        List.map
-          (fun (k, v) ->
-            match v with
-            | Json.Int i -> (k, float_of_int i)
-            | Json.Float f -> (k, f)
-            | Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _
-              ->
-                fail "line %d: %s.%s: expected a number" line what k)
-          fields
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-    | Json.List _ ->
-        fail "line %d: %s: expected an object" line what
-  in
-  let ev =
-    match Json.member "ev" j with
-    | Some v -> str "ev" v
-    | None -> fail "line %d: missing field ev" line
-  in
-  let field f decode =
-    match Json.member f j with Some v -> decode f v | None -> []
-  in
-  {
-    ev;
-    dim = norm_keys "dim" (field "dim" strs);
-    data = norm_keys "data" (field "data" nums);
-    outcome = Option.map (str "outcome") (Json.member "outcome" j);
-  }
-
-let read_channel ic =
-  let parse line_no line =
+let of_string text =
+  let parse n line =
     match Json.of_string line with
-    | Error msg -> fail "line %d: %s" line_no msg
     | Ok j -> j
+    | Error msg -> Json.fail "line %d: %s" n msg
   in
-  match
-    let header =
-      match input_line ic with
-      | line -> parse 1 line
-      | exception End_of_file -> fail "empty journal"
-    in
-    (match Json.member "schema" header with
-    | Some (Json.Str s) when s = schema -> ()
-    | Some (Json.Str s) -> fail "unsupported schema %s (want %s)" s schema
-    | Some
-        ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-        | Json.Obj _ )
-    | None ->
-        fail "missing schema header (want %s)" schema);
-    let evs = ref [] in
-    let line_no = ref 1 in
-    (try
-       while true do
-         let line = input_line ic in
-         incr line_no;
-         if String.trim line <> "" then
-           evs := event_of_json !line_no (parse !line_no line) :: !evs
-       done
-     with End_of_file -> ());
-    List.rev !evs
-  with
-  | evs -> Ok evs
-  | exception Bad msg -> Error msg
+  let rec events n acc = function
+    | [] -> List.rev acc
+    | line :: lines when String.trim line = "" -> events (n + 1) acc lines
+    | line :: lines ->
+        let e = event_of_json (Printf.sprintf "line %d" n) (parse n line) in
+        events (n + 1) (e :: acc) lines
+  in
+  Json.decode
+    (function
+      | [] | [ "" ] -> Json.fail "empty journal"
+      | header :: lines ->
+          Json.schema schema (parse 1 header);
+          events 2 [] lines)
+    (String.split_on_char '\n' text)
 
 let load path =
-  if path = "-" then read_channel stdin
+  if path = "-" then of_string (In_channel.input_all stdin)
   else
-    match open_in path with
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            match read_channel ic with
-            | Ok evs -> Ok evs
-            | Error msg -> Error (path ^ ": " ^ msg))
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> Result.map_error (fun msg -> path ^ ": " ^ msg) (of_string text)
     | exception Sys_error msg -> Error msg
 
 (* ------------------------------ folding ------------------------------ *)
@@ -267,4 +193,20 @@ module Agg = struct
         rows
     in
     List.filteri (fun i _ -> i < k) sorted
+
+  let top_nets ~k evs =
+    top ~by:"reweights" ~k
+      (by_dim "net" (List.filter (fun e -> e.ev = "net.route") evs))
+
+  let panel_events evs =
+    List.filter_map
+      (fun e ->
+        if e.ev = "panel.solve" || e.ev = "panel.resolve" then
+          match (dim_value e "region", dim_value e "dir") with
+          | Some r, Some d -> Some { e with dim = ("panel", r ^ "/" ^ d) :: e.dim }
+          | (Some _ | None), _ -> None
+        else None)
+      evs
+
+  let top_panels ~k panels = top ~by:"time_us" ~k (by_dim "panel" panels)
 end

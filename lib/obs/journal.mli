@@ -1,15 +1,16 @@
-(** Attribution journal: a low-overhead, domain-safe structured event log
-    that records dimension-keyed cost events — which nets, regions and
-    panels the flow spent its work on ([gsino-journal-v1] JSONL).
+(** Attribution journal: a structured event log that records
+    dimension-keyed cost events — which nets, regions and panels the
+    flow spent its work on ([gsino-journal-v1] JSONL).
 
     Events are aggregates (one per net / region / panel), never per-inner-
-    loop-step; recording when the journal is disabled is a single atomic
-    load.  Like {!Metrics}, the journal is sharded per domain: each domain
-    buffers its own events, worker shards are {!drain}ed inside the pool
-    job and folded back by the coordinator with {!absorb} in slot order,
-    and the export applies a canonical stable sort by [(ev, dim)] — so a
-    [--jobs N] run produces the same journal as [--jobs 1] (modulo the
-    [_us] timing payloads).
+    loop-step.  Like {!Trace}, the journal is domain-local: a domain
+    records only after it calls {!enable}, into a buffer of its own, and
+    {!record} on any other domain is a no-op.  The flows record every
+    event on the domain that coordinates them — a parallel section hands
+    its payloads back to the coordinator, which records them after the
+    section — and the export applies a canonical stable sort by
+    [(ev, dim)], so a [--jobs N] run produces the same journal as
+    [--jobs 1] (modulo the [_us] timing payloads and the [cache] dim).
 
     Event vocabulary (see DESIGN §9).  Each event of a kind carries
     exactly these [dim] and [data] keys; a parenthesized dim is optional.
@@ -39,40 +40,32 @@ type event = {
 
 (** {1 Recording} *)
 
-(** Start buffering events (and register the [journal.events] counter).
-    Call on the coordinator before any worker domain is spawned. *)
+(** Start a fresh journal on the calling domain (and register the
+    [journal.events] counter in its current metrics registry). *)
 val enable : unit -> unit
 
-(** Stop recording and discard the calling domain's buffer. *)
+(** Stop recording on the calling domain and discard its events. *)
 val disable : unit -> unit
 
+(** Has the calling domain enabled the journal? *)
 val enabled : unit -> bool
 
 (** [record ev dim ~data ~outcome] — append one event to the calling
-    domain's shard.  A no-op (one atomic load) when disabled.  [dim] keys
-    must be unique; both key lists are normalised to sorted order. *)
+    domain's journal and count it in [journal.events]; a no-op on a
+    domain that has not enabled it.  [dim] keys must be unique; both key
+    lists are normalised to sorted order. *)
 val record :
   ?data:(string * float) list -> ?outcome:string ->
   string -> (string * string) list -> unit
 
-(** {1 Sharding} — same contract as {!Metrics.absorb}: workers [drain]
-    after finishing a stolen section, the coordinator [absorb]s the shards
-    one at a time in slot order. *)
-
-(** Take and clear the calling domain's buffered events, emission order. *)
-val drain : unit -> event list
-
-(** Append a drained worker shard to the calling domain's buffer. *)
-val absorb : event list -> unit
-
-(** Clear the calling domain's buffer. *)
+(** Discard the calling domain's events; recording stays enabled. *)
 val clear : unit -> unit
 
 (** {1 Export} *)
 
-(** Canonical view of the calling domain's buffer: stable-sorted by
-    [(ev, dim)], so per-key emission order survives but cross-domain
-    interleaving does not. *)
+(** Canonical view of the calling domain's events: stable-sorted by
+    [(ev, dim)], so per-key emission order survives.  Empty when the
+    journal is not enabled. *)
 val events : unit -> event list
 
 (** Events as [gsino-journal-v1] JSONL: a schema header line, then one
@@ -80,15 +73,20 @@ val events : unit -> event list
     domain's events with it). *)
 val to_string : event list -> string
 
-(** {1 Loading} *)
+(** {1 Loading} — [Error] names the line and the field at fault for
+    any unreadable input: malformed JSON, a missing or foreign schema
+    header, a field of the wrong type, or a [dim] or [data] key that
+    appears twice in one event. *)
 
-val read_channel : in_channel -> (event list, string) result
+(** [of_string text] — decode a whole [gsino-journal-v1] document. *)
+val of_string : string -> (event list, string) result
 
 (** [load path] — read a journal file ([-] reads stdin). *)
 val load : string -> (event list, string) result
 
 (** {1 Folding} — the aggregation [gsino_run explain] and the HTML report
-    drill down with. *)
+    drill down with; both rank nets and panels with the same
+    {!Agg.top_nets} and {!Agg.top_panels}. *)
 
 val dim_value : event -> string -> string option
 val data_value : event -> string -> float option
@@ -115,4 +113,18 @@ module Agg : sig
   (** [top ~by ~k rows] — the [k] largest rows by the summed field [by]
       (ties broken by key for determinism). *)
   val top : by:string -> k:int -> row list -> row list
+
+  (** [top_nets ~k evs] — the [k] nets with the most route churn: the
+      [net.route] events grouped by [net], ranked by summed
+      [reweights]. *)
+  val top_nets : k:int -> event list -> row list
+
+  (** [panel_events evs] — the [panel.solve] and [panel.resolve] events,
+      each with a synthesized [panel] dim ["region/dir"] so a panel's
+      solve and its re-solves group together. *)
+  val panel_events : event list -> event list
+
+  (** [top_panels ~k panels] — the [k] panels with the most SINO time:
+      {!panel_events} grouped by [panel], ranked by summed [time_us]. *)
+  val top_panels : k:int -> event list -> row list
 end

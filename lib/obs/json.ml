@@ -77,6 +77,8 @@ let member key = function
 
 exception Parse_error of int * string
 
+let max_depth = 512
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -233,10 +235,13 @@ let of_string s =
         | Some f when Float.is_finite f -> Float f
         | Some _ | None -> fail ("bad number " ^ tok))
   in
-  let rec parse_value () =
+  (* [depth] counts the containers around the value being parsed *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth = max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -251,7 +256,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -275,7 +280,7 @@ let of_string s =
         else begin
           let items = ref [] in
           let rec item () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -296,7 +301,7 @@ let of_string s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v
@@ -314,3 +319,65 @@ let read_file path =
   with
   | contents -> of_string contents
   | exception Sys_error msg -> Error msg
+
+(* --------------------------- typed readers --------------------------- *)
+
+exception Decode_error of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Decode_error msg)) fmt
+
+let decode f x = match f x with v -> Ok v | exception Decode_error msg -> Error msg
+
+let str what = function
+  | Str s -> s
+  | Null | Bool _ | Int _ | Float _ | List _ | Obj _ ->
+      fail "%s: expected a string" what
+
+let int what = function
+  | Int i -> i
+  | Null | Bool _ | Float _ | Str _ | List _ | Obj _ ->
+      fail "%s: expected an integer" what
+
+let num what = function
+  | Int i -> float_of_int i
+  | Float f -> f
+  | Null | Bool _ | Str _ | List _ | Obj _ -> fail "%s: expected a number" what
+
+let bool what = function
+  | Bool b -> b
+  | Null | Int _ | Float _ | Str _ | List _ | Obj _ ->
+      fail "%s: expected a boolean" what
+
+let list what item = function
+  | List l -> List.map (item what) l
+  | Null | Bool _ | Int _ | Float _ | Str _ | Obj _ ->
+      fail "%s: expected a list" what
+
+let obj what = function
+  | Obj fields -> fields
+  | Null | Bool _ | Int _ | Float _ | Str _ | List _ ->
+      fail "%s: expected an object" what
+
+let dict what value j =
+  let fields =
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (obj what j)
+  in
+  let rec distinct = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if a = b then fail "%s: duplicate key %s" what a else distinct rest
+    | [ _ ] | [] -> ()
+  in
+  distinct fields;
+  List.map (fun (k, v) -> (k, value (what ^ "." ^ k) v)) fields
+
+let field what j key =
+  match member key j with
+  | Some v -> v
+  | None -> fail "%s: missing field %s" what key
+
+let schema want j =
+  match member "schema" j with
+  | Some (Str s) when s = want -> ()
+  | Some (Str s) -> fail "unsupported schema %s (want %s)" s want
+  | Some (Null | Bool _ | Int _ | Float _ | List _ | Obj _) | None ->
+      fail "missing schema header (want %s)" want

@@ -319,102 +319,47 @@ let to_json s =
 
 (* ------------------------- snapshot loading ------------------------- *)
 
-exception Bad of string
+(* invert the "le" upper bound back to the log2 bucket index *)
+let bucket_of_le what le =
+  if le <= 0.0 || not (Float.is_finite le) then
+    Json.fail "%s: le %g out of range" what le;
+  let i = int_of_float (Float.round (Float.log le /. Float.log 2.0)) + 15 in
+  if i < 0 || i >= n_buckets || Float.abs (bucket_hi i -. le) > 1e-9 *. le then
+    Json.fail "%s: le %g is not a power of two in range" what le;
+  i
 
-let of_json j =
-  let fail fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
-  let str what = function
-    | Json.Str s -> s
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-    | Json.Obj _ ->
-        fail "%s: expected a string" what
+let entry_of_json _ j =
+  let name = Json.str "metric name" (Json.field "metric" j "name") in
+  let get key = Json.field name j key in
+  let labels = Json.dict (name ^ ".labels") Json.str (get "labels") in
+  let value =
+    match Json.str (name ^ ".kind") (get "kind") with
+    | "counter" -> Counter (Json.int (name ^ ".value") (get "value"))
+    | "gauge" -> Gauge (Json.num (name ^ ".value") (get "value"))
+    | "histogram" ->
+        let bound key default =
+          let v = get key in
+          if v = Json.Null then default else Json.num (name ^ "." ^ key) v
+        in
+        let bucket what b =
+          ( bucket_of_le what (Json.num (what ^ ".le") (Json.field what b "le")),
+            Json.int (what ^ ".count") (Json.field what b "count") )
+        in
+        let count = Json.int (name ^ ".count") (get "count") in
+        let sum = Json.num (name ^ ".sum") (get "sum") in
+        let min = bound "min" infinity in
+        let max = bound "max" neg_infinity in
+        let buckets = Json.list (name ^ ".buckets") bucket (get "buckets") in
+        Histogram { count; sum; min; max; buckets = List.sort compare buckets }
+    | kind -> Json.fail "%s: unknown metric kind %s" name kind
   in
-  let num what = function
-    | Json.Int i -> float_of_int i
-    | Json.Float f -> f
-    | Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ ->
-        fail "%s: expected a number" what
-  in
-  let int what = function
-    | Json.Int i -> i
-    | Json.Null | Json.Bool _ | Json.Float _ | Json.Str _ | Json.List _
-    | Json.Obj _ ->
-        fail "%s: expected an integer" what
-  in
-  let field what o key =
-    match Json.member key o with
-    | Some v -> v
-    | None -> fail "%s: missing field %s" what key
-  in
-  (* invert the "le" upper bound back to the log2 bucket index *)
-  let bucket_of_le le =
-    if le <= 0.0 || not (Float.is_finite le) then fail "bucket le %g out of range" le;
-    let i = int_of_float (Float.round (Float.log le /. Float.log 2.0)) + 15 in
-    if i < 0 || i >= n_buckets || Float.abs (bucket_hi i -. le) > 1e-9 *. le then
-      fail "bucket le %g is not a power of two in range" le;
-    i
-  in
-  let labels_of what = function
-    | Json.Obj fields ->
-        norm_labels (List.map (fun (k, v) -> (k, str (what ^ ".labels") v)) fields)
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-    | Json.List _ ->
-        fail "%s: labels must be an object" what
-  in
-  let entry_of j =
-    let name = str "metric name" (field "metric" j "name") in
-    let labels = labels_of name (field name j "labels") in
-    let v =
-      match str (name ^ ".kind") (field name j "kind") with
-      | "counter" -> Counter (int (name ^ ".value") (field name j "value"))
-      | "gauge" -> Gauge (num (name ^ ".value") (field name j "value"))
-      | "histogram" ->
-          let count = int (name ^ ".count") (field name j "count") in
-          let sum = num (name ^ ".sum") (field name j "sum") in
-          let bound what default =
-            match field name j what with
-            | Json.Null -> default
-            | (Json.Int _ | Json.Float _) as v -> num (name ^ "." ^ what) v
-            | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ ->
-                fail "%s.%s: expected number or null" name what
-          in
-          let buckets =
-            match field name j "buckets" with
-            | Json.List bs ->
-                List.map
-                  (fun b ->
-                    ( bucket_of_le (num (name ^ ".le") (field name b "le")),
-                      int (name ^ ".bucket count") (field name b "count") ))
-                  bs
-                |> List.sort compare
-            | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-            | Json.Obj _ ->
-                fail "%s.buckets: expected a list" name
-          in
-          Histogram
-            {
-              count;
-              sum;
-              min = bound "min" infinity;
-              max = bound "max" neg_infinity;
-              buckets;
-            }
-      | kind -> fail "%s: unknown metric kind %s" name kind
-    in
-    (name, labels, v)
-  in
-  match
-    (match str "schema" (field "snapshot" j "schema") with
-    | "gsino-metrics-v1" -> ()
-    | schema -> fail "unsupported schema %s (want gsino-metrics-v1)" schema);
-    match field "snapshot" j "metrics" with
-    | Json.List ms -> List.sort compare (List.map entry_of ms)
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-    | Json.Obj _ ->
-        fail "metrics: expected a list"
-  with
-  | entries -> Ok entries
-  | exception Bad msg -> Error msg
+  (name, labels, value)
+
+let of_json =
+  Json.decode (fun j ->
+      Json.schema "gsino-metrics-v1" j;
+      List.sort compare
+        (Json.list "metrics" entry_of_json (Json.field "snapshot" j "metrics")))
 
 let read_json path =
   match Json.read_file path with

@@ -147,7 +147,7 @@ let html ?(tech = Tech.default) ?(title = "GSINO run report") ~snapshot
       add "</tbody>\n</table>\n");
 
   (* attribution drill-down, present only when --journal was on — the
-     same folds gsino_run explain performs, inlined for the report *)
+     same folds gsino_run explain ranks with *)
   (match Eda_obs.Journal.events () with
   | [] -> ()
   | evs ->
@@ -163,11 +163,7 @@ let html ?(tech = Tech.default) ?(title = "GSINO run report") ~snapshot
         (if dups + uniq > 0 then
            100.0 *. float_of_int dups /. float_of_int (dups + uniq)
          else 0.0);
-      let nets =
-        J.Agg.top ~by:"reweights" ~k:top_k
-          (J.Agg.by_dim "net"
-             (List.filter (fun (e : J.event) -> e.J.ev = "net.route") evs))
-      in
+      let nets = J.Agg.top_nets ~k:top_k evs in
       if nets <> [] then begin
         add "<h3>Nets by route churn</h3>\n";
         add
@@ -183,18 +179,7 @@ let html ?(tech = Tech.default) ?(title = "GSINO run report") ~snapshot
           nets;
         add "</tbody>\n</table>\n"
       end;
-      let panels =
-        List.filter_map
-          (fun (e : J.event) ->
-            if e.J.ev = "panel.solve" || e.J.ev = "panel.resolve" then
-              match (J.dim_value e "region", J.dim_value e "dir") with
-              | Some rg, Some d ->
-                  Some { e with J.dim = ("panel", rg ^ "/" ^ d) :: e.J.dim }
-              | (Some _ | None), _ -> None
-            else None)
-          evs
-      in
-      let hot = J.Agg.top ~by:"time_us" ~k:top_k (J.Agg.by_dim "panel" panels) in
+      let hot = J.Agg.top_panels ~k:top_k (J.Agg.panel_events evs) in
       if hot <> [] then begin
         add "<h3>Panels by SINO time</h3>\n";
         add

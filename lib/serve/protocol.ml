@@ -271,180 +271,106 @@ let response_to_json = function
 
 (* ------------------------------ decoding ----------------------------- *)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
-
-let reject_of_bad detail = Error.Frame { what = "bad-schema"; detail }
-
-let str what = function
-  | Json.Str s -> s
-  | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-  | Json.Obj _ ->
-      bad "%s: expected a string" what
-
-let int_ what = function
-  | Json.Int i -> i
-  | Json.Null | Json.Bool _ | Json.Float _ | Json.Str _ | Json.List _
-  | Json.Obj _ ->
-      bad "%s: expected an integer" what
-
-let num what = function
-  | Json.Int i -> float_of_int i
-  | Json.Float f -> f
-  | Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ ->
-      bad "%s: expected a number" what
-
-let bool_ what = function
-  | Json.Bool b -> b
-  | Json.Null | Json.Int _ | Json.Float _ | Json.Str _ | Json.List _
-  | Json.Obj _ ->
-      bad "%s: expected a boolean" what
-
-let field what j key =
-  match Json.member key j with
-  | Some v -> v
-  | None -> bad "%s: missing field %s" what key
-
-let check_schema j =
-  match Json.member "schema" j with
-  | Some (Json.Str s) when s = schema -> ()
-  | Some (Json.Str s) -> bad "unsupported schema %s (want %s)" s schema
-  | Some
-      ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-      | Json.Obj _ )
-  | None ->
-      bad "missing schema field (want %s)" schema
-
-let named what of_name v =
-  let name = str what v in
+let named of_name what v =
+  let name = Json.str what v in
   match of_name name with
   | Some x -> x
-  | None -> bad "%s: unknown value %S" what name
+  | None -> Json.fail "%s: unknown value %S" what name
 
 let options_of_json j =
-  match j with
-  | Json.Obj fields ->
-      List.fold_left
-        (fun o (k, v) ->
-          match k with
-          | "flow" -> { o with kind = named "options.flow" flow_of_name v }
-          | "router" ->
-              { o with router = named "options.router" router_of_name v }
-          | "budgeting" ->
-              {
-                o with
-                budgeting = named "options.budgeting" budgeting_of_name v;
-              }
-          | "seed" -> { o with seed = int_ "options.seed" v }
-          | "rate" -> { o with rate = num "options.rate" v }
-          | "deadline_ms" ->
-              { o with deadline_ms = int_ "options.deadline_ms" v }
-          | "artifacts" -> (
-              match v with
-              | Json.List l ->
-                  {
-                    o with
-                    artifacts =
-                      List.map (named "options.artifacts" artifact_of_name) l;
-                  }
-              | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-              | Json.Str _ | Json.Obj _ ->
-                  bad "options.artifacts: expected a list")
-          | k -> bad "options: unknown field %S" k)
-        default_options fields
-  | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-  | Json.List _ ->
-      bad "options: expected an object"
+  List.fold_left
+    (fun o (k, v) ->
+      match k with
+      | "flow" -> { o with kind = named flow_of_name "options.flow" v }
+      | "router" -> { o with router = named router_of_name "options.router" v }
+      | "budgeting" ->
+          { o with budgeting = named budgeting_of_name "options.budgeting" v }
+      | "seed" -> { o with seed = Json.int "options.seed" v }
+      | "rate" -> { o with rate = Json.num "options.rate" v }
+      | "deadline_ms" -> { o with deadline_ms = Json.int "options.deadline_ms" v }
+      | "artifacts" ->
+          {
+            o with
+            artifacts = Json.list "options.artifacts" (named artifact_of_name) v;
+          }
+      | k -> Json.fail "options: unknown field %S" k)
+    default_options (Json.obj "options" j)
 
-let request_of_json j =
-  try
-    check_schema j;
-    match str "kind" (field "request" j "kind") with
-    | "ping" -> Ok Ping
-    | "stats" -> Ok Stats
-    | "route" ->
-        let netlist = str "netlist" (field "route request" j "netlist") in
-        let options =
-          match Json.member "options" j with
-          | Some o -> options_of_json o
-          | None -> default_options
-        in
-        Ok (Route { netlist; options })
-    | k -> bad "unknown request kind %S" k
-  with Bad msg -> Error (reject_of_bad msg)
-
-let request_of_string s =
+(* [decode f s] — parse frame [s] and decode it with [f]: a JSON error is
+   a bad-json reject, a decode error a bad-schema one. *)
+let decode f s =
   match Json.of_string s with
   | Error msg -> Error (Error.Frame { what = "bad-json"; detail = msg })
-  | Ok j -> request_of_json j
+  | Ok j ->
+      Result.map_error
+        (fun detail -> Error.Frame { what = "bad-schema"; detail })
+        (Json.decode f j)
+
+let request_of_json j =
+  Json.schema schema j;
+  match Json.str "kind" (Json.field "request" j "kind") with
+  | "ping" -> Ping
+  | "stats" -> Stats
+  | "route" ->
+      let netlist = Json.str "netlist" (Json.field "route request" j "netlist") in
+      let options =
+        match Json.member "options" j with
+        | Some o -> options_of_json o
+        | None -> default_options
+      in
+      Route { netlist; options }
+  | k -> Json.fail "unknown request kind %S" k
+
+let request_of_string = decode request_of_json
 
 let stats_of_json j =
+  let get key = Json.field "stats" j key in
+  let int key = Json.int key (get key) in
   {
-    uptime_s = num "uptime_s" (field "stats" j "uptime_s");
-    served = int_ "served" (field "stats" j "served");
-    errors = int_ "errors" (field "stats" j "errors");
-    disconnects = int_ "disconnects" (field "stats" j "disconnects");
+    uptime_s = Json.num "uptime_s" (get "uptime_s");
+    served = int "served";
+    errors = int "errors";
+    disconnects = int "disconnects";
     rejected =
-      (match field "stats" j "rejected" with
-      | Json.Obj fields ->
-          List.map (fun (k, v) -> (k, int_ ("rejected." ^ k) v)) fields
-      | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-      | Json.List _ ->
-          bad "stats.rejected: expected an object");
-    queue_depth = int_ "queue_depth" (field "stats" j "queue_depth");
-    active = int_ "active" (field "stats" j "active");
-    workers = int_ "workers" (field "stats" j "workers");
-    jobs = int_ "jobs" (field "stats" j "jobs");
-    cache_len = int_ "cache_len" (field "stats" j "cache_len");
-    draining = bool_ "draining" (field "stats" j "draining");
+      List.map
+        (fun (k, v) -> (k, Json.int ("rejected." ^ k) v))
+        (Json.obj "stats.rejected" (get "rejected"));
+    queue_depth = int "queue_depth";
+    active = int "active";
+    workers = int "workers";
+    jobs = int "jobs";
+    cache_len = int "cache_len";
+    draining = Json.bool "draining" (get "draining");
   }
 
 let response_of_json j =
-  try
-    check_schema j;
-    match str "kind" (field "response" j "kind") with
-    | "pong" -> Ok Pong
-    | "stats" -> Ok (Stats_reply (stats_of_json j))
-    | "result" ->
-        let strs what = function
-          | Json.List l -> List.map (str what) l
-          | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-          | Json.Obj _ ->
-              bad "%s: expected a list" what
-        in
-        Ok
-          (Result
-             {
-               status = str "status" (field "result" j "status");
-               summary = str "summary" (field "result" j "summary");
-               findings = strs "findings" (field "result" j "findings");
-               artifacts =
-                 (match field "result" j "artifacts" with
-                 | Json.Obj fields ->
-                     List.map
-                       (fun (k, v) -> (k, str ("artifacts." ^ k) v))
-                       fields
-                 | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                 | Json.Str _ | Json.List _ ->
-                     bad "result.artifacts: expected an object");
-             })
-    | "error" ->
-        Ok
-          (Err
-             {
-               cls = str "class" (field "error" j "class");
-               gsl = int_ "gsl" (field "error" j "gsl");
-               exit_code = int_ "exit" (field "error" j "exit");
-               message = str "message" (field "error" j "message");
-             })
-    | k -> bad "unknown response kind %S" k
-  with Bad msg -> Error (reject_of_bad msg)
+  Json.schema schema j;
+  let get what key = Json.field what j key in
+  match Json.str "kind" (get "response" "kind") with
+  | "pong" -> Pong
+  | "stats" -> Stats_reply (stats_of_json j)
+  | "result" ->
+      Result
+        {
+          status = Json.str "status" (get "result" "status");
+          summary = Json.str "summary" (get "result" "summary");
+          findings = Json.list "findings" Json.str (get "result" "findings");
+          artifacts =
+            List.map
+              (fun (k, v) -> (k, Json.str ("artifacts." ^ k) v))
+              (Json.obj "result.artifacts" (get "result" "artifacts"));
+        }
+  | "error" ->
+      Err
+        {
+          cls = Json.str "class" (get "error" "class");
+          gsl = Json.int "gsl" (get "error" "gsl");
+          exit_code = Json.int "exit" (get "error" "exit");
+          message = Json.str "message" (get "error" "message");
+        }
+  | k -> Json.fail "unknown response kind %S" k
 
-let response_of_string s =
-  match Json.of_string s with
-  | Error msg -> Error (Error.Frame { what = "bad-json"; detail = msg })
-  | Ok j -> response_of_json j
+let response_of_string = decode response_of_json
 
 let send fd msg = write_frame fd (Json.to_string msg)
 let send_request fd r = send fd (request_to_json r)

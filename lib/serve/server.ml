@@ -289,10 +289,11 @@ let handle_route t pool (job : job) =
   let monitor = Thread.create (fun () -> monitor_fd job.fd ~wake deadline) () in
   let response =
     (* fresh per-request observability context on this domain: a zeroed
-       copy of the start-up metrics registry, journal shard cleared,
-       trace ring armed only when the client asked for the artifact *)
+       copy of the start-up metrics registry, and a journal and a trace
+       ring only when the client asked for the artifact *)
     Metrics.with_registry (Metrics.zeroed_copy t.template) @@ fun () ->
-    Journal.clear ();
+    if List.mem Protocol.Journal job.options.artifacts then Journal.enable ()
+    else Journal.disable ();
     if List.mem Protocol.Trace job.options.artifacts then Trace.enable ()
     else Trace.disable ();
     (* per-request guard: any failure becomes a framed typed error — the
@@ -301,6 +302,7 @@ let handle_route t pool (job : job) =
     with exn ->
       Protocol.error_response (Error.classify ~site:"serve.request" exn)
   in
+  Journal.disable ();
   Trace.disable ();
   (* stop the watcher, and close what it selects on only once it is gone *)
   close_quiet wake_w;
@@ -366,10 +368,6 @@ let start_draining draining cfg =
      first request's.  The Formula-3 fit only serves the static
      analyzer, which no request runs. *)
   ignore (Tech.lsk_model Tech.default);
-  (* The journal records on any domain once enabled; enabling (and
-     registering journal.events) before the template is taken makes the
-     per-request instrument set match a batch `--journal` run. *)
-  Journal.enable ();
   let template = Metrics.zeroed_copy (Metrics.current_registry ()) in
   (* serve.* instruments register *after* the template is taken, so
      request-scoped metrics exports carry no serve series — they are

@@ -186,6 +186,19 @@ expect 2 "gsino_run explain missing journal" -- "$RUN" explain missing.jsonl
 printf '{"schema":"gsino-journal-v0"}\n' >old.jsonl
 expect 2 "gsino_run explain unsupported schema" -- "$RUN" explain old.jsonl
 expect_stderr "unsupported schema"
+# a key given twice, or nesting past the parser's bound, makes a journal
+# or a snapshot unreadable (exit 2), never an internal error
+printf '{"schema":"gsino-journal-v1"}\n{"ev":"net.route","dim":{"net":"1","net":"2"}}\n' \
+  >dupkey.jsonl
+expect 2 "gsino_run explain duplicated dim key" -- "$RUN" explain dupkey.jsonl
+expect_stderr "line 2: dim: duplicate key net"
+{ printf '{"schema":"gsino-journal-v1"}\n'; printf '[%.0s' $(seq 600); echo; } >deep.jsonl
+expect 2 "gsino_run explain nesting past the bound" -- "$RUN" explain deep.jsonl
+expect_stderr "nesting deeper than 512"
+printf '{"schema":"gsino-metrics-v1","metrics":[{"name":"x","labels":{"a":"1","a":"2"},"kind":"counter","value":1}]}\n' \
+  >dupkey.json
+expect 2 "gsino_run diff duplicated label key" -- "$RUN" diff dupkey.json clean.json
+expect_stderr "x.labels: duplicate key a"
 
 # ---- exit 5: injected internal failures (GSL0022) ----
 printf 'gsino-netlist v1\nname tiny\ngrid 4 4 10\nnet 0 0 0 1 1\n' >tiny.nl

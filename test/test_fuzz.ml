@@ -1,0 +1,237 @@
+(* Mutation fuzzing of the gsino-*-v1 readers: metrics snapshots
+   (`gsino_run diff`), journals (`gsino_run explain`), the diff policy
+   and serve frames.  Each property starts from documents the program
+   writes, mutates one (truncation, byte flips, splicing two documents,
+   a duplicated object key, deeper nesting) and checks that the reader
+   returns Ok or its typed Error: it must never raise. *)
+module Json = Eda_obs.Json
+module Metrics = Eda_obs.Metrics
+module Journal = Eda_obs.Journal
+module Artifact = Eda_obs.Artifact
+module Diff = Eda_obs.Diff
+module Protocol = Eda_serve.Protocol
+module Error = Eda_guard.Error
+
+let cases = 10_000
+
+(* four nets on a 3x3 grid: a GSINO flow over it at rate 1 journals
+   every event kind but net.refine, in under a hundred lines *)
+let netlist_text =
+  "gsino-netlist v1\nname tiny\ngrid 3 3 10\nnet 0 0 0 2 2\nnet 1 0 2 2 0\n\
+   net 2 1 0 1 2\nnet 3 0 1 2 1\n"
+
+(* the metrics snapshot and the journal of one GSINO flow *)
+let flow_artifacts =
+  lazy
+    (let open Gsino in
+     let netlist = Eda_netlist.Io.of_string netlist_text in
+     Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+     Journal.enable ();
+     Fun.protect ~finally:Journal.disable @@ fun () ->
+     ignore
+       (Flow.run_kinds Flow.Config.default Tech.default ~rate:1.0 [ Flow.Gsino ]
+          netlist ~f:Fun.id);
+     (Artifact.metrics (), Artifact.journal ()))
+
+(* ---------------- mutations ---------------- *)
+
+let truncate st doc = String.sub doc 0 (Random.State.int st (String.length doc + 1))
+
+let flip st doc =
+  let b = Bytes.of_string doc in
+  for _ = 1 to 1 + Random.State.int st 4 do
+    if Bytes.length b > 0 then
+      Bytes.set b
+        (Random.State.int st (Bytes.length b))
+        (Char.chr (Random.State.int st 256))
+  done;
+  Bytes.to_string b
+
+let splice st a b =
+  let i = Random.State.int st (String.length a + 1)
+  and j = Random.State.int st (String.length b + 1) in
+  String.sub a 0 i ^ String.sub b j (String.length b - j)
+
+let rec count pred j =
+  let inner =
+    match j with
+    | Json.Obj fields -> List.fold_left (fun n (_, v) -> n + count pred v) 0 fields
+    | Json.List l -> List.fold_left (fun n v -> n + count pred v) 0 l
+    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _ -> 0
+  in
+  inner + if pred j then 1 else 0
+
+(* [j] with [f] applied to the [n]-th node (post-order) satisfying
+   [pred] *)
+let rewrite_nth pred f n j =
+  let seen = ref (-1) in
+  let rec go j =
+    let j =
+      match j with
+      | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, go v)) fields)
+      | Json.List l -> Json.List (List.map go l)
+      | (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _) as s
+        ->
+          s
+    in
+    if pred j then begin
+      incr seen;
+      if !seen = n then f j else j
+    end
+    else j
+  in
+  go j
+
+let mutate_node st pred f j =
+  match count pred j with
+  | 0 -> j
+  | n -> rewrite_nth pred f (Random.State.int st n) j
+
+(* repeat one field of a non-empty object, with its value or another *)
+let dup_key st j =
+  let has_fields = function
+    | Json.Obj (_ :: _) -> true
+    | Json.Obj [] | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
+    | Json.Str _ | Json.List _ ->
+        false
+  in
+  mutate_node st has_fields
+    (function
+      | Json.Obj fields ->
+          let k, v = List.nth fields (Random.State.int st (List.length fields)) in
+          let v = if Random.State.bool st then v else Json.Str "dup" in
+          Json.Obj (fields @ [ (k, v) ])
+      | (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
+        | Json.List _) as j ->
+          j)
+    j
+
+(* wrap one node in a few lists, or in enough to cross the parser's
+   nesting bound *)
+let deepen st j =
+  let levels =
+    if Random.State.bool st then 1 + Random.State.int st 3
+    else Json.max_depth - 8 + Random.State.int st 16
+  in
+  let rec wrap d j = if d = 0 then j else wrap (d - 1) (Json.List [ j ]) in
+  mutate_node st (fun _ -> true) (wrap levels) j
+
+(* apply a tree mutation to the document, or to one line of it when it
+   is JSONL *)
+let on_tree st f doc =
+  match Json.of_string doc with
+  | Ok j -> Json.to_string (f st j)
+  | Error _ ->
+      let lines = Array.of_list (String.split_on_char '\n' doc) in
+      let i = Random.State.int st (Array.length lines) in
+      (match Json.of_string lines.(i) with
+      | Ok j -> lines.(i) <- Json.to_string (f st j)
+      | Error _ -> ());
+      String.concat "\n" (Array.to_list lines)
+
+let mutant seeds =
+  let gen st =
+    let seeds = Lazy.force seeds in
+    let pick () = seeds.(Random.State.int st (Array.length seeds)) in
+    let doc = pick () in
+    match Random.State.int st 5 with
+    | 0 -> truncate st doc
+    | 1 -> flip st doc
+    | 2 -> splice st doc (pick ())
+    | 3 -> on_tree st dup_key doc
+    | _ -> on_tree st deepen doc
+  in
+  let print doc =
+    let n = String.length doc in
+    Printf.sprintf "%d bytes: %S" n (String.sub doc 0 (min n 400))
+  in
+  QCheck.make ~print gen
+
+(* [fuzz name seeds read] — [read] decodes a mutant and says whether
+   the result is Ok or the reader's typed Error; an exception fails the
+   property *)
+let fuzz name seeds read = QCheck.Test.make ~count:cases ~name (mutant seeds) read
+
+(* a string-typed Error is the typed error of the obs readers *)
+let returns = function Ok _ | Error (_ : string) -> true
+
+let ok_or_frame_reject = function
+  | Ok _ -> true
+  | Error e -> Error.gsl_code e = 30
+
+let metrics_seeds = lazy [| fst (Lazy.force flow_artifacts) |]
+let journal_seeds = lazy [| snd (Lazy.force flow_artifacts) |]
+
+let policy_seeds =
+  lazy
+    [|
+      In_channel.with_open_bin "../bench/regression_policy.json"
+        In_channel.input_all;
+    |]
+
+let request_seeds =
+  lazy
+    (Array.map
+       (fun r -> Json.to_string (Protocol.request_to_json r))
+       [|
+         Protocol.Ping;
+         Protocol.Stats;
+         Protocol.Route
+           {
+             netlist = netlist_text;
+             options =
+               {
+                 Protocol.default_options with
+                 Protocol.deadline_ms = 250;
+                 artifacts = [ Protocol.Metrics; Protocol.Journal ];
+               };
+           };
+       |])
+
+let response_seeds =
+  lazy
+    (Array.map
+       (fun r -> Json.to_string (Protocol.response_to_json r))
+       [|
+         Protocol.Pong;
+         Protocol.Stats_reply
+           {
+             Protocol.uptime_s = 1.5;
+             served = 3;
+             errors = 1;
+             disconnects = 0;
+             rejected = [ ("queue-full", 2) ];
+             queue_depth = 0;
+             active = 1;
+             workers = 2;
+             jobs = 1;
+             cache_len = 0;
+             draining = false;
+           };
+         Protocol.Result
+           {
+             status = "ok";
+             summary = "GSINO on tiny";
+             findings = [ "GSL0005 W region=1/H over capacity" ];
+             artifacts = [ ("metrics", fst (Lazy.force flow_artifacts)) ];
+           };
+         Protocol.error_response
+           (Error.Overload { reason = "queue-full"; depth = 4 });
+       |])
+
+let qcheck_tests =
+  [
+    fuzz "metrics snapshot" metrics_seeds (fun doc ->
+        returns (Result.bind (Json.of_string doc) Metrics.of_json));
+    fuzz "journal" journal_seeds (fun doc -> returns (Journal.of_string doc));
+    fuzz "diff policy" policy_seeds (fun doc ->
+        returns (Result.bind (Json.of_string doc) Diff.policy_of_json));
+    fuzz "serve request and response"
+      (lazy (Array.append (Lazy.force request_seeds) (Lazy.force response_seeds)))
+      (fun doc ->
+        ok_or_frame_reject (Protocol.request_of_string doc)
+        && ok_or_frame_reject (Protocol.response_of_string doc));
+  ]
+
+let suites =
+  [ ("fuzz.readers", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

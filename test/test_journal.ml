@@ -1,9 +1,8 @@
 (* Unit tests for Eda_obs.Journal: recording gate, dim/data key
-   normalisation, the worker drain -> coordinator absorb contract, the
-   canonical (ev, dim) export sort, JSONL round-trip with the schema
-   header, loader error reporting, the Agg folds `gsino_run explain` is
-   built on, and a seeded flow's events against the vocabulary journal.mli
-   documents. *)
+   normalisation, the canonical (ev, dim) export sort, JSONL round-trip
+   with the schema header, loader error reporting, the Agg folds
+   `gsino_run explain` is built on, and a seeded flow's events against
+   the vocabulary journal.mli documents. *)
 module Journal = Eda_obs.Journal
 
 let with_journal f =
@@ -66,21 +65,6 @@ let test_canonical_sort () =
     (List.map
        (fun (e : Journal.event) ->
          e.Journal.ev ^ "/" ^ Option.get (Journal.dim_value e "net"))
-       (Journal.events ()))
-
-let test_drain_absorb_round_trip () =
-  with_journal @@ fun () ->
-  Journal.record "a" [ ("k", "1") ];
-  let shard = Journal.drain () in
-  Alcotest.(check int) "drained" 1 (List.length shard);
-  Alcotest.(check (list ev_t)) "buffer cleared" [] (Journal.events ());
-  Journal.record "a" [ ("k", "2") ];
-  Journal.absorb shard;
-  (* export is canonical regardless of which shard arrived first *)
-  Alcotest.(check (list string))
-    "absorbed + sorted" [ "1"; "2" ]
-    (List.map
-       (fun (e : Journal.event) -> Option.get (Journal.dim_value e "k"))
        (Journal.events ()))
 
 let test_jsonl_round_trip () =
@@ -303,7 +287,6 @@ let suites =
         Alcotest.test_case "duplicate key rejected" `Quick
           test_duplicate_dim_key_rejected;
         Alcotest.test_case "canonical sort" `Quick test_canonical_sort;
-        Alcotest.test_case "drain/absorb" `Quick test_drain_absorb_round_trip;
       ] );
     ( "journal.io",
       [

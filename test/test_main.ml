@@ -20,6 +20,7 @@ let () =
          Test_obs.suites;
          Test_diff.suites;
          Test_journal.suites;
+         Test_fuzz.suites;
          Test_reportviz.suites;
          Test_exec.suites;
         Test_cache.suites;

@@ -55,6 +55,56 @@ let test_json_rejects_garbage () =
   Alcotest.(check bool) "two lists" true (bad "[1] []");
   Alcotest.(check bool) "second object" true (bad "{\"a\":1}{\"b\":2}")
 
+(* The parser's nesting bound: arrays and objects exactly [max_depth]
+   deep parse, one level more is an error, not a stack-deep descent. *)
+let test_json_nesting_bound () =
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n =
+    String.concat "" (List.init n (fun _ -> "{\"a\":")) ^ "1" ^ String.make n '}'
+  in
+  let parses s = Result.is_ok (Json.of_string s) in
+  Alcotest.(check bool) "arrays at the bound" true (parses (arrays Json.max_depth));
+  Alcotest.(check bool) "arrays past the bound" false
+    (parses (arrays (Json.max_depth + 1)));
+  Alcotest.(check bool) "objects at the bound" true
+    (parses (objects Json.max_depth));
+  Alcotest.(check bool) "objects past the bound" false
+    (parses (objects (Json.max_depth + 1)))
+
+let test_json_typed_readers () =
+  let j =
+    match
+      Json.of_string
+        {|{"s":"x","i":3,"f":2.5,"b":true,"l":[1,2],
+           "d":{"b":"2","a":"1"},"dd":{"a":"1","a":"2"}}|}
+    with
+    | Ok j -> j
+    | Error msg -> Alcotest.fail msg
+  in
+  let read f = Json.decode f j in
+  let get k = Json.field "doc" j k in
+  Alcotest.(check (result string string)) "str" (Ok "x")
+    (read (fun _ -> Json.str "s" (get "s")));
+  Alcotest.(check (result (float 0.0) string)) "int as num" (Ok 3.0)
+    (read (fun _ -> Json.num "i" (get "i")));
+  Alcotest.(check (result (list int) string)) "list" (Ok [ 1; 2 ])
+    (read (fun _ -> Json.list "l" Json.int (get "l")));
+  Alcotest.(check (result (list (pair string string)) string)) "dict sorted"
+    (Ok [ ("a", "1"); ("b", "2") ])
+    (read (fun _ -> Json.dict "d" Json.str (get "d")));
+  Alcotest.(check (result (list (pair string string)) string)) "dict duplicate"
+    (Error "dd: duplicate key a")
+    (read (fun _ -> Json.dict "dd" Json.str (get "dd")));
+  Alcotest.(check (result int string)) "float is no int"
+    (Error "f: expected an integer")
+    (read (fun _ -> Json.int "f" (get "f")));
+  Alcotest.(check (result bool string)) "missing field"
+    (Error "doc: missing field nope")
+    (read (fun _ -> Json.bool "b" (get "nope")));
+  Alcotest.(check (result unit string)) "no schema"
+    (Error "missing schema header (want s-v1)")
+    (read (Json.schema "s-v1"))
+
 let test_json_unicode_escape () =
   match Json.of_string "\"a\\u00e9b\"" with
   | Ok (Json.Str s) -> Alcotest.(check string) "utf-8" "a\xc3\xa9b" s
@@ -692,6 +742,8 @@ let suites =
         Alcotest.test_case "bad unicode escapes" `Quick
           test_json_bad_unicode_escape;
         Alcotest.test_case "member" `Quick test_json_member;
+        Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
+        Alcotest.test_case "typed readers" `Quick test_json_typed_readers;
       ] );
     ( "obs.metrics",
       [

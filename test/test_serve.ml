@@ -366,6 +366,58 @@ let test_lazy_instrument_isolated () =
   let m4 = metrics "second trace request" [ Protocol.Trace; Protocol.Metrics ] in
   Alcotest.(check bool) "re-registered instrument exported again" true (dropped m4)
 
+(* Same answer as batch for a request that asks for metrics only: its
+   stable series equal those of the same lint-shaped flow run on this
+   domain in a copy of the daemon's start-up registry, as `gsino_run
+   lint --metrics` runs it, so it exports no journal.events series.
+   Asking for the journal adds exactly that series, counting the
+   journal's events. *)
+let test_metrics_only_matches_batch () =
+  Eda_obs.Metrics.(with_registry (fresh_registry ())) @@ fun () ->
+  with_server ~workers:1 @@ fun ~socket _t ->
+  let batch =
+    Eda_obs.Metrics.(with_registry (zeroed_copy (current_registry ())))
+    @@ fun () ->
+    let o = Protocol.default_options in
+    let config =
+      {
+        Flow.Config.default with
+        Flow.Config.router = o.Protocol.router;
+        budgeting = o.Protocol.budgeting;
+        seed = o.Protocol.seed;
+        jobs = 1;
+      }
+    in
+    Flow.run_kinds config Tech.default ~rate:o.Protocol.rate [ o.Protocol.kind ]
+      (Io.of_string (Lazy.force netlist_text))
+      ~f:(fun r -> ignore (Flow.check r))
+    |> ignore;
+    stable_metric_entries (Eda_obs.Artifact.metrics ())
+  in
+  let events = List.filter (fun (name, _, _) -> name = "journal.events") in
+  let served =
+    stable_metric_entries (route_metrics ~socket "metrics only" [ Protocol.Metrics ])
+  in
+  Alcotest.(check int) "no journal.events" 0 (List.length (events served));
+  Alcotest.(check bool) "stable series equal batch's" true (served = batch);
+  let _, _, _, arts =
+    expect_result "journaled"
+      (Client.request ~timeout_s:120.0 socket
+         (route_request ~artifacts:[ Protocol.Metrics; Protocol.Journal ] ()))
+  in
+  let journaled = stable_metric_entries (List.assoc "metrics" arts) in
+  let n_events =
+    match Eda_obs.Journal.of_string (List.assoc "journal" arts) with
+    | Ok evs -> List.length evs
+    | Error msg -> Alcotest.fail ("journal artifact unreadable: " ^ msg)
+  in
+  Alcotest.(check bool) "journaled series are batch's plus journal.events" true
+    (List.filter (fun (name, _, _) -> name <> "journal.events") journaled = batch);
+  match events journaled with
+  | [ (_, [], Eda_obs.Metrics.Counter n) ] ->
+      Alcotest.(check int) "journal.events counts the journal" n_events n
+  | _ -> Alcotest.fail "journaled request: expected one journal.events counter"
+
 (* Every request on a one-worker jobs=2 daemon runs its parallel
    sections on the worker's pool; each export must count them (sections,
    imbalance samples), not only the first request's. *)
@@ -547,6 +599,8 @@ let suites =
           test_lazy_instrument_isolated;
         Alcotest.test_case "parallel sections every request" `Slow
           test_parallel_sections_every_request;
+        Alcotest.test_case "metrics-only request matches batch" `Slow
+          test_metrics_only_matches_batch;
         Alcotest.test_case "deadline degrades request" `Slow
           test_request_deadline_degrades;
         Alcotest.test_case "injected fault isolated" `Slow
