@@ -365,34 +365,60 @@ let run_panel_cache () =
 
 (* ------------------------- audit cost ------------------------------- *)
 
+(* The audit against its own cost at two scales of one circuit (4x the
+   nets), so the yardstick does not move with the router's speed.  Its
+   sensitivity-graph pass screens every net pair, so its cost may grow
+   with the square of the net count; every other pass walks nets,
+   regions or cuts once, so theirs may grow linearly.  Each group gets
+   2x over its scaling law: a super-linear pass among the linear ones,
+   or a super-quadratic graph pass, trips it. *)
 let run_audit_cost () =
-  section "audit (Eda_analyze): static pre-pass cost vs route phase";
+  let module Trace = Eda_obs.Trace in
+  let module Prof = Eda_obs.Prof in
+  section "audit (Eda_analyze): static pre-pass cost at two scales";
   let tech = Tech.default in
-  let nl =
-    Generator.generate ~gcell_um:tech.Tech.gcell_um
-      ~scale:(Float.max scale 0.05) ~seed Generator.ibm01
-  in
-  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
-  let config = { Flow.Config.default with Flow.Config.seed } in
-  let grid, _ = Flow.prepare ~config tech nl in
-  let r = Flow.run ~grid config tech ~sensitivity:sens nl in
   let acfg = Flow.analyze_config tech in
-  (* several repetitions so the measurement is not clock-granularity *)
-  let reps = 5 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (Eda_analyze.Analyze.run acfg ~grid ~sensitivity:sens nl)
-  done;
-  let audit_ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int reps in
-  let route_ms = r.Flow.route_s *. 1000.0 in
-  let pct = if route_ms > 0.0 then 100.0 *. audit_ms /. route_ms else 0.0 in
+  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
+  (* best of five per pass group: the linear passes take well under a
+     millisecond, below single-run clock noise *)
+  let measure s =
+    let nl =
+      Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:s ~seed
+        Generator.ibm01
+    in
+    let grid = Tech.grid_for tech nl in
+    let graph = ref infinity and rest = ref infinity in
+    for _ = 1 to 5 do
+      Trace.enable ();
+      ignore (Eda_analyze.Analyze.run acfg ~grid ~sensitivity:sens nl);
+      let total name =
+        List.fold_left
+          (fun acc r -> if r.Prof.name = name then acc +. r.Prof.total_us else acc)
+          0.0 (Prof.current ())
+      in
+      let g = total "analyze.graph" in
+      graph := Float.min !graph (g /. 1e3);
+      rest := Float.min !rest ((total "analyze.run" -. g) /. 1e3);
+      Trace.disable ()
+    done;
+    (Eda_netlist.Netlist.num_nets nl, !graph, !rest)
+  in
+  let s1 = Float.max scale 0.05 in
+  let n1, graph1, rest1 = measure s1 in
+  let n2, graph2, rest2 = measure (4.0 *. s1) in
+  let r = float_of_int n2 /. float_of_int n1 in
   Format.printf
-    "  audit %.2f ms | route phase %.0f ms | audit = %.2f%% of route \
-     (budget 5%%)@."
-    audit_ms route_ms pct;
-  (* the audit must stay a rounding error next to routing — if this
-     trips, the analyzer grew a super-linear pass *)
-  assert (audit_ms < 0.05 *. route_ms)
+    "  ibm01 at scale %.3g: %d nets, graph pass %.2f ms, other passes %.3f ms@." s1 n1
+    graph1 rest1;
+  Format.printf
+    "  ibm01 at scale %.3g: %d nets, graph pass %.2f ms, other passes %.3f ms@."
+    (4.0 *. s1) n2 graph2 rest2;
+  Format.printf
+    "  growth for %.2fx the nets: graph pass %.1fx (budget %.1fx), other \
+     passes %.1fx (budget %.1fx)@."
+    r (graph2 /. graph1) (2.0 *. r *. r) (rest2 /. rest1) (2.0 *. r);
+  assert (graph2 <= 2.0 *. r *. r *. graph1);
+  assert (rest2 <= 2.0 *. r *. rest1)
 
 (* ------------------------ attribution journal ----------------------- *)
 

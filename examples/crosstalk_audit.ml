@@ -27,11 +27,8 @@ let () =
     Phase2.solve ~grid ~routes ~kth:(Budget.kth budget) ~sensitivity
       ~keff:tech.Tech.keff ~mode:Phase2.Order_only ~seed:3 ()
   in
-  let noise_of i =
-    snd
-      (Noise.net_worst ~grid ~gcell_um ~phase2 ~lsk_model
-         ~net:netlist.Netlist.nets.(i) routes.(i))
-  in
+  let plan = Noise.plan ~grid ~phase2 ~netlist ~routes in
+  let noise_of i = snd (Noise.net_worst plan ~gcell_um ~lsk_model i) in
   let noises = Array.init (Netlist.num_nets netlist) noise_of in
 
   (* histogram of noise in 25mV bins *)

@@ -181,12 +181,11 @@ let graph_of sensitivity netlist =
   let adj = Array.make n [] in
   let degree = Array.make n 0 in
   let edges = ref 0 in
-  let parent = Array.init n Fun.id in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
+  (* path compression and union by rank: a bare parent array let
+     [find] walk chains as long as the component, super-quadratic over
+     the edges of a dense graph *)
+  let uf = Eda_util.Union_find.create n in
+  let union i j = ignore (Eda_util.Union_find.union uf i j) in
   let overlaps a b =
     a.Rect.x0 <= b.Rect.x1 && b.Rect.x0 <= a.Rect.x1 && a.Rect.y0 <= b.Rect.y1
     && b.Rect.y0 <= a.Rect.y1
@@ -204,13 +203,7 @@ let graph_of sensitivity netlist =
       end
     done
   done;
-  let components =
-    let roots = Hashtbl.create 16 in
-    for i = 0 to n - 1 do
-      Hashtbl.replace roots (find i) ()
-    done;
-    Hashtbl.length roots
-  in
+  let components = Eda_util.Union_find.count uf in
   let max_degree = Array.fold_left max 0 degree in
   let degree_hist = Array.make (max_degree + 1) 0 in
   Array.iter (fun d -> degree_hist.(d) <- degree_hist.(d) + 1) degree;

@@ -232,10 +232,16 @@ let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
   let cache =
     match cache with Some c -> c | None -> Eda_sino.Cache.create ()
   in
-  let phase2, sino_s =
+  (* Phase II's outcome includes the walk plan: every net's paths and its
+     slot in each of its panels, resolved once for the rest of the flow
+     (routes are final, and refinement keeps every panel's members) *)
+  let (phase2, plan), sino_s =
     timed_phase "sino" (fun () ->
-        Phase2.solve ~grid ~routes ~kth:(Budget.kth budget) ~sensitivity
-          ~keff:tech.Tech.keff ~mode ~seed ~deadline ~cache ~pool ())
+        let phase2 =
+          Phase2.solve ~grid ~routes ~kth:(Budget.kth budget) ~sensitivity
+            ~keff:tech.Tech.keff ~mode ~seed ~deadline ~cache ~pool ()
+        in
+        (phase2, Noise.plan ~grid ~phase2 ~netlist ~routes))
   in
   let usage = Usage.of_routes grid ~gcell_um (Array.to_list routes) in
   Phase2.apply_shields usage phase2;
@@ -246,7 +252,7 @@ let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
         let stats, s =
           timed_phase "refine" (fun () ->
               Refine.run ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model
-                ~bound_v:tech.Tech.noise_bound_v ~deadline ~pool ())
+                ~bound_v:tech.Tech.noise_bound_v ~deadline ~pool ~plan ())
         in
         (Some stats, s)
   in
@@ -255,8 +261,8 @@ let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
     "flow phases done: route %.2fs, sino %.2fs, refine %.2fs" route_s sino_s
     refine_s;
   let violations =
-    Noise.violations ~pool ~grid ~gcell_um ~phase2 ~lsk_model ~netlist ~routes
-      ~bound_v:tech.Tech.noise_bound_v ()
+    Noise.violations ~pool ~plan ~grid ~gcell_um ~phase2 ~lsk_model ~netlist
+      ~routes ~bound_v:tech.Tech.noise_bound_v ()
   in
   let lengths = Array.map (fun r -> Route.length_um r ~gcell_um) routes in
   let total_wl_um = Array.fold_left ( +. ) 0.0 lengths in

@@ -62,17 +62,22 @@ type key = int * Dir.t
 type soln = {
   inst : Instance.t;
   layout : Layout.t;
-  k : (int, float) Hashtbl.t;
+  k : float array;
   feasible : bool;
   degraded : bool;
 }
 
 type mode = Solver.mode = Order_only | Min_area
 
+(* Panels are numbered once, in key order, and keep their number, their
+   members and the members' order for the life of the store: Phase III
+   only swaps a panel's solution for one solved on the same nets. *)
 type t = {
   grid : Grid.t;
   keff : Keff.params;
-  table : (key, soln) Hashtbl.t;
+  index : (key, int) Hashtbl.t;  (** key -> panel number; [iter]'s order *)
+  keys : key array;  (** panel number -> key *)
+  solns : soln array;  (** panel number -> current solution *)
   net_regions : (int, key list) Hashtbl.t;
   sigs : (string, unit) Hashtbl.t;  (** signatures seen this flow *)
   sig_mu : Mutex.t;
@@ -84,11 +89,13 @@ let grid t = t.grid
 let keff t = t.keff
 
 let soln_of_layout ~keff ?(degraded = false) inst layout =
-  let k = Hashtbl.create (Instance.size inst) in
-  Array.iteri
-    (fun i ki -> Hashtbl.replace k (Instance.net_id inst i) ki)
-    (Layout.k_all layout keff);
-  { inst; layout; k; feasible = Layout.feasible layout keff; degraded }
+  {
+    inst;
+    layout;
+    k = Layout.k_all layout keff;
+    feasible = Layout.feasible layout keff;
+    degraded;
+  }
 
 (* Conservative fallback when the solver cannot reach feasibility: keep
    the instance's own track order and, in Min_area mode, interleave a
@@ -244,33 +251,75 @@ let solve ~grid ~routes ~kth ~sensitivity ~keff ~mode ~seed
                else if soln.degraded then "degraded"
                else "feasible"))
     payloads;
-  let table = Hashtbl.create (Array.length panels) in
-  Array.iteri (fun i soln -> Hashtbl.replace table (fst panels.(i)) soln) solns;
+  (* the index is filled as the solution table always was (same size,
+     same keys, same order), so [iter] visits panels in the same order *)
+  let index = Hashtbl.create (Array.length panels) in
+  Array.iteri (fun i (key, _) -> Hashtbl.replace index key i) panels;
   (if Eda_guard.Deadline.expired deadline then
      Eda_guard.Deadline.mark deadline ~phase:"sino");
   (match mode with
   | Min_area ->
       let n =
-        Hashtbl.fold (fun _ s acc -> if s.feasible then acc else acc + 1) table 0
+        Array.fold_left (fun acc s -> if s.feasible then acc else acc + 1) 0 solns
       in
       if n > 0 then Metrics.add (c_infeasible ()) n
   | Order_only -> ());
-  { grid; keff; table; net_regions; sigs; sig_mu; cache; seed }
+  {
+    grid;
+    keff;
+    index;
+    keys = Array.map fst panels;
+    solns;
+    net_regions;
+    sigs;
+    sig_mu;
+    cache;
+    seed;
+  }
 
-let find t key = Hashtbl.find_opt t.table key
+let panel t key = Hashtbl.find_opt t.index key
+let num_panels t = Array.length t.keys
+let panel_key t p = t.keys.(p)
+let panel_soln t p = t.solns.(p)
+
+let find t key = Option.map (panel_soln t) (panel t key)
+
+let slot_of inst net =
+  let rec go i =
+    if i >= Instance.size inst then None
+    else if Instance.net_id inst i = net then Some i
+    else go (i + 1)
+  in
+  go 0
 
 let k_of t ~net key =
   match find t key with
   | None -> 0.0
-  | Some s -> Option.value (Hashtbl.find_opt s.k net) ~default:0.0
+  | Some s -> (
+      match slot_of s.inst net with Some i -> s.k.(i) | None -> 0.0)
 
 let shields t key =
   match find t key with None -> 0 | Some s -> Layout.num_shields s.layout
 
 let total_shields t =
-  Hashtbl.fold (fun _ s acc -> acc + Layout.num_shields s.layout) t.table 0
+  Array.fold_left (fun acc s -> acc + Layout.num_shields s.layout) 0 t.solns
 
-let replace t key soln = Hashtbl.replace t.table key soln
+let same_nets a b =
+  Instance.size a = Instance.size b
+  &&
+  let rec go i =
+    i >= Instance.size a
+    || (Instance.net_id a i = Instance.net_id b i && go (i + 1))
+  in
+  go 0
+
+let replace t key soln =
+  match panel t key with
+  | None -> invalid_arg "Phase2.replace: no such panel"
+  | Some p ->
+      if not (same_nets t.solns.(p).inst soln.inst) then
+        invalid_arg "Phase2.replace: the panel's nets changed";
+      t.solns.(p) <- soln
 
 let resolve ?(deadline = Eda_guard.Deadline.none) ?net ?pass t key inst =
   let t0 = Clock.now_ns () in
@@ -282,15 +331,9 @@ let resolve ?(deadline = Eda_guard.Deadline.none) ?net ?pass t key inst =
      nets' couplings stable.  Either way the solve goes through the choke
      point with the flow seed, so a re-solve whose content matches any
      earlier solve — here or in Phase II — is a cache hit. *)
-  let same_nets s =
-    Instance.size s.inst = Instance.size inst
-    && Array.for_all
-         (fun i -> Instance.net_id s.inst i = Instance.net_id inst i)
-         (Array.init (Instance.size inst) (fun i -> i))
-  in
   let warm =
     match find t key with
-    | Some s when same_nets s -> Some s.layout
+    | Some s when same_nets s.inst inst -> Some s.layout
     | Some _ | None -> None
   in
   let req =
@@ -328,20 +371,25 @@ let resolve ?(deadline = Eda_guard.Deadline.none) ?net ?pass t key inst =
 let feasible t key =
   match find t key with None -> true | Some s -> s.feasible
 
-let infeasible_panels t =
-  Hashtbl.fold (fun key s acc -> if s.feasible then acc else key :: acc) t.table []
-  |> List.sort compare
+(* panel numbers follow key order, so these come out sorted *)
+let panels_where t pred =
+  let out = ref [] in
+  for p = num_panels t - 1 downto 0 do
+    if pred t.solns.(p) then out := t.keys.(p) :: !out
+  done;
+  !out
 
-let degraded_panels t =
-  Hashtbl.fold (fun key s acc -> if s.degraded then key :: acc else acc) t.table []
-  |> List.sort compare
+let infeasible_panels t = panels_where t (fun s -> not s.feasible)
+let degraded_panels t = panels_where t (fun s -> s.degraded)
 
 let apply_shields usage t =
-  Hashtbl.iter
-    (fun (r, d) s -> Usage.set_shields usage r d (Layout.num_shields s.layout))
-    t.table
+  Array.iteri
+    (fun p s ->
+      let r, d = t.keys.(p) in
+      Usage.set_shields usage r d (Layout.num_shields s.layout))
+    t.solns
 
-let iter t f = Hashtbl.iter f t.table
+let iter t f = Hashtbl.iter (fun key p -> f key t.solns.(p)) t.index
 
 let regions_of_net t net =
   Option.value (Hashtbl.find_opt t.net_regions net) ~default:[]

@@ -2,14 +2,23 @@
     inside every routing region and direction, under the partitioned Kth
     bounds.  The result stores, per (region, direction), the instance, its
     layout, and each net's achieved coupling K_i^j — the ingredients of the
-    LSK sum and of Phase III's refinements. *)
+    LSK sum and of Phase III's refinements.
+
+    Each panel gets a number, in key order, and keeps it, its members and
+    their order (their local {e slots}) for the life of the store: Phase
+    III only swaps a panel's solution for one solved on the same nets
+    ({!replace} checks it).  So a net's slot in each of its panels can be
+    resolved once per flow, and K read by (panel, slot) with no hashing —
+    what {!Noise.plan} does. *)
 
 type key = int * Eda_grid.Dir.t
 
 type soln = {
   inst : Eda_sino.Instance.t;
   layout : Eda_sino.Layout.t;
-  k : (int, float) Hashtbl.t;  (** global net id → K_i in this region *)
+  k : float array;
+      (** K by local slot: [k.(i)] is [Layout.k_of layout keff i], the
+          achieved coupling of the net [Instance.net_id inst i] *)
   feasible : bool;
       (** [Layout.feasible layout keff] — computed once at construction
           so callers (and the checker) need not remember to ask *)
@@ -64,8 +73,20 @@ val keff : t -> Eda_sino.Keff.params
 (** [find t key] — the solved region, if any net crosses it. *)
 val find : t -> key -> soln option
 
+(** [panel t key] — the panel's number, if any net crosses the region. *)
+val panel : t -> key -> int option
+
+(** Panels are numbered [0 .. num_panels t - 1], in key order. *)
+val num_panels : t -> int
+
+val panel_key : t -> int -> key
+
+(** [panel_soln t p] — panel [p]'s current solution; [(panel_soln t
+    p).k.(slot)] is K by (panel, slot). *)
+val panel_soln : t -> int -> soln
+
 (** [k_of t ~net key] — K of [net] in that region, 0. if the net does not
-    cross it. *)
+    cross it (a scan of the panel's slots). *)
 val k_of : t -> net:int -> key -> float
 
 (** [shields t key] — shield tracks used there. *)
@@ -73,7 +94,9 @@ val shields : t -> key -> int
 
 val total_shields : t -> int
 
-(** [replace t key soln] — Phase III substitutes refined solutions. *)
+(** [replace t key soln] — Phase III substitutes refined solutions.
+    Raises [Invalid_argument] if no net crosses [key], or if [soln]'s
+    instance does not hold the stored panel's nets in the same slots. *)
 val replace : t -> key -> soln -> unit
 
 (** [resolve t key inst] — re-run min-area SINO on a (possibly
@@ -111,6 +134,8 @@ val degraded_panels : t -> key list
     usage accounting (for congestion and area metrics). *)
 val apply_shields : Eda_grid.Usage.t -> t -> unit
 
+(** In the same (hash-table) order the store has always used, which
+    {!Flow.check}'s panel list follows. *)
 val iter : t -> (key -> soln -> unit) -> unit
 
 (** Keys of the regions a net crosses, from the stored membership. *)

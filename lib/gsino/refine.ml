@@ -1,9 +1,4 @@
-module Grid = Eda_grid.Grid
-module Route = Eda_grid.Route
-module Dir = Eda_grid.Dir
 module Usage = Eda_grid.Usage
-module Net = Eda_netlist.Net
-module Netlist = Eda_netlist.Netlist
 module Instance = Eda_sino.Instance
 module Layout = Eda_sino.Layout
 module Metrics = Eda_obs.Metrics
@@ -26,31 +21,17 @@ type stats = {
   residual_violations : int;
 }
 
-let local_index inst net =
-  let rec find i =
-    if i >= Instance.size inst then None
-    else if Instance.net_id inst i = net then Some i
-    else find (i + 1)
-  in
-  find 0
-
 let sync_shields usage key soln =
   let r, d = key in
   Usage.set_shields usage r d (Layout.num_shields soln.Phase2.layout)
 
-(* Length of a net's segment in a given (region, dir), µm. *)
-let segment_length ~grid ~gcell_um route (r, d) =
-  match List.assoc_opt r (Route.segments grid route d) with
-  | Some l -> l *. gcell_um
-  | None -> 0.0
-
-let net_noise ~grid ~gcell_um ~phase2 ~lsk_model net route =
-  snd (Noise.net_worst ~grid ~gcell_um ~phase2 ~lsk_model ~net route)
+let net_noise plan ~gcell_um ~lsk_model i =
+  snd (Noise.net_worst plan ~gcell_um ~lsk_model i)
 
 (* ---------------- Pass 1: eliminate violations --------------------- *)
 
-let pass1 ?pool ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes
-    ~phase2 ~usage ~lsk_model ~bound_v () =
+let pass1 ?pool ?(deadline = Eda_guard.Deadline.none) ~plan ~grid ~netlist
+    ~routes ~phase2 ~usage ~lsk_model ~bound_v () =
   let gcell_um = Usage.gcell_um usage in
   let fixes = ref 0 and resolves = ref 0 in
   let rounds = ref 0 in
@@ -68,15 +49,13 @@ let pass1 ?pool ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes
        of this pass; it is read-only, so it fans out over the pool while
        the tighten-and-resolve below stays sequential *)
     let violating =
-      Noise.violations ?pool ~grid ~gcell_um ~phase2 ~lsk_model ~netlist ~routes
-        ~bound_v ()
+      Noise.violations ?pool ~plan ~grid ~gcell_um ~phase2 ~lsk_model ~netlist
+        ~routes ~bound_v ()
       |> List.filter (fun (i, _) -> not (Hashtbl.mem given_up i))
     in
     match violating with
     | [] -> continue_outer := false
     | (i, _) :: _ ->
-        let net = netlist.Netlist.nets.(i) in
-        let route = routes.(i) in
         let resolves0 = !resolves in
         let lsk_budget = Eda_lsk.Lsk.lsk_bound lsk_model ~noise:bound_v in
         let n_keys = List.length (Phase2.regions_of_net phase2 i) in
@@ -92,22 +71,16 @@ let pass1 ?pool ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes
              sized from the net's remaining LSK excess (the continuous
              counterpart of the paper's one-shield-at-a-time Formula-(3)
              step; see DESIGN.md). *)
-          let sink, lsk_now, _ =
-            Noise.worst_sink ~grid ~gcell_um ~phase2 ~lsk_model ~net route
-          in
+          let sink, lsk_now, _ = Noise.worst_sink plan ~gcell_um ~lsk_model i in
           let excess = lsk_now -. lsk_budget in
           if excess <= 0.0 then fixed := true
           else begin
             (* only the regions on the path to the worst sink contribute
                to its LSK; tightening elsewhere cannot help *)
             let keys =
-              Route.path_edges grid route ~source:net.Net.source ~sink
-              |> List.concat_map (fun e ->
-                     let d = Grid.edge_dir grid e in
-                     let a, b = Grid.edge_ends grid e in
-                     [ (Grid.region_id grid a, d); (Grid.region_id grid b, d) ])
-              |> List.sort_uniq compare
-              |> List.sort (fun ((ra, da) as ka) ((rb, db) as kb) ->
+              Noise.path_slots plan i ~sink
+              |> List.map (fun (p, li) -> (Phase2.panel_key phase2 p, p, li))
+              |> List.sort (fun (((ra, da) as ka), _, _) (((rb, db) as kb), _, _) ->
                      match
                        compare
                          (Usage.utilization usage ra da)
@@ -118,52 +91,42 @@ let pass1 ?pool ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes
             in
             let rec try_keys = function
               | [] -> exhausted := true
-              | key :: rest -> (
-                  match Phase2.find phase2 key with
-                  | None -> try_keys rest
-                  | Some soln -> (
-                      match local_index soln.Phase2.inst i with
-                      | None -> try_keys rest
-                      | Some li ->
-                          let k_now =
-                            Layout.k_of soln.Phase2.layout (Phase2.keff phase2) li
-                          in
-                          let len = segment_length ~grid ~gcell_um routes.(i) key in
-                          if len <= 0.0 || k_now < 0.025 then try_keys rest
-                          else begin
-                            (* reduce by what the net still needs, but at
-                               most one shield's worth per step (a shield
-                               damps residual coupling by shield_block) *)
-                            let dk = 1.15 *. excess /. len in
-                            let one_shield =
-                              k_now *. (1.0 -. (Phase2.keff phase2).Eda_sino.Keff.shield_block)
-                            in
-                            let target =
-                              Float.max 0.02 (k_now -. Float.min dk one_shield)
-                            in
-                            let inst' = Instance.with_kth soln.Phase2.inst li target in
-                            let soln' =
-                              Phase2.resolve ~deadline ~net:i ~pass:"pass1"
-                                phase2 key inst'
-                            in
-                            incr resolves;
-                            Metrics.incr m_resolves;
-                            Metrics.add m_reordered (Instance.size inst');
-                            Phase2.replace phase2 key soln';
-                            sync_shields usage key soln';
-                            if
-                              net_noise ~grid ~gcell_um ~phase2 ~lsk_model net route
-                              <= bound_v +. 1e-12
-                            then fixed := true
-                          end))
+              | (key, p, li) :: rest ->
+                  let soln = Phase2.panel_soln phase2 p in
+                  let k_now = soln.Phase2.k.(li) in
+                  let len = Noise.segment_um plan ~gcell_um ~panel:p ~slot:li in
+                  if len <= 0.0 || k_now < 0.025 then try_keys rest
+                  else begin
+                    (* reduce by what the net still needs, but at
+                       most one shield's worth per step (a shield
+                       damps residual coupling by shield_block) *)
+                    let dk = 1.15 *. excess /. len in
+                    let one_shield =
+                      k_now *. (1.0 -. (Phase2.keff phase2).Eda_sino.Keff.shield_block)
+                    in
+                    let target =
+                      Float.max 0.02 (k_now -. Float.min dk one_shield)
+                    in
+                    let inst' = Instance.with_kth soln.Phase2.inst li target in
+                    let soln' =
+                      Phase2.resolve ~deadline ~net:i ~pass:"pass1"
+                        phase2 key inst'
+                    in
+                    incr resolves;
+                    Metrics.incr m_resolves;
+                    Metrics.add m_reordered (Instance.size inst');
+                    Phase2.replace phase2 key soln';
+                    sync_shields usage key soln';
+                    if
+                      net_noise plan ~gcell_um ~lsk_model i
+                      <= bound_v +. 1e-12
+                    then fixed := true
+                  end
             in
             try_keys keys
           end
         done;
-        let ok =
-          net_noise ~grid ~gcell_um ~phase2 ~lsk_model net route
-          <= bound_v +. 1e-12
-        in
+        let ok = net_noise plan ~gcell_um ~lsk_model i <= bound_v +. 1e-12 in
         if ok then incr fixes else Hashtbl.replace given_up i ();
         Eda_obs.Journal.record "net.refine"
           [ ("net", string_of_int i); ("pass", "pass1") ]
@@ -183,8 +146,8 @@ module Candidates = Set.Make (struct
     match Float.compare ub ua with 0 -> compare ka kb | c -> c
 end)
 
-let pass2 ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes ~phase2
-    ~usage ~lsk_model ~bound_v () =
+let pass2 ?(deadline = Eda_guard.Deadline.none) ~plan ~phase2 ~usage ~lsk_model
+    ~bound_v () =
   let gcell_um = Usage.gcell_um usage in
   let removed = ref 0 and resolves = ref 0 in
   let lsk_budget = Eda_lsk.Lsk.lsk_bound lsk_model ~noise:bound_v in
@@ -200,16 +163,14 @@ let pass2 ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes ~phase2
   let resolve_budget = 25 * max 1 !n_keys in
   (* the re-solved layout of the shortest grant prefix that drops a
      shield, if any prefix does *)
-  let first_drop key soln =
+  let first_drop key p soln =
     let inst = soln.Phase2.inst in
     (* per-net LSK slack, converted into a K allowance here *)
     let slack li =
-      let gid = Instance.net_id inst li in
-      let net = netlist.Netlist.nets.(gid) in
       let lsk_worst, _ =
-        Noise.net_worst ~grid ~gcell_um ~phase2 ~lsk_model ~net routes.(gid)
+        Noise.net_worst plan ~gcell_um ~lsk_model (Instance.net_id inst li)
       in
-      let len = segment_length ~grid ~gcell_um routes.(gid) key in
+      let len = Noise.segment_um plan ~gcell_um ~panel:p ~slot:li in
       if len <= 0.0 then 0.0 else Float.max 0.0 ((lsk_budget -. lsk_worst) /. len)
     in
     (* relaxed bounds, largest slack first, for the nets with slack *)
@@ -218,7 +179,7 @@ let pass2 ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes ~phase2
       |> List.sort (fun (_, a) (_, b) -> compare b a)
       |> List.filter (fun (_, s) -> s > 1e-9)
       |> List.map (fun (li, s) ->
-             let k_now = Layout.k_of soln.Phase2.layout (Phase2.keff phase2) li in
+             let k_now = soln.Phase2.k.(li) in
              (li, Float.max (Instance.kth inst li) (k_now +. (0.9 *. s))))
       |> Array.of_list
     in
@@ -265,13 +226,10 @@ let pass2 ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes ~phase2
     let inst = old.Phase2.inst in
     let rec ok li =
       li >= Instance.size inst
-      ||
-      let gid = Instance.net_id inst li in
-      (Hashtbl.find soln'.Phase2.k gid <= Hashtbl.find old.Phase2.k gid
-      || net_noise ~grid ~gcell_um ~phase2 ~lsk_model netlist.Netlist.nets.(gid)
-           routes.(gid)
-         <= bound_v +. 1e-12)
-      && ok (li + 1)
+      || (soln'.Phase2.k.(li) <= old.Phase2.k.(li)
+         || net_noise plan ~gcell_um ~lsk_model (Instance.net_id inst li)
+            <= bound_v +. 1e-12)
+         && ok (li + 1)
     in
     ok 0
   in
@@ -287,10 +245,11 @@ let pass2 ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes ~phase2
     | None -> ()
     | Some ((_, key) as top) ->
         candidates := Candidates.remove top !candidates;
-        (match Phase2.find phase2 key with
+        (match Phase2.panel phase2 key with
         | None -> ()
-        | Some old -> (
-            match first_drop key old with
+        | Some p -> (
+            let old = Phase2.panel_soln phase2 p in
+            match first_drop key p old with
             | None -> ()
             | Some soln' ->
                 Phase2.replace phase2 key soln';
@@ -312,22 +271,26 @@ let pass2 ?(deadline = Eda_guard.Deadline.none) ~grid ~netlist ~routes ~phase2
   (!removed, !resolves)
 
 let run ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model ~bound_v
-    ?(deadline = Eda_guard.Deadline.none) ?pool () =
+    ?(deadline = Eda_guard.Deadline.none) ?pool ?plan () =
   let gcell_um = Usage.gcell_um usage in
+  let plan =
+    match plan with
+    | Some p -> p
+    | None -> Noise.plan ~grid ~phase2 ~netlist ~routes
+  in
   let p1_fixed, p1_res =
     Trace.span "refine.pass1" (fun () ->
-        pass1 ?pool ~deadline ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model
-          ~bound_v ())
+        pass1 ?pool ~deadline ~plan ~grid ~netlist ~routes ~phase2 ~usage
+          ~lsk_model ~bound_v ())
   in
   let p2_removed, p2_res =
     Trace.span "refine.pass2" (fun () ->
-        pass2 ~deadline ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model
-          ~bound_v ())
+        pass2 ~deadline ~plan ~phase2 ~usage ~lsk_model ~bound_v ())
   in
   let residual =
     List.length
-      (Noise.violations ?pool ~grid ~gcell_um ~phase2 ~lsk_model ~netlist ~routes
-         ~bound_v ())
+      (Noise.violations ?pool ~plan ~grid ~gcell_um ~phase2 ~lsk_model ~netlist
+         ~routes ~bound_v ())
   in
   Metrics.add m_p1_fixed p1_fixed;
   Metrics.add m_p2_removed p2_removed;

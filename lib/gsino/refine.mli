@@ -45,7 +45,9 @@ type stats = {
 
 (** [deadline] is checked between pass-1 rip-up rounds and pass-2 panel
     rounds (both leave the Phase2 store consistent); expiry stops the
-    pass with its work so far and marks a ["refine"] deadline hit. *)
+    pass with its work so far and marks a ["refine"] deadline hit.  Every
+    noise evaluation, path and segment length reads [plan] (built on
+    [phase2] and [routes] when not given, see {!Noise.plan}). *)
 val run :
   grid:Eda_grid.Grid.t ->
   netlist:Eda_netlist.Netlist.t ->
@@ -56,6 +58,7 @@ val run :
   bound_v:float ->
   ?deadline:Eda_guard.Deadline.t ->
   ?pool:Eda_exec.t ->
+  ?plan:Noise.plan ->
   unit ->
   stats
 

@@ -79,6 +79,30 @@ exception Parse_error of int * string
 
 let max_depth = 512
 
+(* RFC 8259's number: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+   — so [+1], [01], [.5] and [1.] are not numbers, whatever OCaml's own
+   conversions accept *)
+let rfc8259_number tok =
+  let n = String.length tok in
+  let digit i = i < n && tok.[i] >= '0' && tok.[i] <= '9' in
+  let rec digits i = if digit i then digits (i + 1) else i in
+  let i = if n > 0 && tok.[0] = '-' then 1 else 0 in
+  let i =
+    if i < n && tok.[i] = '0' then i + 1 else if digit i then digits i else -1
+  in
+  let i =
+    if i >= 0 && i < n && tok.[i] = '.' then
+      if digit (i + 1) then digits (i + 1) else -1
+    else i
+  in
+  let i =
+    if i >= 0 && i < n && (tok.[i] = 'e' || tok.[i] = 'E') then
+      let j = if i + 1 < n && (tok.[i + 1] = '+' || tok.[i + 1] = '-') then i + 2 else i + 1 in
+      if digit j then digits j else -1
+    else i
+  in
+  i = n
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -228,6 +252,7 @@ let of_string s =
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
+    if not (rfc8259_number tok) then fail ("bad number " ^ tok);
     match int_of_string_opt tok with
     | Some i -> Int i
     | None -> (

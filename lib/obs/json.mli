@@ -5,9 +5,10 @@
     snapshots, journals, the diff policy, serve frames) without pulling
     a JSON dependency into the build.  The printer always emits valid
     JSON (strings are escaped, non-finite floats are rendered as [null],
-    as Chrome's trace importer expects); the parser accepts the full
-    JSON grammar minus exotic number forms ([1e999] overflows to [inf]
-    and is rejected) and nesting deeper than {!max_depth}. *)
+    as Chrome's trace importer expects); the parser accepts the JSON
+    grammar of RFC 8259 — numbers included, so [+1], [01], [.5] and [1.]
+    are errors — minus numbers that overflow ([1e999] would be [inf]) and
+    nesting deeper than {!max_depth}. *)
 
 type t =
   | Null

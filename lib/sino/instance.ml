@@ -68,36 +68,86 @@ let fnv_int h x =
   done;
   !h
 
-let to_color h = Int64.to_int h land max_int
-
 (* ~7 buckets per 2x: a tightened bound moves buckets, a float wobble
    below ~5% does not — matching how Phase III steps bounds *)
 let kth_bucket v =
   if (not (Float.is_finite v)) || v <= 0.0 then min_int / 2
   else int_of_float (Float.round (log v /. log 1.1))
 
+(* The WL colours hash in native ints.  An OCaml int is the low 63 bits
+   of the Int64 state above: xor, and multiplication mod 2^63, read only
+   the low 63 bits of their operands, and a colour keeps only the low 62
+   ([land max_int]), so every colour equals the Int64 fold's.  Bytes come
+   from [asr]: byte 7 then carries the sign bit, as in the sign-extended
+   [Int64.of_int] (most Kth buckets are negative). *)
+let fnv_basis_int = Int64.to_int fnv_basis
+let fnv_prime_int = Int64.to_int fnv_prime
+
+let fnv_native h x =
+  let p = fnv_prime_int in
+  let h = (h lxor (x land 0xFF)) * p in
+  let h = (h lxor ((x asr 8) land 0xFF)) * p in
+  let h = (h lxor ((x asr 16) land 0xFF)) * p in
+  let h = (h lxor ((x asr 24) land 0xFF)) * p in
+  let h = (h lxor ((x asr 32) land 0xFF)) * p in
+  let h = (h lxor ((x asr 40) land 0xFF)) * p in
+  let h = (h lxor ((x asr 48) land 0xFF)) * p in
+  (h lxor ((x asr 56) land 0xFF)) * p
+
+(* ascending insertion sort of [a.(0 .. len-1)] *)
+let sort_prefix (a : int array) len =
+  for i = 1 to len - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
 let wl_colors t =
   let n = size t in
+  (* the neighbours of each net, in increasing index, as CSR *)
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let d = ref 0 in
+    for j = 0 to n - 1 do
+      if t.sens.(i).(j) then incr d
+    done;
+    off.(i + 1) <- off.(i) + !d
+  done;
+  let adj = Array.make off.(n) 0 in
+  for i = 0 to n - 1 do
+    let k = ref off.(i) in
+    for j = 0 to n - 1 do
+      if t.sens.(i).(j) then begin
+        adj.(!k) <- j;
+        incr k
+      end
+    done
+  done;
   let color =
     Array.init n (fun i ->
-        let deg = ref 0 in
-        for j = 0 to n - 1 do
-          if t.sens.(i).(j) then incr deg
-        done;
-        to_color (fnv_int (fnv_int fnv_basis (kth_bucket t.kth.(i))) !deg))
+        fnv_native
+          (fnv_native fnv_basis_int (kth_bucket t.kth.(i)))
+          (off.(i + 1) - off.(i))
+        land max_int)
   in
   let next = Array.make n 0 in
+  let buf = Array.make n 0 in
   for _ = 1 to min 8 n do
     for i = 0 to n - 1 do
-      let neigh = ref [] in
-      for j = 0 to n - 1 do
-        if t.sens.(i).(j) then neigh := color.(j) :: !neigh
+      let d = off.(i + 1) - off.(i) in
+      for k = 0 to d - 1 do
+        buf.(k) <- color.(adj.(off.(i) + k))
       done;
-      next.(i) <-
-        to_color
-          (List.fold_left fnv_int
-             (fnv_int fnv_basis color.(i))
-             (List.sort compare !neigh))
+      sort_prefix buf d;
+      let h = ref (fnv_native fnv_basis_int color.(i)) in
+      for k = 0 to d - 1 do
+        h := fnv_native !h buf.(k)
+      done;
+      next.(i) <- !h land max_int
     done;
     Array.blit next 0 color 0 n
   done;
@@ -115,14 +165,14 @@ let signature_of_colors t color =
           (min color.(i) color.(j), max color.(i) color.(j)) :: !edges
     done
   done;
+  let edges = Array.of_list !edges in
+  Array.sort
+    (fun ((a1 : int), (b1 : int)) (a2, b2) ->
+      match compare a1 a2 with 0 -> compare b1 b2 | c -> c)
+    edges;
   let h = fnv_int fnv_basis n in
   let h = Array.fold_left fnv_int h sorted_colors in
-  let h =
-    List.fold_left
-      (fun h (a, b) -> fnv_int (fnv_int h a) b)
-      h
-      (List.sort compare !edges)
-  in
+  let h = Array.fold_left (fun h (a, b) -> fnv_int (fnv_int h a) b) h edges in
   Printf.sprintf "%016Lx" h
 
 let signature t = signature_of_colors t (wl_colors t)

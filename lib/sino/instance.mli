@@ -42,6 +42,12 @@ val sensitivities : t -> float array
     duplicate-panel recurrence is measurable. *)
 val signature : t -> string
 
+(** [wl_colors t] — each net's final Weisfeiler–Leman colour (62 bits):
+    the colour classes {!signature} digests and {!canonicalize} sorts by.
+    Hashed in native ints, bit-equal to the 64-bit FNV-1a fold they are
+    defined by (DESIGN §10). *)
+val wl_colors : t -> int array
+
 (** A canonical representative of the instance's content class: the nets
     relabeled [0..n-1] by sorted (WL colour, exact Kth bits), with the
     witnessing permutation and the {!signature} (computed from the same

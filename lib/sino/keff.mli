@@ -18,16 +18,28 @@
     aggressors (§2.1); non-sensitive neighbours do not malfunction the
     victim and are excluded, exactly as in the paper. *)
 
-type params = {
+type params = private {
   k1 : float;  (** adjacent-track coupling, 0 ≤ k1 < 1 *)
   shield_block : float;  (** per-shield damping, 0 < shield_block ≤ 1 *)
   window : int;  (** neighbours beyond this distance are ignored *)
+  coupling : float array;
+      (** the coupling table, built by {!make}: K(d, n) at index
+          [d * (window + 1) + n] for [0 ≤ d, n ≤ window].  Every per-layout
+          K evaluation ({!Layout.k_of}, the solver's kernels) reads it in
+          place of two [**] calls per coupling pair. *)
 }
+
+(** [make ~k1 ~shield_block ~window] — the parameters with their coupling
+    table: each of the (window+1)² entries is computed by exactly the
+    operations {!pair_coupling} performs, so a table read is bit-equal to
+    the formula.  Raises [Invalid_argument] on a negative window. *)
+val make : k1:float -> shield_block:float -> window:int -> params
 
 val default : params
 
 (** [pair_coupling p ~dist ~shields_between] is K(d, n); 0 beyond the
-    window.  Requires [dist >= 1]. *)
+    window.  Requires [dist >= 1].  The definition the table is checked
+    against. *)
 val pair_coupling : params -> dist:int -> shields_between:int -> float
 
 (** [max_feasible_k p] = 2·Σ_{d≥1} k1^d — an upper bound on any K_i in an

@@ -32,29 +32,30 @@ let position t i =
   if i < 0 || i >= Instance.size t.inst then invalid_arg "Layout.position";
   t.pos.(i)
 
-(* K_i: walk outwards from the net's track in both directions, counting
-   intervening shields; stop at the Keff window. *)
+(* K_i: walk outwards from the net's track, rightwards then leftwards,
+   counting intervening shields; stop at the Keff window.  Each pair is
+   read from the coupling table, and two plain loops keep the sum in a
+   register. *)
 let k_of t p i =
   let track = position t i in
   let n = num_tracks t in
-  let total = ref 0.0 in
-  let walk step =
-    let shields = ref 0 in
-    let q = ref (track + step) in
-    let dist = ref 1 in
-    while !q >= 0 && !q < n && !dist <= p.Keff.window do
-      (match t.slots.(!q) with
-      | Shield -> incr shields
-      | Net j ->
-          if Instance.sens t.inst i j then
-            total :=
-              !total +. Keff.pair_coupling p ~dist:!dist ~shields_between:!shields);
-      q := !q + step;
-      incr dist
-    done
-  in
-  walk 1;
-  walk (-1);
+  let table = p.Keff.coupling and w1 = p.Keff.window + 1 in
+  let total = ref 0.0 and shields = ref 0 in
+  for q = track + 1 to min (n - 1) (track + p.Keff.window) do
+    match t.slots.(q) with
+    | Shield -> incr shields
+    | Net j ->
+        if Instance.sens t.inst i j then
+          total := !total +. table.(((q - track) * w1) + !shields)
+  done;
+  shields := 0;
+  for q = track - 1 downto max 0 (track - p.Keff.window) do
+    match t.slots.(q) with
+    | Shield -> incr shields
+    | Net j ->
+        if Instance.sens t.inst i j then
+          total := !total +. table.(((track - q) * w1) + !shields)
+  done;
   !total
 
 let k_all t p = Array.init (Instance.size t.inst) (k_of t p)

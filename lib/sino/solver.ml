@@ -23,23 +23,27 @@ let slots_of_layout layout =
     (function Layout.Shield -> shield | Layout.Net i -> i)
     (Layout.slots layout)
 
+(* K of the net on track [t]: rightwards, then leftwards, nearest first
+   (the order the sum has always taken), each pair read from the Keff
+   coupling table.  Two plain loops keep the sum in a register. *)
 let k_at inst p slots t =
   let n = Array.length slots in
   let i = slots.(t) in
-  let total = ref 0.0 in
-  let walk step =
-    let shields = ref 0 and dist = ref 1 and q = ref (t + step) in
-    while !q >= 0 && !q < n && !dist <= p.Keff.window do
-      let s = slots.(!q) in
-      if s = shield then incr shields
-      else if Instance.sens inst i s then
-        total := !total +. Keff.pair_coupling p ~dist:!dist ~shields_between:!shields;
-      q := !q + step;
-      incr dist
-    done
-  in
-  walk 1;
-  walk (-1);
+  let table = p.Keff.coupling and w1 = p.Keff.window + 1 in
+  let total = ref 0.0 and shields = ref 0 in
+  for q = t + 1 to min (n - 1) (t + p.Keff.window) do
+    let s = slots.(q) in
+    if s = shield then incr shields
+    else if Instance.sens inst i s then
+      total := !total +. table.(((q - t) * w1) + !shields)
+  done;
+  shields := 0;
+  for q = t - 1 downto max 0 (t - p.Keff.window) do
+    let s = slots.(q) in
+    if s = shield then incr shields
+    else if Instance.sens inst i s then
+      total := !total +. table.(((t - q) * w1) + !shields)
+  done;
   !total
 
 let cap_violations_raw inst slots =
@@ -98,24 +102,27 @@ let greedy_order rng inst =
     order
   end
 
-(* Change in adjacent-sensitive-pair count if tracks a and b are swapped. *)
+(* Change in adjacent-sensitive-pair count if tracks a < b are swapped:
+   the distinct pairs among (a-1,a), (a,a+1), (b-1,b) and (b,b+1) that
+   lie on the tracks — (a,a+1) is (b-1,b) when b = a+1. *)
 let swap_cap_delta inst slots a b =
   let n = Array.length slots in
   let bad x y =
-    x >= 0 && x < n && y >= 0 && y < n
+    x >= 0 && y < n
     && slots.(x) >= 0 && slots.(y) >= 0
     && Instance.sens inst slots.(x) slots.(y)
   in
-  let pairs =
-    [ (a - 1, a); (a, a + 1); (b - 1, b); (b, b + 1) ]
-    |> List.sort_uniq compare
-    |> List.filter (fun (x, y) -> x >= 0 && y < n)
+  let count () =
+    Bool.to_int (bad (a - 1) a)
+    + Bool.to_int (bad a (a + 1))
+    + (if b - 1 = a then 0 else Bool.to_int (bad (b - 1) b))
+    + Bool.to_int (bad b (b + 1))
   in
-  let before = List.length (List.filter (fun (x, y) -> bad x y) pairs) in
+  let before = count () in
   let tmp = slots.(a) in
   slots.(a) <- slots.(b);
   slots.(b) <- tmp;
-  let after = List.length (List.filter (fun (x, y) -> bad x y) pairs) in
+  let after = count () in
   let tmp = slots.(a) in
   slots.(a) <- slots.(b);
   slots.(b) <- tmp;
@@ -374,8 +381,7 @@ let exact ?(params = Keff.default) inst =
             if i = shield then incr between
             else if Instance.sens inst i j then begin
               let c =
-                Keff.pair_coupling params ~dist:(len - t)
-                  ~shields_between:!between
+                params.Keff.coupling.(((len - t) * (w + 1)) + !between)
               in
               kn.(i) <- kn.(i) +. c;
               kn.(j) <- kn.(j) +. c;

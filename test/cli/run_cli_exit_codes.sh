@@ -192,6 +192,11 @@ printf '{"schema":"gsino-journal-v1"}\n{"ev":"net.route","dim":{"net":"1","net":
   >dupkey.jsonl
 expect 2 "gsino_run explain duplicated dim key" -- "$RUN" explain dupkey.jsonl
 expect_stderr "line 2: dim: duplicate key net"
+# numbers outside RFC 8259's grammar (+1, 01, .5, 1.) are not JSON
+printf '{"schema":"gsino-journal-v1"}\n{"ev":"net.route","dim":{"net":"1"},"data":{"a":+1,"b":01,"c":.5,"d":1.}}\n' \
+  >lenient.jsonl
+expect 2 "gsino_run explain lenient numbers" -- "$RUN" explain lenient.jsonl
+expect_stderr "bad number +1"
 { printf '{"schema":"gsino-journal-v1"}\n'; printf '[%.0s' $(seq 600); echo; } >deep.jsonl
 expect 2 "gsino_run explain nesting past the bound" -- "$RUN" explain deep.jsonl
 expect_stderr "nesting deeper than 512"

@@ -2,8 +2,9 @@
    (`gsino_run diff`), journals (`gsino_run explain`), the diff policy
    and serve frames.  Each property starts from documents the program
    writes, mutates one (truncation, byte flips, splicing two documents,
-   a duplicated object key, deeper nesting) and checks that the reader
-   returns Ok or its typed Error: it must never raise. *)
+   a duplicated object key, deeper nesting, a number spelled the way
+   JSON forbids) and checks that the reader returns Ok or its typed
+   Error: it must never raise.  A lenient number must be an Error. *)
 module Json = Eda_obs.Json
 module Metrics = Eda_obs.Metrics
 module Journal = Eda_obs.Journal
@@ -116,6 +117,49 @@ let deepen st j =
   let rec wrap d j = if d = 0 then j else wrap (d - 1) (Json.List [ j ]) in
   mutate_node st (fun _ -> true) (wrap levels) j
 
+(* respell one number the way JSON forbids and OCaml's conversions
+   accept: [+1], [01], [.5] or [1.] (or worse, from a negative or an
+   exponent form).  The tree cannot hold such a token, so the node
+   becomes a marker string that is replaced in the text. *)
+let marker = "lenient-number-marker"
+
+let lenient st j =
+  mutate_node st
+    (function
+      | Json.Int _ | Json.Float _ -> true
+      | Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ -> false)
+    (fun n ->
+      let t = Json.to_string n in
+      let tok =
+        match Random.State.int st 4 with
+        | 0 -> "+" ^ t
+        | 1 -> "0" ^ t
+        | 2 ->
+            if String.starts_with ~prefix:"0." t then
+              String.sub t 1 (String.length t - 1)
+            else "." ^ t
+        | _ -> t ^ "."
+      in
+      Json.Str (marker ^ tok))
+    j
+
+(* the marked string's quotes and marker dropped, if there is one *)
+let unmark doc =
+  let q = "\"" ^ marker in
+  let rec find i =
+    if i + String.length q > String.length doc then None
+    else if String.sub doc i (String.length q) = q then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> None
+  | Some i ->
+      let j = String.index_from doc (i + 1) '"' in
+      Some
+        (String.sub doc 0 i
+        ^ String.sub doc (i + String.length q) (j - i - String.length q)
+        ^ String.sub doc (j + 1) (String.length doc - j - 1))
+
 (* apply a tree mutation to the document, or to one line of it when it
    is JSONL *)
 let on_tree st f doc =
@@ -134,11 +178,14 @@ let mutant seeds =
     let seeds = Lazy.force seeds in
     let pick () = seeds.(Random.State.int st (Array.length seeds)) in
     let doc = pick () in
-    match Random.State.int st 5 with
+    match Random.State.int st 6 with
     | 0 -> truncate st doc
     | 1 -> flip st doc
     | 2 -> splice st doc (pick ())
     | 3 -> on_tree st dup_key doc
+    | 4 ->
+        let doc' = on_tree st lenient doc in
+        Option.value (unmark doc') ~default:doc'
     | _ -> on_tree st deepen doc
   in
   let print doc =
@@ -219,8 +266,43 @@ let response_seeds =
            (Error.Overload { reason = "queue-full"; depth = 4 });
        |])
 
+(* a seed with one number respelled leniently, and the reader that must
+   refuse it: every seed but the journal's is one JSON document *)
+let lenient_mutant =
+  let seeds =
+    lazy
+      (Array.concat
+         [
+           Array.map
+             (fun d -> (d, fun d -> Result.is_error (Journal.of_string d)))
+             (Lazy.force journal_seeds);
+           Array.map
+             (fun d -> (d, fun d -> Result.is_error (Json.of_string d)))
+             (Array.concat
+                [
+                  Lazy.force metrics_seeds;
+                  Lazy.force policy_seeds;
+                  Lazy.force request_seeds;
+                ]);
+         ])
+  in
+  QCheck.make
+    ~print:(fun (doc, _) ->
+      Printf.sprintf "%S" (String.sub doc 0 (min 400 (String.length doc))))
+    (fun st ->
+      let seeds = Lazy.force seeds in
+      let doc, refused = seeds.(Random.State.int st (Array.length seeds)) in
+      match unmark (on_tree st lenient doc) with
+      | Some doc -> (doc, Some refused)
+      | None -> (doc, None) (* the picked journal line held no number *))
+
 let qcheck_tests =
   [
+    QCheck.Test.make ~count:2_000 ~name:"lenient numbers are rejected"
+      lenient_mutant (fun (doc, refused) ->
+        match refused with
+        | None -> QCheck.assume_fail ()
+        | Some refused -> refused doc);
     fuzz "metrics snapshot" metrics_seeds (fun doc ->
         returns (Result.bind (Json.of_string doc) Metrics.of_json));
     fuzz "journal" journal_seeds (fun doc -> returns (Journal.of_string doc));

@@ -13,6 +13,7 @@ module Usage = Eda_grid.Usage
 module Keff = Eda_sino.Keff
 module Layout = Eda_sino.Layout
 module Instance = Eda_sino.Instance
+module Rng = Eda_util.Rng
 open Gsino
 
 let p = Point.make
@@ -310,7 +311,7 @@ let test_phase2_covers_occupied () =
           | None -> Alcotest.fail "occupied region without solution"
           | Some s ->
               Alcotest.(check bool) "net in instance" true
-                (Hashtbl.mem s.Phase2.k (Route.net r)))
+                (List.mem (Route.net r) (List.init (Instance.size s.Phase2.inst) (Instance.net_id s.Phase2.inst))))
         (Route.occupied grid r))
     base
 
@@ -393,6 +394,189 @@ let test_noise_violations_sorted () =
     (fun (_, noise) ->
       Alcotest.(check bool) "all above bound" true (noise > 0.15))
     v
+
+(* Net [i] of a random routed netlist on a small grid.  Each route is a
+   tree grown by L-shaped walks to each sink from a random region already
+   on it, so sinks share trunks; a walk may cross the tree and close a
+   cycle, and a third of the routes gain one more edge between two
+   adjacent regions on it.  A fifth of the sinks sit in the source
+   region.  With [unreached], net 0 gets one more sink off its route. *)
+let random_routed rng ~unreached =
+  let w = Rng.int_in rng 3 7 and h = Rng.int_in rng 3 7 in
+  let grid = Grid.make ~w ~h ~hcap:40 ~vcap:40 in
+  let pt () = p (Rng.int rng w) (Rng.int rng h) in
+  let step (a : Point.t) (b : Point.t) =
+    (* one edge from a towards b along x if [horizontal], else along y *)
+    fun horizontal ->
+      if horizontal then
+        if b.Point.x > a.Point.x then
+          (Grid.edge_id grid a Dir.H, p (a.Point.x + 1) a.Point.y)
+        else
+          let q = p (a.Point.x - 1) a.Point.y in
+          (Grid.edge_id grid q Dir.H, q)
+      else if b.Point.y > a.Point.y then
+        (Grid.edge_id grid a Dir.V, p a.Point.x (a.Point.y + 1))
+      else
+        let q = p a.Point.x (a.Point.y - 1) in
+        (Grid.edge_id grid q Dir.V, q)
+  in
+  let walk a b =
+    let h_first = Rng.bool rng 0.5 in
+    let rec go (a : Point.t) acc =
+      if Point.equal a b then acc
+      else
+        let horizontal =
+          if a.Point.x = b.Point.x then false
+          else if a.Point.y = b.Point.y then true
+          else h_first
+        in
+        let e, a' = step a b horizontal in
+        go a' ((e, a') :: acc)
+    in
+    go a []
+  in
+  let n = Rng.int_in rng 1 10 in
+  let nets =
+    Array.init n (fun id ->
+        let source = pt () in
+        let sinks =
+          Array.init (Rng.int_in rng 1 4) (fun _ ->
+              if Rng.bool rng 0.2 then source else pt ())
+        in
+        Net.make ~id ~source ~sinks)
+  in
+  let routes =
+    Array.map
+      (fun (net : Net.t) ->
+        let on = ref [ net.Net.source ] and edges = ref [] in
+        Array.iter
+          (fun sink ->
+            let from = List.nth !on (Rng.int rng (List.length !on)) in
+            List.iter
+              (fun (e, q) ->
+                edges := e :: !edges;
+                on := q :: !on)
+              (walk from sink))
+          net.Net.sinks;
+        (if Rng.bool rng 0.33 then
+           let a = List.nth !on (Rng.int rng (List.length !on)) in
+           match
+             List.filter
+               (fun (q : Point.t) -> q.Point.x = a.Point.x + 1 && q.Point.y = a.Point.y)
+               !on
+           with
+           | _ :: _ -> edges := Grid.edge_id grid a Dir.H :: !edges
+           | [] -> ());
+        Route.of_edges grid ~net:net.Net.id !edges)
+      nets
+  in
+  let nets =
+    if not unreached then nets
+    else
+      let net = nets.(0) in
+      let off =
+        List.filter
+          (fun q -> not (Route.connects grid routes.(0) [ net.Net.source; q ]))
+          (List.init (w * h) (fun r -> p (r mod w) (r / w)))
+      in
+      match off with
+      | [] -> nets
+      | _ ->
+          let q = List.nth off (Rng.int rng (List.length off)) in
+          nets.(0) <-
+            Net.make ~id:0 ~source:net.Net.source
+              ~sinks:(Array.append net.Net.sinks [| q |]);
+          nets
+  in
+  let nl = Netlist.make ~name:"random" ~grid_w:w ~grid_h:h ~gcell_um:100.0 nets in
+  let kth = Array.init n (fun _ -> 0.1 +. Rng.float rng 1.2) in
+  let phase2 =
+    Phase2.solve ~grid ~routes ~kth:(fun i -> kth.(i))
+      ~sensitivity:(Sensitivity.make ~seed:(Rng.int rng 1000) ~rate:0.6)
+      ~keff:tech.Tech.keff ~mode:Phase2.Min_area ~seed:1 ()
+  in
+  (nl, grid, routes, phase2)
+
+let bits = Int64.bits_of_float
+
+(* The plan against the [Route.path_edges] fold, sink by sink and bit by
+   bit, before and after a panel's solution is swapped in place; and the
+   worst sink against a scan of the fold in sink order. *)
+let plan_matches_fold (nl, grid, routes, phase2) =
+  let m = Lazy.force lsk_model and gcell_um = 100.0 in
+  let plan = Noise.plan ~grid ~phase2 ~netlist:nl ~routes in
+  let reference i =
+    let net = nl.Netlist.nets.(i) in
+    Array.map
+      (fun sink ->
+        match
+          Noise.sink_lsk ~grid ~gcell_um ~phase2 routes.(i) ~source:net.Net.source
+            ~sink
+        with
+        | l -> Some l
+        | exception Not_found -> None)
+      net.Net.sinks
+  in
+  let agree () =
+    List.for_all
+      (fun i ->
+        let expect = reference i in
+        if Array.exists Option.is_none expect then
+          (match Noise.worst_sink plan ~gcell_um ~lsk_model:m i with
+           | _ -> false
+           | exception Invalid_argument msg ->
+               msg = "Noise.worst_sink: route does not reach sink")
+        else
+          let lsks = Array.map Option.get expect in
+          let got = Noise.sink_lsks plan ~gcell_um i in
+          let worst = ref (0, 0.0, -1.0) in
+          Array.iteri
+            (fun s l ->
+              let v = Eda_lsk.Lsk.noise m ~lsk:l in
+              let _, _, wv = !worst in
+              if v > wv then worst := (s, l, v))
+            lsks;
+          let ws, wl, wv = !worst and gs, gl, gv = Noise.worst_sink plan ~gcell_um ~lsk_model:m i in
+          Array.for_all2 (fun a b -> bits a = bits b) lsks got
+          && ws = gs && bits wl = bits gl && bits wv = bits gv)
+      (List.init (Netlist.num_nets nl) Fun.id)
+  in
+  agree ()
+  && (Phase2.num_panels phase2 = 0
+     ||
+     let key = Phase2.panel_key phase2 0 in
+     let s = Phase2.panel_soln phase2 0 in
+     let inst = Instance.with_kth s.Phase2.inst 0 0.02 in
+     Phase2.replace phase2 key (Phase2.resolve phase2 key inst);
+     agree ())
+
+let noise_properties =
+  let open QCheck in
+  [
+    Test.make ~name:"plan sink LSKs equal the path_edges fold" ~count:150
+      (int_range 0 100_000)
+      (fun seed -> plan_matches_fold (random_routed (Rng.create seed) ~unreached:false));
+    Test.make ~name:"plan raises on an unreached sink like the fold" ~count:60
+      (int_range 0 100_000)
+      (fun seed -> plan_matches_fold (random_routed (Rng.create seed) ~unreached:true));
+  ]
+
+(* Evaluating every net of a built plan allocates only each net's node
+   sums and its result: minor words per net on the seeded ibm01 @ 0.02
+   at rate 0.30 (39 here; a hash-table BFS per sink took 587). *)
+let test_plan_allocation () =
+  let nl, grid, base, _, p2 = phase2_of 0.30 in
+  let m = Lazy.force lsk_model and gcell_um = nl.Netlist.gcell_um in
+  let plan = Noise.plan ~grid ~phase2:p2 ~netlist:nl ~routes:base in
+  let n = Netlist.num_nets nl in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Noise.net_worst plan ~gcell_um ~lsk_model:m i)
+  done;
+  let per_net = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per net (budget 50)" per_net)
+    true (per_net <= 50.0)
 
 (* ------------------------------ Flows ------------------------------ *)
 
@@ -648,7 +832,9 @@ let suites =
       [
         Alcotest.test_case "hand computed" `Slow test_noise_hand_computed;
         Alcotest.test_case "violations sorted" `Slow test_noise_violations_sorted;
+        Alcotest.test_case "plan evaluation allocation" `Slow test_plan_allocation;
       ] );
+    ("noise.properties", List.map QCheck_alcotest.to_alcotest noise_properties);
     ( "gsino.flow",
       [
         Alcotest.test_case "ID+NO shape" `Slow test_flow_idno_shape;

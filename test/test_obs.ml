@@ -105,6 +105,16 @@ let test_json_typed_readers () =
     (Error "missing schema header (want s-v1)")
     (read (Json.schema "s-v1"))
 
+(* RFC 8259's number grammar, not OCaml's conversions *)
+let test_json_strict_numbers () =
+  let parses tok = Result.is_ok (Json.of_string tok) in
+  List.iter
+    (fun tok -> Alcotest.(check bool) ("accepts " ^ tok) true (parses tok))
+    [ "0"; "-0"; "7"; "-12"; "0.5"; "-0.25"; "1e5"; "1E+2"; "2.5e-07"; "10.0" ];
+  List.iter
+    (fun tok -> Alcotest.(check bool) ("rejects " ^ tok) false (parses tok))
+    [ "+1"; "01"; "-01"; ".5"; "-.5"; "1."; "1.e3"; "1e"; "1e+"; "-"; "0x1F"; "--1" ]
+
 let test_json_unicode_escape () =
   match Json.of_string "\"a\\u00e9b\"" with
   | Ok (Json.Str s) -> Alcotest.(check string) "utf-8" "a\xc3\xa9b" s
@@ -737,6 +747,7 @@ let suites =
         Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "non-finite -> null" `Quick test_json_nonfinite_is_null;
         Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
+        Alcotest.test_case "strict numbers" `Quick test_json_strict_numbers;
         Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escape;
         Alcotest.test_case "surrogate pairs" `Quick test_json_surrogate_pair;
         Alcotest.test_case "bad unicode escapes" `Quick

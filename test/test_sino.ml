@@ -444,6 +444,118 @@ let test_signature_shape () =
   Alcotest.(check bool) "size matters" false
     (sg = Instance.signature (mk_inst ~kth:1.0 5))
 
+(* Fixed instances whose signature and canonical permutation are pinned:
+   a port of the WL refinement that changed every signature consistently
+   would keep the shape test and the permutation properties, while
+   moving every cache key and every content-derived RNG stream. *)
+let golden_instances () =
+  let mk ~sensitive kth =
+    Instance.make ~nets:(Array.init (Array.length kth) Fun.id) ~kth ~sensitive
+  in
+  let rng = Rng.create 2024 in
+  let kth29 = Array.init 29 (fun _ -> 0.05 +. Rng.float rng 1.5) in
+  [
+    ("n = 0", mk ~sensitive:all_sensitive [||], "a8c7f832281a39c5", []);
+    ("n = 1", mk ~sensitive:all_sensitive [| 0.5 |], "e7a61cb827e0a66d", [ 0 ]);
+    ( "4-net path, Kth 1.0 (bucket 0)",
+      mk ~sensitive:(fun i j -> abs (i - j) = 1) (Array.make 4 1.0),
+      "65b8677c527ba809",
+      [ 0; 3; 1; 2 ] );
+    ( "Kth < 1 (negative buckets)",
+      mk
+        ~sensitive:(fun i j -> i <> j && (i = 0 || j = 0 || abs (i - j) = 2))
+        [| 0.3; 0.05; 0.7; 0.12; 0.9; 0.3 |],
+      "d264335c32f2a0dd",
+      [ 4; 0; 3; 1; 2; 5 ] );
+    ( "Kth 0 and nan (bucket min_int/2)",
+      mk ~sensitive:(fun i j -> i <> j && i + j <> 3) [| 0.0; Float.nan; 0.4; 0.0 |],
+      "b36643d9bc713dc3",
+      [ 0; 3; 2; 1 ] );
+    ( "29 nets, Rng seed 2024",
+      mk
+        ~sensitive:(fun i j ->
+          i <> j && Rng.pair_hash ~seed:2024 (min i j) (max i j) < 0.4)
+        kth29,
+      "23e5d469c35592b7",
+      [ 0; 18; 20; 6; 13; 16; 9; 5; 15; 19; 4; 23; 11; 22; 2; 28; 27; 21; 1;
+        17; 25; 8; 26; 14; 12; 7; 3; 10; 24 ] );
+  ]
+
+let test_canonical_golden () =
+  List.iter
+    (fun (what, inst, sg, perm) ->
+      let c = Instance.canonicalize inst in
+      Alcotest.(check string) (what ^ ": signature") sg (Instance.signature inst);
+      Alcotest.(check string) (what ^ ": canonical signature") sg c.Instance.signature;
+      Alcotest.(check (list int)) (what ^ ": perm") perm (Array.to_list c.Instance.perm))
+    (golden_instances ())
+
+(* Every reachable table entry, bit for bit against the formula. *)
+let table_matches_formula p =
+  let ok = ref true in
+  for d = 1 to p.Keff.window do
+    for n = 0 to p.Keff.window do
+      if
+        Int64.bits_of_float p.Keff.coupling.((d * (p.Keff.window + 1)) + n)
+        <> Int64.bits_of_float (Keff.pair_coupling p ~dist:d ~shields_between:n)
+      then ok := false
+    done
+  done;
+  !ok
+
+let test_keff_table () =
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check int) (what ^ ": (window+1)^2 entries")
+        ((p.Keff.window + 1) * (p.Keff.window + 1))
+        (Array.length p.Keff.coupling);
+      Alcotest.(check bool) (what ^ ": entries equal pair_coupling") true
+        (table_matches_formula p))
+    [
+      ("default", Keff.default);
+      ("window 0", Keff.make ~k1:0.7 ~shield_block:0.4 ~window:0);
+      ("window 1", Keff.make ~k1:0.3 ~shield_block:1.0 ~window:1);
+    ];
+  Alcotest.check_raises "negative window" (Invalid_argument "Keff.make: negative window")
+    (fun () -> ignore (Keff.make ~k1:0.5 ~shield_block:0.5 ~window:(-1)))
+
+(* The WL colours as the 64-bit FNV-1a fold defines them: Int64 state,
+   sign-extended inputs, bytes by logical shift, 62-bit colours. *)
+let wl_colors_int64 inst =
+  let fnv h x =
+    let h = ref h and x = ref (Int64.of_int x) in
+    for _ = 1 to 8 do
+      h := Int64.mul (Int64.logxor !h (Int64.logand !x 0xFFL)) 0x100000001b3L;
+      x := Int64.shift_right_logical !x 8
+    done;
+    !h
+  in
+  let color h = Int64.to_int h land max_int in
+  let bucket v =
+    if (not (Float.is_finite v)) || v <= 0.0 then min_int / 2
+    else int_of_float (Float.round (log v /. log 1.1))
+  in
+  let n = Instance.size inst in
+  let basis = 0xcbf29ce484222325L in
+  let c =
+    Array.init n (fun i ->
+        let deg = List.length (List.filter (Instance.sens inst i) (List.init n Fun.id)) in
+        color (fnv (fnv basis (bucket (Instance.kth inst i))) deg))
+  in
+  for _ = 1 to min 8 n do
+    let next =
+      Array.init n (fun i ->
+          List.init n Fun.id
+          |> List.filter (Instance.sens inst i)
+          |> List.map (fun j -> c.(j))
+          |> List.sort compare
+          |> List.fold_left fnv (fnv basis c.(i))
+          |> color)
+    in
+    Array.blit next 0 c 0 n
+  done;
+  c
+
 let qcheck_tests =
   let open QCheck in
   (* symmetric pseudo-random sensitivity on global net ids *)
@@ -451,6 +563,31 @@ let qcheck_tests =
     i <> j && Rng.pair_hash ~seed (min i j) (max i j) < p
   in
   [
+    Test.make ~name:"coupling table equals pair_coupling" ~count:200
+      (triple (float_range 0.0 0.99) (float_range 0.01 1.0) (int_range 0 12))
+      (fun (k1, shield_block, window) ->
+        table_matches_formula (Keff.make ~k1 ~shield_block ~window));
+    Test.make ~name:"native WL colours equal the Int64 fold" ~count:300
+      (pair (int_range 0 40) (int_range 0 100_000))
+      (fun (n, seed) ->
+        let rng = Rng.create seed in
+        (* bounds across positive and negative buckets, and the
+           min_int/2 bucket of non-positive and non-finite bounds *)
+        let kth =
+          Array.init n (fun _ ->
+              match Rng.int rng 8 with
+              | 0 -> 0.0
+              | 1 -> Float.nan
+              | 2 -> Float.infinity
+              | 3 -> -.Rng.float rng 1.0
+              | 4 -> 1e6 *. Rng.float rng 1.0
+              | _ -> 1e-4 +. Rng.float rng 2.0)
+        in
+        let rate = Rng.float rng 1.0 in
+        let inst =
+          Instance.make ~nets:(Array.init n Fun.id) ~kth ~sensitive:(sym_sens seed rate)
+        in
+        Instance.wl_colors inst = wl_colors_int64 inst);
     Test.make ~name:"panel signature is permutation invariant" ~count:60
       (pair (int_range 1 16) (int_range 0 10_000))
       (fun (n, seed) ->
@@ -545,6 +682,7 @@ let suites =
         Alcotest.test_case "shield block" `Quick test_keff_shield_block;
         Alcotest.test_case "validation" `Quick test_keff_validation;
         Alcotest.test_case "max feasible" `Quick test_keff_max_feasible;
+        Alcotest.test_case "coupling table" `Quick test_keff_table;
       ] );
     ( "sino.instance",
       [
@@ -552,6 +690,7 @@ let suites =
         Alcotest.test_case "with_kth" `Quick test_instance_with_kth;
         Alcotest.test_case "sensitivity fraction" `Quick test_instance_sensitivity_fraction;
         Alcotest.test_case "signature shape" `Quick test_signature_shape;
+        Alcotest.test_case "canonical form golden" `Quick test_canonical_golden;
       ] );
     ( "sino.layout",
       [
