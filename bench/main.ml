@@ -208,8 +208,9 @@ let run_ablations () =
       let gsino = Flow.run ~grid (config Flow.Gsino) tech ~sensitivity:sens nl in
       let _, _, a0 = idno.Flow.area and _, _, a1 = gsino.Flow.area in
       Format.printf
-        "  %-22s routing %5.2fs | base WL %4.0fum | GSINO area %+5.2f%% | resid %d@."
-        name prep_s idno.Flow.avg_wl_um
+        "  %-22s routing %5.2fs | GSINO route %5.2fs | base WL %4.0fum | GSINO area \
+         %+5.2f%% | resid %d@."
+        name prep_s gsino.Flow.route_s idno.Flow.avg_wl_um
         (100. *. (a1 -. a0) /. a0)
         (Flow.violation_count gsino))
     [ ("iterative-deletion", Flow.Iterative_deletion); ("negotiated", Flow.Negotiated) ];

@@ -36,10 +36,45 @@ let segments grid t dir =
     t.edges;
   List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
 
+let num_slots grid = 2 * Grid.num_regions grid
+
+let slot grid r = function Dir.H -> r | Dir.V -> Grid.num_regions grid + r
+
+(* Decodes [Grid.edge_ends] arithmetically: an H edge joins regions r and
+   r + 1, a V edge r and r + w. *)
+let iter_slots grid t f =
+  let w = Grid.width grid and n = Grid.num_regions grid in
+  let nh = (w - 1) * Grid.height grid in
+  Array.iter
+    (fun e ->
+      if e < nh then begin
+        let r = (e / (w - 1) * w) + (e mod (w - 1)) in
+        f r;
+        f (r + 1)
+      end
+      else begin
+        let r = n + e - nh in
+        f r;
+        f (r + w)
+      end)
+    t.edges
+
+(* Ascending slots list H regions before V ones, each ascending: the
+   order of [segments]. *)
 let occupied grid t =
-  List.concat_map
-    (fun dir -> List.map (fun (r, _) -> (r, dir)) (segments grid t dir))
-    Dir.all
+  let n = Grid.num_regions grid in
+  let slots = Array.make (2 * num_edges t) 0 and k = ref 0 in
+  iter_slots grid t (fun s ->
+      slots.(!k) <- s;
+      incr k);
+  Array.sort Int.compare slots;
+  let acc = ref [] in
+  for i = !k - 1 downto 0 do
+    let s = slots.(i) in
+    if i = 0 || slots.(i - 1) <> s then
+      acc := (if s < n then (s, Dir.H) else (s - n, Dir.V)) :: !acc
+  done;
+  !acc
 
 (* Union-find over the regions touched by the route plus the pin regions. *)
 let components grid t pins =

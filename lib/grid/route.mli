@@ -27,8 +27,26 @@ val length_um : t -> gcell_um:float -> float
     region where the net uses a [dir] track. *)
 val segments : Grid.t -> t -> Dir.t -> (int * float) list
 
-(** [occupied grid t] lists [(region_id, dir)] pairs, deduplicated. *)
+(** [occupied grid t] lists [(region_id, dir)] pairs, deduplicated: the
+    [H] regions in ascending order, then the [V] ones. *)
 val occupied : Grid.t -> t -> (int * Dir.t) list
+
+(** {2 Slots}
+
+    A slot is one (region, direction) track pool as an int:
+    [slot grid r H = r] and [slot grid r V = num_regions + r], so flat
+    per-slot arrays of [num_slots grid] entries replace tables keyed by
+    [(region_id, dir)]. *)
+
+val num_slots : Grid.t -> int
+val slot : Grid.t -> int -> Dir.t -> int
+
+(** [iter_slots grid t f] applies [f] to the slot of both ends of every
+    edge of [t], in edge order, allocating nothing itself: a slot comes
+    once per route edge incident to it, so callers that need each slot
+    once deduplicate (the distinct slots are exactly [occupied]'s
+    pairs). *)
+val iter_slots : Grid.t -> t -> (int -> unit) -> unit
 
 (** [connects grid t pins] — do the route edges (plus shared regions) link
     all pin regions together? A pin-only net in a single region with no

@@ -11,9 +11,9 @@
 
     The same shield models as {!Id_router} apply: with [Per_net], a
     region's predicted shield demand is added to its track usage, so the
-    router reserves shielding area exactly as GSINO's Phase I does — only
-    one to two orders of magnitude faster than iterative deletion on
-    large instances (see the bench's router ablation). *)
+    router reserves shielding area exactly as GSINO's Phase I does, at a
+    fraction of iterative deletion's time (the bench's router ablation
+    measures both calls). *)
 
 (** [route ~grid ~netlist ()] returns one route per net.
 

@@ -89,13 +89,8 @@ let grid t = t.grid
 let keff t = t.keff
 
 let soln_of_layout ~keff ?(degraded = false) inst layout =
-  {
-    inst;
-    layout;
-    k = Layout.k_all layout keff;
-    feasible = Layout.feasible layout keff;
-    degraded;
-  }
+  let k = Layout.k_all layout keff in
+  { inst; layout; k; feasible = Layout.feasible_of_k layout k; degraded }
 
 (* Conservative fallback when the solver cannot reach feasibility: keep
    the instance's own track order and, in Min_area mode, interleave a

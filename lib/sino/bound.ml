@@ -53,13 +53,13 @@ let greedy_clique ?keep inst =
   Array.sort compare !best;
   !best
 
-(* Shield-free gap width forced by the clique's loosest bound; matches
-   Layout.k_violations' 1e-12 comparison tolerance so the bound never
-   exceeds what the feasibility predicate itself would accept. *)
+(* Shield-free gap width forced by the clique's loosest bound; reads
+   Layout's K tolerance so the bound never exceeds what the feasibility
+   predicate itself would accept. *)
 let free_gap_width p ~kmax =
   let rec go g =
     if g >= p.Keff.window then p.Keff.window
-    else if p.Keff.k1 ** float_of_int (g + 1) <= kmax +. 1e-12 then g
+    else if p.Keff.k1 ** float_of_int (g + 1) <= kmax +. Layout.k_tolerance then g
     else go (g + 1)
   in
   go 1

@@ -20,7 +20,7 @@ type value = { slots : int array; effort : effort }
 
 type node = {
   key : string;
-  inst : Instance.t;
+  content : string;  (** [Instance.content] of the canonical instance *)
   warm : int array option;
   mutable value : value;
   mutable prev : node option;
@@ -80,14 +80,13 @@ let same_warm a b =
   | Some x, Some y -> x = y
   | Some _, None | None, Some _ -> false
 
-let matches ~key ~inst ~warm n =
-  String.equal n.key key && same_warm n.warm warm
-  && Instance.equal_content n.inst inst
+let matches ~key ~content ~warm n =
+  String.equal n.key key && same_warm n.warm warm && String.equal n.content content
 
-let locate t ~key ~inst ~warm =
+let locate t ~key ~content ~warm =
   match Hashtbl.find_opt t.tbl key with
   | None -> None
-  | Some b -> List.find_opt (matches ~key ~inst ~warm) !b
+  | Some b -> List.find_opt (matches ~key ~content ~warm) !b
 
 let num_shields slots =
   Array.fold_left (fun acc s -> if s < 0 then acc + 1 else acc) 0 slots
@@ -98,8 +97,9 @@ let linked t n =
   n.prev <> None || (match t.head with Some h -> h == n | None -> false)
 
 let find t ~params ~key ~inst ?warm ?(admit = fun _ -> true) () =
+  let content = Instance.content inst in
   let candidate =
-    Mutex.protect t.mu (fun () -> locate t ~key ~inst ~warm)
+    Mutex.protect t.mu (fun () -> locate t ~key ~content ~warm)
   in
   match candidate with
   | None ->
@@ -140,8 +140,9 @@ let find t ~params ~key ~inst ?warm ?(admit = fun _ -> true) () =
    counts.  [load] below re-inserts persisted entries through [insert]
    so sino.cache_stores only counts solves stored this process. *)
 let insert t ~key ~inst ~warm value =
+  let content = Instance.content inst in
   Mutex.protect t.mu (fun () ->
-      match locate t ~key ~inst ~warm with
+      match locate t ~key ~content ~warm with
       | Some n ->
           (* racing domains compute identical canonical solutions, so a
              refresh only promotes recency *)
@@ -149,7 +150,7 @@ let insert t ~key ~inst ~warm value =
           unlink t n;
           push_front t n
       | None ->
-          let n = { key; inst; warm; value; prev = None; next = None } in
+          let n = { key; content; warm; value; prev = None; next = None } in
           push_front t n;
           (match Hashtbl.find_opt t.tbl key with
           | Some b -> b := n :: !b
@@ -175,7 +176,7 @@ let file_of dir = Filename.concat dir "panels.v1"
 exception Corrupt of string
 
 let entry_lines n =
-  let inst = n.inst in
+  let inst = Instance.of_content n.content in
   let sz = Instance.size inst in
   let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
   let kth =

@@ -5,9 +5,10 @@
     panel {!Instance.signature} plus every input that influences the
     solution (Keff parameters, flow seed, retry ladder, solve mode, and
     for warm re-solves a digest of the warm layout).  Because the WL
-    signature is not a perfect canonical form, every hit is verified with
-    {!Instance.equal_content} against the stored canonical instance (and
-    the stored warm slots, when present) — a colliding key can cost a
+    signature is not a perfect canonical form, every hit is verified
+    against the stored canonical instance, kept packed as
+    {!Instance.content} (content equality, as {!Instance.equal_content}),
+    and the stored warm slots, when present — a colliding key can cost a
     re-solve, never a wrong answer.  On top of that the solver
     cross-checks each hit against {!Bound.shield_lower_bound}; an entry
     beating a sound lower bound is provably corrupt and is dropped

@@ -228,6 +228,44 @@ let equal_content a b =
        a.kth b.kth
   && Array.for_all2 (fun ra rb -> ra = rb) a.sens b.sens
 
+(* [equal_content]'s operands packed: each Kth's 64 bits (little-endian),
+   then the sensitivity matrix row by row, one bit per pair.  The length
+   8n + ceil(n²/8) grows with n, so it fixes the size. *)
+let packed_length n = (8 * n) + (((n * n) + 7) / 8)
+
+let content t =
+  let n = size t in
+  let b = Bytes.make (packed_length n) '\000' in
+  Array.iteri (fun i k -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float k)) t.kth;
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if t.sens.(i).(j) then begin
+        let bit = (i * n) + j in
+        let at = (8 * n) + (bit lsr 3) in
+        Bytes.set_uint8 b at (Bytes.get_uint8 b at lor (1 lsl (bit land 7)))
+      end
+    done
+  done;
+  Bytes.unsafe_to_string b
+
+let of_content s =
+  let len = String.length s in
+  let n = ref 0 in
+  while packed_length !n < len do
+    incr n
+  done;
+  let n = !n in
+  if packed_length n <> len then invalid_arg "Instance.of_content: bad length";
+  let sens i j =
+    let bit = (i * n) + j in
+    Char.code s.[(8 * n) + (bit lsr 3)] land (1 lsl (bit land 7)) <> 0
+  in
+  {
+    nets = Array.init n Fun.id;
+    kth = Array.init n (fun i -> Int64.float_of_bits (String.get_int64_le s (8 * i)));
+    sens = Array.init n (fun i -> Array.init n (sens i));
+  }
+
 let pp fmt t =
   Format.fprintf fmt "sino-instance(%d nets, mean S=%.2f)" (size t)
     (if size t = 0 then 0.0

@@ -72,4 +72,16 @@ val canonicalize : t -> canon
     verification: [signature] collisions cannot pass this. *)
 val equal_content : t -> t -> bool
 
+(** [content t] — what [equal_content] compares, packed into a string
+    (each Kth's bits, then one bit per sensitivity pair):
+    [String.equal (content a) (content b)] iff [equal_content a b].  The
+    panel cache keeps this instead of the instance: 9 words against 84
+    for a 7-net panel. *)
+val content : t -> string
+
+(** [of_content s] — the instance [s] packs, with net ids [0..n-1].
+    Raises [Invalid_argument] on a string of a length [content] never
+    returns. *)
+val of_content : string -> t
+
 val pp : Format.formatter -> t -> unit

@@ -70,14 +70,24 @@ let cap_violations t =
   done;
   !cnt
 
+let k_tolerance = 1e-12
+let over_kth t i k = k > Instance.kth t.inst i +. k_tolerance
+
 let k_violations t p =
   let out = ref [] in
   for i = Instance.size t.inst - 1 downto 0 do
-    if k_of t p i > Instance.kth t.inst i +. 1e-12 then out := i :: !out
+    if over_kth t i (k_of t p i) then out := i :: !out
   done;
   !out
 
 let feasible t p = cap_violations t = 0 && k_violations t p = []
+
+let feasible_of_k t k =
+  cap_violations t = 0
+  &&
+  let ok = ref true in
+  Array.iteri (fun i ki -> if over_kth t i ki then ok := false) k;
+  !ok
 
 let insert_shield t pos =
   let n = num_tracks t in

@@ -31,10 +31,19 @@ val k_all : t -> Keff.params -> float array
 (** Number of adjacent sensitive pairs (capacitive violations). *)
 val cap_violations : t -> int
 
-(** Nets with K_i > Kth_i under [p]. *)
+(** How far K_i may exceed Kth_i and still pass (1e-12): every K
+    against Kth test reads it, the solver's and {!Bound}'s too. *)
+val k_tolerance : float
+
+(** Nets with K_i > Kth_i + [k_tolerance] under [p]. *)
 val k_violations : t -> Keff.params -> int list
 
+(** No capacitive violation and no K violation. *)
 val feasible : t -> Keff.params -> bool
+
+(** [feasible_of_k t k] is [feasible t p] for [k = k_all t p], without
+    evaluating K again. *)
+val feasible_of_k : t -> float array -> bool
 
 (** [insert_shield t pos] inserts a shield before track [pos]
     (0 ≤ pos ≤ num_tracks). *)

@@ -385,10 +385,10 @@ let exact ?(params = Keff.default) inst =
               in
               kn.(i) <- kn.(i) +. c;
               kn.(j) <- kn.(j) +. c;
-              ok := !ok && kn.(i) <= Instance.kth inst i +. 1e-12
+              ok := !ok && kn.(i) <= Instance.kth inst i +. Layout.k_tolerance
             end
           done;
-          if !ok && kn.(j) <= Instance.kth inst j +. 1e-12 then begin
+          if !ok && kn.(j) <= Instance.kth inst j +. Layout.k_tolerance then begin
             slots.(len) <- j;
             go (len + 1) (depth + 1) (free lxor (1 lsl j)) shields 0
           end

@@ -48,8 +48,6 @@ let top h =
   if h.n = 0 then raise Not_found;
   h.vals.(0)
 
-let peek_max h = (top_key h, top h)
-
 (* The root is the hole and the last entry the one to place: the larger
    child moves up while it is strictly larger than the entry's key, the
    left child winning a tie between the children. *)
@@ -82,10 +80,5 @@ let pop h =
     keys.(!i) <- key;
     vals.(!i) <- v
   end
-
-let pop_max h =
-  let top = peek_max h in
-  pop h;
-  top
 
 let clear h = h.n <- 0

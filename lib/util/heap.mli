@@ -28,17 +28,9 @@ val is_empty : t -> bool
 (** [push h key v] inserts [v] with priority [key]. *)
 val push : t -> float -> int -> unit
 
-(** [pop_max h] removes and returns the entry with the largest key.
-    Raises [Not_found] when empty. *)
-val pop_max : t -> float * int
-
-(** [peek_max h] returns the max entry without removing it. *)
-val peek_max : t -> float * int
-
 (** [top_key h] and [top h] are the largest key and its payload, and
-    [pop h] removes that entry: [pop_max] in three calls that build no
-    tuple, for loops that pop millions of times.  Each raises
-    [Not_found] when empty. *)
+    [pop h] removes that entry; popping in three calls builds no tuple.
+    Each raises [Not_found] when empty. *)
 val top_key : t -> float
 
 val top : t -> int

@@ -75,6 +75,110 @@ let test_nc_short_when_uncongested () =
   let routes = Nc_router.route ~grid:g ~netlist:nl () in
   Alcotest.(check int) "manhattan length" 7 (Route.num_edges routes.(0))
 
+(* Run [f] in a metrics registry of its own: its result, the nc_router.*
+   effort counters, the overused-slot histogram's count and sum and the
+   two price gauges (floats as %h), and the minor words it allocated. *)
+let nc_counted f =
+  let module Metrics = Eda_obs.Metrics in
+  Metrics.(with_registry (fresh_registry ())) @@ fun () ->
+  let w0 = Gc.minor_words () in
+  let result = f () in
+  let words = Gc.minor_words () -. w0 in
+  let snap = Metrics.snapshot () in
+  let counter name = (name, string_of_int (Metrics.counter_total snap name)) in
+  let overused =
+    match Metrics.find snap "nc_router.overused_slots" with
+    | Some (Metrics.Histogram s) ->
+        [
+          ("overused_slots.count", string_of_int s.Metrics.count);
+          ("overused_slots.sum", Printf.sprintf "%h" s.Metrics.sum);
+        ]
+    | _ -> [ ("overused_slots", "absent") ]
+  in
+  let gauge name =
+    ( name,
+      match Metrics.find snap name with
+      | Some (Metrics.Gauge g) -> Printf.sprintf "%h" g
+      | _ -> "absent" )
+  in
+  let figures =
+    [
+      counter "nc_router.iterations";
+      counter "nc_router.reroutes";
+      counter "nc_router.searches";
+    ]
+    @ overused
+    @ [ gauge "nc_router.pres_fac"; gauge "nc_router.history_total" ]
+  in
+  (result, figures, words)
+
+(* Route the seeded ibm01 @ 0.02 (seed 7) on its auto grid. *)
+let nc_seeded_route shield_model =
+  let nl = Lazy.force tiny in
+  let grid = Tech.grid_for tech nl in
+  nc_counted (fun () -> Nc_router.route ~grid ~netlist:nl ~shield_model ())
+
+(* Heap ties, the sources' push order, the neighbours' relaxation order
+   and when a slot's price changes decide every route: these pin them,
+   with the negotiation's effort and price figures, under both shield
+   models on the auto grid (the Per_net call runs all 12 rounds), and
+   through [Flow.prepare], whose second routing runs at the clamped
+   capacities every flow routes at (its figures sum both routings). *)
+let test_nc_golden () =
+  let check what (routes, got, _) ~digest ~figures =
+    Alcotest.(check string) (what ^ " routes") digest (Test_gsino.routes_digest routes);
+    Alcotest.(check (list (pair string string))) (what ^ " figures") figures got
+  in
+  check "No_shields" (nc_seeded_route Id_router.No_shields)
+    ~digest:"835214f36be58182cea29607d96e26c3"
+    ~figures:
+      [
+        ("nc_router.iterations", "3");
+        ("nc_router.reroutes", "105");
+        ("nc_router.searches", "431");
+        ("overused_slots.count", "2");
+        ("overused_slots.sum", "0x1.8p+3");
+        ("nc_router.pres_fac", "0x1.bbe76c8b43958p+0");
+        ("nc_router.history_total", "0x1.3333333333333p+2");
+      ];
+  check "Per_net" (nc_seeded_route Test_gsino.per_net_model)
+    ~digest:"e4dca9b0521597fb8045312a48fd7ccc"
+    ~figures:
+      [
+        ("nc_router.iterations", "12");
+        ("nc_router.reroutes", "2749");
+        ("nc_router.searches", "3661");
+        ("overused_slots.count", "12");
+        ("overused_slots.sum", "0x1.94p+9");
+        ("nc_router.pres_fac", "0x1p+6");
+        ("nc_router.history_total", "0x1.4333333333337p+8");
+      ];
+  let config = { Flow.Config.default with Flow.Config.router = Flow.Negotiated } in
+  check "prepare"
+    (nc_counted (fun () -> snd (Flow.prepare ~config tech (Lazy.force tiny))))
+    ~digest:"835214f36be58182cea29607d96e26c3"
+    ~figures:
+      [
+        ("nc_router.iterations", "6");
+        ("nc_router.reroutes", "210");
+        ("nc_router.searches", "862");
+        ("overused_slots.count", "4");
+        ("overused_slots.sum", "0x1.8p+4");
+        ("nc_router.pres_fac", "0x1.bbe76c8b43958p+0");
+        ("nc_router.history_total", "0x1.3333333333333p+2");
+      ]
+
+(* A search allocates little: minor words of the Per_net call above,
+   all 12 rounds of it, over its searches.  What is left is the heap
+   key, boxed across the module boundary on each push and pop, and the
+   per-net tree table and route. *)
+let test_nc_allocation () =
+  let _, figures, words = nc_seeded_route Test_gsino.per_net_model in
+  let per_search = words /. float_of_string (List.assoc "nc_router.searches" figures) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per search (budget 500)" per_search)
+    true (per_search <= 500.0)
+
 let test_nc_in_flow () =
   let nl = Lazy.force tiny in
   let config kind =
@@ -368,6 +472,8 @@ let suites =
         Alcotest.test_case "deterministic" `Slow test_nc_deterministic;
         Alcotest.test_case "resolves congestion" `Quick test_nc_resolves_congestion;
         Alcotest.test_case "short when uncongested" `Quick test_nc_short_when_uncongested;
+        Alcotest.test_case "golden routes and counters" `Slow test_nc_golden;
+        Alcotest.test_case "allocation per search" `Slow test_nc_allocation;
         Alcotest.test_case "works in flow" `Slow test_nc_in_flow;
       ] );
     ( "ext.budgeting",

@@ -245,16 +245,17 @@ let qcheck_tests =
           let a, b = Grid.edge_ends g e in
           Grid.in_bounds g a && Grid.in_bounds g b && Point.manhattan a b = 1
         end);
-    Test.make ~name:"occupied matches segments" ~count:100
-      (make (Gen.list_size (Gen.int_range 1 8) (Gen.int_range 0 23)))
+    (* on a non-square grid, so a slot decode that mixes up width and
+       height shows *)
+    Test.make ~name:"occupied matches segments" ~count:200
+      (make (Gen.list_size (Gen.int_range 0 10) (Gen.int_range 0 21)))
       (fun edges ->
-        let g = g44 () in
+        let g = Grid.make ~w:5 ~h:3 ~hcap:4 ~vcap:4 in
         let r = Route.of_edges g ~net:0 edges in
-        let occ = List.length (Route.occupied g r) in
-        let segs =
-          List.length (Route.segments g r Dir.H) + List.length (Route.segments g r Dir.V)
-        in
-        occ = segs);
+        Route.occupied g r
+        = List.concat_map
+            (fun dir -> List.map (fun (reg, _) -> (reg, dir)) (Route.segments g r dir))
+            Dir.all);
   ]
 
 let suites =

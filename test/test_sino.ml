@@ -634,6 +634,35 @@ let qcheck_tests =
         kth2.(v) <- kth2.(v) *. 2.0;
         Instance.signature (Instance.make ~nets ~kth ~sensitive)
         <> Instance.signature (Instance.make ~nets ~kth:kth2 ~sensitive));
+    (* the panel cache compares packed content: it must decide exactly
+       as equal_content does, and unpack to an equal instance *)
+    Test.make ~name:"packed content agrees with equal_content" ~count:300
+      (triple (int_range 0 12) (int_range 0 10_000) (int_range 0 3))
+      (fun (n, seed, edit) ->
+        let rng = Rng.create seed in
+        let kth =
+          Array.init n (fun _ ->
+              match Rng.int rng 4 with
+              | 0 -> 0.0
+              | 1 -> Float.nan
+              | _ -> Rng.float rng 2.0)
+        in
+        let mk n kth sensitive = Instance.make ~nets:(Array.init n Fun.id) ~kth ~sensitive in
+        let base = sym_sens seed 0.5 in
+        let a = mk n kth base in
+        let b =
+          match edit with
+          | 1 when n > 0 ->
+              (* one Kth's sign bit *)
+              let v = Rng.int rng n in
+              mk n (Array.mapi (fun i k -> if i = v then -.k else k) kth) base
+          | 2 when n > 1 ->
+              mk n kth (fun i j -> if i + j = 1 && i * j = 0 then not (base i j) else base i j)
+          | 3 -> mk (n + 1) (Array.append kth [| 1.0 |]) base
+          | _ -> mk n kth base
+        in
+        String.equal (Instance.content a) (Instance.content b) = Instance.equal_content a b
+        && Instance.equal_content (Instance.of_content (Instance.content a)) a);
     Test.make ~name:"min_area layouts are capacitive-crosstalk free" ~count:30
       (pair (int_range 2 20) (int_range 0 10_000))
       (fun (n, seed) ->

@@ -371,27 +371,37 @@ let test_lintable_roundtrip () =
 let test_heap_pop_order () =
   let h = Heap.create () in
   List.iter (fun k -> Heap.push h k (int_of_float k)) [ 3.; 1.; 4.; 1.5; 9.; 2.6 ];
-  let rec drain acc = if Heap.is_empty h then List.rev acc else drain (fst (Heap.pop_max h) :: acc) in
+  let rec drain acc =
+    if Heap.is_empty h then List.rev acc
+    else begin
+      let k = Heap.top_key h in
+      Heap.pop h;
+      drain (k :: acc)
+    end
+  in
   Alcotest.(check (list (float 1e-9))) "descending order" [ 9.; 4.; 3.; 2.6; 1.5; 1. ] (drain [])
 
 let test_heap_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Heap.pop_max h))
+  Alcotest.check_raises "top_key empty" Not_found (fun () -> ignore (Heap.top_key h));
+  Alcotest.check_raises "top empty" Not_found (fun () -> ignore (Heap.top h));
+  Alcotest.check_raises "pop empty" Not_found (fun () -> Heap.pop h)
 
 let test_heap_peek () =
   let h = Heap.create () in
   Heap.push h 2.0 1;
   Heap.push h 5.0 2;
-  Alcotest.(check int) "peek max" 2 (snd (Heap.peek_max h));
+  Alcotest.(check (float 0.0)) "top key" 5.0 (Heap.top_key h);
+  Alcotest.(check int) "top" 2 (Heap.top h);
   Alcotest.(check int) "length unchanged" 2 (Heap.length h)
 
 let test_heap_duplicates () =
   let h = Heap.create () in
   Heap.push h 1.0 1;
   Heap.push h 1.0 2;
-  ignore (Heap.pop_max h);
-  ignore (Heap.pop_max h);
+  Heap.pop h;
+  Heap.pop h;
   Alcotest.(check bool) "both popped" true (Heap.is_empty h)
 
 let test_heap_growth () =
@@ -400,7 +410,7 @@ let test_heap_growth () =
     Heap.push h (float_of_int i) i
   done;
   Alcotest.(check int) "all stored" 1000 (Heap.length h);
-  Alcotest.(check int) "max is 1000" 1000 (snd (Heap.pop_max h))
+  Alcotest.(check int) "max is 1000" 1000 (Heap.top h)
 
 let test_heap_clear () =
   let h = Heap.create () in
@@ -576,7 +586,8 @@ let heap_pops ops =
   let h = Heap.create () and r = Swap_heap.create (List.length ops) in
   let got = ref [] and want = ref [] in
   let pop () =
-    got := Heap.pop_max h :: !got;
+    got := (Heap.top_key h, Heap.top h) :: !got;
+    Heap.pop h;
     want := Swap_heap.pop_max r :: !want
   in
   List.iteri
@@ -612,7 +623,11 @@ let qcheck_tests =
         List.iter (fun k -> Heap.push h k 0) keys;
         let rec drain acc =
           if Heap.is_empty h then List.rev acc
-          else drain (fst (Heap.pop_max h) :: acc)
+          else begin
+            let k = Heap.top_key h in
+            Heap.pop h;
+            drain (k :: acc)
+          end
         in
         drain [] = List.sort (fun a b -> compare b a) keys);
     (* keys from four values make ties the common case *)
