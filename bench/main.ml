@@ -358,7 +358,7 @@ let run_panel_cache () =
     t_none t_cold t_warm
     (if identical then "byte-identical" else "DIFFER (cache corrupts output!)");
   (try
-     Sys.remove (Filename.concat dir "panels.v1");
+     Sys.remove (Filename.concat dir "panels.v2");
      Sys.rmdir dir
    with Sys_error _ -> ());
   assert identical;

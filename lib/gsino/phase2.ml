@@ -101,11 +101,9 @@ let fallback_layout mode inst =
   let slots =
     match mode with
     | _ when n = 0 -> [||]
-    | Order_only -> Array.init n (fun q -> Layout.Net q)
+    | Order_only -> Array.init n Fun.id
     | Min_area ->
-        Array.init
-          ((2 * n) - 1)
-          (fun q -> if q land 1 = 1 then Layout.Shield else Layout.Net (q / 2))
+        Array.init ((2 * n) - 1) (fun q -> if q land 1 = 1 then Layout.shield else q / 2)
   in
   Layout.make inst slots
 

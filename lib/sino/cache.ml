@@ -168,10 +168,10 @@ let store t ~key ~inst ?warm value =
   Metrics.incr m_stores;
   insert t ~key ~inst ~warm value
 
-(* ---------------- on-disk store (gsino-panelcache-v1) --------------- *)
+(* ---------------- on-disk store (gsino-panelcache-v2) --------------- *)
 
-let magic = "gsino-panelcache-v1"
-let file_of dir = Filename.concat dir "panels.v1"
+let magic = "gsino-panelcache-v2"
+let file_of dir = Filename.concat dir "panels.v2"
 
 exception Corrupt of string
 
@@ -204,6 +204,9 @@ let entry_lines n =
       "end";
     ]
 
+(* The closing line: the hex MD5 of every byte before it. *)
+let sum_line body = "sum " ^ Digest.to_hex (Digest.string body) ^ "\n"
+
 (* Writers may race on one store directory: the serve daemon flushing at
    drain while a batch CLI sharing GSINO_PANEL_CACHE saves after refine.
    Each writer therefore stages into its own tmp file — pid plus an
@@ -234,21 +237,25 @@ let save t dir =
          done);
         !acc)
   in
+  let body = Buffer.create 4096 in
+  Buffer.add_string body (magic ^ "\n");
+  List.iter
+    (fun n ->
+      List.iter (fun l -> Buffer.add_string body (l ^ "\n")) (entry_lines n))
+    nodes;
+  let body = Buffer.contents body in
   let file = file_of dir in
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
       (Atomic.fetch_and_add save_seq 1)
   in
   (try
-     let oc = open_out tmp in
+     let oc = open_out_bin tmp in
      Fun.protect
        ~finally:(fun () -> close_out_noerr oc)
        (fun () ->
-         output_string oc (magic ^ "\n");
-         List.iter
-           (fun n ->
-             List.iter (fun l -> output_string oc (l ^ "\n")) (entry_lines n))
-           nodes);
+         output_string oc body;
+         output_string oc (sum_line body));
      Sys.rename tmp file
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
@@ -318,9 +325,10 @@ let parse_entry t lines =
       let eff_str, rest = take "effort" rest in
       let effort =
         match Array.to_list (ints eff_str) with
-        | [ instances; inserted; removed; swaps; repairs; retries ] ->
+        | [ instances; inserted; removed; swaps; repairs; retries ] as counts
+          when List.for_all (fun c -> c >= 0) counts ->
             { instances; inserted; removed; swaps; repairs; retries }
-        | _ -> raise (Corrupt "effort arity")
+        | _ -> raise (Corrupt "bad effort")
       in
       let rest =
         match rest with
@@ -334,50 +342,54 @@ let parse_entry t lines =
           ~kth
           ~sensitive:(fun i j -> rows.(i).[j] = '1')
       in
-      (* a solution must place each local net exactly once *)
-      let seen = Array.make sz false in
-      Array.iter
-        (fun s ->
-          if s >= 0 then
-            if s >= sz || seen.(s) then raise (Corrupt "bad slot permutation")
-            else seen.(s) <- true)
-        slots;
-      if not (Array.for_all Fun.id seen) then raise (Corrupt "missing net in slots");
+      (* the solution and the warm layout must be layouts of it *)
+      let layout what s =
+        try ignore (Layout.make inst s)
+        with Invalid_argument _ -> raise (Corrupt ("bad " ^ what))
+      in
+      layout "slots" slots;
+      Option.iter (layout "warm slots") warm;
       insert t ~key ~inst ~warm { slots; effort };
       rest
 
-let load dir =
-  let t = create () in
-  let file = file_of dir in
-  if not (Sys.file_exists file) then t
-  else begin
-    let lines =
-      let ic = open_in file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let acc = ref [] in
-          (try
-             while true do
-               acc := input_line ic :: !acc
-             done
-           with End_of_file -> ());
-          List.rev !acc)
+(* The store's lines before its closing [sum] line, when that line holds
+   the digest of everything before it. *)
+let signed_lines text =
+  let len = String.length text in
+  if len = 0 || text.[len - 1] <> '\n' then None
+  else
+    let last =
+      match String.rindex_from_opt text (len - 2) '\n' with
+      | Some i -> i + 1
+      | None -> 0
     in
-    match lines with
-    | first :: rest when first = magic -> (
-        try
-          let rec go = function [] -> () | ls -> go (parse_entry t ls) in
-          go rest;
-          t
-        with Corrupt msg ->
-          Log.warn
-            ~fields:[ ("file", file) ]
-            "corrupt panel cache store (%s); starting empty" msg;
+    let body = String.sub text 0 last in
+    if String.equal (String.sub text last (len - last)) (sum_line body) then
+      Some (String.split_on_char '\n' (String.sub body 0 (max 0 (last - 1))))
+    else None
+
+let load dir =
+  let file = file_of dir in
+  if not (Sys.file_exists file) then create ()
+  else begin
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    let empty fmt =
+      Format.kasprintf
+        (fun msg ->
+          Log.warn ~fields:[ ("file", file) ] "%s; starting empty" msg;
           create ())
-    | _ :: _ | [] ->
-        Log.warn
-          ~fields:[ ("file", file) ]
-          "unrecognized panel cache store header; starting empty";
-        create ()
+        fmt
+    in
+    if not (String.starts_with ~prefix:(magic ^ "\n") text) then
+      empty "unrecognized panel cache store header"
+    else
+      match signed_lines text with
+      | None -> empty "corrupt panel cache store (missing or wrong digest)"
+      | Some lines -> (
+          let t = create () in
+          let rec go = function [] -> () | ls -> go (parse_entry t ls) in
+          try
+            go (List.tl lines);
+            t
+          with Corrupt msg -> empty "corrupt panel cache store (%s)" msg)
   end

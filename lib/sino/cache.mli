@@ -6,20 +6,25 @@
     solution (Keff parameters, flow seed, retry ladder, solve mode, and
     for warm re-solves a digest of the warm layout).  Because the WL
     signature is not a perfect canonical form, every hit is verified
-    against the stored canonical instance, kept packed as
-    {!Instance.content} (content equality, as {!Instance.equal_content}),
-    and the stored warm slots, when present — a colliding key can cost a
-    re-solve, never a wrong answer.  On top of that the solver
+    against the stored canonical instance's {!Instance.content} (the
+    packed form the instance is held in, so a lookup compares two
+    strings, as {!Instance.equal_content} does) and the stored warm
+    slots, when present — a colliding key can cost a re-solve, never a
+    wrong answer.  On top of that the solver
     cross-checks each hit against {!Bound.shield_lower_bound}; an entry
     beating a sound lower bound is provably corrupt and is dropped
     (counted in [sino.cache_bound_rejects]).
 
     The in-process store is a mutex-protected LRU safe to share across
     worker domains.  [save]/[load] persist it as a versioned
-    [gsino-panelcache-v1] text file inside a directory (the CLI's
-    [--panel-cache DIR] / [GSINO_PANEL_CACHE]); a missing, truncated or
-    corrupt store file loads as an empty cache with a warning — it is a
-    cache, losing it is never an error.
+    [gsino-panelcache-v2] text file, [panels.v2], inside a directory (the
+    CLI's [--panel-cache DIR] / [GSINO_PANEL_CACHE]).  The file's last
+    line is [sum] and the hex MD5 of every byte before it, so an edited
+    entry is caught even when it still parses.  A missing file loads as
+    an empty cache; a file with another header (a [v1] store among
+    them), a missing or wrong digest, or an entry that does not parse
+    loads as an empty cache with one warning — it is a cache, losing it
+    is never an error, and a damaged store never changes an answer.
 
     Counters: [sino.cache_hits] / [sino.cache_misses] /
     [sino.cache_stores] / [sino.cache_evictions] /
@@ -78,13 +83,16 @@ val find :
 val store : t -> key:string -> inst:Instance.t -> ?warm:int array -> value -> unit
 
 (** [load dir] — read [dir]'s store file into a cache of the default
-    capacity; a missing file is an empty cache, a malformed one is an
-    empty cache plus a warning. *)
+    capacity; a missing file is an empty cache, and one with a wrong
+    header or digest or a malformed entry (a solution or warm layout that
+    is not a layout of its instance, a negative effort count) is an empty
+    cache plus a warning. *)
 val load : string -> t
 
 (** [save t dir] — atomically write the store file (unique per-writer
     temp file + rename), creating [dir] if needed, least-recently-used
-    entries first so a later [load] reconstructs the recency order.
+    entries first so a later [load] reconstructs the recency order, and
+    the digest line last.
     Safe under concurrent writers sharing [dir] (a draining daemon racing
     a batch CLI): each writer stages privately and the rename is
     last-writer-wins on a complete file, so concurrent [save]/[load]

@@ -1,34 +1,61 @@
-type t = { nets : int array; kth : float array; sens : bool array array }
+(* The instance is its content: each Kth's 64 bits (little-endian), then
+   the symmetric sensitivity matrix row by row, one bit per pair.  The
+   length 8n + ceil(n²/8) grows with n, so it fixes the size. *)
+type t = { nets : int array; content : string }
+
+let packed_length n = (8 * n) + (((n * n) + 7) / 8)
+
+let size t = Array.length t.nets
+let net_id t i = t.nets.(i)
+let content t = t.content
+
+(* an index past the nets would read the packed matrix: refuse it *)
+let check t i = if i < 0 || i >= size t then invalid_arg "index out of bounds"
+
+let kth_bits t i = String.get_int64_le t.content (8 * i)
+
+let kth t i =
+  check t i;
+  Int64.float_of_bits (kth_bits t i)
+
+(* bit (i, j) of the matrix of an [n]-net content, unchecked *)
+let has s n i j =
+  let bit = (i * n) + j in
+  Char.code (String.unsafe_get s ((8 * n) + (bit lsr 3))) land (1 lsl (bit land 7))
+  <> 0
+
+let set_bit b n i j =
+  let bit = (i * n) + j in
+  let at = (8 * n) + (bit lsr 3) in
+  Bytes.set_uint8 b at (Bytes.get_uint8 b at lor (1 lsl (bit land 7)))
+
+let sens t i j =
+  let n = size t in
+  if i < 0 || j < 0 || i >= n || j >= n then invalid_arg "index out of bounds";
+  has t.content n i j
 
 let make ~nets ~kth ~sensitive =
   let n = Array.length nets in
   if Array.length kth <> n then invalid_arg "Instance.make: kth length mismatch";
-  let sens =
-    Array.init n (fun i ->
-        Array.init n (fun j -> i <> j && sensitive nets.(i) nets.(j)))
-  in
-  (* enforce symmetry defensively: model sensitivity is mutual (§2.1) *)
+  let b = Bytes.make (packed_length n) '\000' in
+  Array.iteri (fun i k -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float k)) kth;
+  (* symmetrized defensively: model sensitivity is mutual (§2.1) *)
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let v = sens.(i).(j) || sens.(j).(i) in
-      sens.(i).(j) <- v;
-      sens.(j).(i) <- v
+      if sensitive nets.(i) nets.(j) || sensitive nets.(j) nets.(i) then begin
+        set_bit b n i j;
+        set_bit b n j i
+      end
     done
   done;
-  { nets; kth; sens }
-
-let size t = Array.length t.nets
-
-let net_id t i = t.nets.(i)
-let kth t i = t.kth.(i)
+  { nets; content = Bytes.unsafe_to_string b }
 
 let with_kth t i v =
   if v <= 0.0 then invalid_arg "Instance.with_kth: bound must be positive";
-  let kth = Array.copy t.kth in
-  kth.(i) <- v;
-  { t with kth }
-
-let sens t i j = t.sens.(i).(j)
+  check t i;
+  let b = Bytes.of_string t.content in
+  Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v);
+  { t with content = Bytes.unsafe_to_string b }
 
 let sensitivity t i =
   let n = size t in
@@ -36,7 +63,7 @@ let sensitivity t i =
   else begin
     let cnt = ref 0 in
     for j = 0 to n - 1 do
-      if t.sens.(i).(j) then incr cnt
+      if sens t i j then incr cnt
     done;
     float_of_int !cnt /. float_of_int (n - 1)
   end
@@ -107,13 +134,13 @@ let sort_prefix (a : int array) len =
   done
 
 let wl_colors t =
-  let n = size t in
+  let n = size t and s = t.content in
   (* the neighbours of each net, in increasing index, as CSR *)
   let off = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     let d = ref 0 in
     for j = 0 to n - 1 do
-      if t.sens.(i).(j) then incr d
+      if has s n i j then incr d
     done;
     off.(i + 1) <- off.(i) + !d
   done;
@@ -121,7 +148,7 @@ let wl_colors t =
   for i = 0 to n - 1 do
     let k = ref off.(i) in
     for j = 0 to n - 1 do
-      if t.sens.(i).(j) then begin
+      if has s n i j then begin
         adj.(!k) <- j;
         incr k
       end
@@ -130,7 +157,7 @@ let wl_colors t =
   let color =
     Array.init n (fun i ->
         fnv_native
-          (fnv_native fnv_basis_int (kth_bucket t.kth.(i)))
+          (fnv_native fnv_basis_int (kth_bucket (kth t i)))
           (off.(i + 1) - off.(i))
         land max_int)
   in
@@ -160,7 +187,7 @@ let signature_of_colors t color =
   let edges = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if t.sens.(i).(j) then
+      if has t.content n i j then
         edges :=
           (min color.(i) color.(j), max color.(i) color.(j)) :: !edges
     done
@@ -201,52 +228,23 @@ let canonicalize t =
   Array.sort
     (fun a b ->
       match compare color.(a) color.(b) with
-      | 0 -> (
-          match
-            compare (Int64.bits_of_float t.kth.(a)) (Int64.bits_of_float t.kth.(b))
-          with
-          | 0 -> compare a b
-          | c -> c)
+      | 0 -> ( match compare (kth_bits t a) (kth_bits t b) with 0 -> compare a b | c -> c)
       | c -> c)
     perm;
-  let inst =
-    {
-      nets = Array.init n (fun c -> c);
-      kth = Array.init n (fun c -> t.kth.(perm.(c)));
-      sens = Array.init n (fun c -> Array.init n (fun d -> t.sens.(perm.(c)).(perm.(d))));
-    }
-  in
+  let b = Bytes.make (packed_length n) '\000' in
+  for c = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * c) (kth_bits t perm.(c));
+    for d = 0 to n - 1 do
+      if has t.content n perm.(c) perm.(d) then set_bit b n c d
+    done
+  done;
+  let inst = { nets = Array.init n Fun.id; content = Bytes.unsafe_to_string b } in
   { inst; perm; signature = signature_of_colors t color }
 
 (* Content equality up to net identity: exact Kth bits (the signature
    only buckets them) and the sensitivity matrix.  Global net ids are
    deliberately ignored — that is what makes cross-panel sharing work. *)
-let equal_content a b =
-  size a = size b
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a.kth b.kth
-  && Array.for_all2 (fun ra rb -> ra = rb) a.sens b.sens
-
-(* [equal_content]'s operands packed: each Kth's 64 bits (little-endian),
-   then the sensitivity matrix row by row, one bit per pair.  The length
-   8n + ceil(n²/8) grows with n, so it fixes the size. *)
-let packed_length n = (8 * n) + (((n * n) + 7) / 8)
-
-let content t =
-  let n = size t in
-  let b = Bytes.make (packed_length n) '\000' in
-  Array.iteri (fun i k -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float k)) t.kth;
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if t.sens.(i).(j) then begin
-        let bit = (i * n) + j in
-        let at = (8 * n) + (bit lsr 3) in
-        Bytes.set_uint8 b at (Bytes.get_uint8 b at lor (1 lsl (bit land 7)))
-      end
-    done
-  done;
-  Bytes.unsafe_to_string b
+let equal_content a b = String.equal a.content b.content
 
 let of_content s =
   let len = String.length s in
@@ -254,17 +252,10 @@ let of_content s =
   while packed_length !n < len do
     incr n
   done;
-  let n = !n in
-  if packed_length n <> len then invalid_arg "Instance.of_content: bad length";
-  let sens i j =
-    let bit = (i * n) + j in
-    Char.code s.[(8 * n) + (bit lsr 3)] land (1 lsl (bit land 7)) <> 0
-  in
-  {
-    nets = Array.init n Fun.id;
-    kth = Array.init n (fun i -> Int64.float_of_bits (String.get_int64_le s (8 * i)));
-    sens = Array.init n (fun i -> Array.init n (sens i));
-  }
+  if packed_length !n <> len then invalid_arg "Instance.of_content: bad length";
+  { nets = Array.init !n Fun.id; content = s }
+
+let digest_ints a = Printf.sprintf "%016Lx" (Array.fold_left fnv_int fnv_basis a)
 
 let pp fmt t =
   Format.fprintf fmt "sino-instance(%d nets, mean S=%.2f)" (size t)

@@ -1,14 +1,19 @@
 (** A SINO problem instance: the net segments sharing one routing region
     and direction, their pairwise sensitivities, and the inductive bound
     [Kth] each segment must satisfy (paper Formulation 1, restricted to a
-    region — the sub-problem Phase II solves). *)
+    region — the sub-problem Phase II solves).
+
+    An instance is its global net ids and its packed {!content}: each
+    Kth's 64 bits, then one bit per sensitivity pair.  That is the one
+    form every module holds (the panel cache's entries included): 20
+    words for a 7-net panel. *)
 
 type t
 
 (** [make ~nets ~kth ~sensitive] — [nets] are global net ids, [kth.(i)] is
     the bound of [nets.(i)], and [sensitive gi gj] is the global
-    sensitivity predicate (its restriction to the instance is precomputed
-    and symmetrized). *)
+    sensitivity predicate (its restriction to the instance is packed and
+    symmetrized). *)
 val make : nets:int array -> kth:float array -> sensitive:(int -> int -> bool) -> t
 
 (** Number of net segments. *)
@@ -17,7 +22,8 @@ val size : t -> int
 (** Global id of local net [i]. *)
 val net_id : t -> int -> int
 
-(** [kth t i] — the local net's coupling bound. *)
+(** [kth t i] — the local net's coupling bound.  Raises
+    [Invalid_argument] when [i] is not a local net, as {!sens} does. *)
 val kth : t -> int -> float
 
 (** [with_kth t i v] — functional update of one bound (Phase III tightens
@@ -69,19 +75,24 @@ val canonicalize : t -> canon
 
 (** [equal_content a b] — same size, bit-exact [kth] and identical
     sensitivity matrix; global net ids are ignored.  The cache's on-hit
-    verification: [signature] collisions cannot pass this. *)
+    verification: [signature] collisions cannot pass this.  It is
+    [String.equal] on the two {!content}s. *)
 val equal_content : t -> t -> bool
 
-(** [content t] — what [equal_content] compares, packed into a string
-    (each Kth's bits, then one bit per sensitivity pair):
+(** [content t] — the packed form [t] is held in (each Kth's bits, then
+    one bit per sensitivity pair):
     [String.equal (content a) (content b)] iff [equal_content a b].  The
-    panel cache keeps this instead of the instance: 9 words against 84
-    for a 7-net panel. *)
+    panel cache keys its entries' verification by it. *)
 val content : t -> string
 
 (** [of_content s] — the instance [s] packs, with net ids [0..n-1].
     Raises [Invalid_argument] on a string of a length [content] never
-    returns. *)
+    returns; [s] is otherwise taken as {!content} returned it. *)
 val of_content : string -> t
+
+(** [digest_ints a] — the 64-bit FNV-1a fold {!signature} uses, over the
+    ints of [a], as 16 hex chars.  The solver keys warm re-solves by the
+    digest of the warm slots. *)
+val digest_ints : int array -> string
 
 val pp : Format.formatter -> t -> unit

@@ -5,24 +5,40 @@
     - capacitive crosstalk freedom — no two sensitive nets on adjacent
       tracks (§2.1);
     - inductive bound — K_i ≤ Kth_i for every net, with K_i from the
-      {!Keff} model. *)
+      {!Keff} model.
 
-type slot = Net of int  (** local net index *) | Shield
+    Tracks are held as int slots: a local net index, or {!shield}.  The
+    solver works on raw slot arrays of that form, and this module owns
+    the one K kernel ({!k_at}) and the one capacitive count
+    ({!cap_violations_of}) over them: {!k_of}, {!feasible} and the
+    solver's kernels all read these two. *)
+
+(** The slot value of a shield track: [-1]. *)
+val shield : int
 
 type t
 
-(** [make inst slots] checks every local net appears exactly once. *)
-val make : Instance.t -> slot array -> t
+(** [make inst slots] checks every local net appears exactly once and
+    every other slot is {!shield}; it keeps a copy of [slots]. *)
+val make : Instance.t -> int array -> t
 
-val instance : t -> Instance.t
-val slots : t -> slot array
+(** A copy of the tracks, in order. *)
+val slots : t -> int array
+
 val num_tracks : t -> int
 val num_shields : t -> int
 
-(** [position t i] — track index of local net [i]. *)
-val position : t -> int -> int
+(** [k_at inst p slots track] — K of the net on [track] of the raw
+    [slots] under Keff parameters [p]: the sensitive nets within the
+    window, rightwards then leftwards, each pair's coupling read from
+    [p]'s table with the shields between them counted. *)
+val k_at : Instance.t -> Keff.params -> int array -> int -> float
 
-(** [k_of t p i] — K_i of local net [i] under Keff parameters [p]. *)
+(** [cap_violations_of inst slots] — adjacent sensitive pairs of the raw
+    [slots]. *)
+val cap_violations_of : Instance.t -> int array -> int
+
+(** [k_of t p i] — K_i of local net [i]: {!k_at} on its track. *)
 val k_of : t -> Keff.params -> int -> float
 
 (** [k_all t p] — every net's K. *)
@@ -45,15 +61,5 @@ val feasible : t -> Keff.params -> bool
     evaluating K again. *)
 val feasible_of_k : t -> float array -> bool
 
-(** [insert_shield t pos] inserts a shield before track [pos]
-    (0 ≤ pos ≤ num_tracks). *)
-val insert_shield : t -> int -> t
-
-(** [remove_shield t pos] removes the shield at track [pos]; raises
-    [Invalid_argument] if that track is a net. *)
-val remove_shield : t -> int -> t
-
-(** [swap t a b] exchanges the contents of tracks [a] and [b]. *)
-val swap : t -> int -> int -> t
-
+(** Tracks as [|S|] for a shield and [|id|] for a net's global id. *)
 val pp : Format.formatter -> t -> unit

@@ -9,50 +9,9 @@ let m_removed = Metrics.counter "sino.shields_removed"
 let m_swaps = Metrics.counter "sino.swap_improvements"
 let m_repairs = Metrics.counter "sino.repairs"
 
-(* Internal working form: slots as an int array, net index >= 0, shield as
-   [-1].  All hot-loop deltas are computed locally on this form; the
-   result is wrapped in a Layout only at the end. *)
-let shield = -1
-
-let to_layout inst slots =
-  Layout.make inst
-    (Array.map (fun s -> if s = shield then Layout.Shield else Layout.Net s) slots)
-
-let slots_of_layout layout =
-  Array.map
-    (function Layout.Shield -> shield | Layout.Net i -> i)
-    (Layout.slots layout)
-
-(* K of the net on track [t]: rightwards, then leftwards, nearest first
-   (the order the sum has always taken), each pair read from the Keff
-   coupling table.  Two plain loops keep the sum in a register. *)
-let k_at inst p slots t =
-  let n = Array.length slots in
-  let i = slots.(t) in
-  let table = p.Keff.coupling and w1 = p.Keff.window + 1 in
-  let total = ref 0.0 and shields = ref 0 in
-  for q = t + 1 to min (n - 1) (t + p.Keff.window) do
-    let s = slots.(q) in
-    if s = shield then incr shields
-    else if Instance.sens inst i s then
-      total := !total +. table.(((q - t) * w1) + !shields)
-  done;
-  shields := 0;
-  for q = t - 1 downto max 0 (t - p.Keff.window) do
-    let s = slots.(q) in
-    if s = shield then incr shields
-    else if Instance.sens inst i s then
-      total := !total +. table.(((t - q) * w1) + !shields)
-  done;
-  !total
-
-let cap_violations_raw inst slots =
-  let cnt = ref 0 in
-  for t = 0 to Array.length slots - 2 do
-    let a = slots.(t) and b = slots.(t + 1) in
-    if a >= 0 && b >= 0 && Instance.sens inst a b then incr cnt
-  done;
-  !cnt
+(* The kernels work on raw slot arrays (Layout's form: a local net
+   index, or [Layout.shield]); every K and capacitive count comes from
+   Layout's kernels. *)
 
 (* Greedy sequencing: start from the most-constrained (highest sensitive
    degree) net, then repeatedly append a net not sensitive to the last one,
@@ -153,14 +112,14 @@ let order_only rng inst =
   Metrics.incr m_instances;
   let slots = greedy_order rng inst in
   swap_improve inst slots ~passes:4;
-  to_layout inst slots
+  Layout.make inst slots
 
 (* --- min-area SINO ------------------------------------------------- *)
 
 let insert_at slots pos =
   let n = Array.length slots in
   Array.init (n + 1) (fun q ->
-      if q < pos then slots.(q) else if q = pos then shield else slots.(q - 1))
+      if q < pos then slots.(q) else if q = pos then Layout.shield else slots.(q - 1))
 
 (* Sum of K-bound violations for nets within [window] tracks of [center]. *)
 let local_violation inst p slots center =
@@ -170,7 +129,7 @@ let local_violation inst p slots center =
   let s = ref 0.0 in
   for t = lo to hi do
     if slots.(t) >= 0 then begin
-      let excess = k_at inst p slots t -. Instance.kth inst slots.(t) in
+      let excess = Layout.k_at inst p slots t -. Instance.kth inst slots.(t) in
       if excess > 0.0 then s := !s +. excess
     end
   done;
@@ -181,7 +140,7 @@ let worst_violator inst p slots =
   let best = ref (-1) and worst = ref 1e-9 in
   for t = 0 to n - 1 do
     if slots.(t) >= 0 then begin
-      let excess = k_at inst p slots t -. Instance.kth inst slots.(t) in
+      let excess = Layout.k_at inst p slots t -. Instance.kth inst slots.(t) in
       if excess > !worst then begin
         worst := excess;
         best := t
@@ -263,12 +222,12 @@ let shield_cleanup ?(deadline = Deadline.none) inst params slots =
     let len = Array.length s in
     let t = ref (len - 1) in
     while !t >= 0 do
-      if s.(!t) = shield then begin
+      if s.(!t) = Layout.shield then begin
         let trial =
           Array.init (len - 1) (fun q -> if q < !t then s.(q) else s.(q + 1))
         in
         let ok =
-          cap_violations_raw inst trial = 0
+          Layout.cap_violations_of inst trial = 0
           && local_violation inst params trial !t = 0.0
         in
         if ok then begin
@@ -286,7 +245,7 @@ let shield_cleanup ?(deadline = Deadline.none) inst params slots =
 
 let min_area ?(params = Keff.default) ?(deadline = Deadline.none) rng inst =
   Metrics.incr m_instances;
-  if Instance.size inst = 0 then to_layout inst [||]
+  if Instance.size inst = 0 then Layout.make inst [||]
   else begin
     (* greedy_order and cap_fix always run (they are cheap and establish
        a valid, capacitively clean layout); the improvement stages check
@@ -296,17 +255,17 @@ let min_area ?(params = Keff.default) ?(deadline = Deadline.none) rng inst =
     let slots = cap_fix inst slots in
     let slots = inductive_fix ~deadline inst params slots in
     let slots = shield_cleanup ~deadline inst params slots in
-    to_layout inst slots
+    Layout.make inst slots
   end
 
 let repair ?(params = Keff.default) ?(deadline = Deadline.none) inst layout =
   Metrics.incr m_repairs;
-  if Instance.size inst = 0 then to_layout inst [||]
+  if Instance.size inst = 0 then Layout.make inst [||]
   else begin
-    let slots = cap_fix inst (slots_of_layout layout) in
+    let slots = cap_fix inst (Layout.slots layout) in
     let slots = inductive_fix ~deadline inst params slots in
     let slots = shield_cleanup ~deadline inst params slots in
-    to_layout inst slots
+    Layout.make inst slots
   end
 
 (* ---------------- exact min-shield oracle --------------------------- *)
@@ -330,7 +289,7 @@ let exact ?(params = Keff.default) inst =
       invalid_arg "Solver.exact: negative Kth"
   done;
   let w = params.Keff.window and lb = Bound.shield_lower_bound ~params inst in
-  let slots = Array.make (n + (max 0 (n - 1) * w)) shield in
+  let slots = Array.make (n + (max 0 (n - 1) * w)) Layout.shield in
   (* k.(d) = every net's K once the first d nets are placed *)
   let k = Array.make_matrix (n + 1) n 0.0 in
   let best = ref None and best_shields = ref max_int in
@@ -361,7 +320,7 @@ let exact ?(params = Keff.default) inst =
   let rec go len depth free shields run =
     let tail = if run = 0 && len > 0 then slots.(len - 1) else -1 in
     if free = 0 then begin
-      let l = to_layout inst (Array.sub slots 0 len) in
+      let l = Layout.make inst (Array.sub slots 0 len) in
       if Layout.feasible l params then begin
         best := Some l;
         best_shields := shields
@@ -378,7 +337,7 @@ let exact ?(params = Keff.default) inst =
           Array.blit k.(depth) 0 kn 0 n;
           for t = len - 1 downto max 0 (len - w) do
             let i = slots.(t) in
-            if i = shield then incr between
+            if i = Layout.shield then incr between
             else if Instance.sens inst i j then begin
               let c =
                 params.Keff.coupling.(((len - t) * (w + 1)) + !between)
@@ -395,7 +354,7 @@ let exact ?(params = Keff.default) inst =
         end
       done;
       if len > 0 && run < w && improves (shields + 1) then begin
-        slots.(len) <- shield;
+        slots.(len) <- Layout.shield;
         go (len + 1) depth free (shields + 1) (run + 1)
       end
     end
@@ -474,23 +433,7 @@ let replay_effort (e : Cache.effort) =
 let layout_on orig canon slots =
   let perm = canon.Instance.perm in
   Layout.make orig
-    (Array.map
-       (fun s -> if s = shield then Layout.Shield else Layout.Net perm.(s))
-       slots)
-
-(* 64-bit FNV-1a over ints — digests the warm slots into the cache key *)
-let fnv_ints a =
-  let h = ref 0xcbf29ce484222325L in
-  Array.iter
-    (fun v ->
-      let x = ref (Int64.of_int v) in
-      for _ = 1 to 8 do
-        let b = Int64.logand !x 0xFFL in
-        h := Int64.mul (Int64.logxor !h b) 0x100000001b3L;
-        x := Int64.shift_right_logical !x 8
-      done)
-    a;
-  Printf.sprintf "%016Lx" !h
+    (Array.map (fun s -> if s = Layout.shield then s else perm.(s)) slots)
 
 (* The key covers every input the solution depends on — except the retry
    budget: the first-feasible attempt index is itself content-determined
@@ -519,11 +462,11 @@ let solve ?cache ?warm req inst =
     Option.map
       (fun l ->
         Array.map
-          (fun s -> if s = shield then shield else inv.(s))
-          (slots_of_layout l))
+          (fun s -> if s = Layout.shield then s else inv.(s))
+          (Layout.slots l))
       warm
   in
-  let warm_digest = Option.map fnv_ints canon_warm in
+  let warm_digest = Option.map Instance.digest_ints canon_warm in
   let key = key_of req ~signature ~warm_digest in
   let cacheable = req.mode = Min_area && cache <> None in
   let cached =
@@ -553,7 +496,7 @@ let solve ?cache ?warm req inst =
         | Min_area -> Layout.feasible l req.params
       in
       let finish ~acceptable:ok ~degraded ~retries ~crashed clayout =
-        let cslots = slots_of_layout clayout in
+        let cslots = Layout.slots clayout in
         let store_ok =
           cacheable && ok && (not degraded) && (not crashed)
           && not (Deadline.expired req.deadline)
@@ -584,7 +527,7 @@ let solve ?cache ?warm req inst =
           fault ();
           let cl =
             repair ~params:req.params ~deadline:req.deadline cinst
-              (to_layout cinst (Option.get canon_warm))
+              (Layout.make cinst (Option.get canon_warm))
           in
           finish ~acceptable:(acceptable cl) ~degraded:false ~retries:0
             ~crashed:false cl

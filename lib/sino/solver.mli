@@ -24,7 +24,15 @@
       pass.
     - {!exact} is the optimum for panels of at most 10 nets: the oracle
       the tests and the bench's solver ablation check the heuristic
-      against.  No flow runs it. *)
+      against.  No flow runs it.
+
+    The kernels work on {!Layout}'s int slots and read every K and every
+    adjacent sensitive pair through {!Layout.k_at} and
+    {!Layout.cap_violations_of}, the kernels {!Layout.feasible} judges a
+    result by, so a solve and its feasibility test cannot disagree.
+    Only {!exact}'s search sums K itself, incrementally as it lays
+    tracks, and it checks every layout it returns with
+    {!Layout.feasible}. *)
 
 type mode = Order_only | Min_area
 

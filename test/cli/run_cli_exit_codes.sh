@@ -225,7 +225,7 @@ expect 5 "gsino_run lint refine.resolve fault keeps the store" -- \
   env GSINO_FAULTS="refine.resolve=raise#123" "$RUN" lint "${base[@]}" \
   --kind all --jobs 1 --panel-cache crashstore
 expect_stderr "GSL0022" "refine.resolve"
-if [ -s crashstore/panels.v1 ] && [ "$(wc -l <crashstore/panels.v1)" -gt 1 ]; then
+if [ -s crashstore/panels.v2 ] && [ "$(wc -l <crashstore/panels.v2)" -gt 1 ]; then
   echo "ok   crashed lint saved its panel store"
 else
   echo "FAIL crashed lint left no panel store entries"

@@ -178,7 +178,7 @@ else
   echo "FAIL daemon metrics missing serve.* series"
   failures=$((failures + 1))
 fi
-if [ -f pc/panels.v1 ]; then
+if [ -f pc/panels.v2 ]; then
   echo "ok   drain flushed the on-disk panel cache"
 else
   echo "FAIL drain did not flush the panel cache"

@@ -1,6 +1,6 @@
 (* Content-addressed panel cache: LRU mechanics, verified lookups, the
    solver's canonical remapping (cache-on ≡ cache-off, DESIGN §10) and
-   the on-disk gsino-panelcache-v1 store. *)
+   the on-disk gsino-panelcache-v2 store. *)
 open Eda_sino
 module Rng = Eda_util.Rng
 
@@ -169,36 +169,107 @@ let test_disk_roundtrip () =
   (* second save over the same dir is fine (atomic replace) *)
   Cache.save loaded dir
 
+(* a store file holding [lines], closed by the digest line [save]
+   writes when [signed] *)
+let write_store ?(signed = true) dir lines =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let sum = "sum " ^ Digest.to_hex (Digest.string body) ^ "\n" in
+  Out_channel.with_open_bin (Filename.concat dir "panels.v2") (fun oc ->
+      output_string oc (if signed then body ^ sum else body))
+
 let test_disk_corruption () =
-  let write dir lines =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let oc = open_out (Filename.concat dir "panels.v1") in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc
-  in
-  let empty_after lines =
+  let loaded ?signed lines =
     let dir = tmpdir () in
-    write dir lines;
-    Cache.length (Cache.load dir) = 0
+    write_store ?signed dir lines;
+    Cache.length (Cache.load dir)
   in
-  Alcotest.(check bool) "missing dir loads empty" true
-    (Cache.length (Cache.load (tmpdir ())) = 0);
-  Alcotest.(check bool) "bad header loads empty" true
-    (empty_after [ "not-a-panel-cache"; "key a" ]);
-  Alcotest.(check bool) "truncated entry loads empty" true
-    (empty_after [ "gsino-panelcache-v1"; "key a"; "n 2" ]);
-  Alcotest.(check bool) "bad slot permutation loads empty" true
-    (empty_after
-       [
-         "gsino-panelcache-v1";
-         "key a";
-         "n 2";
-         "kth 3ff0000000000000 3ff0000000000000";
-         "sens 01 10";
-         "slots 0 0";
-         "effort 1 0 0 0 0 0";
-         "end";
-       ])
+  let entry ?(slots = "slots 0 -1 1") ?(effort = "effort 1 0 0 0 0 0") () =
+    [
+      "key a";
+      "n 2";
+      "kth 3ff0000000000000 3ff0000000000000";
+      "sens 01 10";
+      slots;
+      effort;
+      "end";
+    ]
+  in
+  let v2 = "gsino-panelcache-v2" in
+  Alcotest.(check int) "missing dir loads empty" 0 (Cache.length (Cache.load (tmpdir ())));
+  Alcotest.(check int) "a signed entry loads" 1 (loaded (v2 :: entry ()));
+  Alcotest.(check int) "unsigned loads empty" 0 (loaded ~signed:false (v2 :: entry ()));
+  Alcotest.(check int) "bad header loads empty" 0 (loaded [ "not-a-panel-cache"; "key a" ]);
+  Alcotest.(check int) "a v1 store loads empty" 0
+    (loaded ("gsino-panelcache-v1" :: entry ()));
+  Alcotest.(check int) "truncated entry loads empty" 0 (loaded [ v2; "key a"; "n 2" ]);
+  Alcotest.(check int) "bad slot permutation loads empty" 0
+    (loaded (v2 :: entry ~slots:"slots 0 0" ()));
+  Alcotest.(check int) "a slot neither net nor shield loads empty" 0
+    (loaded (v2 :: entry ~slots:"slots 0 -2 1" ()));
+  Alcotest.(check int) "negative effort loads empty" 0
+    (loaded (v2 :: entry ~effort:"effort 1 0 -1 0 0 0" ()))
+
+(* A store whose first entry is edited into another permutation of its
+   slots, one with two sensitive nets side by side, must load empty with
+   a warning and leave every result as a run without a store has it. *)
+let test_disk_tampered_entry () =
+  let module Flow = Gsino.Flow in
+  let module Phase2 = Gsino.Phase2 in
+  let module Log = Eda_obs.Log in
+  let tech = Gsino.Tech.default in
+  let nl =
+    Eda_netlist.Generator.generate ~gcell_um:tech.Gsino.Tech.gcell_um
+      ~scale:0.02 ~seed:7 Eda_netlist.Generator.ibm01
+  in
+  let outcome ?cache () =
+    Eda_obs.Metrics.with_registry (Eda_obs.Metrics.fresh_registry ()) @@ fun () ->
+    Flow.run_kinds ?cache Flow.Config.default tech ~rate:0.30
+      [ Flow.Isino; Flow.Gsino ] nl ~f:(fun r ->
+        let slots = ref [] in
+        Phase2.iter r.Flow.phase2 (fun key s ->
+            slots := (key, Layout.slots s.Phase2.layout) :: !slots);
+        ( r.Flow.shields,
+          List.length (Phase2.infeasible_panels r.Flow.phase2),
+          List.sort compare !slots ))
+  in
+  let dir = tmpdir () in
+  let store = Cache.create () in
+  ignore (outcome ~cache:store ());
+  Cache.save store dir;
+  let file = Filename.concat dir "panels.v2" in
+  let lines =
+    In_channel.with_open_bin file In_channel.input_all
+    |> String.split_on_char '\n' |> Array.of_list
+  in
+  (* the first entry's lines, by tag *)
+  let at tag = Option.get (Array.find_index (String.starts_with ~prefix:(tag ^ " ")) lines) in
+  let fields tag = List.tl (String.split_on_char ' ' lines.(at tag)) in
+  let sens = Array.of_list (fields "sens") in
+  let slots = List.map int_of_string (fields "slots") in
+  let first = List.find (fun x -> x >= 0) slots in
+  let partner = List.find (fun x -> x >= 0 && sens.(first).[x] = '1') slots in
+  let moved = first :: partner :: List.filter (fun x -> x <> first && x <> partner) slots in
+  Alcotest.(check bool) "premise: another permutation" true (moved <> slots);
+  lines.(at "slots") <- String.concat " " ("slots" :: List.map string_of_int moved);
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (String.concat "\n" (Array.to_list lines)));
+  let log = Buffer.create 256 in
+  let fmt = Format.formatter_of_buffer log in
+  Log.set_sink (Log.Human fmt);
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> Log.set_sink (Log.Human Format.err_formatter))
+      (fun () -> Cache.load dir)
+  in
+  Format.pp_print_flush fmt ();
+  Alcotest.(check int) "the tampered store loads empty" 0 (Cache.length loaded);
+  Alcotest.(check (list bool)) "with one warning, on corruption" [ true ]
+    (List.map
+       (String.starts_with ~prefix:"gsino: [warn] corrupt panel cache store")
+       (String.split_on_char '\n' (String.trim (Buffer.contents log))));
+  Alcotest.(check bool) "results as without a store" true
+    (outcome ~cache:loaded () = outcome ())
 
 let test_disk_concurrent_writers () =
   (* several serve workers (or daemon instances) flushing the same
@@ -263,7 +334,7 @@ let test_disk_store_serves_request () =
   let store = Cache.load dir in
   let cold_misses = request store in
   Alcotest.(check bool) "the flows never write the store" false
-    (Sys.file_exists (Filename.concat dir "panels.v1"));
+    (Sys.file_exists (Filename.concat dir "panels.v2"));
   Cache.save store dir;
   let reloaded = Cache.load dir in
   Alcotest.(check int) "one save holds every entry" (Cache.length store)
@@ -354,6 +425,8 @@ let suites =
       [
         Alcotest.test_case "round trip" `Quick test_disk_roundtrip;
         Alcotest.test_case "corruption tolerated" `Quick test_disk_corruption;
+        Alcotest.test_case "a tampered entry loads empty" `Slow
+          test_disk_tampered_entry;
         Alcotest.test_case "concurrent writers race safely" `Quick
           test_disk_concurrent_writers;
         Alcotest.test_case "one store serves a request" `Slow

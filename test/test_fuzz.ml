@@ -1,10 +1,13 @@
-(* Mutation fuzzing of the gsino-*-v1 readers: metrics snapshots
-   (`gsino_run diff`), journals (`gsino_run explain`), the diff policy
-   and serve frames.  Each property starts from documents the program
-   writes, mutates one (truncation, byte flips, splicing two documents,
-   a duplicated object key, deeper nesting, a number spelled the way
-   JSON forbids) and checks that the reader returns Ok or its typed
-   Error: it must never raise.  A lenient number must be an Error. *)
+(* Mutation fuzzing of the readers of outside input: metrics snapshots
+   (`gsino_run diff`), journals (`gsino_run explain`), the diff policy,
+   serve frames and the panel store (`Cache.load`).  Each property
+   starts from documents the program writes, mutates one (truncation,
+   byte flips, splicing two documents, a duplicated object key, deeper
+   nesting, a number spelled the way JSON forbids; for the store,
+   duplicated and reordered entries, permuted slots and extreme
+   integers) and checks that the reader returns Ok or its typed Error:
+   it must never raise.  A lenient number must be an Error, and a store
+   whose digest no longer matches must load empty. *)
 module Json = Eda_obs.Json
 module Metrics = Eda_obs.Metrics
 module Journal = Eda_obs.Journal
@@ -296,6 +299,174 @@ let lenient_mutant =
       | Some doc -> (doc, Some refused)
       | None -> (doc, None) (* the picked journal line held no number *))
 
+(* ---------------- the panel store ---------------- *)
+
+module Cache = Eda_sino.Cache
+module Solver = Eda_sino.Solver
+module Instance = Eda_sino.Instance
+module Layout = Eda_sino.Layout
+module Rng = Eda_util.Rng
+
+let store_request = Solver.request ~seed:3 ()
+
+(* four solved panels and a warm re-solve of the first under a tighter
+   bound, so the store holds cold and warm entries *)
+let store_panels =
+  lazy
+    (let rng = Rng.create 5 in
+     let panel n =
+       Instance.make ~nets:(Array.init n Fun.id)
+         ~kth:(Array.init n (fun _ -> 0.3 +. Rng.float rng 1.0))
+         ~sensitive:(fun i j -> i <> j && Rng.pair_hash ~seed:n (min i j) (max i j) < 0.5)
+     in
+     let cold = List.map panel [ 5; 6; 7; 9 ] in
+     let first = List.hd cold in
+     let warm = (Solver.solve store_request first).Solver.layout in
+     (Instance.with_kth first 0 (Instance.kth first 0 /. 2.0), Some warm)
+     :: List.map (fun p -> (p, None)) cold)
+
+let store_dir =
+  lazy
+    (let d = Filename.temp_file "gsino_fuzz_store" "" in
+     Sys.remove d;
+     Sys.mkdir d 0o755;
+     d)
+
+let store_file () = Filename.concat (Lazy.force store_dir) "panels.v2"
+
+let solve_all cache =
+  List.map
+    (fun (inst, warm) ->
+      Layout.slots (Solver.solve ?cache ?warm store_request inst).Solver.layout)
+    (Lazy.force store_panels)
+
+(* the solves record their counters here, not in the process's registry *)
+let store_registry = lazy (Metrics.fresh_registry ())
+
+(* the store [Cache.save] writes for the panels, split into the body and
+   its closing digest line *)
+let store_seed =
+  lazy
+    (Metrics.with_registry (Lazy.force store_registry) @@ fun () ->
+     let cache = Cache.create () in
+     ignore (solve_all (Some cache));
+     Cache.save cache (Lazy.force store_dir);
+     let doc = In_channel.with_open_bin (store_file ()) In_channel.input_all in
+     let last = String.rindex_from doc (String.length doc - 2) '\n' + 1 in
+     (String.sub doc 0 last, String.sub doc last (String.length doc - last)))
+
+let unstored = lazy (solve_all None)
+
+let sign body =
+  let body =
+    if String.ends_with ~suffix:"\n" body || body = "" then body else body ^ "\n"
+  in
+  body ^ "sum " ^ Digest.to_hex (Digest.string body) ^ "\n"
+
+(* one entry ([key] .. [end]) repeated after another, or two swapped *)
+let on_entries st ~dup doc =
+  let lines = Array.of_list (String.split_on_char '\n' doc) in
+  let ranges = ref [] and start = ref (-1) in
+  Array.iteri
+    (fun i l ->
+      if String.starts_with ~prefix:"key " l then start := i
+      else if l = "end" && !start >= 0 then begin
+        ranges := (!start, i) :: !ranges;
+        start := -1
+      end)
+    lines;
+  let ranges = Array.of_list (List.rev !ranges) in
+  let n = Array.length ranges in
+  if n < 2 then doc
+  else begin
+    let entry i =
+      let a, b = ranges.(i) in
+      Array.to_list (Array.sub lines a (b - a + 1))
+    in
+    let a = Random.State.int st n and b = Random.State.int st n in
+    let entries =
+      List.init n (fun i ->
+          if dup then if i = a then entry i @ entry b else entry i
+          else entry (if i = a then b else if i = b then a else i))
+    in
+    let first = fst ranges.(0) and last = snd ranges.(n - 1) + 1 in
+    String.concat "\n"
+      (Array.to_list (Array.sub lines 0 first)
+      @ List.concat entries
+      @ Array.to_list (Array.sub lines last (Array.length lines - last)))
+  end
+
+(* [f] applied to the fields of one line tagged by one of [tags] *)
+let on_fields st tags f doc =
+  let lines = Array.of_list (String.split_on_char '\n' doc) in
+  let tagged =
+    List.filter
+      (fun i ->
+        List.exists (fun t -> String.starts_with ~prefix:(t ^ " ") lines.(i)) tags)
+      (List.init (Array.length lines) Fun.id)
+  in
+  match tagged with
+  | [] -> doc
+  | _ -> (
+      let i = List.nth tagged (Random.State.int st (List.length tagged)) in
+      match String.split_on_char ' ' lines.(i) with
+      | tag :: fields ->
+          let fields = Array.of_list fields in
+          f fields;
+          lines.(i) <- String.concat " " (tag :: Array.to_list fields);
+          String.concat "\n" (Array.to_list lines)
+      | [] -> doc)
+
+let extreme st fields =
+  let tokens =
+    [| string_of_int max_int; string_of_int min_int; "-1"; "-2"; "0"; "-0";
+       "99999999999999999999"; "4611686018427387904"; "7ff8000000000000" |]
+  in
+  if Array.length fields > 0 then
+    fields.(Random.State.int st (Array.length fields)) <-
+      tokens.(Random.State.int st (Array.length tokens))
+
+let store_mutation st doc =
+  match Random.State.int st 7 with
+  | 0 -> truncate st doc
+  | 1 -> flip st doc
+  | 2 -> splice st doc doc
+  | 3 -> on_entries st ~dup:true doc
+  | 4 -> on_entries st ~dup:false doc
+  | 5 -> on_fields st [ "slots"; "warm" ] (Rng.shuffle (Rng.create (Random.State.bits st))) doc
+  | _ -> on_fields st [ "n"; "kth"; "slots"; "warm"; "effort" ] (extreme st) doc
+
+(* a mutated store, and whether it was re-signed: half are, so their
+   entries reach the parser; the rest keep the seed's digest line *)
+let store_mutant =
+  QCheck.make
+    ~print:(fun (doc, signed) ->
+      Printf.sprintf "signed %b, %d bytes: %S" signed (String.length doc)
+        (String.sub doc 0 (min 400 (String.length doc))))
+    (fun st ->
+      let body, sum = Lazy.force store_seed in
+      if Random.State.bool st then (sign (store_mutation st body), true)
+      else (store_mutation st (body ^ sum), false))
+
+(* Every mutant loads without raising, and the panels solve against
+   what it loaded without raising.  An unsigned mutant that changed a
+   byte loads empty, and then every panel solves as without a store. *)
+let store_loads (doc, signed) =
+  let body, sum = Lazy.force store_seed in
+  Metrics.with_registry (Lazy.force store_registry) @@ fun () ->
+  Out_channel.with_open_bin (store_file ()) (fun oc -> output_string oc doc);
+  let level = Eda_obs.Log.current_level () in
+  Eda_obs.Log.set_level Eda_obs.Log.Quiet;
+  let cache =
+    Fun.protect
+      ~finally:(fun () -> Eda_obs.Log.set_level level)
+      (fun () -> Cache.load (Lazy.force store_dir))
+  in
+  let empty = Cache.length cache = 0 in
+  let solved = solve_all (Some cache) in
+  signed || String.equal doc (body ^ sum)
+  || (empty && solved = Lazy.force unstored)
+
 let qcheck_tests =
   [
     QCheck.Test.make ~count:2_000 ~name:"lenient numbers are rejected"
@@ -313,6 +484,7 @@ let qcheck_tests =
       (fun doc ->
         ok_or_frame_reject (Protocol.request_of_string doc)
         && ok_or_frame_reject (Protocol.response_of_string doc));
+    QCheck.Test.make ~count:cases ~name:"panel store" store_mutant store_loads;
   ]
 
 let suites =

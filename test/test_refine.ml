@@ -24,9 +24,7 @@ let slots_digest phase2 =
       Array.iter
         (fun slot ->
           Printf.bprintf b " %d"
-            (match slot with
-            | Layout.Net li -> Instance.net_id s.Phase2.inst li
-            | Layout.Shield -> -1))
+            (if slot = Layout.shield then -1 else Instance.net_id s.Phase2.inst slot))
         (Layout.slots s.Phase2.layout);
       Buffer.add_char b '\n')
     (List.sort (fun (a, _) (b, _) -> compare a b) !panels);

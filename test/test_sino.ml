@@ -68,69 +68,79 @@ let test_instance_sensitivity_fraction () =
   Alcotest.(check (float 1e-9)) "1 of 3" (1.0 /. 3.0) (Instance.sensitivity inst 0);
   Alcotest.(check (float 1e-9)) "net 2 isolated" 0.0 (Instance.sensitivity inst 2)
 
+(* A panel is held in one packed form: a 7-net instance (the mean panel
+   of a dense NC run's cache) and its solved layout, instance included,
+   in words (84 and 120 with a bool matrix and variant slots). *)
+let test_instance_words () =
+  let inst =
+    Instance.make
+      ~nets:(Array.init 7 (fun i -> 100 + i))
+      ~kth:(Array.init 7 (fun i -> 0.3 +. (0.1 *. float_of_int i)))
+      ~sensitive:(fun i j -> i <> j && Rng.pair_hash ~seed:7 (min i j) (max i j) < 0.5)
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let l = Solver.min_area (Rng.create 7) inst in
+  Alcotest.(check bool) (Printf.sprintf "instance %d words <= 24" (words inst)) true
+    (words inst <= 24);
+  Alcotest.(check bool)
+    (Printf.sprintf "layout of %d tracks %d words <= 48" (Layout.num_tracks l) (words l))
+    true
+    (words l <= 48)
+
 let layout_of inst slots = Layout.make inst slots
 
 let test_layout_validation () =
   let inst = mk_inst ~kth:1.0 2 in
   Alcotest.(check bool) "missing net rejected" true
     (try
-       ignore (layout_of inst [| Layout.Net 0; Layout.Shield |]);
+       ignore (layout_of inst [| 0; Layout.shield |]);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "duplicate rejected" true
     (try
-       ignore (layout_of inst [| Layout.Net 0; Layout.Net 0; Layout.Net 1 |]);
+       ignore (layout_of inst [| 0; 0; 1 |]);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "a slot neither a net nor a shield rejected" true
+    (try
+       ignore (layout_of inst [| 0; -2; 1 |]);
        false
      with Invalid_argument _ -> true)
 
 let test_layout_k_hand_computed () =
   (* nets 0-1-2 adjacent, all sensitive: K(1) = 2*k1; K(0) = k1 + k1^2 *)
   let inst = mk_inst ~kth:10.0 3 in
-  let l = layout_of inst [| Layout.Net 0; Layout.Net 1; Layout.Net 2 |] in
+  let l = layout_of inst [| 0; 1; 2 |] in
   Alcotest.(check (float 1e-12)) "middle" (2.0 *. k.Keff.k1) (Layout.k_of l k 1);
   Alcotest.(check (float 1e-12)) "edge" (k.Keff.k1 +. (k.Keff.k1 ** 2.0)) (Layout.k_of l k 0)
 
 let test_layout_k_with_shield () =
   (* 0 | S | 1 : dist 2, one shield *)
   let inst = mk_inst ~kth:10.0 2 in
-  let l = layout_of inst [| Layout.Net 0; Layout.Shield; Layout.Net 1 |] in
+  let l = layout_of inst [| 0; Layout.shield; 1 |] in
   let expect = (k.Keff.k1 ** 2.0) *. k.Keff.shield_block in
   Alcotest.(check (float 1e-12)) "shielded pair" expect (Layout.k_of l k 0);
   Alcotest.(check int) "one shield" 1 (Layout.num_shields l)
 
 let test_layout_k_nonsensitive_ignored () =
   let inst = mk_inst ~sensitive:none_sensitive ~kth:10.0 3 in
-  let l = layout_of inst [| Layout.Net 0; Layout.Net 1; Layout.Net 2 |] in
+  let l = layout_of inst [| 0; 1; 2 |] in
   Alcotest.(check (float 1e-12)) "no sensitive, no coupling" 0.0 (Layout.k_of l k 1)
 
 let test_layout_cap_violations () =
   let inst = mk_inst ~kth:10.0 3 in
-  let packed = layout_of inst [| Layout.Net 0; Layout.Net 1; Layout.Net 2 |] in
+  let packed = layout_of inst [| 0; 1; 2 |] in
   Alcotest.(check int) "two adjacent sensitive pairs" 2 (Layout.cap_violations packed);
   let shielded =
-    layout_of inst [| Layout.Net 0; Layout.Shield; Layout.Net 1; Layout.Shield; Layout.Net 2 |]
+    layout_of inst [| 0; Layout.shield; 1; Layout.shield; 2 |]
   in
   Alcotest.(check int) "shields clear capacitive" 0 (Layout.cap_violations shielded)
 
 let test_layout_k_violations () =
   let inst = mk_inst ~kth:0.1 2 in
-  let l = layout_of inst [| Layout.Net 0; Layout.Net 1 |] in
+  let l = layout_of inst [| 0; 1 |] in
   Alcotest.(check int) "both violate" 2 (List.length (Layout.k_violations l k));
   Alcotest.(check bool) "not feasible" false (Layout.feasible l k)
-
-let test_layout_edits () =
-  let inst = mk_inst ~kth:10.0 2 in
-  let l = layout_of inst [| Layout.Net 0; Layout.Net 1 |] in
-  let l2 = Layout.insert_shield l 1 in
-  Alcotest.(check int) "tracks" 3 (Layout.num_tracks l2);
-  Alcotest.(check int) "positions shifted" 2 (Layout.position l2 1);
-  let l3 = Layout.remove_shield l2 1 in
-  Alcotest.(check int) "back to 2" 2 (Layout.num_tracks l3);
-  Alcotest.check_raises "removing a net"
-    (Invalid_argument "Layout.remove_shield: track holds a net") (fun () ->
-      ignore (Layout.remove_shield l2 0));
-  let l4 = Layout.swap l 0 1 in
-  Alcotest.(check int) "swapped" 1 (Layout.position l4 0)
 
 let test_order_only_no_shields () =
   let rng = Rng.create 1 in
@@ -255,9 +265,9 @@ let brute_min_shields inst ~cap =
   let layout order gaps =
     let rec go order gaps =
       match (order, gaps) with
-      | [ x ], [] -> [ Layout.Net x ]
+      | [ x ], [] -> [ x ]
       | x :: order, g :: gaps ->
-          (Layout.Net x :: List.init g (fun _ -> Layout.Shield)) @ go order gaps
+          (x :: List.init g (fun _ -> Layout.shield)) @ go order gaps
       | _ -> assert false
     in
     Layout.make inst (Array.of_list (go order gaps))
@@ -694,8 +704,14 @@ let qcheck_tests =
             ~sensitive:(fun i j -> i <> j && Rng.pair_hash ~seed i j < 0.6)
         in
         let l = Solver.order_only (Rng.create seed) inst in
-        let pos = seed mod (Layout.num_tracks l + 1) in
-        let l2 = Layout.insert_shield l pos in
+        let slots = Layout.slots l in
+        let pos = seed mod (Array.length slots + 1) in
+        let l2 =
+          Layout.make inst
+            (Array.concat
+               [ Array.sub slots 0 pos; [| Layout.shield |];
+                 Array.sub slots pos (Array.length slots - pos) ])
+        in
         let ok = ref true in
         for i = 0 to n - 1 do
           if Layout.k_of l2 k i > Layout.k_of l k i +. 1e-9 then ok := false
@@ -720,6 +736,7 @@ let suites =
         Alcotest.test_case "sensitivity fraction" `Quick test_instance_sensitivity_fraction;
         Alcotest.test_case "signature shape" `Quick test_signature_shape;
         Alcotest.test_case "canonical form golden" `Quick test_canonical_golden;
+        Alcotest.test_case "packed size" `Quick test_instance_words;
       ] );
     ( "sino.layout",
       [
@@ -729,7 +746,6 @@ let suites =
         Alcotest.test_case "non-sensitive ignored" `Quick test_layout_k_nonsensitive_ignored;
         Alcotest.test_case "capacitive violations" `Quick test_layout_cap_violations;
         Alcotest.test_case "K violations" `Quick test_layout_k_violations;
-        Alcotest.test_case "edits" `Quick test_layout_edits;
       ] );
     ( "sino.solver",
       [
