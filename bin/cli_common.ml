@@ -384,6 +384,12 @@ let init_faults ~prog () =
 let guard_exceptions ?(pretty = false) f =
   try f () with exn -> report_error ~pretty (Error.classify ~site:"cli" exn)
 
+(* The funnel of a subcommand without artifact sinks: faults from
+   GSINO_FAULTS, then [f] inside {!guard_exceptions}. *)
+let guarded ~prog f =
+  init_faults ~prog ();
+  guard_exceptions f
+
 (* ---------------- observability lifecycle ---------------- *)
 
 (* [flush sink render] — write the artifact [render ()] to [sink] when

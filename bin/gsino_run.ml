@@ -126,7 +126,7 @@ let run_cmd =
 
 let map_cmd =
   let run circuit scale seed rate jobs netlist_file panel_cache =
-    C.guard_exceptions @@ fun () ->
+    C.guarded ~prog:"gsino_run" @@ fun () ->
     let tech = Tech.default in
     let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
     let config = { Flow.Config.default with Flow.Config.seed; jobs } in
@@ -150,6 +150,7 @@ let map_cmd =
 
 let gen_cmd =
   let run circuit scale seed out =
+    C.guarded ~prog:"gsino_run" @@ fun () ->
     let tech = Tech.default in
     let netlist =
       Eda_netlist.Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed
@@ -200,16 +201,26 @@ let suite_cmd =
 
 let table_cmd =
   let run () =
-    let model = Tech.lsk_model Tech.default in
+    C.guarded ~prog:"gsino_run" @@ fun () ->
+    (* simulated, not read from Tech: this is the circuit simulator's
+       command-line entry point *)
+    let tech = Tech.default in
+    let model =
+      Eda_lsk.Table_builder.build ~keff:tech.Tech.keff tech.Tech.electrical
+    in
     Format.printf "%a@.# LSK(um*K)\tnoise(V)@.%a@." Eda_lsk.Lsk.pp model
       Eda_util.Lintable.pp model.Eda_lsk.Lsk.table;
     C.exit_ok
   in
-  let doc = "Build (via circuit simulation) and dump the LSK lookup table." in
+  let doc =
+    "Build the LSK lookup table by circuit simulation and dump it.  The \
+     flows read the same table, computed when the program was built."
+  in
   Cmd.v (Cmd.info "table" ~doc) Term.(const run $ const ())
 
 let bounds_cmd =
   let run circuit scale seed =
+    C.guarded ~prog:"gsino_run" @@ fun () ->
     let tech = Tech.default in
     let profile = C.profile_of_name circuit in
     let netlist =

@@ -280,8 +280,8 @@ let cmd =
       `P
         "The client subcommands speak the gsino-serve-v1 framed protocol; \
          $(b,route) mirrors $(b,gsino_run lint)'s flags and output, with \
-         the flow executed by the daemon against its warm LSK model and, \
-         with $(b,--panel-cache), its shared panel store.";
+         the flow executed by the daemon and, with $(b,--panel-cache), \
+         against its shared panel store.";
     ]
   in
   Cmd.group (Cmd.info "gsino_serve" ~version:"1.0.0" ~doc ~man)

@@ -17,7 +17,7 @@ module Lsk = Eda_lsk.Lsk
 let () =
   (* 1. the LSK -> noise table, built by simulating coupled RLC buses *)
   Format.printf "building the LSK table from circuit simulations...@.";
-  let model = Gsino.Tech.(lsk_model default) in
+  let model = Eda_lsk.Table_builder.(build default_electrical) in
   Format.printf "%a@.@." Lsk.pp model;
   Format.printf "selected entries (LSK in um*K -> predicted noise):@.";
   List.iter

@@ -299,10 +299,6 @@ let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
   }
 
 let run_kinds ?pool ?cache ?deadline config tech ~rate kinds netlist ~f =
-  (* The LSK table's simulations run before prepare's routings, so they
-     do not allocate on top of the routings' garbage; the table is
-     memoized, so nothing else changes. *)
-  Trace.span "lsk.table_build" (fun () -> ignore (Tech.lsk_model tech));
   with_pool_opt ~jobs:config.Config.jobs pool @@ fun pool ->
   let grid, base = prepare ~config ~pool tech netlist in
   let sensitivity =

@@ -160,8 +160,8 @@ val run :
 
 (** [run_kinds ?pool ?cache ?deadline config tech ~rate kinds netlist ~f]
     — one request of the paper's evaluation (§4), the entry of
-    [gsino_run run]/[lint]/[map] and of the serve daemon: build the LSK
-    model, {!prepare} once with [config], draw the sensitivity model
+    [gsino_run run]/[lint]/[map] and of the serve daemon: {!prepare}
+    once with [config], draw the sensitivity model
     from [config.seed lxor 0xbeef] at [rate], then one {!run} per kind,
     in [kinds] order, on the shared grid and base routes.  [f] gets each
     result as its flow ends, so a result [f] does not keep is garbage

@@ -23,10 +23,12 @@ let default =
     gamma = 50.0;
   }
 
-(* The model memo.  Both models take seconds to build and are asked for
-   from any domain (daemon workers, Eda_exec pools), so lookup and build
-   run under one mutex: a concurrent requester waits for the build in
-   progress instead of racing it. *)
+(* The default technology's models are constants computed at build
+   time (Default_models).  Any other technology's table is simulated on
+   first request and memoized; it may be asked for from any domain
+   (daemon workers, Eda_exec pools), so lookup and build run under one
+   mutex: a concurrent requester waits for the build in progress instead
+   of racing it. *)
 let models_mu = Mutex.create ()
 
 let lsk_models :
@@ -34,25 +36,21 @@ let lsk_models :
     Hashtbl.t =
   Hashtbl.create 4
 
-let estimate = ref None
-
 let lsk_model t =
-  Mutex.protect models_mu (fun () ->
-      let key = (t.electrical, t.keff) in
-      match Hashtbl.find_opt lsk_models key with
-      | Some m -> m
-      | None ->
-          let m = Eda_lsk.Table_builder.build ~keff:t.keff t.electrical in
-          Hashtbl.add lsk_models key m;
-          m)
+  if
+    t.electrical = Eda_lsk.Table_builder.default_electrical
+    && t.keff = Eda_sino.Keff.default
+  then Default_models.lsk
+  else
+    Mutex.protect models_mu (fun () ->
+        let key = (t.electrical, t.keff) in
+        match Hashtbl.find_opt lsk_models key with
+        | Some m -> m
+        | None ->
+            let m = Eda_lsk.Table_builder.build ~keff:t.keff t.electrical in
+            Hashtbl.add lsk_models key m;
+            m)
 
-let estimate_coeffs () =
-  Mutex.protect models_mu (fun () ->
-      match !estimate with
-      | Some c -> c
-      | None ->
-          let c = Eda_sino.Estimate.(fit ~kth_of:default_kth_sampler ()) in
-          estimate := Some c;
-          c)
+let estimate_coeffs () = Default_models.estimate
 
 let grid_for t netlist = Eda_grid.Grid.auto ~util_target:t.util_target netlist

@@ -15,13 +15,17 @@ type t = {
 
 val default : t
 
-(** [lsk_model t] — the LSK → noise table for this technology, built by
-    a simulation sweep on first request and memoized per electrical and
+(** [lsk_model t] — the LSK → noise table for this technology.  For
+    the default electrical and Keff parameters
+    ({!Eda_lsk.Table_builder.default_electrical}, {!Eda_sino.Keff.default})
+    it is the table computed when the library was built
+    ({!Default_models.lsk}).  Any other technology's table is built by a
+    simulation sweep on first request and memoized per electrical and
     Keff parameters.  Safe to call from any domain. *)
 val lsk_model : t -> Eda_lsk.Lsk.t
 
 (** The Formula-3 coefficients fit with the default samplers and seed,
-    memoized with the LSK tables.  Safe to call from any domain. *)
+    computed when the library was built ({!Default_models.estimate}). *)
 val estimate_coeffs : unit -> Eda_sino.Estimate.coeffs
 
 (** [grid_for t netlist] — capacities per {!Eda_grid.Grid.auto} at this

@@ -19,47 +19,52 @@ let slots : (string, slot) Hashtbl.t = Hashtbl.create 7
 
 let default_seed site = Hashtbl.hash ("gsino-fault", site)
 
+let registered =
+  [ "exec.worker"; "io.load"; "matrix.lu"; "phase2.solve"; "refine.resolve";
+    "serve.request" ]
+
 let parse_one raw =
   let s = String.trim raw in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let ( let* ) = Result.bind in
   match String.index_opt s '=' with
   | None -> err "fault spec %S: expected site=mode[@prob][#seed]" s
   | Some eq -> (
       let site = String.sub s 0 eq in
       let rest = String.sub s (eq + 1) (String.length s - eq - 1) in
-      if site = "" then err "fault spec %S: empty site" s
-      else
-        let rest, seed =
-          match String.index_opt rest '#' with
-          | None -> (rest, default_seed site)
-          | Some h -> (
-              let v = String.sub rest (h + 1) (String.length rest - h - 1) in
-              match int_of_string_opt v with
-              | Some n -> (String.sub rest 0 h, n)
-              | None -> (rest, min_int) (* flagged below *))
-        in
-        let rest, prob =
-          match String.index_opt rest '@' with
-          | None -> (rest, 1.0)
-          | Some a -> (
-              let v = String.sub rest (a + 1) (String.length rest - a - 1) in
-              match float_of_string_opt v with
-              | Some p -> (String.sub rest 0 a, p)
-              | None -> (rest, nan) (* flagged below *))
-        in
-        if seed = min_int then err "fault spec %S: bad seed" s
-        else if Float.is_nan prob || prob < 0.0 || prob > 1.0 then
-          err "fault spec %S: probability must be in [0,1]" s
+      let* () =
+        if List.mem site registered then Ok ()
         else
-          match rest with
-          | "raise" -> Ok { site; mode = Raise; prob; seed }
-          | "nan" -> Ok { site; mode = Corrupt; prob; seed }
-          | _ when String.length rest > 6 && String.sub rest 0 6 = "delay:" -> (
-              let v = String.sub rest 6 (String.length rest - 6) in
-              match int_of_string_opt v with
-              | Some ms when ms >= 0 -> Ok { site; mode = Delay ms; prob; seed }
-              | Some _ | None -> err "fault spec %S: bad delay %S" s v)
-          | m -> err "fault spec %S: unknown mode %S (raise|nan|delay:MS)" s m)
+          err "fault spec %S: unknown site %S (known: %s)" s site
+            (String.concat ", " registered)
+      in
+      let* rest, seed =
+        match String.index_opt rest '#' with
+        | None -> Ok (rest, default_seed site)
+        | Some h -> (
+            let v = String.sub rest (h + 1) (String.length rest - h - 1) in
+            match int_of_string_opt v with
+            | Some n -> Ok (String.sub rest 0 h, n)
+            | None -> err "fault spec %S: bad seed %S" s v)
+      in
+      let* rest, prob =
+        match String.index_opt rest '@' with
+        | None -> Ok (rest, 1.0)
+        | Some a -> (
+            let v = String.sub rest (a + 1) (String.length rest - a - 1) in
+            match float_of_string_opt v with
+            | Some p when p >= 0.0 && p <= 1.0 -> Ok (String.sub rest 0 a, p)
+            | Some _ | None -> err "fault spec %S: probability must be in [0,1]" s)
+      in
+      match rest with
+      | "raise" -> Ok { site; mode = Raise; prob; seed }
+      | "nan" -> Ok { site; mode = Corrupt; prob; seed }
+      | _ when String.length rest > 6 && String.sub rest 0 6 = "delay:" -> (
+          let v = String.sub rest 6 (String.length rest - 6) in
+          match int_of_string_opt v with
+          | Some ms when ms >= 0 -> Ok { site; mode = Delay ms; prob; seed }
+          | Some _ | None -> err "fault spec %S: bad delay %S" s v)
+      | m -> err "fault spec %S: unknown mode %S (raise|nan|delay:MS)" s m)
 
 let parse str =
   let parts =

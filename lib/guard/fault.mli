@@ -14,10 +14,13 @@
     a site-derived constant.  Example:
     [GSINO_FAULTS="phase2.solve=raise@0.5#42,matrix.lu=nan"].
 
-    Registered sites: [io.load], [phase2.solve], [refine.resolve],
-    [matrix.lu], [exec.worker], and [serve.request] (fires inside the
-    daemon's per-request guard, proving request isolation: the request
-    gets a framed GSL0022 error, the daemon keeps serving).
+    Registered sites ({!registered}, the only ones a spec string may
+    name): [io.load], [phase2.solve], [refine.resolve], [matrix.lu]
+    (the circuit simulator's LU solves, which only [gsino_run table]
+    runs from the command line),
+    [exec.worker], and [serve.request] (fires inside the daemon's
+    per-request guard, proving request isolation: the request gets a
+    framed GSL0022 error, the daemon keeps serving).
     [raise]/[delay] act at
     {!point} sites, [nan] only where a {!corrupt} call wraps a value
     ([matrix.lu]); a mode installed at a site that never performs the
@@ -37,11 +40,17 @@ type spec = { site : string; mode : mode; prob : float; seed : int }
 (** ["GSINO_FAULTS"]. *)
 val env_var : string
 
+(** The registered sites, sorted: the ones the program fires. *)
+val registered : string list
+
 (** Parse a comma-separated spec string; [Error msg] on the first bad
-    entry. *)
+    entry.  A site outside {!registered} is an error that names the
+    registered sites, so a mistyped site cannot silently inject
+    nothing. *)
 val parse : string -> (spec list, string) result
 
-(** Install specs (replacing any previous configuration). *)
+(** Install specs (replacing any previous configuration).  Any site
+    name is accepted, so tests can install sites of their own. *)
 val set : spec list -> unit
 
 (** Remove all faults; sites become inert again. *)

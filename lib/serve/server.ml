@@ -363,11 +363,6 @@ let start_draining draining cfg =
   in
   if Sys.os_type = "Unix" then
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  (* Build the LSK table, the model every route request reads, before
-     the socket opens, so its cost is start-up time rather than the
-     first request's.  The Formula-3 fit only serves the static
-     analyzer, which no request runs. *)
-  ignore (Tech.lsk_model Tech.default);
   let template = Metrics.zeroed_copy (Metrics.current_registry ()) in
   (* serve.* instruments register *after* the template is taken, so
      request-scoped metrics exports carry no serve series — they are

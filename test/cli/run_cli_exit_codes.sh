@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CLI exit-code contract test for the batch driver, gsino_run, and its
-# subcommands (run, lint, audit, diff, explain); the daemon's contract
-# lives in run_serve.sh.
+# subcommands (run, lint, audit, diff, explain, gen, table); the daemon's
+# contract lives in run_serve.sh.
 #
 # Exercises the failure classes reachable from a batch command line and
 # asserts the documented exit status (see README "Failure modes &
@@ -131,6 +131,9 @@ expect 0 "gsino_run --audit clean" -- "$RUN" run "${base[@]}" --jobs 1 --audit \
 # ... and its Formula-3 fit solves record privately, so the flows'
 # sino.* series do not count them
 expect_same_metric clean.json audited.json "sino.instances"
+# the flows read the models computed at build time: no LU solve runs
+expect 0 "run reaches no simulator (matrix.lu fault inert)" -- \
+  env GSINO_FAULTS="matrix.lu=raise" "$RUN" run "${base[@]}" --jobs 1
 
 # ---- exit 2: usage / input errors ----
 printf 'gsino-netlist v1\nname bad\ngrid 4 4 10\nnet 0 0 0 9 9\n' >bad.nl
@@ -153,6 +156,10 @@ expect_stderr "GSL0020"
 expect 2 "malformed GSINO_FAULTS spec" -- \
   env GSINO_FAULTS="bogus" "$RUN" run "${base[@]}"
 expect_stderr "GSINO_FAULTS"
+# a mistyped site would inject nothing: refused, naming the known sites
+expect 2 "GSINO_FAULTS unknown site" -- \
+  env GSINO_FAULTS="matrix.luu=nan" "$RUN" run "${base[@]}"
+expect_stderr "GSINO_FAULTS" "unknown site" "matrix.lu, phase2.solve"
 expect 2 "gsino_run diff missing snapshot" -- "$RUN" diff missing.json clean.json
 # a missing positional is checked by gsino_run diff itself (exit 2, not
 # cmdliner's 124)
@@ -241,11 +248,15 @@ expect 5 "gsino_run audit unwritable --trace (GSL0022)" -- \
   "$RUN" audit "${base[@]}" --trace no-such-dir/t.json
 expect_stderr "GSL0022" "no-such-dir/t.json"
 expect_stderr_lacks "uncaught exception"
-# the LSK table build simulates circuits: a corrupted LU solve is caught
-# at the source as the typed non-finite error (GSL0023), not as garbage
-# noise values downstream
+expect 5 "gsino_run gen unwritable output (GSL0022)" -- \
+  "$RUN" gen -c ibm01 -s 0.02 -o no-such-dir/x.nl
+expect_stderr "GSL0022" "no-such-dir/x.nl"
+expect_stderr_lacks "uncaught exception"
+# gsino_run table simulates the LSK table: a corrupted LU solve is
+# caught at the source as the typed non-finite error (GSL0023), not as
+# garbage noise values downstream
 expect 5 "matrix.lu NaN corruption" -- \
-  env GSINO_FAULTS="matrix.lu=nan" "$RUN" run "${base[@]}" --jobs 1
+  env GSINO_FAULTS="matrix.lu=nan" "$RUN" table
 expect_stderr "GSL0023" "matrix.lu"
 
 # ---- exit 0 degraded: retry ladder falls back, lint tags GSL0018 ----
@@ -276,6 +287,13 @@ expect_metric deadline.json "guard.deadline_hits"
 expect 7 "gsino_run into a closed pipe (GSL0032)" -- bash -c \
   '"$0" "$@" | head -1 >/dev/null; exit "${PIPESTATUS[0]}"' \
   "$RUN" run "${base[@]}" --jobs 1
+expect_stderr "GSL0032"
+expect_stderr_lacks "uncaught exception"
+# table writes all its lines at once, after its simulations: a reader
+# that has already gone makes the first write fail (`| head -1` would
+# race that single burst)
+expect 7 "gsino_run table into a closed pipe (GSL0032)" -- bash -c \
+  '"$0" "$@" | true; exit "${PIPESTATUS[0]}"' "$RUN" table
 expect_stderr "GSL0032"
 expect_stderr_lacks "uncaught exception"
 

@@ -1,13 +1,16 @@
 (* Mutation fuzzing of the readers of outside input: metrics snapshots
    (`gsino_run diff`), journals (`gsino_run explain`), the diff policy,
-   serve frames and the panel store (`Cache.load`).  Each property
-   starts from documents the program writes, mutates one (truncation,
-   byte flips, splicing two documents, a duplicated object key, deeper
-   nesting, a number spelled the way JSON forbids; for the store,
-   duplicated and reordered entries, permuted slots and extreme
-   integers) and checks that the reader returns Ok or its typed Error:
-   it must never raise.  A lenient number must be an Error, and a store
-   whose digest no longer matches must load empty. *)
+   serve frames, the panel store (`Cache.load`) and the GSINO_FAULTS
+   spec (`Fault.parse`).  Each property starts from documents the
+   program writes or accepts, mutates one (truncation, byte flips,
+   splicing two documents, a duplicated object key, deeper nesting, a
+   number spelled the way JSON forbids; for the store, duplicated and
+   reordered entries, permuted slots and extreme integers; for the
+   spec, duplicated entries and extreme numbers) and checks that the
+   reader returns Ok or its typed Error: it must never raise.  A
+   lenient number must be an Error, a store whose digest no longer
+   matches must load empty, and a spec that parses names a registered
+   site with a probability in [0, 1] and a delay >= 0. *)
 module Json = Eda_obs.Json
 module Metrics = Eda_obs.Metrics
 module Journal = Eda_obs.Journal
@@ -467,6 +470,71 @@ let store_loads (doc, signed) =
   signed || String.equal doc (body ^ sum)
   || (empty && solved = Lazy.force unstored)
 
+(* ---------------- the GSINO_FAULTS spec ---------------- *)
+
+module Fault = Eda_guard.Fault
+
+(* specs the CLI accepts: every registered site, mode and option *)
+let fault_seeds =
+  [|
+    "phase2.solve=raise@0.5#42,matrix.lu=nan";
+    "io.load=delay:25";
+    "exec.worker=raise#123";
+    "refine.resolve=raise@0.25#-7, serve.request=delay:5@1";
+    "matrix.lu=nan@0#0,io.load=raise@1.0";
+  |]
+
+(* one option or delay value (after '@', '#' or ':') replaced by an
+   extreme number *)
+let extreme_number st doc =
+  let marks =
+    List.filter
+      (fun i -> String.contains "@#:" doc.[i])
+      (List.init (String.length doc) Fun.id)
+  in
+  match marks with
+  | [] -> doc
+  | _ ->
+      let i = List.nth marks (Random.State.int st (List.length marks)) + 1 in
+      let j = ref i in
+      while !j < String.length doc && not (String.contains "@#:," doc.[!j]) do
+        incr j
+      done;
+      let tokens =
+        [| string_of_int max_int; string_of_int min_int; "-1"; "-0"; "0"; "1.0000001";
+           "1e308"; "-1e-308"; "nan"; "inf"; "-inf"; "0x1p-1074"; "99999999999999999999";
+           "1_000"; "" |]
+      in
+      String.sub doc 0 i
+      ^ tokens.(Random.State.int st (Array.length tokens))
+      ^ String.sub doc !j (String.length doc - !j)
+
+(* one entry repeated, inserted again before another or at the end *)
+let dup_entry st doc =
+  let entries = String.split_on_char ',' doc in
+  let n = List.length entries in
+  let e = List.nth entries (Random.State.int st n) and at = Random.State.int st (n + 1) in
+  String.concat ","
+    (List.filteri (fun i _ -> i < at) entries @ (e :: List.filteri (fun i _ -> i >= at) entries))
+
+let fault_mutant =
+  QCheck.make ~print:(Printf.sprintf "%S") (fun st ->
+      let pick () = fault_seeds.(Random.State.int st (Array.length fault_seeds)) in
+      let doc = pick () in
+      match Random.State.int st 5 with
+      | 0 -> truncate st doc
+      | 1 -> flip st doc
+      | 2 -> splice st doc (pick ())
+      | 3 -> dup_entry st doc
+      | _ -> extreme_number st doc)
+
+(* every spec [Fault.parse] returns is one [Fault.set] can install and
+   the sites can act on *)
+let fault_spec_valid (s : Fault.spec) =
+  List.mem s.Fault.site Fault.registered
+  && s.prob >= 0.0 && s.prob <= 1.0
+  && match s.mode with Fault.Delay ms -> ms >= 0 | Fault.Raise | Fault.Corrupt -> true
+
 let qcheck_tests =
   [
     QCheck.Test.make ~count:2_000 ~name:"lenient numbers are rejected"
@@ -485,6 +553,10 @@ let qcheck_tests =
         ok_or_frame_reject (Protocol.request_of_string doc)
         && ok_or_frame_reject (Protocol.response_of_string doc));
     QCheck.Test.make ~count:cases ~name:"panel store" store_mutant store_loads;
+    QCheck.Test.make ~count:cases ~name:"fault spec" fault_mutant (fun doc ->
+        match Fault.parse doc with
+        | Ok specs -> List.for_all fault_spec_valid specs
+        | Error (_ : string) -> true);
   ]
 
 let suites =

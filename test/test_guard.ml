@@ -224,10 +224,23 @@ let test_fault_parse () =
     match Fault.parse s with Ok _ -> false | Error _ -> true
   in
   Alcotest.(check bool) "no equals" true (rejected "phase2.solve");
-  Alcotest.(check bool) "unknown mode" true (rejected "a=explode");
-  Alcotest.(check bool) "bad prob" true (rejected "a=raise@1.5");
-  Alcotest.(check bool) "bad seed" true (rejected "a=raise#xyz");
-  Alcotest.(check bool) "bad delay" true (rejected "a=delay:-3")
+  Alcotest.(check bool) "unknown mode" true (rejected "phase2.solve=explode");
+  Alcotest.(check bool) "bad prob" true (rejected "phase2.solve=raise@1.5");
+  Alcotest.(check bool) "bad seed" true (rejected "phase2.solve=raise#xyz");
+  Alcotest.(check bool) "bad delay" true (rejected "io.load=delay:-3");
+  (* a mistyped site would inject nothing: it is refused, naming the
+     registered sites *)
+  (match Fault.parse "matrix.luu=nan" with
+  | Ok _ -> Alcotest.fail "unknown site accepted"
+  | Error m ->
+      let known = String.concat ", " Fault.registered in
+      let n = String.length m and k = String.length known in
+      let rec has i = i + k <= n && (String.sub m i k = known || has (i + 1)) in
+      Alcotest.(check bool) (Printf.sprintf "%S names the sites" m) true (has 0));
+  (* every int is a seed, min_int included *)
+  match Fault.parse (Printf.sprintf "matrix.lu=nan#%d" min_int) with
+  | Ok [ s ] -> Alcotest.(check int) "min_int seed" min_int s.Fault.seed
+  | Ok _ | Error _ -> Alcotest.fail "min_int seed rejected"
 
 let test_fault_point_raise () =
   with_faults [ { Fault.site = "t.site"; mode = Fault.Raise; prob = 1.0; seed = 1 } ]

@@ -143,7 +143,8 @@ let test_default_model_range () =
   Alcotest.(check int) "100 entries" 100 (Lintable.size m.Lsk.table)
 
 (* The default table, entry by entry as (LSK, noise) in %h: the LU and
-   transient kernels under it must reproduce every bit. *)
+   transient kernels under it must reproduce every bit, and so must the
+   copy computed when the library was built. *)
 let default_table_golden =
   [
     "0x0p+0 0x0p+0";
@@ -249,12 +250,17 @@ let default_table_golden =
   ]
 
 let test_default_table_golden () =
-  let m = Gsino.Tech.(lsk_model default) in
-  let got =
-    Array.to_list
-      (Array.map (fun (x, y) -> Printf.sprintf "%h %h" x y) (Lintable.entries m.Lsk.table))
+  let golden name m =
+    Alcotest.(check (list string))
+      name default_table_golden
+      (Array.to_list
+         (Array.map (fun (x, y) -> Printf.sprintf "%h %h" x y) (Lintable.entries m.Lsk.table)))
   in
-  Alcotest.(check (list string)) "entries" default_table_golden got
+  (* the table the library was built with, and the simulation now *)
+  golden "built-in entries" Gsino.Tech.(lsk_model default);
+  golden "simulated entries"
+    (Table_builder.build ~keff:Gsino.Tech.default.Gsino.Tech.keff
+       Gsino.Tech.default.Gsino.Tech.electrical)
 
 (* The 98 transient simulations allocate little per step: minor words
    of one default build (the dense per-step solve and boxed inductance

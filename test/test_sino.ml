@@ -433,6 +433,22 @@ let test_estimate_private_metrics () =
   ignore (Estimate.accuracy ~trials:6 ~seed:6 ~kth_of c);
   Alcotest.(check bool) "caller's sino.* series unchanged" true (sino () = before)
 
+(* The default fit's six coefficients in %h: the solver under the fit
+   must reproduce every bit, and so must the copy computed when the
+   library was built. *)
+let estimate_golden =
+  [ "-0x1.055a99840f627p-1"; "0x1.162787ac6e54p+3"; "0x1.aac5e2c02eb1p-1";
+    "-0x1.f2d80bbeaee2bp+2"; "-0x1.4f7555efa5a9p-6"; "0x1.99782c67c1b89p-1" ]
+
+let test_estimate_golden () =
+  let golden name (c : Estimate.coeffs) =
+    Alcotest.(check (list string))
+      name estimate_golden
+      (List.map (Printf.sprintf "%h") [ c.a1; c.a2; c.a3; c.a4; c.a5; c.a6 ])
+  in
+  golden "built-in coefficients" (Gsino.Tech.estimate_coeffs ());
+  golden "fitted coefficients" (Estimate.fit ~kth_of:Estimate.default_kth_sampler ())
+
 let test_estimate_monotone_in_density () =
   let c = Gsino.Tech.estimate_coeffs () in
   let lo = Estimate.predict_uniform c ~nns:30 ~rate:0.2 in
@@ -772,6 +788,7 @@ let suites =
         Alcotest.test_case "fit records privately" `Quick
           test_estimate_private_metrics;
         Alcotest.test_case "monotone in density" `Slow test_estimate_monotone_in_density;
+        Alcotest.test_case "default coefficients golden" `Slow test_estimate_golden;
       ] );
     ("sino.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]
