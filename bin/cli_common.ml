@@ -46,21 +46,39 @@ let circuit_arg =
   let doc = "Benchmark circuit (ibm01..ibm06)." in
   Arg.(value & opt string "ibm01" & info [ "c"; "circuit" ] ~docv:"NAME" ~doc)
 
+(* A float confined to [range]: anything else, NaN included, is
+   cmdliner's usage error (exit 124) naming the option, as a malformed
+   --jobs is, before any work starts. *)
+let bounded_float ~range ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a number in %s" s range))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let scale_arg ?(default = 0.05) () =
   let doc =
     "Instance scale in (0,1]: net count scales linearly, region count \
      proportionally; chip dimensions and physical net lengths stay at the \
      published values."
   in
-  Arg.(value & opt float default & info [ "s"; "scale" ] ~docv:"S" ~doc)
+  Arg.(value
+     & opt (bounded_float ~range:"(0, 1]" (fun v -> v > 0.0 && v <= 1.0)) default
+     & info [ "s"; "scale" ] ~docv:"S" ~doc)
 
 let seed_arg =
   let doc = "Random seed for placement, sensitivity and heuristics." in
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
 
 let rate_arg =
-  let doc = "Sensitivity rate (fraction of net pairs sensitive to each other)." in
-  Arg.(value & opt float 0.30 & info [ "r"; "rate" ] ~docv:"R" ~doc)
+  let doc =
+    "Sensitivity rate in [0,1] (fraction of net pairs sensitive to each \
+     other)."
+  in
+  Arg.(value
+     & opt (bounded_float ~range:"[0, 1]" (fun v -> v >= 0.0 && v <= 1.0)) 0.30
+     & info [ "r"; "rate" ] ~docv:"R" ~doc)
 
 let router_arg =
   let doc =

@@ -8,6 +8,7 @@ module Trace = Eda_obs.Trace
 module Log = Eda_obs.Log
 module Gcstat = Eda_obs.Gcstat
 module Progress = Eda_obs.Progress
+module Journal = Eda_obs.Journal
 
 (* Every timed flow phase goes through this: one span for the profiler,
    one cumulative flow.phase_seconds sample, one gc.* delta set, one
@@ -168,6 +169,40 @@ let prepare ?(config = Config.default) ?pool tech netlist =
   let base = base_routes ~router ~pool tech grid netlist in
   (grid, base)
 
+(* A preparation recorded once and replayed by every flow that reads it.
+   Its metrics are recorded in a registry of their own and its events in
+   a journal of their own, so replaying them into a request's registry
+   and journal leaves both as a preparation there would have.  Nothing
+   writes [grid] or [base] after [prepare] returns, so domains share a
+   prepared value read-only. *)
+type prepared = {
+  router : router;
+  grid : Grid.t;
+  base : Route.t array;
+  metrics : Metrics.snapshot;
+  events : Journal.event list;
+}
+
+let record_prepare ?(config = Config.default) ?pool tech netlist =
+  let ((grid, base), events), metrics =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    let v = Journal.capture (fun () -> prepare ~config ?pool tech netlist) in
+    (v, Metrics.snapshot ())
+  in
+  { router = config.Config.router; grid; base; metrics; events }
+
+(* The preparation's series and events, re-recorded on this domain
+   before the flows record anything, so per-key order is a fresh
+   preparation's.  The span stays, with no router span under it: the
+   trace says what ran. *)
+let replay_prepare (p : prepared) netlist =
+  Trace.span_args "flow:prepare"
+    [ ("circuit", netlist.Netlist.name) ]
+    (fun () ->
+      Metrics.replay p.metrics;
+      Journal.replay p.events);
+  (p.grid, p.base)
+
 let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
   let { Config.kind; router; budgeting; jobs; seed; deadline_ms; audit } =
     config
@@ -298,11 +333,22 @@ let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
     deadline_hits = Eda_guard.Deadline.hits deadline;
   }
 
-let run_kinds ?pool ?cache ?deadline config tech ~rate kinds netlist ~f =
-  with_pool_opt ~jobs:config.Config.jobs pool @@ fun pool ->
-  let grid, base = prepare ~config ~pool tech netlist in
+let run_kinds ?prepared ?pool ?cache ?deadline config tech ~rate kinds netlist
+    ~f =
+  (* a bad rate fails here, before any routing *)
   let sensitivity =
     Sensitivity.make ~seed:(config.Config.seed lxor 0xbeef) ~rate
+  in
+  Option.iter
+    (fun (p : prepared) ->
+      if p.router <> config.Config.router then
+        invalid_arg "Flow.run_kinds: prepared with another router")
+    prepared;
+  with_pool_opt ~jobs:config.Config.jobs pool @@ fun pool ->
+  let grid, base =
+    match prepared with
+    | Some p -> replay_prepare p netlist
+    | None -> prepare ~config ~pool tech netlist
   in
   List.map
     (fun kind ->

@@ -127,6 +127,27 @@ val prepare :
   Eda_netlist.Netlist.t ->
   Eda_grid.Grid.t * Eda_grid.Route.t array
 
+(** A {!prepare} result with what preparing recorded: the grid, the
+    base routes, the router they were made with, the metrics snapshot of
+    a fresh registry and the journal events of a private journal
+    ({!Eda_obs.Journal.capture}).  {!run_kinds} replays it in place of
+    preparing.  Nothing writes a prepared value's grid or routes, so
+    domains may share one read-only. *)
+type prepared
+
+(** [record_prepare ?config ?pool tech netlist] — {!prepare}, recording
+    its metrics in a fresh registry and its journal events in a private
+    journal, which always records: a value made for a caller without a
+    journal still serves one with it.  The calling domain's registry and
+    journal are left as they were; its trace gets the preparation's
+    spans. *)
+val record_prepare :
+  ?config:Config.t ->
+  ?pool:Eda_exec.t ->
+  Tech.t ->
+  Eda_netlist.Netlist.t ->
+  prepared
+
 (** [run ?grid ?base config tech ~sensitivity netlist] executes the flow
     described by [config].  Pass the [grid] and [base] from {!prepare} so
     the three approaches share one setup ([base] is ignored by [Gsino],
@@ -158,18 +179,29 @@ val run :
   Eda_netlist.Netlist.t ->
   result
 
-(** [run_kinds ?pool ?cache ?deadline config tech ~rate kinds netlist ~f]
-    — one request of the paper's evaluation (§4), the entry of
-    [gsino_run run]/[lint]/[map] and of the serve daemon: {!prepare}
-    once with [config], draw the sensitivity model
-    from [config.seed lxor 0xbeef] at [rate], then one {!run} per kind,
-    in [kinds] order, on the shared grid and base routes.  [f] gets each
-    result as its flow ends, so a result [f] does not keep is garbage
-    before the next flow starts; [f]'s values come back in [kinds]
-    order.  [pool], [cache] and [deadline] go to every call; without
-    [pool] one [config.jobs]-domain pool serves them all, and without
-    [cache] each run memoizes in a cache of its own. *)
+(** [run_kinds ?prepared ?pool ?cache ?deadline config tech ~rate kinds
+    netlist ~f] — one request of the paper's evaluation (§4), the entry
+    of [gsino_run run]/[lint]/[map] and of the serve daemon: draw the
+    sensitivity model from [config.seed lxor 0xbeef] at [rate] (a rate
+    outside [0, 1] raises [Invalid_argument] before any routing),
+    {!prepare} once with [config], then one {!run} per kind, in [kinds]
+    order, on the shared grid and base routes.  [f] gets each result as
+    its flow ends, so a result [f] does not keep is garbage before the
+    next flow starts; [f]'s values come back in [kinds] order.  [pool],
+    [cache] and [deadline] go to every call; without [pool] one
+    [config.jobs]-domain pool serves them all, and without [cache] each
+    run memoizes in a cache of its own.
+
+    With [prepared] (a {!record_prepare} of [netlist] under [config]'s
+    router, else [Invalid_argument]), nothing is routed to prepare: its
+    recording is replayed into the calling domain's registry and
+    journal first — counters and histograms add, gauges take the
+    recorded value, and the events count in [journal.events] only when
+    the journal is enabled — so metrics and journal equal a call without
+    it.  The trace then holds a [flow:prepare] span with no router span
+    under it. *)
 val run_kinds :
+  ?prepared:prepared ->
   ?pool:Eda_exec.t ->
   ?cache:Eda_sino.Cache.t ->
   ?deadline:Eda_guard.Deadline.t ->

@@ -1,7 +1,8 @@
 type t = { seed : int; rate : float }
 
 let make ~seed ~rate =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Sensitivity.make: bad rate";
+  (* written so that NaN fails too *)
+  if not (rate >= 0.0 && rate <= 1.0) then invalid_arg "Sensitivity.make: bad rate";
   { seed; rate }
 
 let rate t = t.rate

@@ -7,7 +7,8 @@
 
 type t
 
-(** [make ~seed ~rate] with [0. <= rate <= 1.]. *)
+(** [make ~seed ~rate] with [0. <= rate <= 1.]; any other rate, NaN
+    included, raises [Invalid_argument]. *)
 val make : seed:int -> rate:float -> t
 
 val rate : t -> float

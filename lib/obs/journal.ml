@@ -10,8 +10,10 @@ type event = {
    never journal don't grow an always-zero series.  Like Trace's ring,
    the state is domain-local: only a domain that called [enable]
    records, so pool workers never do — the flows hand their payloads
-   back to the coordinating domain, which records them. *)
-type state = { mutable evs : event list; m_events : Metrics.counter }
+   back to the coordinating domain, which records them.  A [capture]
+   journal counts nothing: its events are counted where [replay]
+   re-records them. *)
+type state = { mutable evs : event list; m_events : Metrics.counter option }
 
 let state_key : state option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -21,7 +23,7 @@ let enabled () = active () <> None
 
 let enable () =
   Domain.DLS.get state_key
-  := Some { evs = []; m_events = Metrics.counter "journal.events" }
+  := Some { evs = []; m_events = Some (Metrics.counter "journal.events") }
 
 let disable () = Domain.DLS.get state_key := None
 let clear () = Option.iter (fun s -> s.evs <- []) (active ())
@@ -43,7 +45,22 @@ let record ?(data = []) ?outcome ev dim =
       s.evs <-
         { ev; dim = norm_keys "dim" dim; data = norm_keys "data" data; outcome }
         :: s.evs;
-      Metrics.incr s.m_events
+      Option.iter Metrics.incr s.m_events
+
+let capture f =
+  let cell = Domain.DLS.get state_key in
+  let prev = !cell in
+  let s = { evs = []; m_events = None } in
+  cell := Some s;
+  let v = Fun.protect ~finally:(fun () -> cell := prev) f in
+  (v, List.rev s.evs)
+
+let replay evs =
+  match active () with
+  | None -> ()
+  | Some s ->
+      s.evs <- List.rev_append evs s.evs;
+      Option.iter (fun m -> Metrics.add m (List.length evs)) s.m_events
 
 (* ------------------------------- export ------------------------------ *)
 

@@ -61,6 +61,21 @@ val record :
 (** Discard the calling domain's events; recording stays enabled. *)
 val clear : unit -> unit
 
+(** [capture f] — run [f] with a private journal on the calling domain
+    and return its result with the events [f] recorded, in recording
+    order.  The private journal records whether or not the caller's is
+    enabled, and counts nothing in [journal.events]: {!replay} counts
+    the events where it re-records them.  The caller's journal, enabled
+    or not and with its events, is restored when [f] returns or
+    raises. *)
+val capture : (unit -> 'a) -> 'a * event list
+
+(** [replay evs] — append captured events to the calling domain's
+    journal, in order, and count them in [journal.events], exactly as
+    recording them one by one would; a no-op on a domain that has not
+    enabled the journal. *)
+val replay : event list -> unit
+
 (** {1 Export} *)
 
 (** Canonical view of the calling domain's events: stable-sorted by

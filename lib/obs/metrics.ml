@@ -383,6 +383,13 @@ let reset () =
    per-domain flag rejects loudly. *)
 let absorbing_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
+let add_histogram (cell : histogram_cell) (hs : histogram_summary) =
+  cell.count <- cell.count + hs.count;
+  cell.sum <- cell.sum +. hs.sum;
+  if hs.min < cell.mn then cell.mn <- hs.min;
+  if hs.max > cell.mx then cell.mx <- hs.max;
+  List.iter (fun (i, c) -> cell.buckets.(i) <- cell.buckets.(i) + c) hs.buckets
+
 let absorb (s : snapshot) =
   let busy = Domain.DLS.get absorbing_key in
   if !busy then
@@ -403,13 +410,17 @@ let absorb (s : snapshot) =
           | Gauge 0.0 -> ()
           | Gauge g -> accum (gauge ~labels name) g
           | Histogram { count = 0; _ } -> ()
-          | Histogram hs ->
-              let cell = histogram_cell (histogram ~labels name) in
-              cell.count <- cell.count + hs.count;
-              cell.sum <- cell.sum +. hs.sum;
-              if hs.min < cell.mn then cell.mn <- hs.min;
-              if hs.max > cell.mx then cell.mx <- hs.max;
-              List.iter
-                (fun (i, c) -> cell.buckets.(i) <- cell.buckets.(i) + c)
-                hs.buckets)
+          | Histogram hs -> add_histogram (histogram_cell (histogram ~labels name)) hs)
         s)
+
+(* Unlike [absorb], a replay stands for recording done on this domain:
+   a gauge takes the recorded value, as the [set] that made it did, and
+   a zero entry still materialises its cell, as touching it did. *)
+let replay (s : snapshot) =
+  List.iter
+    (fun (name, labels, v) ->
+      match v with
+      | Counter n -> add (counter ~labels name) n
+      | Gauge g -> set (gauge ~labels name) g
+      | Histogram hs -> add_histogram (histogram_cell (histogram ~labels name)) hs)
+    s

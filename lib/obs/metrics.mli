@@ -181,3 +181,13 @@ val reset : unit -> unit
     one domain raises [Invalid_argument] (see the sharding contract
     above). *)
 val absorb : snapshot -> unit
+
+(** [replay snap] — re-record, into the current registry, what a
+    snapshot of another registry recorded, as if it had been recorded
+    here: counters and histograms add, a gauge takes the recorded value
+    (as {!set} does, where {!absorb} would add it), and every entry's
+    cell is materialised, zero or not.  Replaying a snapshot of a fresh
+    registry that [f] recorded into equals running [f] here, for an [f]
+    that only increments counters, observes histograms and sets
+    gauges. *)
+val replay : snapshot -> unit

@@ -286,7 +286,11 @@ let options_of_json j =
       | "budgeting" ->
           { o with budgeting = named budgeting_of_name "options.budgeting" v }
       | "seed" -> { o with seed = Json.int "options.seed" v }
-      | "rate" -> { o with rate = Json.num "options.rate" v }
+      | "rate" ->
+          let rate = Json.num "options.rate" v in
+          if not (rate >= 0.0 && rate <= 1.0) then
+            Json.fail "options.rate: %g is outside [0, 1]" rate;
+          { o with rate }
       | "deadline_ms" -> { o with deadline_ms = Json.int "options.deadline_ms" v }
       | "artifacts" ->
           {

@@ -45,6 +45,10 @@ type job = {
   options : Protocol.options;
 }
 
+(* The last preparation the daemon made.  The daemon routes with one
+   technology, so a netlist text and a router name a preparation. *)
+type memo = { router : Flow.router; text : string; prepared : Flow.prepared }
+
 type t = {
   cfg : config;
   lsock : Unix.file_descr;
@@ -57,6 +61,9 @@ type t = {
   mutable served : int;
   mutable errors : int;
   mutable disconnects : int;
+  mutable prepare_hits : int;
+  mutable prepare_misses : int;
+  mutable memo : memo option;
   rejected : (string, int) Hashtbl.t;
   mutable active : int;
   active_deadlines : (int, Deadline.t) Hashtbl.t;
@@ -68,6 +75,8 @@ type t = {
   m_served : Metrics.counter;
   m_errors : Metrics.counter;
   m_disconnects : Metrics.counter;
+  m_prepare_hits : Metrics.counter;
+  m_prepare_misses : Metrics.counter;
   mutable domains : unit Domain.t list;
   mutable drain_seen_at : float option;
   mutable published : bool;
@@ -241,12 +250,30 @@ let effective_budget_ms t (options : Protocol.options) =
   let req = max 0 options.deadline_ms and cap = t.cfg.request_deadline_ms in
   if cap <= 0 then req else if req <= 0 then cap else min req cap
 
+(* The preparation of [text] under [config]'s router: the memo's, else a
+   fresh one, which then replaces it.  The preparation runs outside
+   [t.mu]; two requests that miss together both prepare, and the later
+   store wins.  One that raises stores nothing. *)
+let prepared t ~pool config tech text netlist =
+  let router = config.Flow.Config.router in
+  match locked t (fun () -> t.memo) with
+  | Some m when m.router = router && String.equal m.text text ->
+      locked t (fun () -> t.prepare_hits <- t.prepare_hits + 1);
+      m.prepared
+  | Some _ | None ->
+      locked t (fun () -> t.prepare_misses <- t.prepare_misses + 1);
+      let prepared = Flow.record_prepare ~config ~pool tech netlist in
+      locked t (fun () -> t.memo <- Some { router; text; prepared });
+      prepared
+
 (* The route computation itself: the batch commands' Flow.run_kinds on
    the request's one kind, then Flow.check, so a served response is
-   byte-comparable to the batch CLI's artifacts.  Its flow memoizes in
-   the daemon's --panel-cache store when there is one, else in a cache
-   of its own: the cache key holds the flow seed, so requests that
-   differ only in seed share no entry. *)
+   byte-comparable to the batch CLI's artifacts.  The preparation comes
+   from the daemon's memo of its last prepared netlist, whose replay
+   leaves the request's metrics and journal as preparing would have.
+   Its flow memoizes panels in the daemon's --panel-cache store when
+   there is one, else in a cache of its own: the cache key holds the
+   flow seed, so requests that differ only in seed share no entry. *)
 let route_result t pool (job : job) deadline =
   Fault.point "serve.request";
   let { Protocol.kind; router; budgeting; seed; rate; artifacts; _ } =
@@ -257,10 +284,11 @@ let route_result t pool (job : job) deadline =
   let config =
     { Flow.Config.default with Flow.Config.router; budgeting; seed; jobs = t.cfg.jobs }
   in
+  let prepared = prepared t ~pool config tech job.netlist_text netlist in
   let r =
     List.hd
-      (Flow.run_kinds ~pool ?cache:t.cfg.cache ~deadline config tech ~rate
-         [ kind ] netlist ~f:Fun.id)
+      (Flow.run_kinds ~prepared ~pool ?cache:t.cfg.cache ~deadline config tech
+         ~rate [ kind ] netlist ~f:Fun.id)
   in
   let diags = Flow.check ~tech r in
   let artifact = function
@@ -371,6 +399,8 @@ let start_draining draining cfg =
   let m_served = Metrics.counter "serve.served" in
   let m_errors = Metrics.counter "serve.errors" in
   let m_disconnects = Metrics.counter "serve.disconnects" in
+  let m_prepare_hits = Metrics.counter "serve.prepare_hits" in
+  let m_prepare_misses = Metrics.counter "serve.prepare_misses" in
   (try Unix.unlink cfg.socket with Unix.Unix_error (_, _, _) -> ());
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -392,6 +422,9 @@ let start_draining draining cfg =
       served = 0;
       errors = 0;
       disconnects = 0;
+      prepare_hits = 0;
+      prepare_misses = 0;
+      memo = None;
       rejected = Hashtbl.create 8;
       active = 0;
       active_deadlines = Hashtbl.create 16;
@@ -403,6 +436,8 @@ let start_draining draining cfg =
       m_served;
       m_errors;
       m_disconnects;
+      m_prepare_hits;
+      m_prepare_misses;
       domains = [];
       drain_seen_at = None;
       published = false;
@@ -445,6 +480,8 @@ let publish_metrics t =
         Metrics.add t.m_served t.served;
         Metrics.add t.m_errors t.errors;
         Metrics.add t.m_disconnects t.disconnects;
+        Metrics.add t.m_prepare_hits t.prepare_hits;
+        Metrics.add t.m_prepare_misses t.prepare_misses;
         Hashtbl.iter
           (fun reason n ->
             Metrics.add

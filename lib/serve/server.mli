@@ -10,7 +10,11 @@
     {!drain} and does all of it.  The panel store is the caller's:
     [gsino_serve daemon] loads its [--panel-cache] store before {!run}
     and saves it after.  Without a store each request memoizes in a
-    cache of its own.
+    cache of its own.  The daemon keeps its last preparation
+    ({!Gsino.Flow.record_prepare}) with the netlist text and router it
+    was made for; a route request on the same text and router replays it
+    instead of running {!Gsino.Flow.prepare}'s two routings, and any
+    other replaces it.
 
     Isolation invariants (tested in [test_serve] and the CI serve gate):
     - any per-request failure — parse error, router panic, injected

@@ -175,6 +175,19 @@ expect 2 "conflicting stdout sinks journal+report (GSL0029)" -- \
   "$RUN" run "${base[@]}" --journal - --report -
 expect_stderr "GSL0029" "--journal" "--report"
 
+# ---- exit 124: option values cmdliner refuses before any work ----
+# --scale and --rate are checked by their converters, like a malformed
+# --jobs: cmdliner's usage error names the option and its range before
+# any routing (the scale used to fail inside the generator, the rate
+# after preparing the netlist, and a NaN rate ran every flow with no
+# sensitive pair)
+expect 124 "gsino_run --scale outside (0, 1]" -- "$RUN" run -c ibm01 --scale=2 -q
+expect_stderr "option '--scale'" "not a number in (0, 1\]"
+expect 124 "gsino_run --rate outside [0, 1]" -- "$RUN" run -c ibm01 -s 0.02 -r 1.5 -q
+expect_stderr "option '-r'" "not a number in \[0, 1\]"
+expect 124 "gsino_run --rate nan" -- "$RUN" run -c ibm01 -s 0.02 -r nan -q
+expect_stderr "option '-r'" "not a number in \[0, 1\]"
+
 # ---- journal + explain round trip ----
 expect 0 "gsino_run --journal" -- "$RUN" run "${base[@]}" --jobs 2 \
   --journal j.jsonl

@@ -123,7 +123,35 @@ EOF
     failures=$((failures + 1))
   fi
   expect 0 "ping after malformed frame" -- "$SERVE" ping --socket main.sock
+  # a rate outside [0, 1] is refused by the frame decoder (GSL0030),
+  # before the daemon parses or prepares the netlist
+  python3 - <<'EOF' >rate.out
+import json, socket, struct
+req = json.dumps({"schema": "gsino-serve-v1", "kind": "route",
+                  "netlist": "gsino-netlist v1", "options": {"rate": 1.5}})
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect("main.sock")
+s.sendall(struct.pack(">I", len(req)) + req.encode())
+buf = b""
+while True:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    buf += chunk
+print(buf[4:].decode("utf-8", "replace"))
+EOF
+  if grep -q '"gsl": *30' rate.out && grep -q 'options.rate' rate.out; then
+    echo "ok   daemon rate outside [0, 1] gets framed GSL0030 reject"
+  else
+    echo "FAIL daemon rate 1.5: no framed GSL0030 reject"
+    sed 's/^/  raw: /' rate.out
+    failures=$((failures + 1))
+  fi
 fi
+# the client refuses the same rate before it connects
+expect 124 "route --rate outside [0, 1]" -- \
+  "$SERVE" route --socket main.sock "${base[@]}" -r 1.5
+expect_stderr "option '-r'"
 
 # ---- fault-injected daemon: the serve.request fault-matrix row ----
 env GSINO_FAULTS="serve.request=raise#7" \

@@ -1,16 +1,19 @@
 (* Mutation fuzzing of the readers of outside input: metrics snapshots
    (`gsino_run diff`), journals (`gsino_run explain`), the diff policy,
-   serve frames, the panel store (`Cache.load`) and the GSINO_FAULTS
-   spec (`Fault.parse`).  Each property starts from documents the
-   program writes or accepts, mutates one (truncation, byte flips,
-   splicing two documents, a duplicated object key, deeper nesting, a
-   number spelled the way JSON forbids; for the store, duplicated and
-   reordered entries, permuted slots and extreme integers; for the
-   spec, duplicated entries and extreme numbers) and checks that the
-   reader returns Ok or its typed Error: it must never raise.  A
-   lenient number must be an Error, a store whose digest no longer
-   matches must load empty, and a spec that parses names a registered
-   site with a probability in [0, 1] and a delay >= 0. *)
+   serve frames, the panel store (`Cache.load`), the GSINO_FAULTS spec
+   (`Fault.parse`) and the netlist text (`Io.of_string`).  Each
+   property starts from documents the program writes or accepts,
+   mutates one (truncation, byte flips, splicing two documents, a
+   duplicated object key, deeper nesting, a number spelled the way JSON
+   forbids; for the store, duplicated and reordered entries, permuted
+   slots and extreme integers; for the spec, duplicated entries and
+   extreme numbers; for the netlist, duplicated and reordered lines and
+   extreme integers) and checks that the reader returns Ok or its typed
+   Error: it must never raise.  A lenient number must be an Error, a
+   store whose digest no longer matches must load empty, a spec that
+   parses names a registered site with a probability in [0, 1] and a
+   delay >= 0, and a netlist that parses is valid and prints back to
+   itself. *)
 module Json = Eda_obs.Json
 module Metrics = Eda_obs.Metrics
 module Journal = Eda_obs.Journal
@@ -535,6 +538,72 @@ let fault_spec_valid (s : Fault.spec) =
   && s.prob >= 0.0 && s.prob <= 1.0
   && match s.mode with Fault.Delay ms -> ms >= 0 | Fault.Raise | Fault.Corrupt -> true
 
+(* ---------------- the netlist text ---------------- *)
+
+module Io = Eda_netlist.Io
+module Netlist = Eda_netlist.Netlist
+
+(* what [gsino_run gen] writes for the serve-warm netlist's circuit and
+   scale, and a three-net netlist with a multi-sink net *)
+let netlist_seeds =
+  lazy
+    [|
+      Io.to_string
+        (Eda_netlist.Generator.generate ~gcell_um:Gsino.Tech.default.Gsino.Tech.gcell_um
+           ~scale:0.02 ~seed:7 Eda_netlist.Generator.ibm01);
+      "gsino-netlist v1\nname three\ngrid 4 3 25\nnet 0 0 0 3 2\nnet 1 3 0 0 2 1 1\n\
+       net 2 1 2 2 0\n";
+    |]
+
+(* one line repeated after another, or two lines swapped *)
+let on_lines st ~dup doc =
+  let lines = Array.of_list (String.split_on_char '\n' doc) in
+  let n = Array.length lines in
+  let a = Random.State.int st n and b = Random.State.int st n in
+  if dup then
+    String.concat "\n"
+      (List.concat
+         (List.mapi (fun i l -> if i = b then [ l; lines.(a) ] else [ l ]) (Array.to_list lines)))
+  else begin
+    let t = lines.(a) in
+    lines.(a) <- lines.(b);
+    lines.(b) <- t;
+    String.concat "\n" (Array.to_list lines)
+  end
+
+(* one integer of a grid or net record spelled as an extreme value *)
+let extreme_int st fields =
+  let tokens =
+    [| string_of_int max_int; string_of_int min_int; "-1"; "4611686018427387904";
+       "99999999999999999999"; "0x7fffffffffffffff"; "0x10"; "1_000"; "-0"; "+3" |]
+  in
+  let n = Array.length fields in
+  if n > 0 then
+    fields.(Random.State.int st n) <- tokens.(Random.State.int st (Array.length tokens))
+
+let netlist_mutant =
+  QCheck.make ~print:(Printf.sprintf "%S") (fun st ->
+      let seeds = Lazy.force netlist_seeds in
+      let pick () = seeds.(Random.State.int st (Array.length seeds)) in
+      let doc = pick () in
+      match Random.State.int st 6 with
+      | 0 -> truncate st doc
+      | 1 -> flip st doc
+      | 2 -> splice st doc (pick ())
+      | 3 -> on_lines st ~dup:true doc
+      | 4 -> on_lines st ~dup:false doc
+      | _ -> on_fields st [ "grid"; "net" ] (extreme_int st) doc)
+
+(* A text parses to a valid netlist that prints and parses back to
+   itself, or fails with the typed parse error (GSL0020); any other
+   exception fails the property. *)
+let netlist_parses doc =
+  match Io.of_string doc with
+  | nl ->
+      Netlist.validate nl;
+      Io.of_string (Io.to_string nl) = nl
+  | exception Error.Error (Error.Parse _) -> true
+
 let qcheck_tests =
   [
     QCheck.Test.make ~count:2_000 ~name:"lenient numbers are rejected"
@@ -553,6 +622,7 @@ let qcheck_tests =
         ok_or_frame_reject (Protocol.request_of_string doc)
         && ok_or_frame_reject (Protocol.response_of_string doc));
     QCheck.Test.make ~count:cases ~name:"panel store" store_mutant store_loads;
+    QCheck.Test.make ~count:cases ~name:"netlist text" netlist_mutant netlist_parses;
     QCheck.Test.make ~count:cases ~name:"fault spec" fault_mutant (fun doc ->
         match Fault.parse doc with
         | Ok specs -> List.for_all fault_spec_valid specs

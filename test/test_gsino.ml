@@ -625,6 +625,82 @@ let test_flow_run_kinds_matches_explicit () =
       Alcotest.(check string) (name ^ " summary") (summary e) (summary s))
     explicit shared
 
+(* A prepared value's grid capacities and base routes, as one digest *)
+let setup_digest (grid, base) =
+  let b = Buffer.create 4096 in
+  for r = 0 to Grid.num_regions grid - 1 do
+    let pt = Grid.region_pt grid r in
+    Printf.bprintf b "%d %d;" (Grid.cap grid pt Dir.H) (Grid.cap grid pt Dir.V)
+  done;
+  Array.iter
+    (fun route ->
+      Printf.bprintf b "|%d:" (Route.net route);
+      Array.iter (Printf.bprintf b "%d,") (Route.edges route))
+    base;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let in_fresh_registry f =
+  Eda_obs.Metrics.(with_registry (fresh_registry ())) @@ fun () ->
+  f ();
+  Eda_obs.Metrics.(entries (snapshot ()))
+
+(* Domains share a prepared value read-only: the flows that read it
+   leave its grid and base routes as preparing made them, for either
+   router.  An ID+NO or iSINO result carries the prepared grid and base
+   routes themselves; each is digested as its flow ends, the last after
+   GSINO has run on the same grid. *)
+let test_prepared_unchanged_by_flows () =
+  let nl, _, _ = Lazy.force tiny in
+  List.iter
+    (fun (name, router) ->
+      let config = { Flow.Config.default with Flow.Config.router } in
+      ignore @@ in_fresh_registry @@ fun () ->
+      let fresh = setup_digest (Flow.prepare ~config tech nl) in
+      let p = Flow.record_prepare ~config tech nl in
+      let digests =
+        Flow.run_kinds ~prepared:p config tech ~rate:0.30
+          [ Flow.Id_no; Flow.Isino; Flow.Gsino; Flow.Id_no ]
+          nl
+          ~f:(fun (r : Flow.result) ->
+            match r.Flow.kind with
+            | Flow.Gsino -> None
+            | Flow.Id_no | Flow.Isino -> Some (setup_digest (r.Flow.grid, r.Flow.routes)))
+      in
+      List.iteri
+        (fun i d ->
+          Option.iter
+            (Alcotest.(check string) (Printf.sprintf "%s: flow %d leaves prepare's setup" name i)
+               fresh)
+            d)
+        digests)
+    [ ("ID", Flow.Iterative_deletion); ("NC", Flow.Negotiated) ]
+
+(* The NC router sets its gauges, so a replay sets them too: replaying
+   one preparation twice in a registry leaves what two preparations
+   there leave, where adding the gauges would double them. *)
+let test_prepared_replay_twice () =
+  let nl, _, _ = Lazy.force tiny in
+  let config = { Flow.Config.default with Flow.Config.router = Flow.Negotiated } in
+  let direct =
+    in_fresh_registry (fun () ->
+        for _ = 1 to 2 do
+          ignore (Flow.prepare ~config tech nl)
+        done)
+  in
+  let p = Flow.record_prepare ~config tech nl in
+  let replayed =
+    in_fresh_registry (fun () ->
+        for _ = 1 to 2 do
+          ignore (Flow.run_kinds ~prepared:p config tech ~rate:0.30 [] nl ~f:ignore)
+        done)
+  in
+  Alcotest.(check bool) "the gauge is recorded" true
+    (List.exists (fun (name, _, _) -> name = "nc_router.pres_fac") direct);
+  Alcotest.(check bool) "two replays equal two preparations" true (direct = replayed);
+  Alcotest.check_raises "a value prepared with another router"
+    (Invalid_argument "Flow.run_kinds: prepared with another router") (fun () ->
+      ignore (Flow.run_kinds ~prepared:p Flow.Config.default tech ~rate:0.30 [] nl ~f:ignore))
+
 let test_flow_idno_shape () =
   let _, idno, _, _ = Lazy.force flows in
   Alcotest.(check bool) "no refinement" true (idno.Flow.refine_stats = None);
@@ -847,6 +923,10 @@ let suites =
         Alcotest.test_case "kind names" `Quick test_flow_kind_names;
         Alcotest.test_case "run_kinds matches explicit runs" `Slow
           test_flow_run_kinds_matches_explicit;
+        Alcotest.test_case "prepared value unchanged by the flows" `Slow
+          test_prepared_unchanged_by_flows;
+        Alcotest.test_case "NC replay twice equals two preparations" `Slow
+          test_prepared_replay_twice;
         Alcotest.test_case "prepare keeps base overflow low" `Slow
           test_prepare_no_overflow_for_base;
       ] );

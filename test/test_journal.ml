@@ -277,6 +277,81 @@ let test_vocabulary_matches_docs () =
         optional)
     vocab
 
+(* ---------------------------- capture ------------------------------ *)
+
+module Metrics = Eda_obs.Metrics
+
+let record_two () =
+  Journal.record "region.reweight" [ ("region", "1"); ("dir", "H") ]
+    ~data:[ ("reweights", 2.0) ];
+  Journal.record "net.route" [ ("net", "2") ] ~data:[ ("pops", 3.0) ]
+    ~outcome:"routed"
+
+let journal_events () =
+  Metrics.counter_total (Metrics.snapshot ()) "journal.events"
+
+let test_capture_returns_events () =
+  Journal.disable ();
+  let (v, evs), counted =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    let r =
+      Journal.capture (fun () ->
+          record_two ();
+          42)
+    in
+    (r, journal_events ())
+  in
+  Alcotest.(check int) "result" 42 v;
+  Alcotest.(check (list string)) "events in recording order"
+    [ "region.reweight"; "net.route" ]
+    (List.map (fun e -> e.Journal.ev) evs);
+  Alcotest.(check (list (pair string string))) "keys normalised"
+    [ ("dir", "H"); ("region", "1") ]
+    (List.hd evs).Journal.dim;
+  Alcotest.(check int) "the capture counts nothing" 0 counted;
+  Alcotest.(check bool) "caller's disabled journal restored" false
+    (Journal.enabled ())
+
+let test_capture_restores_caller () =
+  with_journal @@ fun () ->
+  Journal.record "net.budget" [ ("net", "0") ] ~data:[ ("kth", 1.0) ];
+  let before = Journal.events () in
+  (match
+     Journal.capture (fun () ->
+         Journal.record "net.route" [ ("net", "8") ];
+         failwith "boom")
+   with
+  | _ -> Alcotest.fail "capture swallowed the exception"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "still enabled" true (Journal.enabled ());
+  Alcotest.(check (list ev_t)) "caller's events kept, none added" before
+    (Journal.events ());
+  Journal.disable ();
+  (try ignore (Journal.capture (fun () -> raise Exit)) with Exit -> ());
+  Alcotest.(check bool) "a disabled caller stays disabled" false
+    (Journal.enabled ())
+
+let test_replay_equals_recording () =
+  let (), captured = Journal.capture record_two in
+  let run f =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    with_journal @@ fun () ->
+    Journal.record "net.budget" [ ("net", "0") ] ~data:[ ("kth", 1.0) ];
+    f ();
+    (Journal.events (), journal_events ())
+  in
+  let direct_evs, direct_n = run record_two in
+  let replayed_evs, replayed_n = run (fun () -> Journal.replay captured) in
+  Alcotest.(check (list ev_t)) "events" direct_evs replayed_evs;
+  Alcotest.(check int) "journal.events" direct_n replayed_n;
+  Alcotest.(check int) "three events counted" 3 replayed_n;
+  Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+  Journal.disable ();
+  Journal.replay captured;
+  Alcotest.(check (list ev_t)) "a disabled journal records nothing" []
+    (Journal.events ());
+  Alcotest.(check int) "and counts nothing" 0 (journal_events ())
+
 let suites =
   [
     ( "journal.record",
@@ -287,6 +362,15 @@ let suites =
         Alcotest.test_case "duplicate key rejected" `Quick
           test_duplicate_dim_key_rejected;
         Alcotest.test_case "canonical sort" `Quick test_canonical_sort;
+      ] );
+    ( "journal.capture",
+      [
+        Alcotest.test_case "returns the events recorded inside" `Quick
+          test_capture_returns_events;
+        Alcotest.test_case "restores the caller's journal" `Quick
+          test_capture_restores_caller;
+        Alcotest.test_case "replay equals recording" `Quick
+          test_replay_equals_recording;
       ] );
     ( "journal.io",
       [

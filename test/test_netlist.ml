@@ -92,8 +92,11 @@ let test_sensitivity_rate_empirical () =
   Alcotest.(check bool) "empirical rate ~ 0.3" true (Float.abs (r -. 0.3) < 0.02)
 
 let test_sensitivity_bad_rate () =
-  Alcotest.check_raises "rate > 1" (Invalid_argument "Sensitivity.make: bad rate")
-    (fun () -> ignore (Sensitivity.make ~seed:0 ~rate:1.5))
+  List.iter
+    (fun (what, rate) ->
+      Alcotest.check_raises what (Invalid_argument "Sensitivity.make: bad rate")
+        (fun () -> ignore (Sensitivity.make ~seed:0 ~rate)))
+    [ ("rate > 1", 1.5); ("rate < 0", -0.1); ("rate NaN", Float.nan) ]
 
 let test_segment_sensitivity () =
   let s = Sensitivity.make ~seed:3 ~rate:1.0 in

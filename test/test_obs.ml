@@ -266,6 +266,38 @@ let test_with_registry_restores () =
   Alcotest.(check bool) "restored on exception" true
     (Metrics.current_registry () == outer)
 
+(* A replay stands for recording done here: counters and histograms
+   add, a gauge takes the recorded value and a zero entry still shows,
+   so replaying twice equals recording twice (an absorb would add the
+   gauge and skip the zero). *)
+let test_replay_equals_recording () =
+  let c = Metrics.counter "t.replay_c" and g = Metrics.gauge "t.replay_g" in
+  let h = Metrics.histogram "t.replay_h" and z = Metrics.counter "t.replay_zero" in
+  let record () =
+    Metrics.add c 3;
+    Metrics.set g 2.5;
+    Metrics.observe h 4.0;
+    ignore (Metrics.counter_value z)
+  in
+  let twice f =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    f ();
+    f ();
+    Metrics.entries (Metrics.snapshot ())
+  in
+  let snap =
+    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+    record ();
+    Metrics.snapshot ()
+  in
+  let replayed = twice (fun () -> Metrics.replay snap) in
+  Alcotest.(check bool) "two replays equal two recordings" true
+    (twice record = replayed);
+  Alcotest.(check bool) "gauge set, not added" true
+    (List.mem ("t.replay_g", [], Metrics.Gauge 2.5) replayed);
+  Alcotest.(check bool) "zero entry materialised" true
+    (List.mem ("t.replay_zero", [], Metrics.Counter 0) replayed)
+
 let test_zeroed_copy () =
   fresh ();
   let c = Metrics.counter "t.template_c" in
@@ -769,6 +801,8 @@ let suites =
         Alcotest.test_case "with_registry restores" `Quick
           test_with_registry_restores;
         Alcotest.test_case "zeroed copy" `Quick test_zeroed_copy;
+        Alcotest.test_case "replay equals recording" `Quick
+          test_replay_equals_recording;
       ] );
     ( "obs.trace",
       [

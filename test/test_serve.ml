@@ -160,6 +160,8 @@ let test_codec_rejects () =
       {|{"schema":"gsino-serve-v0","kind":"ping"}|};
       {|{"schema":"gsino-serve-v1","kind":"launch-missiles"}|};
       {|{"schema":"gsino-serve-v1","kind":"route","netlist":"x","options":{"typo":1}}|};
+      {|{"schema":"gsino-serve-v1","kind":"route","netlist":"x","options":{"rate":1.5}}|};
+      {|{"schema":"gsino-serve-v1","kind":"route","netlist":"x","options":{"rate":-0.1}}|};
     ]
   in
   List.iter
@@ -441,6 +443,116 @@ let test_parallel_sections_every_request () =
   Alcotest.(check (pair int int)) "request 3 exports them too" s1
     (sections "request 3")
 
+
+(* A journal artifact without its wall-clock payloads and cache
+   dimension, as the routing-service gate compares journals. *)
+let stable_journal artifact =
+  match Eda_obs.Journal.of_string artifact with
+  | Error msg -> Alcotest.fail ("journal artifact unreadable: " ^ msg)
+  | Ok evs ->
+      List.map
+        (fun (e : Eda_obs.Journal.event) ->
+          {
+            e with
+            dim = List.filter (fun (k, _) -> k <> "cache") e.dim;
+            data = List.filter (fun (k, _) -> not (String.ends_with ~suffix:"_us" k)) e.data;
+          })
+        evs
+
+(* The stable metrics and journal of [o] run as a batch lint would run
+   it, on this domain, in a copy of the current registry (the daemon's
+   start-up registry), journaled when [o] asks for the journal. *)
+let batch_outputs (o : Protocol.options) =
+  Eda_obs.Metrics.(with_registry (zeroed_copy (current_registry ()))) @@ fun () ->
+  if List.mem Protocol.Journal o.Protocol.artifacts then Eda_obs.Journal.enable ();
+  Fun.protect ~finally:Eda_obs.Journal.disable @@ fun () ->
+  let config =
+    {
+      Flow.Config.default with
+      Flow.Config.router = o.Protocol.router;
+      budgeting = o.Protocol.budgeting;
+      seed = o.Protocol.seed;
+      jobs = 1;
+    }
+  in
+  Flow.run_kinds config Tech.default ~rate:o.Protocol.rate [ o.Protocol.kind ]
+    (Io.of_string (Lazy.force netlist_text))
+    ~f:(fun r -> ignore (Flow.check r))
+  |> ignore;
+  ( stable_metric_entries (Eda_obs.Artifact.metrics ()),
+    stable_journal (Eda_obs.Artifact.journal ()) )
+
+(* The daemon-lifetime prepare counters, published into the registry
+   current where the daemon drained. *)
+let prepare_counts () =
+  let snap = Eda_obs.Metrics.snapshot () in
+  ( Eda_obs.Metrics.counter_total snap "serve.prepare_hits",
+    Eda_obs.Metrics.counter_total snap "serve.prepare_misses" )
+
+(* One netlist served at three seeds, then iSINO, then twice with the
+   NC router: every request after each router's first replays the
+   memo's preparation, and every response equals the batch flow's.
+   The first request asks for metrics only, so the entry it leaves must
+   still journal the preparation for the requests that ask. *)
+let test_prepared_netlist_reused () =
+  Eda_obs.Metrics.(with_registry (fresh_registry ())) @@ fun () ->
+  with_server ~workers:1 (fun ~socket _t ->
+      let o =
+        {
+          Protocol.default_options with
+          Protocol.artifacts = [ Protocol.Metrics; Protocol.Journal ];
+        }
+      in
+      List.iter
+        (fun (what, options) ->
+          let _, _, _, arts =
+            expect_result what
+              (Client.request ~timeout_s:120.0 socket
+                 (Protocol.Route { netlist = Lazy.force netlist_text; options }))
+          in
+          let metrics, journal = batch_outputs options in
+          Alcotest.(check bool) (what ^ ": stable metrics equal batch's") true
+            (stable_metric_entries (List.assoc "metrics" arts) = metrics);
+          Alcotest.(check bool) (what ^ ": journal equals batch's") true
+            (Option.fold ~none:[] ~some:stable_journal (List.assoc_opt "journal" arts)
+            = journal))
+        [
+          ("GSINO seed 7, metrics only", { o with Protocol.artifacts = [ Protocol.Metrics ] });
+          ("GSINO seed 8", { o with Protocol.seed = 8 });
+          ("GSINO seed 9", { o with Protocol.seed = 9 });
+          ("iSINO", { o with Protocol.kind = Flow.Isino });
+          ("NC miss", { o with Protocol.router = Flow.Negotiated });
+          ("NC hit", { o with Protocol.router = Flow.Negotiated; seed = 8 });
+        ]);
+  Alcotest.(check (pair int int)) "hits and misses" (4, 2) (prepare_counts ())
+
+(* The netlist with the last byte of its name record replaced by [c]. *)
+let renamed c =
+  let text = Lazy.force netlist_text in
+  let i = String.index_from text (String.index text '\n' + 1) '\n' - 1 in
+  String.mapi (fun j ch -> if j = i then c else ch) text
+
+(* A one-byte edit misses and replaces the kept preparation, so the
+   original then misses again; a repeat of the last text hits. *)
+let test_memo_edit_misses () =
+  Eda_obs.Metrics.(with_registry (fresh_registry ())) @@ fun () ->
+  let a = renamed 'a' and b = renamed 'b' in
+  Alcotest.(check bool) "one byte apart" true
+    (String.length a = String.length b && a <> b);
+  with_server ~workers:1 (fun ~socket _t ->
+      List.iter
+        (fun text ->
+          ignore
+            (expect_result "route"
+               (Client.request ~timeout_s:120.0 socket
+                  (Protocol.Route
+                     {
+                       netlist = text;
+                       options = { Protocol.default_options with Protocol.kind = Flow.Id_no };
+                     }))))
+        [ a; a; b; a; a ]);
+  Alcotest.(check (pair int int)) "hits and misses" (2, 3) (prepare_counts ())
+
 let test_request_deadline_degrades () =
   with_server @@ fun ~socket _t ->
   let status, _, _, _ =
@@ -601,6 +713,9 @@ let suites =
           test_parallel_sections_every_request;
         Alcotest.test_case "metrics-only request matches batch" `Slow
           test_metrics_only_matches_batch;
+        Alcotest.test_case "prepared netlist reused" `Slow
+          test_prepared_netlist_reused;
+        Alcotest.test_case "memo: an edit misses" `Slow test_memo_edit_misses;
         Alcotest.test_case "deadline degrades request" `Slow
           test_request_deadline_degrades;
         Alcotest.test_case "injected fault isolated" `Slow
