@@ -204,9 +204,9 @@ let table_cmd =
     C.guarded ~prog:"gsino_run" @@ fun () ->
     (* simulated, not read from Tech: this is the circuit simulator's
        command-line entry point *)
-    let tech = Tech.default in
     let model =
-      Eda_lsk.Table_builder.build ~keff:tech.Tech.keff tech.Tech.electrical
+      Eda_lsk.Table_builder.build ~keff:Tech.default.Tech.keff
+        Eda_lsk.Table_builder.default_electrical
     in
     Format.printf "%a@.# LSK(um*K)\tnoise(V)@.%a@." Eda_lsk.Lsk.pp model
       Eda_util.Lintable.pp model.Eda_lsk.Lsk.table;

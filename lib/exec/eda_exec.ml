@@ -15,7 +15,8 @@ type job = {
   body : int -> unit;
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
   mutable remaining : int;  (** workers yet to finish this section *)
-  mutable shards : (int * Metrics.snapshot) list;
+  shards : Metrics.snapshot option array;
+      (** each worker slot's recording of this section *)
   busy_ns : int64 array;
       (** per-slot busy time this section; each slot is written only by
           its own domain, read by the coordinator after the barrier *)
@@ -119,12 +120,11 @@ let worker pool slot () =
       seen := pool.generation;
       let job = Option.get pool.job in
       Mutex.unlock pool.mu;
-      steal pool job ~slot ~ctrs;
-      (* ship this domain's metric deltas for the ordered merge *)
-      let shard = Metrics.snapshot () in
-      Metrics.reset ();
+      (* the section's metrics, in a registry of its own, for the
+         coordinator to replay *)
+      let (), shard = Metrics.record (fun () -> steal pool job ~slot ~ctrs) in
       Mutex.lock pool.mu;
-      job.shards <- (slot, shard) :: job.shards;
+      job.shards.(slot) <- Some shard;
       job.remaining <- job.remaining - 1;
       if job.remaining = 0 then Condition.broadcast pool.idle;
       Mutex.unlock pool.mu
@@ -201,7 +201,7 @@ let run_range pool ?(name = "section") ?chunk n body =
         body;
         failed = None;
         remaining = pool.n_jobs - 1;
-        shards = [];
+        shards = Array.make pool.n_jobs None;
         busy_ns = Array.make pool.n_jobs 0L;
       }
     in
@@ -219,10 +219,9 @@ let run_range pool ?(name = "section") ?chunk n body =
     done;
     pool.job <- None;
     Mutex.unlock pool.mu;
-    (* deterministic ordered reduction: shards fold back in slot order,
+    (* deterministic ordered reduction: shards replay in slot order,
        not completion order *)
-    List.sort (fun (a, _) (b, _) -> compare a b) job.shards
-    |> List.iter (fun (_, shard) -> Metrics.absorb shard);
+    Array.iter (Option.iter Metrics.replay) job.shards;
     (let sum =
        Array.fold_left (fun s b -> s +. Int64.to_float b) 0.0 job.busy_ns
      in

@@ -11,14 +11,15 @@
       [i] of the output array regardless of which domain computed it or
       when it finished, so the merged result is identical to the
       sequential one.
-    - {b Sharded metrics.}  Workers record into their own
-      {!Eda_obs.Metrics} registries; at the end of each parallel section
-      the shards are folded back into the coordinator's registry with
-      [Metrics.absorb], in worker-index order.  Counter and histogram
-      series therefore come out the same for any [jobs] value (only the
-      [exec.*] per-domain series vary).  Workers never journal: a body
-      that has journal payloads writes them to per-index slots, and the
-      coordinator records them after the section.
+    - {b Sharded metrics.}  A worker records its part of each parallel
+      section in a fresh {!Eda_obs.Metrics} registry
+      ([Metrics.record]); when the section ends the coordinator replays
+      the shards into its own registry ([Metrics.replay]) in slot order.
+      Counter and histogram series therefore come out the same for any
+      [jobs] value (only the [exec.*] per-domain series vary).  Workers
+      never journal: a body that has journal payloads writes them to
+      per-index slots, and the coordinator records them after the
+      section.
     - {b Sequential bypass.}  With no pool, or a pool created with
       [jobs = 1], no domain is ever spawned and no [exec.*] metric or
       span is emitted: the call degenerates to a plain loop, so

@@ -5,7 +5,6 @@
 type t = H | V
 
 val equal : t -> t -> bool
-val flip : t -> t
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val all : t list

@@ -26,16 +26,12 @@ let gcell_um t = t.gcell_um
 let nns_array t = function Dir.H -> t.nns_h | Dir.V -> t.nns_v
 let nss_array t = function Dir.H -> t.nss_h | Dir.V -> t.nss_v
 
-let bump t route delta =
+let add_route t route =
   List.iter
     (fun (r, dir) ->
       let a = nns_array t dir in
-      a.(r) <- a.(r) + delta;
-      if a.(r) < 0 then invalid_arg "Usage: negative occupancy")
+      a.(r) <- a.(r) + 1)
     (Route.occupied t.grid route)
-
-let add_route t route = bump t route 1
-let remove_route t route = bump t route (-1)
 
 let of_routes grid ~gcell_um routes =
   let t = create grid ~gcell_um in
@@ -94,16 +90,6 @@ let expanded_area t =
     max_col := Float.max !max_col !len
   done;
   (!max_row, !max_col, !max_row *. !max_col)
-
-let most_congested t =
-  let best, _ =
-    fold_regions t
-      (fun ((_, bu) as best) r d ->
-        let u = utilization t r d in
-        if u > bu then ((r, d), u) else best)
-      ((0, Dir.H), -1.0)
-  in
-  best
 
 let copy t =
   {

@@ -15,10 +15,8 @@ val grid : t -> Grid.t
 val gcell_um : t -> float
 
 (** [add_route u route] adds one track per occupied (region, dir) of the
-    route; [remove_route] undoes it. *)
+    route. *)
 val add_route : t -> Route.t -> unit
-
-val remove_route : t -> Route.t -> unit
 
 (** [of_routes grid ~gcell_um routes] accounts a full routing solution. *)
 val of_routes : Grid.t -> gcell_um:float -> Route.t list -> t
@@ -43,9 +41,6 @@ val total_shields : t -> int
 
 (** Routing area metrics in µm: [(max_row_len, max_col_len, area)]. *)
 val expanded_area : t -> float * float * float
-
-(** [most_congested u] is the (region, dir) with the highest utilization. *)
-val most_congested : t -> int * Dir.t
 
 (** [copy u] deep-copies the accounting (Phase III trials mutate it). *)
 val copy : t -> t

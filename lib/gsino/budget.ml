@@ -1,4 +1,3 @@
-module Rng = Eda_util.Rng
 module Metrics = Eda_obs.Metrics
 open Eda_netlist
 
@@ -68,8 +67,6 @@ let route_aware ~lsk ~noise_v ~gcell_um ~grid ~routes netlist =
 let kth t net =
   if net < 0 || net >= Array.length t.kth then invalid_arg "Budget.kth: bad net";
   t.kth.(net)
-
-let sample_kth t rng = t.kth.(Rng.int rng (Array.length t.kth))
 
 let pp fmt t =
   let sorted = Array.copy t.kth in

@@ -46,8 +46,4 @@ val route_aware :
 (** [kth t net] — the bound for net [net]. *)
 val kth : t -> int -> float
 
-(** [sample_kth t rng] draws from the empirical Kth distribution — used to
-    fit Formula (3) coefficients in the regime this budget creates. *)
-val sample_kth : t -> Eda_util.Rng.t -> float
-
 val pp : Format.formatter -> t -> unit

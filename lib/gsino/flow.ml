@@ -185,9 +185,8 @@ type prepared = {
 
 let record_prepare ?(config = Config.default) ?pool tech netlist =
   let ((grid, base), events), metrics =
-    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
-    let v = Journal.capture (fun () -> prepare ~config ?pool tech netlist) in
-    (v, Metrics.snapshot ())
+    Metrics.record (fun () ->
+        Journal.capture (fun () -> prepare ~config ?pool tech netlist))
   in
   { router = config.Config.router; grid; base; metrics; events }
 
@@ -280,25 +279,27 @@ let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
   in
   let usage = Usage.of_routes grid ~gcell_um (Array.to_list routes) in
   Phase2.apply_shields usage phase2;
-  let refine_stats, refine_s =
+  (* refinement ends with a scan of the final store; ID+NO, which has
+     no refinement, is scanned here *)
+  let refine_stats, violations, refine_s =
     match kind with
-    | Id_no -> (None, 0.0)
+    | Id_no ->
+        ( None,
+          Noise.violations ~pool ~plan ~grid ~gcell_um ~phase2 ~lsk_model
+            ~netlist ~routes ~bound_v:tech.Tech.noise_bound_v (),
+          0.0 )
     | Isino | Gsino ->
-        let stats, s =
+        let (stats, violations), s =
           timed_phase "refine" (fun () ->
               Refine.run ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model
                 ~bound_v:tech.Tech.noise_bound_v ~deadline ~pool ~plan ())
         in
-        (Some stats, s)
+        (Some stats, violations, s)
   in
   Log.debug
     ~fields:[ ("kind", kind_name kind); ("circuit", netlist.Netlist.name) ]
     "flow phases done: route %.2fs, sino %.2fs, refine %.2fs" route_s sino_s
     refine_s;
-  let violations =
-    Noise.violations ~pool ~plan ~grid ~gcell_um ~phase2 ~lsk_model ~netlist
-      ~routes ~bound_v:tech.Tech.noise_bound_v ()
-  in
   let lengths = Array.map (fun r -> Route.length_um r ~gcell_um) routes in
   let total_wl_um = Array.fold_left ( +. ) 0.0 lengths in
   let avg_wl_um =

@@ -1,10 +1,10 @@
 (* gen_models — prints the OCaml source of Gsino.Default_models on
    stdout: the default technology's LSK table and Formula-(3)
    coefficients.  It makes the calls Tech would otherwise make at run
-   time, with the same arguments (Tech.default's electrical and Keff
-   parameters are Table_builder.default_electrical and Keff.default),
-   and prints every float as a %h literal, so the constants are those
-   calls' results bit for bit.
+   time, with the same arguments (Table_builder.default_electrical, and
+   Keff.default, Tech.default's Keff parameters), and prints every float
+   as a %h literal, so the constants are those calls' results bit for
+   bit.
 
    It never installs a fault (GSINO_FAULTS is not read): an injected
    NaN cannot reach the constants.  A non-finite value fails the build

@@ -287,21 +287,22 @@ let run ~grid ~netlist ~routes ~phase2 ~usage ~lsk_model ~bound_v
     Trace.span "refine.pass2" (fun () ->
         pass2 ~deadline ~plan ~phase2 ~usage ~lsk_model ~bound_v ())
   in
-  let residual =
-    List.length
-      (Noise.violations ?pool ~plan ~grid ~gcell_um ~phase2 ~lsk_model ~netlist
-         ~routes ~bound_v ())
+  let violations =
+    Noise.violations ?pool ~plan ~grid ~gcell_um ~phase2 ~lsk_model ~netlist
+      ~routes ~bound_v ()
   in
+  let residual = List.length violations in
   Metrics.add m_p1_fixed p1_fixed;
   Metrics.add m_p2_removed p2_removed;
   Metrics.set g_residual (float_of_int residual);
-  {
-    pass1_nets_fixed = p1_fixed;
-    pass1_resolves = p1_res;
-    pass2_shields_removed = p2_removed;
-    pass2_resolves = p2_res;
-    residual_violations = residual;
-  }
+  ( {
+      pass1_nets_fixed = p1_fixed;
+      pass1_resolves = p1_res;
+      pass2_shields_removed = p2_removed;
+      pass2_resolves = p2_res;
+      residual_violations = residual;
+    },
+    violations )
 
 let pp_stats fmt s =
   Format.fprintf fmt

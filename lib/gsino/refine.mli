@@ -30,7 +30,7 @@
     Both passes mutate the {!Phase2} store and the shield counts in the
     usage accounting in place.  The mutating tighten/relax steps are
     inherently sequential; [?pool] parallelizes only pass 1's violation
-    sweep and the residual count, so results are identical for
+    sweep and the final scan, so results are identical for
     any job count.  Refinement carries no RNG of its own: every re-solve
     goes through {!Phase2.resolve}, whose result is a pure function of
     the re-bounded instance content and the flow seed. *)
@@ -43,11 +43,14 @@ type stats = {
   residual_violations : int;  (** should be 0 *)
 }
 
-(** [deadline] is checked between pass-1 rip-up rounds and pass-2 panel
-    rounds (both leave the Phase2 store consistent); expiry stops the
-    pass with its work so far and marks a ["refine"] deadline hit.  Every
-    noise evaluation, path and segment length reads [plan] (built on
-    [phase2] and [routes] when not given, see {!Noise.plan}). *)
+(** [run ...] — both passes, then one {!Noise.violations} scan of the
+    refined store: the stats, and the violations that scan found (as
+    {!Noise.violations} returns them; [residual_violations] is their
+    count).  [deadline] is checked between pass-1 rip-up rounds and
+    pass-2 panel rounds (both leave the Phase2 store consistent); expiry
+    stops the pass with its work so far and marks a ["refine"] deadline
+    hit.  Every noise evaluation, path and segment length reads [plan]
+    (built on [phase2] and [routes] when not given, see {!Noise.plan}). *)
 val run :
   grid:Eda_grid.Grid.t ->
   netlist:Eda_netlist.Netlist.t ->
@@ -60,6 +63,6 @@ val run :
   ?pool:Eda_exec.t ->
   ?plan:Noise.plan ->
   unit ->
-  stats
+  stats * (int * float) list
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -11,11 +11,6 @@ let num_pins t = 1 + Array.length t.sinks
 let bbox t = Rect.of_points (pins t)
 let hpwl t = Rect.half_perimeter (bbox t)
 
-let manhattan_to_sink t k =
-  if k < 0 || k >= Array.length t.sinks then
-    invalid_arg "Net.manhattan_to_sink: no such sink";
-  Point.manhattan t.source t.sinks.(k)
-
 let pp fmt t =
   Format.fprintf fmt "net%d src=%a sinks=[%a]" t.id Point.pp t.source
     (Format.pp_print_list

@@ -17,8 +17,4 @@ val bbox : t -> Eda_geom.Rect.t
 (** Half-perimeter wire length lower bound, in gcell units. *)
 val hpwl : t -> int
 
-(** [manhattan_to_sink t k] is the source→sink-[k] Manhattan distance
-    (the paper's [L_e,ij] used for crosstalk budgeting). *)
-val manhattan_to_sink : t -> int -> int
-
 val pp : Format.formatter -> t -> unit

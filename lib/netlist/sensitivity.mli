@@ -18,10 +18,4 @@ val seed : t -> int
     Always false for [i = j]. *)
 val sensitive : t -> int -> int -> bool
 
-(** [segment_sensitivity t ~net ~neighbours] is the paper's [S_i] for a net
-    segment sharing a region with [neighbours]: the fraction of the other
-    segments in the region that are sensitive to [net].  Zero when the
-    segment is alone. *)
-val segment_sensitivity : t -> net:int -> neighbours:int array -> float
-
 val pp : Format.formatter -> t -> unit

@@ -13,18 +13,6 @@ type change =
 
 type entry = { name : string; labels : Metrics.labels; change : change }
 
-let delta = function
-  | Added s -> s.value
-  | Removed s -> -.s.value
-  | Changed { before; after; _ } -> after -. before
-  | Unchanged _ -> 0.0
-
-let rel_delta = function
-  | Added _ | Removed _ -> None
-  | Unchanged _ -> Some 0.0
-  | Changed { before; after; _ } ->
-      if before = 0.0 then None else Some ((after -. before) /. Float.abs before)
-
 let changed e = match e.change with Unchanged _ -> false | Added _ | Removed _ | Changed _ -> true
 
 (* Merge-join on the sorted (name, labels) keys of the two snapshots. *)

@@ -26,13 +26,6 @@ type entry = { name : string; labels : Metrics.labels; change : change }
     sorted by name then labels. *)
 val diff : Metrics.snapshot -> Metrics.snapshot -> entry list
 
-(** Signed scalar delta (added = +value, removed = -value). *)
-val delta : change -> float
-
-(** Relative delta (fraction of the baseline magnitude); [None] for
-    added/removed series and zero baselines. *)
-val rel_delta : change -> float option
-
 val changed : entry -> bool
 
 (** {1 Policy} *)

@@ -148,9 +148,6 @@ let load path =
 let dim_value e k = List.assoc_opt k e.dim
 let data_value e k = List.assoc_opt k e.data
 
-let filter_dim ~key ~value evs =
-  List.filter (fun e -> dim_value e key = Some value) evs
-
 module Agg = struct
   type row = {
     key : string;

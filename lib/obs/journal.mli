@@ -106,10 +106,6 @@ val load : string -> (event list, string) result
 val dim_value : event -> string -> string option
 val data_value : event -> string -> float option
 
-(** [filter_dim ~key ~value evs] — events whose [dim] binds [key] to
-    [value]. *)
-val filter_dim : key:string -> value:string -> event list -> event list
-
 module Agg : sig
   type row = {
     key : string;  (** the grouped dimension value *)

@@ -50,8 +50,8 @@ type histogram = instrument
    per instrument it has seen, so recording never shares a mutable cell
    across domains as long as a registry is current on one domain at a
    time.  Each domain starts on a fresh registry of its own and swaps it
-   with [with_registry]; [snapshot]/[reset]/[absorb] act on the current
-   registry only (see the .mli for the contract). *)
+   with [with_registry]; [snapshot]/[replay] act on the current registry
+   only (see the .mli for the contract). *)
 type registry = { mutable cells : (instrument * cell) option array }
 
 let fresh_registry () = { cells = [||] }
@@ -242,41 +242,6 @@ let counter_total s name =
       match v with Counter c when n = name -> acc + c | Counter _ | Gauge _ | Histogram _ -> acc)
     0 s
 
-let merge_value a b =
-  match (a, b) with
-  | Counter x, Counter y -> Counter (x + y)
-  | Gauge _, Gauge y -> Gauge y
-  | Histogram x, Histogram y ->
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (i, c) ->
-          Hashtbl.replace tbl i (c + Option.value (Hashtbl.find_opt tbl i) ~default:0))
-        (x.buckets @ y.buckets);
-      let buckets =
-        Hashtbl.fold (fun i c acc -> (i, c) :: acc) tbl [] |> List.sort compare
-      in
-      Histogram
-        {
-          count = x.count + y.count;
-          sum = x.sum +. y.sum;
-          min = Float.min x.min y.min;
-          max = Float.max x.max y.max;
-          buckets;
-        }
-  | (Counter _ | Gauge _ | Histogram _), _ ->
-      invalid_arg "Metrics.merge: metric kind mismatch"
-
-let merge a b =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (n, l, v) -> Hashtbl.replace tbl (n, l) v) a;
-  List.iter
-    (fun (n, l, v) ->
-      match Hashtbl.find_opt tbl (n, l) with
-      | None -> Hashtbl.replace tbl (n, l) v
-      | Some prev -> Hashtbl.replace tbl (n, l) (merge_value prev v))
-    b;
-  Hashtbl.fold (fun (n, l) v acc -> (n, l, v) :: acc) tbl [] |> List.sort compare
-
 let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
 
 let value_fields = function
@@ -369,19 +334,15 @@ let read_json path =
       | Ok s -> Ok s
       | Error msg -> Error (path ^ ": " ^ msg))
 
-let reset () =
-  let r = current_registry () in
-  r.cells <- (zeroed_copy r).cells
+(* ------------------------------ replay ------------------------------ *)
 
-(* ------------------------- shard absorption ------------------------- *)
-
-(* Absorption mutates only the calling domain's current registry, so
-   absorbs on distinct domains never share state and may run
+(* A replay mutates only the calling domain's current registry, so
+   replays on distinct domains never share state and may run
    concurrently (the serve daemon's request workers each coordinate
-   their own pool).  The hazard is two absorbs interleaving on the
+   their own pool).  The hazard is two replays interleaving on the
    *same* domain — two sys-threads sharing its registry — which this
    per-domain flag rejects loudly. *)
-let absorbing_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+let replaying : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
 let add_histogram (cell : histogram_cell) (hs : histogram_summary) =
   cell.count <- cell.count + hs.count;
@@ -390,33 +351,12 @@ let add_histogram (cell : histogram_cell) (hs : histogram_summary) =
   if hs.max > cell.mx then cell.mx <- hs.max;
   List.iter (fun (i, c) -> cell.buckets.(i) <- cell.buckets.(i) + c) hs.buckets
 
-let absorb (s : snapshot) =
-  let busy = Domain.DLS.get absorbing_key in
-  if !busy then
-    invalid_arg "Metrics.absorb: concurrent merge (sharding contract violated)";
-  busy := true;
-  Fun.protect
-    ~finally:(fun () -> busy := false)
-    (fun () ->
-      List.iter
-        (fun (name, labels, v) ->
-          (* a zero-valued contribution is numerically a no-op; skipping
-             it also skips the registration side effect, so an instrument
-             a *previous* request materialised on a pool worker does not
-             reappear (at zero) in a later request's export *)
-          match v with
-          | Counter 0 -> ()
-          | Counter n -> add (counter ~labels name) n
-          | Gauge 0.0 -> ()
-          | Gauge g -> accum (gauge ~labels name) g
-          | Histogram { count = 0; _ } -> ()
-          | Histogram hs -> add_histogram (histogram_cell (histogram ~labels name)) hs)
-        s)
-
-(* Unlike [absorb], a replay stands for recording done on this domain:
-   a gauge takes the recorded value, as the [set] that made it did, and
-   a zero entry still materialises its cell, as touching it did. *)
 let replay (s : snapshot) =
+  let busy = Domain.DLS.get replaying in
+  if !busy then
+    invalid_arg "Metrics.replay: concurrent replay on one domain (sharding contract violated)";
+  busy := true;
+  Fun.protect ~finally:(fun () -> busy := false) @@ fun () ->
   List.iter
     (fun (name, labels, v) ->
       match v with
@@ -424,3 +364,8 @@ let replay (s : snapshot) =
       | Gauge g -> set (gauge ~labels name) g
       | Histogram hs -> add_histogram (histogram_cell (histogram ~labels name)) hs)
     s
+
+let record f =
+  with_registry (fresh_registry ()) @@ fun () ->
+  let v = f () in
+  (v, snapshot ())

@@ -11,10 +11,9 @@
     ([Invalid_argument]).
 
     The registry is snapshot-based: {!snapshot} captures every
-    instrument's current state immutably, {!merge} combines snapshots
-    (counters and histograms add; gauges take the right-hand value), and
-    {!to_json} renders the [gsino-metrics-v1] schema consumed by CI and
-    the bench trajectory files.
+    instrument's current state immutably, {!replay} folds a snapshot
+    into a registry, and {!to_json} renders the [gsino-metrics-v1]
+    schema that CI and [gsino_run diff] read.
 
     {2 Sharding contract (multicore)}
 
@@ -33,18 +32,18 @@
       through its handle, materialises its cell in the current registry,
       so a registered instrument exports (at zero) even if never
       recorded.
-    - {!snapshot} and {!reset} see {e only the current registry}.  A
-      worker domain finishing a batch takes [snapshot ()] of its own
-      cells, [reset ()]s them, and hands the snapshot to the
-      coordinator.
-    - The coordinator folds worker shards into its current registry with
-      {!absorb}, one at a time, in a deterministic (worker-index) order.
-      [absorb] mutates only the calling domain's current registry, so
+    - A recording enters another registry one way only: work is
+      {!record}ed in a fresh registry, and its snapshot is {!replay}ed
+      where the work belongs.  A pool worker records each section it
+      takes part in; the coordinator replays the shards in slot order
+      once the section ends, the way a request replays the recording
+      of a prepared netlist.  A fresh registry holds only the cells its
+      work touched, so a shard carries nothing from earlier sections.
+      [replay] mutates only the calling domain's current registry, so
       coordinators on distinct domains (the serve daemon's request
-      workers) may absorb concurrently; re-entering [absorb] on the
+      workers) may replay concurrently; re-entering [replay] on the
       {e same} domain (two sys-threads sharing a registry) raises
-      [Invalid_argument] — misuse fails loudly instead of silently
-      corrupting counts.  [Eda_exec] does all of this automatically.
+      [Invalid_argument].  [Eda_exec] does all of this automatically.
     - A long-lived process serving many requests runs each request in a
       registry of its own: [with_registry (zeroed_copy template)], where
       [template] is a {!zeroed_copy} of the start-up registry.  A
@@ -52,8 +51,8 @@
       exactly what the request touched, as a fresh process's would;
       nothing a previous request registered or recorded can leak in.
 
-    Everything below the snapshot layer ({!merge}, JSON, {!quantile}) is
-    pure and safe anywhere. *)
+    Everything below the snapshot layer (JSON, {!quantile}) is pure and
+    safe anywhere. *)
 
 (** Sorted, duplicate-free at registration; order given does not matter. *)
 type labels = (string * string) list
@@ -71,7 +70,7 @@ type registry
 val fresh_registry : unit -> registry
 
 (** The calling domain's current registry: the one its recording,
-    {!snapshot}, {!reset} and {!absorb} act on. *)
+    {!snapshot} and {!replay} act on. *)
 val current_registry : unit -> registry
 
 (** [zeroed_copy r] — a new registry holding a zero cell for every
@@ -150,10 +149,6 @@ val find : ?labels:labels -> snapshot -> string -> value option
     label sets; 0 when absent. *)
 val counter_total : snapshot -> string -> int
 
-(** Counters and histograms add; for a gauge the right-hand side wins
-    (last-writer semantics). *)
-val merge : snapshot -> snapshot -> snapshot
-
 (** [gsino-metrics-v1]: [{"schema": ..., "metrics": [{"name", "kind",
     "labels", ...}]}]. *)
 val to_json : snapshot -> Json.t
@@ -167,27 +162,19 @@ val of_json : Json.t -> (snapshot, string) result
     with the path. *)
 val read_json : string -> (snapshot, string) result
 
-(** Zero every cell of the current registry (registrations survive). *)
-val reset : unit -> unit
-
-(** [absorb shard] — fold a worker shard into the current registry:
-    counters and histogram buckets add, gauges accumulate (add — worker
-    gauges are treated as contributions, not last-writer overrides).
-    Instruments absent locally are registered on the fly; zero-valued
-    entries (counter 0, gauge 0.0, empty histogram) are skipped entirely
-    — they contribute nothing, and skipping them keeps instruments a
-    previous request touched on a long-lived pool worker out of a later
-    request's registry.  Safe from any domain concurrently; re-entry on
-    one domain raises [Invalid_argument] (see the sharding contract
-    above). *)
-val absorb : snapshot -> unit
-
 (** [replay snap] — re-record, into the current registry, what a
     snapshot of another registry recorded, as if it had been recorded
     here: counters and histograms add, a gauge takes the recorded value
-    (as {!set} does, where {!absorb} would add it), and every entry's
-    cell is materialised, zero or not.  Replaying a snapshot of a fresh
-    registry that [f] recorded into equals running [f] here, for an [f]
-    that only increments counters, observes histograms and sets
-    gauges. *)
+    (as {!set} does), and every entry's cell is materialised, zero or
+    not.  Replaying a snapshot of a fresh registry that [f] recorded
+    into equals running [f] here, for an [f] that only increments
+    counters, observes histograms and sets gauges.  Re-entry on one
+    domain raises [Invalid_argument] (see the sharding contract
+    above). *)
 val replay : snapshot -> unit
+
+(** [record f] — run [f] with a fresh registry current, restoring the
+    previous one when [f] returns or raises; returns [f]'s result and
+    the fresh registry's snapshot, which holds exactly the cells [f]
+    touched. *)
+val record : (unit -> 'a) -> 'a * snapshot

@@ -9,10 +9,10 @@ let max_frame_default = 64 * 1024 * 1024
 
 exception Timeout
 
-let rec write_all fd buf off len =
+let rec write_all fd s off len =
   if len > 0 then begin
-    let n = Unix.write fd buf off len in
-    write_all fd buf (off + n) (len - n)
+    let n = Unix.write_substring fd s off len in
+    write_all fd s (off + n) (len - n)
   end
 
 let write_frame fd payload =
@@ -20,8 +20,8 @@ let write_frame fd payload =
   if n > 0x7fffffff then invalid_arg "Protocol.write_frame: frame too large";
   let hdr = Bytes.create 4 in
   Bytes.set_int32_be hdr 0 (Int32.of_int n);
-  write_all fd hdr 0 4;
-  write_all fd (Bytes.of_string payload) 0 n
+  write_all fd (Bytes.unsafe_to_string hdr) 0 4;
+  write_all fd payload 0 n
 
 let wait_readable ~timeout_s fd =
   match timeout_s with

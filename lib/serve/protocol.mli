@@ -52,9 +52,11 @@ type read_result =
           stalled past [timeout_s] *)
 
 (** [read_frame ?max ?timeout_s fd] — read one frame.  [max] (default
-    {!max_frame_default}) bounds the announced length; [timeout_s]
-    bounds each wait for more bytes (absent = block forever).  I/O
-    errors propagate as [Unix.Unix_error]. *)
+    {!max_frame_default}) bounds the announced length, and so what the
+    call allocates: a header that announces more is rejected before any
+    body buffer exists.  [timeout_s] bounds each wait for more bytes
+    (absent = block forever).  I/O errors propagate as
+    [Unix.Unix_error]. *)
 val read_frame :
   ?max:int -> ?timeout_s:float -> Unix.file_descr -> read_result
 

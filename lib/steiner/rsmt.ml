@@ -19,8 +19,8 @@ let hanan_candidates pts =
    useless in an MST, so at most (#pins - 2) additions happen. *)
 let iterated_one_steiner pts =
   let max_extra = max 0 (Array.length pts - 2) in
-  let rec go current added n_added =
-    if n_added >= max_extra then (current, added)
+  let rec go current n_added =
+    if n_added >= max_extra then current
     else begin
       let base = Rmst.length current in
       let candidates = hanan_candidates current in
@@ -36,12 +36,11 @@ let iterated_one_steiner pts =
           None candidates
       in
       match best with
-      | None -> (current, added)
-      | Some (cand, _) ->
-          go (Array.append current [| cand |]) (cand :: added) (n_added + 1)
+      | None -> current
+      | Some (cand, _) -> go (Array.append current [| cand |]) (n_added + 1)
     end
   in
-  go pts [] 0
+  go pts 0
 
 let dedup pts =
   let seen = Hashtbl.create (Array.length pts) in
@@ -61,18 +60,11 @@ let exact_threshold = 10
 
 let with_steiner pts =
   let pts = dedup pts in
-  if Array.length pts <= 2 then (pts, [])
-  else if Array.length pts > exact_threshold then (pts, [])
+  if Array.length pts <= 2 || Array.length pts > exact_threshold then pts
   else iterated_one_steiner pts
 
-let length pts =
-  let all, _ = with_steiner pts in
-  Rmst.length all
-
-let steiner_points pts =
-  let _, added = with_steiner pts in
-  added
+let length pts = Rmst.length (with_steiner pts)
 
 let rectilinear_edges pts =
-  let all, _ = with_steiner pts in
+  let all = with_steiner pts in
   List.map (fun (i, j) -> (all.(i), all.(j))) (Rmst.tree all)

@@ -9,9 +9,6 @@
 (** [length pts] is the heuristic RSMT length.  For one point it is 0. *)
 val length : Eda_geom.Point.t array -> int
 
-(** [steiner_points pts] are the Hanan points the heuristic chose. *)
-val steiner_points : Eda_geom.Point.t array -> Eda_geom.Point.t list
-
 (** [rectilinear_edges pts] is the tree over pins plus chosen Steiner
     points, as point pairs, suitable for conversion to L-shaped grid
     routes. *)

@@ -5,9 +5,9 @@ module Json = Eda_obs.Json
 module Metrics = Eda_obs.Metrics
 module Diff = Eda_obs.Diff
 
-let fresh () =
-  Metrics.reset ();
-  Eda_obs.Trace.disable ()
+let fresh f =
+  Eda_obs.Trace.disable ();
+  Metrics.with_registry (Metrics.fresh_registry ()) f
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -30,7 +30,7 @@ let policy_of_string s =
 (* ------------------------- snapshot import -------------------------- *)
 
 let test_snapshot_json_roundtrip () =
-  fresh ();
+  fresh @@ fun () ->
   Metrics.add (Metrics.counter "t.c") 7;
   Metrics.add (Metrics.counter ~labels:[ ("kind", "GSINO") ] "t.c") 3;
   Metrics.set (Metrics.gauge "t.g") 2.5;
@@ -43,7 +43,7 @@ let test_snapshot_json_roundtrip () =
     (Metrics.entries snap = Metrics.entries snap')
 
 let test_empty_histogram_roundtrip () =
-  fresh ();
+  fresh @@ fun () ->
   ignore (Metrics.histogram "t.empty");
   let snap = Metrics.snapshot () in
   let snap' = of_json_exn (Metrics.to_json snap) in
@@ -73,7 +73,7 @@ let test_of_json_rejects () =
 (* --------------------------- quantiles ------------------------------ *)
 
 let test_quantile () =
-  fresh ();
+  fresh @@ fun () ->
   let h = Metrics.histogram "t.q" in
   for i = 1 to 100 do
     Metrics.observe h (float_of_int i)
@@ -91,9 +91,8 @@ let test_quantile () =
 
 (* ------------------------------ diff -------------------------------- *)
 
-(* Build a snapshot via the JSON import, not the global registry —
-   registrations survive Metrics.reset, so registry-built snapshots can
-   never *lack* a series another test registered. *)
+(* Build a snapshot via the JSON import, not a registry, so each test
+   names exactly the series its snapshots hold. *)
 let snap_json entries =
   let metric (name, labels, v) =
     Json.Obj

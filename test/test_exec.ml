@@ -1,6 +1,6 @@
 (* Tests for the Eda_exec domain pool: sequential-bypass semantics,
-   ordered reduction, exception propagation, pool reuse, the
-   Metrics.absorb sharding contract, and the headline guarantee — a
+   ordered reduction, exception propagation, pool reuse, the metrics
+   record/replay sharding contract, and the headline guarantee — a
    GSINO flow at jobs = 4 produces exactly the routing solution and
    metric series of jobs = 1. *)
 module Generator = Eda_netlist.Generator
@@ -88,23 +88,35 @@ let test_nested_section_degrades () =
 
 (* --------------------- Metrics sharding contract -------------------- *)
 
-let test_absorb_roundtrip () =
-  let c = Metrics.counter "test_exec.absorb_c" in
-  let g = Metrics.gauge "test_exec.absorb_g" in
-  let h = Metrics.histogram "test_exec.absorb_h" in
-  Metrics.add c 5;
-  Metrics.set g 2.5;
-  Metrics.observe h 3.0;
-  let c0 = Metrics.counter_value c and g0 = Metrics.gauge_value g in
-  let n0 = (Metrics.histogram_summary h).Metrics.count in
-  let shard = Metrics.snapshot () in
-  (* absorbing a shard adds counters/histograms and accumulates gauges *)
-  Metrics.absorb shard;
-  Alcotest.(check int) "counter added" (2 * c0) (Metrics.counter_value c);
-  Alcotest.(check (float 1e-9)) "gauge accumulated" (2.0 *. g0)
-    (Metrics.gauge_value g);
-  Alcotest.(check int) "histogram count added" (2 * n0)
-    (Metrics.histogram_summary h).Metrics.count
+(* A worker's shard holds exactly what its section recorded, and
+   replaying it re-records that: counters and histograms add, a gauge
+   takes the recorded value. *)
+let test_record_replay_roundtrip () =
+  let c = Metrics.counter "test_exec.shard_c" in
+  let g = Metrics.gauge "test_exec.shard_g" in
+  let h = Metrics.histogram "test_exec.shard_h" in
+  let other = Metrics.counter "test_exec.shard_other" in
+  Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
+  Metrics.add other 1;
+  let v, shard =
+    Metrics.record (fun () ->
+        Metrics.add c 5;
+        Metrics.set g 2.5;
+        Metrics.observe h 3.0;
+        42)
+  in
+  Alcotest.(check int) "result returned" 42 v;
+  Alcotest.(check (list string)) "only the section's series"
+    [ "test_exec.shard_c"; "test_exec.shard_g"; "test_exec.shard_h" ]
+    (List.map (fun (n, _, _) -> n) (Metrics.entries shard));
+  Alcotest.(check int) "caller's cell untouched" 0 (Metrics.counter_value c);
+  Metrics.replay shard;
+  Metrics.replay shard;
+  Alcotest.(check int) "counter added" 10 (Metrics.counter_value c);
+  Alcotest.(check (float 1e-9)) "gauge set, not added" 2.5 (Metrics.gauge_value g);
+  Alcotest.(check int) "histogram count added" 2
+    (Metrics.histogram_summary h).Metrics.count;
+  Alcotest.(check int) "caller's own series kept" 1 (Metrics.counter_value other)
 
 let test_worker_metrics_folded_in () =
   (* counts recorded inside worker domains must land in the caller's
@@ -123,7 +135,7 @@ let test_worker_metrics_folded_in () =
   Alcotest.(check int) "parallel count" 500 (count 4)
 
 let test_pool_observability_series () =
-  Metrics.reset ();
+  Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
   Eda_exec.with_pool ~jobs:4 (fun pool ->
       ignore (Eda_exec.parallel_map ~pool 2000 (fun i -> i * i)));
   let snap = Metrics.snapshot () in
@@ -187,9 +199,10 @@ let gsino_with ~jobs =
   in
   let grid, _ = Flow.prepare ~config tech nl in
   let sens = Sensitivity.make ~seed:11 ~rate:0.30 in
-  Metrics.reset ();
-  let r = Flow.run ~grid config tech ~sensitivity:sens nl in
-  (r, comparable (Metrics.snapshot ()))
+  let r, snap =
+    Metrics.record (fun () -> Flow.run ~grid config tech ~sensitivity:sens nl)
+  in
+  (r, comparable snap)
 
 let test_flow_jobs_deterministic () =
   let r1, m1 = gsino_with ~jobs:1 in
@@ -226,7 +239,8 @@ let suites =
       ] );
     ( "exec.metrics",
       [
-        Alcotest.test_case "absorb round-trip" `Quick test_absorb_roundtrip;
+        Alcotest.test_case "record/replay round-trip" `Quick
+          test_record_replay_roundtrip;
         Alcotest.test_case "worker metrics folded in" `Quick
           test_worker_metrics_folded_in;
         Alcotest.test_case "pool observability series" `Quick

@@ -13,7 +13,9 @@
    store whose digest no longer matches must load empty, a spec that
    parses names a registered site with a probability in [0, 1] and a
    delay >= 0, and a netlist that parses is valid and prints back to
-   itself. *)
+   itself.  Serve frames are read off a pipe: every announced length
+   and body prefix gets the documented frame or reject, and no read
+   allocates more than its bound. *)
 module Json = Eda_obs.Json
 module Metrics = Eda_obs.Metrics
 module Journal = Eda_obs.Journal
@@ -604,6 +606,77 @@ let netlist_parses doc =
       Io.of_string (Io.to_string nl) = nl
   | exception Error.Error (Error.Parse _) -> true
 
+(* ------------------------------ frames ------------------------------ *)
+
+(* What a frame read may allocate beyond the body's [max] bytes: the
+   header buffer, the result and a reject's message. *)
+let frame_slack = 1024
+
+(* Bytes allocated so far on this domain.  Not [Gc.allocated_bytes]:
+   on OCaml 5.1 its minor part reads an eighth of the words allocated
+   since the last minor collection, so a collection during a read
+   looks like a burst of allocation. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+(* A reader bounded by [max], fed a header announcing [len] (any 32-bit
+   value), then [body] (a prefix of the announced body, or all of it
+   and a few bytes more), then EOF. *)
+let frame_case =
+  QCheck.make
+    ~print:(fun (max, len, body) ->
+      Printf.sprintf "max %d, len %d, %d body bytes" max len (String.length body))
+    (fun st ->
+      let max = Random.State.int st 4097 in
+      let len =
+        match Random.State.int st 7 with
+        | 0 -> Int32.to_int (Int32.logor Int32.min_int (Random.State.bits32 st))
+        | 1 -> 0
+        | 2 -> max
+        | 3 -> max + 1
+        | 4 -> 0x7fffffff
+        | 5 -> Int32.to_int (Random.State.int32 st Int32.max_int)
+        | _ -> Random.State.int st ((2 * max) + 2)
+      in
+      let sent =
+        if len < 0 || len > max then Random.State.int st 65
+        else
+          match Random.State.int st 3 with
+          | 0 -> len
+          | 1 -> Random.State.int st (len + 1)
+          | _ -> len + Random.State.int st 17
+      in
+      (max, len, String.init sent (fun _ -> Char.chr (Random.State.int st 256))))
+
+(* [read_frame ~max] over the case's bytes: the frame it announces when
+   0 <= len <= max and the whole body arrived, else the documented
+   reject, allocating at most [max] bytes plus the slack. *)
+let frame_read_as_documented (max, len, body) =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int len);
+  let bytes = Bytes.unsafe_to_string hdr ^ body in
+  ignore (Unix.write_substring wr bytes 0 (String.length bytes));
+  Unix.close wr;
+  let r, allocated =
+    Fun.protect ~finally:(fun () -> Unix.close rd) @@ fun () ->
+    let a0 = allocated_bytes () in
+    let r = Protocol.read_frame ~max rd in
+    (r, allocated_bytes () -. a0)
+  in
+  let rejected what =
+    match r with
+    | Protocol.Reject (Error.Frame f) -> f.what = what
+    | Protocol.Reject _ | Protocol.Frame _ | Protocol.Eof -> false
+  in
+  allocated <= float_of_int (max + frame_slack)
+  &&
+  if len < 0 then rejected "bad-length"
+  else if len > max then rejected "oversized"
+  else if String.length body < len then rejected "truncated"
+  else r = Protocol.Frame (String.sub body 0 len)
+
 let qcheck_tests =
   [
     QCheck.Test.make ~count:2_000 ~name:"lenient numbers are rejected"
@@ -627,6 +700,8 @@ let qcheck_tests =
         match Fault.parse doc with
         | Ok specs -> List.for_all fault_spec_valid specs
         | Error (_ : string) -> true);
+    QCheck.Test.make ~count:cases ~name:"serve frame" frame_case
+      frame_read_as_documented;
   ]
 
 let suites =

@@ -11,8 +11,7 @@ let p = Point.make
 let g44 () = Grid.make ~w:4 ~h:4 ~hcap:10 ~vcap:10
 
 let test_dir () =
-  Alcotest.(check bool) "flip H" true (Dir.equal (Dir.flip Dir.H) Dir.V);
-  Alcotest.(check bool) "flip V" true (Dir.equal (Dir.flip Dir.V) Dir.H);
+  Alcotest.(check bool) "H is not V" false (Dir.equal Dir.H Dir.V);
   Alcotest.(check string) "names" "H" (Dir.to_string Dir.H)
 
 let test_grid_region_roundtrip () =
@@ -178,8 +177,8 @@ let test_usage_accounting () =
   Alcotest.(check int) "nns H region 0" 1 (Usage.nns u (Grid.region_id g (p 0 0)) Dir.H);
   Alcotest.(check int) "nns V region (1,1)" 1 (Usage.nns u (Grid.region_id g (p 1 1)) Dir.V);
   Alcotest.(check int) "untouched region" 0 (Usage.nns u (Grid.region_id g (p 3 3)) Dir.H);
-  Usage.remove_route u r;
-  Alcotest.(check int) "removed" 0 (Usage.nns u (Grid.region_id g (p 0 0)) Dir.H)
+  Usage.add_route u r;
+  Alcotest.(check int) "added twice" 2 (Usage.nns u (Grid.region_id g (p 0 0)) Dir.H)
 
 let test_usage_shields_overflow () =
   let g = Grid.make ~w:2 ~h:2 ~hcap:2 ~vcap:2 in
@@ -192,7 +191,6 @@ let test_usage_shields_overflow () =
   Alcotest.(check int) "total overflow" 3 (Usage.total_overflow u);
   Alcotest.(check int) "total shields" 5 (Usage.total_shields u);
   Alcotest.(check (float 1e-9)) "utilization" 2.5 (Usage.utilization u r0 Dir.H);
-  Alcotest.(check bool) "most congested" true (Usage.most_congested u = (r0, Dir.H));
   Alcotest.check_raises "negative shields"
     (Invalid_argument "Usage.set_shields: negative") (fun () ->
       Usage.set_shields u r0 Dir.H (-1))

@@ -164,12 +164,9 @@ let test_agg_top () =
        (fun r -> r.Journal.Agg.key)
        (Journal.Agg.top ~by:"pops" ~k:3 rows))
 
-let test_filter_dim () =
-  let evs =
-    [ mk "net.route" "1" []; mk "net.route" "2" []; mk "net.refine" "1" [] ]
-  in
-  Alcotest.(check int) "filtered" 2
-    (List.length (Journal.filter_dim ~key:"net" ~value:"1" evs));
+let test_dim_value () =
+  Alcotest.(check (option string)) "bound key" (Some "1")
+    (Journal.dim_value (mk "net.route" "1" []) "net");
   Alcotest.(check (option string)) "missing key" None
     (Journal.dim_value { Journal.ev = "x"; dim = []; data = []; outcome = None } "net")
 
@@ -381,7 +378,7 @@ let suites =
       [
         Alcotest.test_case "by_dim" `Quick test_agg_by_dim;
         Alcotest.test_case "top" `Quick test_agg_top;
-        Alcotest.test_case "filter_dim" `Quick test_filter_dim;
+        Alcotest.test_case "dim_value" `Quick test_dim_value;
       ] );
     ( "journal.vocabulary",
       [

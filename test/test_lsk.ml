@@ -260,7 +260,7 @@ let test_default_table_golden () =
   golden "built-in entries" Gsino.Tech.(lsk_model default);
   golden "simulated entries"
     (Table_builder.build ~keff:Gsino.Tech.default.Gsino.Tech.keff
-       Gsino.Tech.default.Gsino.Tech.electrical)
+       Table_builder.default_electrical)
 
 (* The 98 transient simulations allocate little per step: minor words
    of one default build (the dense per-step solve and boxed inductance

@@ -21,14 +21,6 @@ let test_net_bbox_hpwl () =
   Alcotest.(check bool) "bbox" true
     (Eda_geom.Rect.equal (Net.bbox n) (Eda_geom.Rect.make 0 1 5 4))
 
-let test_net_manhattan_to_sink () =
-  let n = Net.make ~id:0 ~source:(p 0 0) ~sinks:[| p 3 4; p 1 0 |] in
-  Alcotest.(check int) "sink 0" 7 (Net.manhattan_to_sink n 0);
-  Alcotest.(check int) "sink 1" 1 (Net.manhattan_to_sink n 1);
-  Alcotest.check_raises "bad sink"
-    (Invalid_argument "Net.manhattan_to_sink: no such sink") (fun () ->
-      ignore (Net.manhattan_to_sink n 2))
-
 let test_netlist_validate () =
   let nets = [| two_pin 0 (p 0 0) (p 1 1); two_pin 1 (p 2 2) (p 3 3) |] in
   let nl = Netlist.make ~name:"t" ~grid_w:4 ~grid_h:4 ~gcell_um:10.0 nets in
@@ -97,31 +89,6 @@ let test_sensitivity_bad_rate () =
       Alcotest.check_raises what (Invalid_argument "Sensitivity.make: bad rate")
         (fun () -> ignore (Sensitivity.make ~seed:0 ~rate)))
     [ ("rate > 1", 1.5); ("rate < 0", -0.1); ("rate NaN", Float.nan) ]
-
-let test_segment_sensitivity () =
-  let s = Sensitivity.make ~seed:3 ~rate:1.0 in
-  Alcotest.(check (float 1e-9)) "all sensitive" 1.0
-    (Sensitivity.segment_sensitivity s ~net:0 ~neighbours:[| 0; 1; 2; 3 |]);
-  Alcotest.(check (float 1e-9)) "alone" 0.0
-    (Sensitivity.segment_sensitivity s ~net:0 ~neighbours:[| 0 |]);
-  let s0 = Sensitivity.make ~seed:3 ~rate:0.0 in
-  Alcotest.(check (float 1e-9)) "none sensitive" 0.0
-    (Sensitivity.segment_sensitivity s0 ~net:0 ~neighbours:[| 0; 1; 2 |])
-
-let test_segment_sensitivity_edge_cases () =
-  let s = Sensitivity.make ~seed:3 ~rate:1.0 in
-  (* empty region: no neighbours at all, not even the net itself *)
-  Alcotest.(check (float 1e-9)) "empty region" 0.0
-    (Sensitivity.segment_sensitivity s ~net:0 ~neighbours:[||]);
-  (* the net need not appear in [neighbours]; every entry then counts *)
-  Alcotest.(check (float 1e-9)) "net absent from region" 1.0
-    (Sensitivity.segment_sensitivity s ~net:9 ~neighbours:[| 1; 2 |]);
-  (* duplicate self entries never count as neighbours *)
-  Alcotest.(check (float 1e-9)) "only self entries" 0.0
-    (Sensitivity.segment_sensitivity s ~net:4 ~neighbours:[| 4; 4; 4 |]);
-  Alcotest.check_raises "negative rate"
-    (Invalid_argument "Sensitivity.make: bad rate") (fun () ->
-      ignore (Sensitivity.make ~seed:0 ~rate:(-0.1)))
 
 let test_generator_profiles () =
   Alcotest.(check int) "six circuits" 6 (List.length Generator.all_ibm);
@@ -223,7 +190,6 @@ let suites =
       [
         Alcotest.test_case "make" `Quick test_net_make;
         Alcotest.test_case "bbox/hpwl" `Quick test_net_bbox_hpwl;
-        Alcotest.test_case "manhattan_to_sink" `Quick test_net_manhattan_to_sink;
       ] );
     ( "netlist.netlist",
       [
@@ -238,9 +204,6 @@ let suites =
         Alcotest.test_case "extremes" `Quick test_sensitivity_extremes;
         Alcotest.test_case "empirical rate" `Quick test_sensitivity_rate_empirical;
         Alcotest.test_case "bad rate" `Quick test_sensitivity_bad_rate;
-        Alcotest.test_case "segment sensitivity" `Quick test_segment_sensitivity;
-        Alcotest.test_case "segment sensitivity edge cases" `Quick
-          test_segment_sensitivity_edge_cases;
       ] );
     ( "netlist.generator",
       [

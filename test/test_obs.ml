@@ -8,11 +8,11 @@ module Log = Eda_obs.Log
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 let check_float ?eps msg a b = Alcotest.(check bool) msg true (feq ?eps a b)
 
-(* Every test starts from a clean registry/trace; registrations are
-   process-global and the whole binary shares them. *)
-let fresh () =
-  Metrics.reset ();
-  Trace.disable ()
+(* Every test runs in a registry of its own, with tracing off;
+   registrations are process-global and the whole binary shares them. *)
+let fresh f =
+  Trace.disable ();
+  Metrics.with_registry (Metrics.fresh_registry ()) f
 
 (* ---------------------------- Json --------------------------------- *)
 
@@ -150,7 +150,7 @@ let test_json_member () =
 (* --------------------------- Metrics ------------------------------- *)
 
 let test_counter_arithmetic () =
-  fresh ();
+  fresh @@ fun () ->
   let c = Metrics.counter "t.counter" in
   Alcotest.(check int) "starts at 0" 0 (Metrics.counter_value c);
   Metrics.incr c;
@@ -161,14 +161,14 @@ let test_counter_arithmetic () =
   Alcotest.(check int) "same instrument" 43 (Metrics.counter_value c)
 
 let test_gauge_set_accum () =
-  fresh ();
+  fresh @@ fun () ->
   let g = Metrics.gauge "t.gauge" in
   Metrics.set g 2.5;
   Metrics.accum g 0.5;
   check_float "set + accum" 3.0 (Metrics.gauge_value g)
 
 let test_labels_distinguish () =
-  fresh ();
+  fresh @@ fun () ->
   let h = Metrics.counter ~labels:[ ("dir", "H") ] "t.panels" in
   let v = Metrics.counter ~labels:[ ("dir", "V") ] "t.panels" in
   Metrics.add h 3;
@@ -180,7 +180,7 @@ let test_labels_distinguish () =
     (Metrics.counter_total snap "t.panels")
 
 let test_kind_mismatch_rejected () =
-  fresh ();
+  fresh @@ fun () ->
   ignore (Metrics.counter "t.kind");
   Alcotest.(check bool)
     "gauge under a counter name" true
@@ -189,7 +189,7 @@ let test_kind_mismatch_rejected () =
     | exception Invalid_argument _ -> true)
 
 let test_histogram_summary () =
-  fresh ();
+  fresh @@ fun () ->
   let h = Metrics.histogram "t.hist" in
   List.iter (Metrics.observe h) [ 1.0; 2.0; 3.0; 1024.0 ];
   let s = Metrics.histogram_summary h in
@@ -203,8 +203,10 @@ let test_histogram_summary () =
     "log2 bucketing" true
     (List.exists (fun (_, n) -> n = 2) s.Metrics.buckets)
 
+(* Two snapshots replayed into one registry merge: counters and
+   histograms add, and a gauge takes the later snapshot's value. *)
 let test_snapshot_find_and_merge () =
-  fresh ();
+  fresh @@ fun () ->
   let c = Metrics.counter "t.c" in
   let g = Metrics.gauge "t.g" in
   let h = Metrics.histogram "t.h" in
@@ -216,7 +218,11 @@ let test_snapshot_find_and_merge () =
   Metrics.set g 9.0;
   Metrics.observe h 8.0;
   let b = Metrics.snapshot () in
-  let m = Metrics.merge a b in
+  let (), m =
+    Metrics.record (fun () ->
+        Metrics.replay a;
+        Metrics.replay b)
+  in
   (match Metrics.find m "t.c" with
   | Some (Metrics.Counter n) -> Alcotest.(check int) "counters add" 12 n
   | Some (Metrics.Gauge _ | Metrics.Histogram _) | None ->
@@ -232,7 +238,7 @@ let test_snapshot_find_and_merge () =
       Alcotest.fail "t.h missing or wrong kind"
 
 let test_metrics_json_parses () =
-  fresh ();
+  fresh @@ fun () ->
   Metrics.add (Metrics.counter "t.c") 7;
   Metrics.observe (Metrics.histogram ~labels:[ ("phase", "x") ] "t.h") 3.0;
   let j = Metrics.to_json (Metrics.snapshot ()) in
@@ -245,7 +251,7 @@ let test_metrics_json_parses () =
   | Some _ | None -> Alcotest.fail "metrics array missing or empty"
 
 let test_with_registry_restores () =
-  fresh ();
+  fresh @@ fun () ->
   let c = Metrics.counter "t.scoped" in
   Metrics.add c 2;
   let outer = Metrics.current_registry () in
@@ -268,8 +274,7 @@ let test_with_registry_restores () =
 
 (* A replay stands for recording done here: counters and histograms
    add, a gauge takes the recorded value and a zero entry still shows,
-   so replaying twice equals recording twice (an absorb would add the
-   gauge and skip the zero). *)
+   so replaying twice equals recording twice. *)
 let test_replay_equals_recording () =
   let c = Metrics.counter "t.replay_c" and g = Metrics.gauge "t.replay_g" in
   let h = Metrics.histogram "t.replay_h" and z = Metrics.counter "t.replay_zero" in
@@ -280,16 +285,14 @@ let test_replay_equals_recording () =
     ignore (Metrics.counter_value z)
   in
   let twice f =
-    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
-    f ();
-    f ();
-    Metrics.entries (Metrics.snapshot ())
+    let (), snap =
+      Metrics.record (fun () ->
+          f ();
+          f ())
+    in
+    Metrics.entries snap
   in
-  let snap =
-    Metrics.with_registry (Metrics.fresh_registry ()) @@ fun () ->
-    record ();
-    Metrics.snapshot ()
-  in
+  let (), snap = Metrics.record record in
   let replayed = twice (fun () -> Metrics.replay snap) in
   Alcotest.(check bool) "two replays equal two recordings" true
     (twice record = replayed);
@@ -299,7 +302,7 @@ let test_replay_equals_recording () =
     (List.mem ("t.replay_zero", [], Metrics.Counter 0) replayed)
 
 let test_zeroed_copy () =
-  fresh ();
+  fresh @@ fun () ->
   let c = Metrics.counter "t.template_c" in
   Metrics.add c 5;
   Metrics.observe (Metrics.histogram "t.template_h") 2.0;
@@ -330,7 +333,7 @@ let test_zeroed_copy () =
 (* ---------------------------- Trace -------------------------------- *)
 
 let test_span_nesting () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ();
   let r =
     Trace.span "outer" (fun () ->
@@ -355,7 +358,7 @@ let test_span_nesting () =
   Trace.disable ()
 
 let test_span_closes_on_raise () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ();
   (try Trace.span "boom" (fun () -> failwith "x") with Failure _ -> ());
   Alcotest.(check int) "depth restored" 0 (Trace.depth ());
@@ -366,7 +369,7 @@ let test_span_closes_on_raise () =
   Trace.disable ()
 
 let test_ring_capacity_and_dropped () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ~capacity:4 ();
   for i = 1 to 10 do
     Trace.instant (Printf.sprintf "i%d" i)
@@ -381,7 +384,7 @@ let test_ring_capacity_and_dropped () =
   Trace.disable ()
 
 let test_dropped_spans_counter () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ~capacity:4 ();
   (* 5 spans = 10 events through a 4-slot ring: 6 events evicted, of
      which 3 are B events — 3 spans lost their begin *)
@@ -399,7 +402,7 @@ let test_dropped_spans_counter () =
   Trace.disable ()
 
 let test_instants_are_not_dropped_spans () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ~capacity:4 ();
   for i = 1 to 10 do
     Trace.instant (Printf.sprintf "d%d" i)
@@ -412,7 +415,7 @@ let test_instants_are_not_dropped_spans () =
   Trace.disable ()
 
 let test_paired_events_drop_orphans () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ~capacity:3 ();
   (* stream B1 E1 ... B5 E5; the 3 survivors are E4 B5 E5 — E4's begin
      was evicted, so the pair-safe view must drop it *)
@@ -444,7 +447,7 @@ let test_paired_events_drop_orphans () =
   Trace.disable ()
 
 let test_unclosed_span_kept_in_paired () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ();
   Trace.span "outer" (fun () ->
       Trace.instant "inside";
@@ -465,7 +468,7 @@ let test_clock_monotone () =
   Alcotest.(check bool) "elapsed non-negative" true (Eda_obs.Clock.elapsed_s t0 >= 0.0)
 
 let test_dropped_spans_zero_without_wrap () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ();
   Trace.instant "one";
   let snap = Metrics.snapshot () in
@@ -477,7 +480,7 @@ let test_dropped_spans_zero_without_wrap () =
   Trace.disable ()
 
 let test_disabled_is_noop () =
-  fresh ();
+  fresh @@ fun () ->
   Alcotest.(check bool) "disabled" false (Trace.enabled ());
   let r = Trace.span "ghost" (fun () -> 5) in
   Trace.instant "ghost2";
@@ -488,7 +491,7 @@ let test_disabled_is_noop () =
   Alcotest.(check bool) "duration still measured" true (dt >= 0.0)
 
 let test_chrome_json_parses () =
-  fresh ();
+  fresh @@ fun () ->
   Trace.enable ();
   Trace.span_args "phase:route" [ ("nets", "12") ] (fun () ->
       Trace.instant ~args:[ ("iter", "1") ] "tick");
@@ -595,7 +598,7 @@ let test_prof_top_share () =
   check_float "empty profile covers trivially" 1.0 (Prof.top_share 10 [])
 
 let test_prof_json_and_metrics () =
-  fresh ();
+  fresh @@ fun () ->
   let rows = Prof.of_events [ ev "x" Trace.B 0.0; ev "x" Trace.E 50.0 ] in
   let j = roundtrip (Prof.to_json rows) in
   (match Json.member "schema" j with
@@ -631,7 +634,7 @@ let test_prof_json_and_metrics () =
       Alcotest.fail "prof.calls gauge missing"
 
 let test_prof_current_and_text () =
-  fresh ();
+  fresh @@ fun () ->
   Alcotest.(check int) "empty when disabled" 0 (List.length (Prof.current ()));
   Trace.enable ();
   Trace.span "phase:demo" (fun () -> Trace.span "leaf" (fun () -> ()));
@@ -693,7 +696,7 @@ let test_progress_single_writer () =
 (* ---------------------------- Gcstat -------------------------------- *)
 
 let test_gcstat_phase () =
-  fresh ();
+  fresh @@ fun () ->
   let r =
     Eda_obs.Gcstat.phase "t" (fun () ->
         (* many small blocks: large arrays go straight to the major heap

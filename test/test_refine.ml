@@ -56,28 +56,29 @@ let setup =
        Noise.violations ~grid ~gcell_um:nl.Netlist.gcell_um ~phase2 ~lsk_model
          ~netlist:nl ~routes:base ~bound_v:tech.Tech.noise_bound_v ()
      in
-     let stats =
+     let stats, post_violations =
        Refine.run ~grid ~netlist:nl ~routes:base ~phase2 ~usage ~lsk_model
          ~bound_v:tech.Tech.noise_bound_v ()
      in
      (* taken here, before any case can refine the store again *)
      let final = (Phase2.total_shields phase2, slots_digest phase2) in
-     (nl, grid, base, phase2, usage, pre_violations, stats, final))
+     (nl, grid, base, phase2, usage, pre_violations, (stats, post_violations), final))
 
 let test_pass1_eliminates () =
-  let _, _, _, _, _, pre, stats, _ = Lazy.force setup in
+  let _, _, _, _, _, pre, (stats, _), _ = Lazy.force setup in
   Alcotest.(check bool) "there was work to do" true (List.length pre > 0);
   Alcotest.(check int) "no residual violations" 0 stats.Refine.residual_violations;
   Alcotest.(check bool) "pass1 did the fixing" true
     (stats.Refine.pass1_nets_fixed > 0)
 
 let test_post_violations_zero () =
-  let nl, grid, base, phase2, _, _, _, _ = Lazy.force setup in
+  let nl, grid, base, phase2, _, _, (_, post), _ = Lazy.force setup in
   let lsk_model = Tech.lsk_model tech in
   let v =
     Noise.violations ~grid ~gcell_um:nl.Netlist.gcell_um ~phase2 ~lsk_model
       ~netlist:nl ~routes:base ~bound_v:tech.Tech.noise_bound_v ()
   in
+  Alcotest.(check int) "returned violations zero" 0 (List.length post);
   Alcotest.(check int) "recomputed violations also zero" 0 (List.length v)
 
 let test_usage_sync () =
@@ -99,22 +100,23 @@ let test_idempotent () =
   (* a second refinement round finds nothing to fix *)
   let nl, grid, base, phase2, usage, _, _, _ = Lazy.force setup in
   let lsk_model = Tech.lsk_model tech in
-  let stats2 =
+  let stats2, violations2 =
     Refine.run ~grid ~netlist:nl ~routes:base ~phase2 ~usage ~lsk_model
       ~bound_v:tech.Tech.noise_bound_v ()
   in
   Alcotest.(check int) "no new fixes" 0 stats2.Refine.pass1_nets_fixed;
+  Alcotest.(check int) "no violations returned" 0 (List.length violations2);
   Alcotest.(check int) "still zero residual" 0 stats2.Refine.residual_violations
 
 let test_stats_printable () =
-  let _, _, _, _, _, _, stats, _ = Lazy.force setup in
+  let _, _, _, _, _, _, (stats, _), _ = Lazy.force setup in
   let s = Format.asprintf "%a" Refine.pp_stats stats in
   Alcotest.(check bool) "non-empty rendering" true (String.length s > 20)
 
 (* Pass 2's exact output on this setup: accepting other layouts, or the
    same ones in another order, moves the digest *)
 let test_pass2_exact () =
-  let _, _, _, _, _, _, stats, (shields, digest) = Lazy.force setup in
+  let _, _, _, _, _, _, (stats, _), (shields, digest) = Lazy.force setup in
   Alcotest.(check int) "pass2 shields removed" 166 stats.Refine.pass2_shields_removed;
   Alcotest.(check int) "total shields" 669 shields;
   Alcotest.(check string) "final slots" "9fbbb2344a8cdff4fde69b11d75933bf" digest

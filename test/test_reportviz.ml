@@ -26,23 +26,20 @@ let count_sub ~sub s =
 
 let tech = Tech.default
 
-(* shared tiny seeded GSINO flow; metrics registry reset first so the
-   snapshot the reports consume belongs to this run alone *)
+(* shared tiny seeded GSINO flow, recorded in a registry of its own so
+   the snapshot the reports consume belongs to this run alone *)
 let fixture =
   lazy
-    (Metrics.reset ();
+    (Metrics.record @@ fun () ->
      let nl =
        Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:0.02 ~seed:7
          Generator.ibm01
      in
      let grid, _base = Flow.prepare tech nl in
      let sensitivity = Sensitivity.make ~seed:11 ~rate:0.30 in
-     let r =
-       Flow.run ~grid
-         { Flow.Config.default with Flow.Config.kind = Flow.Gsino; seed = 7 }
-         tech ~sensitivity nl
-     in
-     (r, Metrics.snapshot ()))
+     Flow.run ~grid
+       { Flow.Config.default with Flow.Config.kind = Flow.Gsino; seed = 7 }
+       tech ~sensitivity nl)
 
 (* ------------------------------ Svg --------------------------------- *)
 

@@ -460,9 +460,10 @@ let stable_journal artifact =
         evs
 
 (* The stable metrics and journal of [o] run as a batch lint would run
-   it, on this domain, in a copy of the current registry (the daemon's
-   start-up registry), journaled when [o] asks for the journal. *)
-let batch_outputs (o : Protocol.options) =
+   it at [jobs] (default 1), on this domain, in a copy of the current
+   registry (the daemon's start-up registry), journaled when [o] asks
+   for the journal. *)
+let batch_outputs ?(jobs = 1) (o : Protocol.options) =
   Eda_obs.Metrics.(with_registry (zeroed_copy (current_registry ()))) @@ fun () ->
   if List.mem Protocol.Journal o.Protocol.artifacts then Eda_obs.Journal.enable ();
   Fun.protect ~finally:Eda_obs.Journal.disable @@ fun () ->
@@ -472,7 +473,7 @@ let batch_outputs (o : Protocol.options) =
       Flow.Config.router = o.Protocol.router;
       budgeting = o.Protocol.budgeting;
       seed = o.Protocol.seed;
-      jobs = 1;
+      jobs;
     }
   in
   Flow.run_kinds config Tech.default ~rate:o.Protocol.rate [ o.Protocol.kind ]
@@ -489,6 +490,25 @@ let prepare_counts () =
   ( Eda_obs.Metrics.counter_total snap "serve.prepare_hits",
     Eda_obs.Metrics.counter_total snap "serve.prepare_misses" )
 
+(* Route [options] on the test netlist: the response's stable metrics
+   and journal must equal [batch_outputs ~jobs options].  At jobs > 1
+   the journals compare as multisets, as CI's routing-service gate
+   compares them: which of two concurrent duplicate panels hits the
+   cache, and so the canonical order, depends on scheduling. *)
+let route_matches_batch ?(jobs = 1) ~socket (what, options) =
+  let _, _, _, arts =
+    expect_result what
+      (Client.request ~timeout_s:120.0 socket
+         (Protocol.Route { netlist = Lazy.force netlist_text; options }))
+  in
+  let metrics, journal = batch_outputs ~jobs options in
+  let order evs = if jobs > 1 then List.sort compare evs else evs in
+  Alcotest.(check bool) (what ^ ": stable metrics equal batch's") true
+    (stable_metric_entries (List.assoc "metrics" arts) = metrics);
+  Alcotest.(check bool) (what ^ ": journal equals batch's") true
+    (order (Option.fold ~none:[] ~some:stable_journal (List.assoc_opt "journal" arts))
+    = order journal)
+
 (* One netlist served at three seeds, then iSINO, then twice with the
    NC router: every request after each router's first replays the
    memo's preparation, and every response equals the batch flow's.
@@ -503,19 +523,7 @@ let test_prepared_netlist_reused () =
           Protocol.artifacts = [ Protocol.Metrics; Protocol.Journal ];
         }
       in
-      List.iter
-        (fun (what, options) ->
-          let _, _, _, arts =
-            expect_result what
-              (Client.request ~timeout_s:120.0 socket
-                 (Protocol.Route { netlist = Lazy.force netlist_text; options }))
-          in
-          let metrics, journal = batch_outputs options in
-          Alcotest.(check bool) (what ^ ": stable metrics equal batch's") true
-            (stable_metric_entries (List.assoc "metrics" arts) = metrics);
-          Alcotest.(check bool) (what ^ ": journal equals batch's") true
-            (Option.fold ~none:[] ~some:stable_journal (List.assoc_opt "journal" arts)
-            = journal))
+      List.iter (route_matches_batch ~socket)
         [
           ("GSINO seed 7, metrics only", { o with Protocol.artifacts = [ Protocol.Metrics ] });
           ("GSINO seed 8", { o with Protocol.seed = 8 });
@@ -525,6 +533,27 @@ let test_prepared_netlist_reused () =
           ("NC hit", { o with Protocol.router = Flow.Negotiated; seed = 8 });
         ]);
   Alcotest.(check (pair int int)) "hits and misses" (4, 2) (prepare_counts ())
+
+(* A pooled daemon answers like a pooled batch run: on a one-worker
+   jobs=2 daemon every pool section of a request, and of the
+   preparation a miss records, reaches the response through a replay.
+   An NC-router, route-aware GSINO request misses and a second seed
+   hits; both equal the batch flow at jobs 2. *)
+let test_pooled_daemon_matches_batch () =
+  Eda_obs.Metrics.(with_registry (fresh_registry ())) @@ fun () ->
+  with_server ~workers:1 ~jobs:2 (fun ~socket _t ->
+      let o =
+        {
+          Protocol.default_options with
+          Protocol.router = Flow.Negotiated;
+          budgeting = Flow.Route_aware;
+          artifacts = [ Protocol.Metrics; Protocol.Journal ];
+        }
+      in
+      List.iter
+        (route_matches_batch ~jobs:2 ~socket)
+        [ ("NC route-aware miss", o); ("NC route-aware hit", { o with Protocol.seed = 8 }) ]);
+  Alcotest.(check (pair int int)) "hits and misses" (1, 1) (prepare_counts ())
 
 (* The netlist with the last byte of its name record replaced by [c]. *)
 let renamed c =
@@ -726,5 +755,7 @@ let suites =
           test_disconnect_cancels_request;
         Alcotest.test_case "queue-full backpressure" `Slow
           test_backpressure_queue_full;
+        Alcotest.test_case "pooled daemon matches pooled batch" `Slow
+          test_pooled_daemon_matches_batch;
       ] );
   ]

@@ -36,7 +36,8 @@ let test_rsmt_three_pins_hpwl () =
   (* for 3 pins the RSMT is the bbox half-perimeter (median star) *)
   let pts = [| p 0 0; p 4 1; p 2 5 |] in
   Alcotest.(check int) "3-pin star" (4 + 5) (Rsmt.length pts);
-  Alcotest.(check bool) "steiner point used" true (Rsmt.steiner_points pts <> [])
+  Alcotest.(check bool) "steiner point used" true
+    (List.length (Rsmt.rectilinear_edges pts) > Array.length pts - 1)
 
 let test_rsmt_plus_sign () =
   (* N/S/E/W cross: RMST = 3 * 2 = 6; one Steiner point at center gives 4 *)
