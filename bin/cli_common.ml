@@ -1,6 +1,7 @@
-(* cli_common — flags, exit codes, observability plumbing and the panel
-   store shared by the two command-line drivers, gsino_run and
-   gsino_serve.
+(* cli_common — the front end shared by the two command-line drivers,
+   gsino_run and gsino_serve: the flag groups, each one cmdliner term,
+   the failure funnel, and the observability lifecycle and panel store
+   around a run.
 
    Every subcommand exposes the same conventions:
    --trace/--metrics/--profile/--journal/--report accept '-' for stdout,
@@ -10,10 +11,11 @@
    mirror Eda_guard.Error.exit_code: 0 success (possibly degraded),
    1 findings/regression breach, 2 usage or input error, 5 internal
    error (singular matrix, worker crash, non-finite value), 6 server
-   overloaded (serve backpressure), 7 peer/stream i/o failure.  Every
-   failure leaves through one funnel (guard_exceptions, via
-   Error.classify) as a coded GSL diagnostic — no uncaught exception
-   reaches the user. *)
+   overloaded (serve backpressure), 7 peer/stream i/o failure.  A
+   command returns its exit code through one funnel ({!guarded}, via
+   Error.classify), which prints any failure as one coded GSL
+   diagnostic — no uncaught exception reaches the user — and only the
+   drivers' [main]s exit. *)
 open Cmdliner
 open Gsino
 module Generator = Eda_netlist.Generator
@@ -28,8 +30,9 @@ module Fault = Eda_guard.Fault
 
 let exit_ok = 0
 let exit_findings = 1
-let exit_usage = 2
-let exit_internal = 5
+
+(* [usage fmt ...] raises the command line's refusal: GSL0029, exit 2. *)
+let usage fmt = Printf.ksprintf (fun msg -> Error.raise_ (Error.Usage { msg })) fmt
 
 (* A closed stdout/stderr/socket must surface as a typed Io error (exit
    7) through the funnel below, not kill the process: without this a
@@ -41,10 +44,6 @@ let () =
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
 
 (* ---------------- shared flags ---------------- *)
-
-let circuit_arg =
-  let doc = "Benchmark circuit (ibm01..ibm06)." in
-  Arg.(value & opt string "ibm01" & info [ "c"; "circuit" ] ~docv:"NAME" ~doc)
 
 (* A float confined to [range]: anything else, NaN included, is
    cmdliner's usage error (exit 124) naming the option, as a malformed
@@ -80,85 +79,120 @@ let rate_arg =
      & opt (bounded_float ~range:"[0, 1]" (fun v -> v >= 0.0 && v <= 1.0)) 0.30
      & info [ "r"; "rate" ] ~docv:"R" ~doc)
 
-let router_arg =
-  let doc =
-    "Global router: 'id' (the paper's iterative deletion) or 'nc' \
-     (negotiated congestion)."
-  in
-  Arg.(value
-     & opt (enum [ ("id", Flow.Iterative_deletion); ("nc", Flow.Negotiated) ])
-         Flow.Iterative_deletion
-     & info [ "router" ] ~docv:"ENGINE" ~doc)
-
-let budgeting_arg =
-  let doc =
-    "Crosstalk budgeting: 'uniform' (the paper's Manhattan split) or \
-     'route-aware'."
-  in
-  Arg.(value
-     & opt (enum [ ("uniform", Flow.Uniform); ("route-aware", Flow.Route_aware) ])
-         Flow.Uniform
-     & info [ "budgeting" ] ~docv:"MODE" ~doc)
-
-let deadline_arg =
-  let doc =
-    "Wall-clock budget for the whole flow, in milliseconds (0 = none).  On \
-     expiry each phase keeps its best-so-far result — routes stay \
-     connected, accounting stays consistent — and the run completes \
-     $(i,degraded) (exit 0, GSL0019 warning in the lint output) instead of \
-     being killed."
-  in
-  Arg.(value & opt int 0 & info [ "deadline" ] ~docv:"MS" ~doc)
-
-let audit_arg =
-  let doc =
-    "Run the pre-route static audit (Eda_analyze) before each flow.  \
-     Provable infeasibilities are logged as GSL0024+/GSL0026 diagnostics \
-     and the flow then proceeds anyway.  Use $(b,gsino_run audit) to fail \
-     fast (exit 1) without routing."
-  in
-  Arg.(value & flag & info [ "audit" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the parallel flow sections (Phase II panels, Phase \
-     III noise scans, per-net candidate preparation).  1 runs fully \
-     sequentially; any value yields identical routing results (see \
-     DESIGN.md).  Defaults to the machine's recommended domain count, \
-     capped at 8."
-  in
-  Arg.(value
-     & opt int (Eda_exec.default_jobs ())
-     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let netlist_file_arg ~doc =
-  Arg.(value & opt (some string) None & info [ "netlist" ] ~docv:"FILE" ~doc)
-
-let progress_arg =
-  let doc =
-    "Emit a live progress heartbeat on stderr (at most one line per \
-     second): current flow phase, items done, elapsed time and — when \
-     $(b,--deadline) is set — remaining budget."
-  in
-  Arg.(value & flag & info [ "progress" ] ~doc)
-
-let verbose_arg =
-  let doc = "Verbose logging (level debug; overrides GSINO_LOG)." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
-let quiet_arg =
-  let doc = "Silence logging entirely (overrides GSINO_LOG and $(b,-v))." in
-  Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
-
-let set_verbosity ~verbose ~quiet =
-  if quiet then Log.set_level Log.Quiet
-  else if verbose then Log.set_level (Log.Level Log.Debug)
-
-(* ---------------- diagnostic printing ---------------- *)
+(* The flow kinds' command-line spellings. *)
+let kind_names = [ ("id-no", Flow.Id_no); ("isino", Flow.Isino); ("gsino", Flow.Gsino) ]
 
 let pretty_arg =
   let doc = "Human-readable diagnostics instead of machine one-liners." in
   Arg.(value & flag & info [ "pretty" ] ~doc)
+
+(* ---------------- the netlist source ---------------- *)
+
+(* Where a command's netlist comes from: a generated benchmark circuit
+   ([circuit] at [scale], placed with [seed]), or a gsino-netlist file. *)
+type source = { circuit : string; scale : float; seed : int; file : string option }
+
+(* [source_term ?netlist ~scale ()] — -c/-s/--seed with the command's
+   default [scale], and --netlist with the doc [netlist] when the
+   command reads files. *)
+let source_term ?netlist ~scale () =
+  let circuit_arg =
+    let doc = "Benchmark circuit (ibm01..ibm06)." in
+    Arg.(value & opt string "ibm01" & info [ "c"; "circuit" ] ~docv:"NAME" ~doc)
+  in
+  let file_arg =
+    match netlist with
+    | None -> Term.const None
+    | Some doc ->
+        Arg.(value & opt (some string) None & info [ "netlist" ] ~docv:"FILE" ~doc)
+  in
+  Term.(
+    const (fun circuit scale seed file -> { circuit; scale; seed; file })
+    $ circuit_arg $ scale_arg ~default:scale () $ seed_arg $ file_arg)
+
+let profile_of_name name =
+  match Generator.find_ibm name with
+  | Some p -> p
+  | None -> usage "unknown circuit %s (expected ibm01..ibm06)" name
+
+let netlist tech src =
+  match src.file with
+  | Some file -> Eda_netlist.Io.load file
+  | None ->
+      Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:src.scale
+        ~seed:src.seed (profile_of_name src.circuit)
+
+(* ---------------- the flow request ---------------- *)
+
+type flow_flag = Seed | Router | Budgeting | Jobs | Deadline | Audit
+
+(* [flow_term flags] — the Flow.Config.t a command's flags request:
+   each flag in [flags] sets its field, the others keep
+   Flow.Config.default's.  --seed is the netlist source's flag too, so
+   one seed places the netlist and seeds the flow. *)
+let flow_term flags =
+  let router_arg =
+    let doc =
+      "Global router: 'id' (the paper's iterative deletion) or 'nc' \
+       (negotiated congestion)."
+    in
+    Arg.(value
+       & opt (enum Flow.routers) Flow.Iterative_deletion
+       & info [ "router" ] ~docv:"ENGINE" ~doc)
+  in
+  let budgeting_arg =
+    let doc =
+      "Crosstalk budgeting: 'uniform' (the paper's Manhattan split) or \
+       'route-aware'."
+    in
+    Arg.(value
+       & opt (enum Flow.budgetings) Flow.Uniform
+       & info [ "budgeting" ] ~docv:"MODE" ~doc)
+  in
+  let jobs_arg =
+    let doc =
+      "Worker domains for the parallel flow sections (Phase II panels, \
+       Phase III noise scans, per-net candidate preparation).  1 runs \
+       fully sequentially; any value yields identical routing results (see \
+       DESIGN.md).  Defaults to the machine's recommended domain count, \
+       capped at 8."
+    in
+    Arg.(value
+       & opt int (Eda_exec.default_jobs ())
+       & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  in
+  let deadline_arg =
+    let doc =
+      "Wall-clock budget for the whole flow, in milliseconds (0 = none).  \
+       On expiry each phase keeps its best-so-far result — routes stay \
+       connected, accounting stays consistent — and the run completes \
+       $(i,degraded) (exit 0, GSL0019 warning in the lint output) instead \
+       of being killed."
+    in
+    Arg.(value & opt int 0 & info [ "deadline" ] ~docv:"MS" ~doc)
+  in
+  let audit_arg =
+    let doc =
+      "Run the pre-route static audit (Eda_analyze) before each flow.  \
+       Provable infeasibilities are logged as GSL0024+/GSL0026 diagnostics \
+       and the flow then proceeds anyway.  Use $(b,gsino_run audit) to \
+       fail fast (exit 1) without routing."
+    in
+    Arg.(value & flag & info [ "audit" ] ~doc)
+  in
+  let d = Flow.Config.default in
+  let mk flag arg default = if List.mem flag flags then arg else Term.const default in
+  Term.(
+    const (fun seed router budgeting jobs deadline_ms audit ->
+        { d with Flow.Config.seed; router; budgeting; jobs; deadline_ms; audit })
+    $ mk Seed seed_arg d.seed
+    $ mk Router router_arg d.router
+    $ mk Budgeting budgeting_arg d.budgeting
+    $ mk Jobs jobs_arg d.jobs
+    $ mk Deadline deadline_arg d.deadline_ms
+    $ mk Audit audit_arg d.audit)
+
+(* ---------------- diagnostic printing ---------------- *)
 
 (* How the lint and audit subcommands print their findings. *)
 type diag_print = { pretty : bool; max_print : int; errors_only : bool }
@@ -243,40 +277,61 @@ module Sinks = struct
            timings, metric charts) to $(docv); '-' prints the plain-text \
            report to stdout instead." )
 
-  type t = {
-    trace : string option;
-    profile : string option;
-    metrics : string option;
-    journal : string option;
-    report : string option;
-  }
+  (* the sinks given, each with its file, in spec order *)
+  type t = (kind * string) list
 
-  let none =
-    { trace = None; profile = None; metrics = None; journal = None; report = None }
+  let get (t : t) kind = List.assoc_opt kind t
 
-  let get t = function
-    | Trace -> t.trace
-    | Profile -> t.profile
-    | Metrics -> t.metrics
-    | Journal -> t.journal
-    | Report -> t.report
-
-  (* every sink as (flag, value), spec order — what GSL0029 arbitrates *)
-  let pairs t = List.map (fun k -> (fst (spec k), get t k)) all
-
-  let arg kind =
-    let name, doc = spec kind in
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
-
-  (* [term kinds] — the sink flags this driver exposes; kinds not listed
-     parse as absent so downstream plumbing is uniform *)
+  (* [term kinds] — the sink flags this driver exposes, read as the
+     sinks given *)
   let term kinds =
-    let mk kind = if List.mem kind kinds then arg kind else Term.const None in
-    Term.(
-      const (fun trace profile metrics journal report ->
-          { trace; profile; metrics; journal; report })
-      $ mk Trace $ mk Profile $ mk Metrics $ mk Journal $ mk Report)
+    List.fold_right
+      (fun kind rest ->
+        if not (List.mem kind kinds) then rest
+        else
+          let name, doc = spec kind in
+          let file =
+            Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+          in
+          let add file rest =
+            match file with Some f -> (kind, f) :: rest | None -> rest
+          in
+          Term.(const add $ file $ rest))
+      all (Term.const [])
 end
+
+(* ---------------- the observability set ---------------- *)
+
+(* What a command records of itself: its artifact sinks, the --progress
+   heartbeat, and the log level (-v/-q). *)
+type obs = { sinks : Sinks.t; progress : bool; verbose : bool; quiet : bool }
+
+(* the set of a command without these flags *)
+let no_obs = { sinks = []; progress = false; verbose = false; quiet = false }
+
+(* [obs_term ?progress kinds] — the sink flags [kinds], --progress when
+   [progress], and -v/-q. *)
+let obs_term ?(progress = false) kinds =
+  let progress_arg =
+    let doc =
+      "Emit a live progress heartbeat on stderr (at most one line per \
+       second): current flow phase, items done, elapsed time and — when \
+       $(b,--deadline) is set — remaining budget."
+    in
+    if progress then Arg.(value & flag & info [ "progress" ] ~doc)
+    else Term.const false
+  in
+  let verbose_arg =
+    let doc = "Verbose logging (level debug; overrides GSINO_LOG)." in
+    Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+  in
+  let quiet_arg =
+    let doc = "Silence logging entirely (overrides GSINO_LOG and $(b,-v))." in
+    Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
+  in
+  Term.(
+    const (fun sinks progress verbose quiet -> { sinks; progress; verbose; quiet })
+    $ Sinks.term kinds $ progress_arg $ verbose_arg $ quiet_arg)
 
 (* ---------------- panel cache ---------------- *)
 
@@ -299,88 +354,51 @@ let panel_cache_term =
   in
   Arg.(value & opt (some string) None & info [ "panel-cache" ] ~docv:"DIR" ~env ~doc)
 
+(* [f ()], then [finish ()], also when [f] raises; a failure of [finish]
+   then is dropped, so [f]'s error is the one reported. *)
+let finishing f finish =
+  match f () with
+  | v ->
+      finish ();
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try finish () with _ -> ());
+      Printexc.raise_with_backtrace e bt
+
 (* [with_panel_store dir f] — the invocation's panel store: with a
    --panel-cache directory, [f] gets the store loaded from it once and
    the store is saved back once when [f] ends, however many flows [f]
    runs on it; without one, [f] gets [None] and each of the caller's
-   flows memoizes in a cache of its own.  [f] raising still saves (a
-   failure there is dropped so [f]'s error is the one reported): the
+   flows memoizes in a cache of its own.  [f] raising still saves: the
    solves made before the failure are kept, and every entry is verified
    on hit. *)
 let with_panel_store dir f =
   match dir with
   | None -> f None
-  | Some dir -> (
+  | Some dir ->
       let store = Eda_sino.Cache.load dir in
-      match f (Some store) with
-      | v ->
-          Eda_sino.Cache.save store dir;
-          v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          (try Eda_sino.Cache.save store dir with _ -> ());
-          Printexc.raise_with_backtrace e bt)
+      finishing (fun () -> f (Some store)) (fun () -> Eda_sino.Cache.save store dir)
 
-(* ---------------- stdout arbitration ---------------- *)
+(* ---------------- the failure funnel ---------------- *)
 
 (* "-" routes an artifact to stdout.  At most one artifact may claim
    stdout; when one does the human-readable output is silenced (a null
    formatter) so the artifact stays machine-parseable.  Two sinks both
-   set to '-' would interleave JSON on one stream, so that is rejected
-   up front as a coded usage error (GSL0029, exit 2) naming the
-   offending flags.  Driven by the Sinks spec table, the check covers
-   every sink pair of every driver uniformly. *)
-let claim_stdout ~prog sinks =
-  match List.filter (fun (_, v) -> v = Some "-") (Sinks.pairs sinks) with
-  | [] -> false
-  | [ _ ] -> true
+   set to '-' would interleave JSON on one stream, so that is a usage
+   error naming the offending flags.  Driven by the Sinks spec table,
+   the check covers every sink pair of every driver uniformly. *)
+let out_formatter ~prog sinks =
+  match List.filter (fun (_, file) -> file = "-") sinks with
+  | [] -> Format.std_formatter
+  | [ _ ] -> Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
   | clash ->
-      let flags =
-        String.concat " and " (List.map (fun (f, _) -> "--" ^ f) clash)
-      in
-      let d =
-        Diag.makef ~code:29 Diag.Error
-          "%s: %s each claim stdout ('-'); at most one artifact may write \
-           to stdout per invocation"
-          prog flags
-      in
-      prerr_endline (Diag.to_line d);
-      exit exit_usage
-
-let out_formatter ~claimed =
-  if claimed then Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-  else Format.std_formatter
-
-(* ---------------- failure funnel ---------------- *)
-
-(* The one rendering of a typed failure: its GSL code, a locus when the
-   payload names one, and the class message. *)
-let diag_of_error e =
-  let locus =
-    match e with
-    | Error.Unreachable { net; _ } -> Some (Diag.Net net)
-    | Error.Parse _ | Error.Singular_matrix _ | Error.Worker_crash _
-    | Error.Nonfinite _ | Error.Frame _ | Error.Overload _ | Error.Io _ ->
-        None
-  in
-  Diag.make ~code:(Error.gsl_code e) Diag.Error ?locus (Error.to_string e)
-
-(* [exit] flushes stdout and re-raises when that fails.  Once stdout's
-   reader is gone (a pager quit, `| head`), point fd 1 at /dev/null, so
-   the failure being reported keeps its exit code. *)
-let release_closed_stdout () =
-  try flush stdout
-  with Sys_error _ ->
-    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    Unix.dup2 null Unix.stdout;
-    Unix.close null
-
-let report_error ~pretty e =
-  let d = diag_of_error e in
-  if pretty then Format.eprintf "%a@." Diag.pp d
-  else prerr_endline (Diag.to_line d);
-  release_closed_stdout ();
-  exit (Error.exit_code e)
+      usage
+        "%s: %s each claim stdout ('-'); at most one artifact may write to \
+         stdout per invocation"
+        prog
+        (String.concat " and "
+           (List.map (fun (kind, _) -> "--" ^ fst (Sinks.spec kind)) clash))
 
 (* Install faults requested via GSINO_FAULTS before any worker domain
    exists; a malformed spec is a usage error. *)
@@ -391,22 +409,57 @@ let init_faults ~prog () =
         Log.warn
           ~fields:[ ("sites", String.concat "," (Fault.sites ())) ]
           "fault injection active (%s)" Fault.env_var
-  | Error msg ->
-      Format.eprintf "%s: invalid %s: %s@." prog Fault.env_var msg;
-      exit exit_usage
+  | Error msg -> usage "%s: invalid %s: %s" prog Fault.env_var msg
 
-(* Catch everything a run can throw and leave through the documented
-   exit codes: Error.classify keeps typed errors, folds known foreign
-   exceptions in, and turns anything else into an internal worker-crash
-   (GSL0022, exit 5). *)
-let guard_exceptions ?(pretty = false) f =
-  try f () with exn -> report_error ~pretty (Error.classify ~site:"cli" exn)
+(* Once stdout's reader is gone (a pager quit, `| head`), point fd 1 at
+   /dev/null: the exit flushes stdout, and a failing flush would replace
+   the exit code of the failure being reported. *)
+let release_closed_stdout () =
+  try flush stdout
+  with Sys_error _ ->
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Unix.dup2 null Unix.stdout;
+    Unix.close null
 
-(* The funnel of a subcommand without artifact sinks: faults from
-   GSINO_FAULTS, then [f] inside {!guard_exceptions}. *)
-let guarded ~prog f =
-  init_faults ~prog ();
-  guard_exceptions f
+(* The one printer of a failure: one coded line on stderr, or the
+   human-readable rendering with [pretty]. *)
+let print_failure ~pretty d =
+  release_closed_stdout ();
+  if pretty then Format.eprintf "%a@." Diag.pp d
+  else prerr_endline (Diag.to_line d)
+
+(* The one rendering of a typed failure: its GSL code, a locus when the
+   payload names one, and the class message. *)
+let diag_of_error e =
+  let locus =
+    match e with
+    | Error.Unreachable { net; _ } -> Some (Diag.Net net)
+    | Error.Parse _ | Error.Singular_matrix _ | Error.Worker_crash _
+    | Error.Nonfinite _ | Error.Frame _ | Error.Overload _ | Error.Io _
+    | Error.Usage _ ->
+        None
+  in
+  Diag.make ~code:(Error.gsl_code e) Diag.Error ?locus (Error.to_string e)
+
+(* [guarded ?pretty ?faults ?obs ~prog f] — the funnel every command
+   returns its exit code through.  It applies -v/-q, arbitrates stdout
+   between [obs]'s sinks, installs GSINO_FAULTS when [faults], and
+   returns [f out], [out] being the human-readable output.  Anything
+   raised on the way — a usage error before any work starts, or a
+   failure of [f] — is folded in by Error.classify (a foreign exception
+   becomes an internal worker-crash, GSL0022), printed as one coded line
+   and answered with its exit code. *)
+let guarded ?(pretty = false) ?(faults = false) ?(obs = no_obs) ~prog f =
+  try
+    if obs.quiet then Log.set_level Log.Quiet
+    else if obs.verbose then Log.set_level (Log.Level Log.Debug);
+    let out = out_formatter ~prog obs.sinks in
+    if faults then init_faults ~prog ();
+    f out
+  with exn ->
+    let e = Error.classify ~site:"cli" exn in
+    print_failure ~pretty (diag_of_error e);
+    Error.exit_code e
 
 (* ---------------- observability lifecycle ---------------- *)
 
@@ -414,36 +467,27 @@ let guarded ~prog f =
    the flag was given. *)
 let flush sink render = Option.iter (fun s -> Artifact.write s (render s)) sink
 
-(* Apply -v/-q, configure fault injection, enable tracing (--trace, or
-   --profile which needs the same spans) and the --progress heartbeat
-   when requested, then run [f] and flush the trace/profile/metrics
-   artifacts, both inside the {!guard_exceptions} funnel: an unwritable
-   sink fails like any other error (GSL0022, exit 5).  A run that fails
-   first still flushes its artifacts for triage, and keeps its own exit
-   code ([pretty] switches diagnostics to the human-readable renderer).
-   Flush order matters: the profile folds the trace ring and publishes
-   prof.* gauges, so it runs after the trace export and before the
-   metrics snapshot.  The report sink stays a per-driver concern (it
-   needs the flow result); everything else flushes here. *)
-let with_obs ?(pretty = false) ?(prog = "gsino") ?(progress = false) ~sinks
-    ~verbose ~quiet f =
-  let { Sinks.trace; profile; metrics; journal; report = _ } = sinks in
-  set_verbosity ~verbose ~quiet;
-  init_faults ~prog ();
-  (match (trace, profile) with
-  | Some _, _ | _, Some _ -> Trace.enable ()
-  | None, None -> ());
+(* {!guarded} with fault injection, around a run that records itself:
+   enable tracing (--trace, or --profile which needs the same spans),
+   the journal and the --progress heartbeat as [obs] asks, run [f], and
+   flush the trace/profile/journal/metrics artifacts when [f] returns or
+   raises.  A flush that fails after a clean run fails it like any other
+   error (GSL0022, exit 5); after a failed run it is dropped, and the
+   run keeps its own exit code.  Flush order matters: the profile folds
+   the trace ring and publishes prof.* gauges, so it runs after the
+   trace export and before the metrics snapshot.  The report sink stays
+   a per-driver concern (it needs the flow result). *)
+let with_obs ?pretty ~prog obs f =
+  guarded ?pretty ~faults:true ~obs ~prog @@ fun out ->
+  let sink = Sinks.get obs.sinks in
+  let trace = sink Trace and profile = sink Profile and journal = sink Journal in
+  if trace <> None || profile <> None then Trace.enable ();
   (* on this domain, which coordinates the flows and records every event *)
-  (match journal with Some _ -> Eda_obs.Journal.enable () | None -> ());
-  if progress then Eda_obs.Progress.enable ();
-  (* idempotent, and also registered with at_exit: report_error leaves
-     through Stdlib.exit, which does not unwind, yet a failed run must
-     still drop its artifacts.  There a sink that cannot be written is
-     ignored, so the error already reported keeps its exit code. *)
-  let flushed = ref false in
-  let finish () =
-    if not !flushed then begin
-      flushed := true;
+  if journal <> None then Eda_obs.Journal.enable ();
+  if obs.progress then Eda_obs.Progress.enable ();
+  finishing
+    (fun () -> f out)
+    (fun () ->
       Eda_obs.Progress.disable ();
       flush trace (fun _ -> Artifact.trace ());
       flush profile (fun sink ->
@@ -455,26 +499,4 @@ let with_obs ?(pretty = false) ?(prog = "gsino") ?(progress = false) ~sinks
       (* before the metrics snapshot: journal.events is already counted,
          and the journal write must not disturb the registry *)
       flush journal (fun _ -> Artifact.journal ());
-      flush metrics (fun _ -> Artifact.metrics ())
-    end
-  in
-  at_exit (fun () -> try finish () with _ -> ());
-  guard_exceptions ~pretty (fun () ->
-      let code = f () in
-      finish ();
-      code)
-
-(* ---------------- netlist acquisition ---------------- *)
-
-let profile_of_name name =
-  match Generator.find_ibm name with
-  | Some p -> p
-  | None ->
-      Format.eprintf "unknown circuit %s (expected ibm01..ibm06)@." name;
-      exit exit_usage
-
-let netlist_of tech ~circuit ~scale ~seed = function
-  | Some file -> Eda_netlist.Io.load file
-  | None ->
-      Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed
-        (profile_of_name circuit)
+      flush (sink Metrics) (fun _ -> Artifact.metrics ()))

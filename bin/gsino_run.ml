@@ -13,22 +13,21 @@
      diff    — compare two gsino-metrics-v1 snapshots, gate on a policy
 
    `run`, `lint` and `map` reach the flows through Flow.run_kinds, the
-   entry the serve daemon uses too.  The flags shared with gsino_serve
-   (--trace/--metrics/--profile/--journal/--report sinks, -v/-q, --jobs,
-   --panel-cache, circuit selection) live in Cli_common. *)
+   entry the serve daemon uses too.  The flag groups shared with
+   gsino_serve (the netlist source, the flow request, the observability
+   set, --panel-cache) and the failure funnel every command returns its
+   exit code through live in Cli_common. *)
 open Cmdliner
 open Gsino
 module Metrics = Eda_obs.Metrics
 module Diag = Eda_check.Diag
 module C = Cli_common
 
-let all_kinds = [ Flow.Id_no; Flow.Isino; Flow.Gsino ]
+let prog = "gsino_run"
+let all_kinds = List.map snd C.kind_names
 
-let netlist_file_arg =
-  C.netlist_file_arg
-    ~doc:
-      "Load the netlist from FILE (gsino-netlist v1) instead of generating \
-       one."
+let netlist_doc =
+  "Load the netlist from FILE (gsino-netlist v1) instead of generating one."
 
 (* ---------------- run ---------------- *)
 
@@ -41,26 +40,11 @@ type rendered = {
 }
 
 let run_cmd =
-  let run circuit scale seed rate router budgeting jobs deadline audit
-      netlist_file sinks panel_cache progress verbose quiet =
-    let claimed = C.claim_stdout ~prog:"gsino_run" sinks in
-    let out = C.out_formatter ~claimed in
-    C.with_obs ~prog:"gsino_run" ~progress ~sinks ~verbose ~quiet
-    @@ fun () ->
+  let run src config rate obs panel_cache =
+    C.with_obs ~prog obs @@ fun out ->
     let tech = Tech.default in
-    let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
+    let netlist = C.netlist tech src in
     Format.fprintf out "%a@." Eda_netlist.Netlist.pp_summary netlist;
-    let config =
-      {
-        Flow.Config.default with
-        Flow.Config.router;
-        budgeting;
-        seed;
-        jobs;
-        deadline_ms = deadline;
-        audit;
-      }
-    in
     (* each flow is rendered as it ends, so only one flow's solution is
        alive at a time; the GSINO one is kept for --report *)
     let report_flow = ref None in
@@ -97,7 +81,7 @@ let run_cmd =
     List.iter (fun f -> Option.iter line f.stats) flows;
     List.iter (fun f -> List.iter line f.lint) flows;
     Format.fprintf out "@.%a" Report.metrics_summary (Metrics.snapshot ());
-    (match (sinks.C.Sinks.report, !report_flow) with
+    (match (C.Sinks.get obs.C.sinks Report, !report_flow) with
     | None, _ | _, None -> ()
     | Some dest, Some gsino_r -> (
         let snapshot = Metrics.snapshot () in
@@ -117,47 +101,49 @@ let run_cmd =
   in
   let doc = "Run ID+NO, iSINO and GSINO on one circuit at one sensitivity rate." in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ C.circuit_arg $ C.scale_arg () $ C.seed_arg $ C.rate_arg
-          $ C.router_arg $ C.budgeting_arg $ C.jobs_arg $ C.deadline_arg
-          $ C.audit_arg $ netlist_file_arg $ C.Sinks.term C.Sinks.all
-          $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+    Term.(
+      const run
+      $ C.source_term ~netlist:netlist_doc ~scale:0.05 ()
+      $ C.flow_term C.[ Seed; Router; Budgeting; Jobs; Deadline; Audit ]
+      $ C.rate_arg
+      $ C.obs_term ~progress:true C.Sinks.all
+      $ C.panel_cache_term)
 
 (* ---------------- map / gen / suite / table / bounds ---------------- *)
 
 let map_cmd =
-  let run circuit scale seed rate jobs netlist_file panel_cache =
-    C.guarded ~prog:"gsino_run" @@ fun () ->
+  let run src config rate panel_cache =
+    C.guarded ~faults:true ~prog @@ fun out ->
     let tech = Tech.default in
-    let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
-    let config = { Flow.Config.default with Flow.Config.seed; jobs } in
+    let netlist = C.netlist tech src in
     let usages =
       C.with_panel_store panel_cache (fun cache ->
           Flow.run_kinds ?cache config tech ~rate [ Flow.Id_no; Flow.Gsino ]
             netlist ~f:(fun r -> r.Flow.usage))
     in
-    Format.printf "%a@.@." Eda_netlist.Netlist.pp_summary netlist;
+    Format.fprintf out "%a@.@." Eda_netlist.Netlist.pp_summary netlist;
     List.iter2
       (fun title usage ->
-        Format.printf "%s:@.%a@." title Congestion_map.render usage)
+        Format.fprintf out "%s:@.%a@." title Congestion_map.render usage)
       [ "conventional routing (nets only)"; "GSINO (nets + shields)" ]
       usages;
     C.exit_ok
   in
   let doc = "Print ASCII congestion maps before and after GSINO." in
   Cmd.v (Cmd.info "map" ~doc)
-    Term.(const run $ C.circuit_arg $ C.scale_arg () $ C.seed_arg $ C.rate_arg
-          $ C.jobs_arg $ netlist_file_arg $ C.panel_cache_term)
+    Term.(
+      const run
+      $ C.source_term ~netlist:netlist_doc ~scale:0.05 ()
+      $ C.flow_term C.[ Seed; Jobs ]
+      $ C.rate_arg $ C.panel_cache_term)
 
 let gen_cmd =
-  let run circuit scale seed out =
-    C.guarded ~prog:"gsino_run" @@ fun () ->
-    let tech = Tech.default in
-    let netlist =
-      Eda_netlist.Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed
-        (C.profile_of_name circuit)
-    in
-    Eda_netlist.Io.save out netlist;
-    Format.printf "wrote %a to %s@." Eda_netlist.Netlist.pp_summary netlist out;
+  let run src file =
+    C.guarded ~faults:true ~prog @@ fun out ->
+    let netlist = C.netlist Tech.default src in
+    Eda_netlist.Io.save file netlist;
+    Format.fprintf out "wrote %a to %s@." Eda_netlist.Netlist.pp_summary netlist
+      file;
     C.exit_ok
   in
   let out_arg =
@@ -166,14 +152,11 @@ let gen_cmd =
   in
   let doc = "Generate a synthetic benchmark netlist and save it." in
   Cmd.v (Cmd.info "gen" ~doc)
-    Term.(const run $ C.circuit_arg $ C.scale_arg () $ C.seed_arg $ out_arg)
+    Term.(const run $ C.source_term ~scale:0.05 () $ out_arg)
 
 let suite_cmd =
-  let run scale seed jobs circuits sinks panel_cache progress verbose quiet =
-    let claimed = C.claim_stdout ~prog:"gsino_run" sinks in
-    let out = C.out_formatter ~claimed in
-    C.with_obs ~prog:"gsino_run" ~progress ~sinks ~verbose ~quiet
-    @@ fun () ->
+  let run scale config circuits obs panel_cache =
+    C.with_obs ~prog obs @@ fun out ->
     let profiles =
       match circuits with
       | [] -> Eda_netlist.Generator.all_ibm
@@ -181,7 +164,8 @@ let suite_cmd =
     in
     let suite =
       C.with_panel_store panel_cache (fun store ->
-          Report.run_suite ~profiles ~jobs ?store ~scale ~seed ())
+          Report.run_suite ~profiles ~jobs:config.Flow.Config.jobs ?store ~scale
+            ~seed:config.seed ())
     in
     Format.fprintf out "%a@.%a@.%a@.%a@.%a@.%a@.%a@." Report.table1 suite
       Report.table2 suite Report.table3 suite Report.violations_summary suite
@@ -195,20 +179,23 @@ let suite_cmd =
   in
   let doc = "Reproduce the paper's Tables 1-3 (both sensitivity rates)." in
   Cmd.v (Cmd.info "suite" ~doc)
-    Term.(const run $ C.scale_arg () $ C.seed_arg $ C.jobs_arg $ circuits_arg
-          $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
-          $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+    Term.(
+      const run $ C.scale_arg ()
+      $ C.flow_term C.[ Seed; Jobs ]
+      $ circuits_arg
+      $ C.obs_term ~progress:true C.Sinks.[ Trace; Profile; Metrics; Journal ]
+      $ C.panel_cache_term)
 
 let table_cmd =
   let run () =
-    C.guarded ~prog:"gsino_run" @@ fun () ->
+    C.guarded ~faults:true ~prog @@ fun out ->
     (* simulated, not read from Tech: this is the circuit simulator's
        command-line entry point *)
     let model =
       Eda_lsk.Table_builder.build ~keff:Tech.default.Tech.keff
         Eda_lsk.Table_builder.default_electrical
     in
-    Format.printf "%a@.# LSK(um*K)\tnoise(V)@.%a@." Eda_lsk.Lsk.pp model
+    Format.fprintf out "%a@.# LSK(um*K)\tnoise(V)@.%a@." Eda_lsk.Lsk.pp model
       Eda_util.Lintable.pp model.Eda_lsk.Lsk.table;
     C.exit_ok
   in
@@ -219,51 +206,36 @@ let table_cmd =
   Cmd.v (Cmd.info "table" ~doc) Term.(const run $ const ())
 
 let bounds_cmd =
-  let run circuit scale seed =
-    C.guarded ~prog:"gsino_run" @@ fun () ->
+  let run src =
+    C.guarded ~faults:true ~prog @@ fun out ->
     let tech = Tech.default in
-    let profile = C.profile_of_name circuit in
-    let netlist =
-      Eda_netlist.Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed
-        profile
-    in
+    let netlist = C.netlist tech src in
     let budget =
       Budget.uniform ~lsk:(Tech.lsk_model tech) ~noise_v:tech.Tech.noise_bound_v
         ~gcell_um:netlist.Eda_netlist.Netlist.gcell_um netlist
     in
-    Format.printf "%a@.%a@." Eda_netlist.Netlist.pp_summary netlist Budget.pp budget;
+    Format.fprintf out "%a@.%a@." Eda_netlist.Netlist.pp_summary netlist Budget.pp
+      budget;
     C.exit_ok
   in
   let doc = "Show the Phase-I crosstalk budget statistics for a circuit." in
   Cmd.v (Cmd.info "bounds" ~doc)
-    Term.(const run $ C.circuit_arg $ C.scale_arg () $ C.seed_arg)
+    Term.(const run $ C.source_term ~scale:0.05 ())
 
 (* ---------------- lint ---------------- *)
 
-let audit_file_arg =
-  C.netlist_file_arg
-    ~doc:"Audit FILE (gsino-netlist v1) instead of a generated circuit."
+(* The netlist source of lint and audit: small by default. *)
+let audited_source =
+  C.source_term
+    ~netlist:"Audit FILE (gsino-netlist v1) instead of a generated circuit."
+    ~scale:0.02 ()
 
 let lint_cmd =
   let prog = "gsino_run lint" in
-  let lint circuit scale seed rate router budgeting jobs deadline netlist_file
-      kinds print sinks panel_cache progress verbose quiet =
-    let claimed = C.claim_stdout ~prog sinks in
-    let out = C.out_formatter ~claimed in
-    C.with_obs ~pretty:print.C.pretty ~prog ~progress ~sinks ~verbose ~quiet
-    @@ fun () ->
+  let lint src config rate kinds print obs panel_cache =
+    C.with_obs ~pretty:print.C.pretty ~prog obs @@ fun out ->
     let tech = Tech.default in
-    let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
-    let config =
-      {
-        Flow.Config.default with
-        Flow.Config.router;
-        budgeting;
-        seed;
-        jobs;
-        deadline_ms = deadline;
-      }
-    in
+    let netlist = C.netlist tech src in
     let lint_one r =
       let diags = Flow.check ~tech r in
       C.print_diags out print diags;
@@ -282,16 +254,9 @@ let lint_cmd =
     let doc =
       "Flow to audit: 'id-no', 'isino', 'gsino', or 'all' (runs all three)."
     in
+    let kinds = List.map (fun (name, k) -> (name, [ k ])) C.kind_names in
     Arg.(value
-       & opt
-           (enum
-              [
-                ("id-no", [ Flow.Id_no ]);
-                ("isino", [ Flow.Isino ]);
-                ("gsino", [ Flow.Gsino ]);
-                ("all", all_kinds);
-              ])
-           [ Flow.Gsino ]
+       & opt (enum (kinds @ [ ("all", all_kinds) ])) [ Flow.Gsino ]
        & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
   in
   let doc = "Check routing-solution invariants and report coded diagnostics" in
@@ -310,11 +275,11 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint" ~doc ~man)
     Term.(
-      const lint $ C.circuit_arg $ C.scale_arg ~default:0.02 () $ C.seed_arg
-      $ C.rate_arg $ C.router_arg $ C.budgeting_arg $ C.jobs_arg
-      $ C.deadline_arg $ audit_file_arg $ kind_arg $ C.diag_print_term
-      $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
-      $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+      const lint $ audited_source
+      $ C.flow_term C.[ Seed; Router; Budgeting; Jobs; Deadline ]
+      $ C.rate_arg $ kind_arg $ C.diag_print_term
+      $ C.obs_term ~progress:true C.Sinks.[ Trace; Profile; Metrics; Journal ]
+      $ C.panel_cache_term)
 
 (* ---------------- audit ---------------- *)
 
@@ -336,17 +301,13 @@ let audit_cmd =
         ~vcap:(if vcap > 0 then vcap else auto_cap Dir.V)
     end
   in
-  let audit circuit scale seed rate hcap vcap netlist_file print sinks progress
-      verbose quiet =
-    let claimed = C.claim_stdout ~prog sinks in
-    let out = C.out_formatter ~claimed in
-    C.with_obs ~pretty:print.C.pretty ~prog ~progress ~sinks ~verbose ~quiet
-    @@ fun () ->
+  let audit src rate hcap vcap print obs =
+    C.with_obs ~pretty:print.C.pretty ~prog obs @@ fun out ->
     let tech = Tech.default in
-    let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
+    let netlist = C.netlist tech src in
     let grid = grid_of tech netlist ~hcap ~vcap in
     let sensitivity =
-      Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate
+      Eda_netlist.Sensitivity.make ~seed:(src.C.seed lxor 0xbeef) ~rate
     in
     let t = Analyze.run (Flow.analyze_config tech) ~grid ~sensitivity netlist in
     C.print_diags out print t.Analyze.findings;
@@ -387,10 +348,9 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit" ~doc ~man)
     Term.(
-      const audit $ C.circuit_arg $ C.scale_arg ~default:0.02 () $ C.seed_arg
-      $ C.rate_arg $ hcap_arg $ vcap_arg $ audit_file_arg $ C.diag_print_term
-      $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
-      $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+      const audit $ audited_source $ C.rate_arg $ hcap_arg $ vcap_arg
+      $ C.diag_print_term
+      $ C.obs_term ~progress:true C.Sinks.[ Trace; Profile; Metrics; Journal ])
 
 (* ---------------- explain ---------------- *)
 
@@ -584,13 +544,10 @@ module Explain = struct
       |> List.iter (fun e -> Format.printf "%a@." pp_chain_event e)
     end
 
-  let run top net by_sig verbose quiet file =
-    C.set_verbosity ~verbose ~quiet;
-    C.guard_exceptions @@ fun () ->
+  let run top net by_sig obs file =
+    C.guarded ~obs ~prog @@ fun _ ->
     match Journal.load file with
-    | Error msg ->
-        Format.eprintf "gsino_run explain: %s@." msg;
-        exit C.exit_usage
+    | Error msg -> C.usage "gsino_run explain: %s" msg
     | Ok evs ->
         let k = max 1 top in
         view_summary evs;
@@ -650,8 +607,8 @@ let explain_cmd =
   in
   Cmd.v
     (Cmd.info "explain" ~doc ~man)
-    Term.(const Explain.run $ top_arg $ net_arg $ by_sig_arg $ C.verbose_arg
-          $ C.quiet_arg $ journal_pos)
+    Term.(const Explain.run $ top_arg $ net_arg $ by_sig_arg $ C.obs_term []
+          $ journal_pos)
 
 (* ---------------- diff ---------------- *)
 
@@ -682,17 +639,10 @@ let diff_cmd =
     let doc = "Print unchanged series too, not just the drifted ones." in
     Arg.(value & flag & info [ "a"; "all" ] ~doc)
   in
-  let usage_error fmt =
-    Format.kasprintf
-      (fun msg ->
-        Format.eprintf "%s: %s@." prog msg;
-        exit C.exit_usage)
-      fmt
-  in
   let load path =
     match Metrics.read_json path with
     | Ok s -> s
-    | Error msg -> usage_error "%s" msg
+    | Error msg -> C.usage "%s: %s" prog msg
   in
   (* (added, removed, changed) series counts *)
   let tally entries =
@@ -705,22 +655,21 @@ let diff_cmd =
         | Diff.Unchanged _ -> (a, r, c))
       (0, 0, 0) entries
   in
-  let run policy all verbose quiet baseline current =
-    C.set_verbosity ~verbose ~quiet;
-    C.guard_exceptions @@ fun () ->
+  let run policy all obs baseline current =
+    C.guarded ~obs ~prog @@ fun _ ->
     let pol =
       match policy with
       | None -> None
       | Some file -> (
           match Diff.load_policy file with
-          | Error msg -> usage_error "%s" msg
+          | Error msg -> C.usage "%s: %s" prog msg
           | Ok p -> Some p)
     in
     let baseline, current =
       match (baseline, current) with
       | Some baseline, Some current -> (baseline, current)
       | None, _ | _, None ->
-          usage_error "BASELINE and CURRENT snapshots are required"
+          C.usage "%s: BASELINE and CURRENT snapshots are required" prog
     in
     let entries = Diff.diff (load baseline) (load current) in
     let entries =
@@ -770,8 +719,8 @@ let diff_cmd =
   in
   Cmd.v
     (Cmd.info "diff" ~doc ~man)
-    Term.(const run $ policy_arg $ all_arg $ C.verbose_arg $ C.quiet_arg
-          $ baseline_arg $ current_arg)
+    Term.(const run $ policy_arg $ all_arg $ C.obs_term [] $ baseline_arg
+          $ current_arg)
 
 let () =
   let doc = "Global routing with RLC crosstalk constraints (Ma & He, DAC 2002)" in

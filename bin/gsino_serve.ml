@@ -22,6 +22,8 @@ module Io = Eda_netlist.Io
 module Error = Eda_guard.Error
 module Diag = Eda_check.Diag
 
+let prog = "gsino_serve"
+
 let socket_arg =
   let doc = "Unix-domain socket path of the daemon." in
   let env = Cmd.Env.info "GSINO_SERVE_SOCKET" ~doc:"Default for $(b,--socket)." in
@@ -69,16 +71,15 @@ let read_timeout_arg =
   Arg.(value & opt float Server.default_config.Server.read_timeout_s
      & info [ "read-timeout" ] ~docv:"S" ~doc)
 
-let daemon socket workers jobs queue_bound max_frame request_deadline drain_ms
-    read_timeout panel_cache sinks verbose quiet =
-  ignore (C.claim_stdout ~prog:"gsino_serve" sinks);
-  C.with_obs ~prog:"gsino_serve" ~sinks ~verbose ~quiet @@ fun () ->
+let daemon socket workers config queue_bound max_frame request_deadline drain_ms
+    read_timeout panel_cache obs =
+  C.with_obs ~prog obs @@ fun _ ->
   C.with_panel_store panel_cache @@ fun cache ->
   Server.run
     {
       Server.socket;
       workers;
-      jobs;
+      jobs = config.Flow.Config.jobs;
       queue_bound;
       max_frame;
       request_deadline_ms = request_deadline;
@@ -93,31 +94,23 @@ let daemon_cmd =
   Cmd.v
     (Cmd.info "daemon" ~doc)
     Term.(
-      const daemon $ socket_arg $ workers_arg $ C.jobs_arg $ queue_bound_arg
-      $ max_frame_arg $ request_deadline_arg $ drain_ms_arg $ read_timeout_arg
-      $ C.panel_cache_term
-      $ C.Sinks.(term [ Metrics ])
-      $ C.verbose_arg $ C.quiet_arg)
+      const daemon $ socket_arg $ workers_arg $ C.flow_term C.[ Jobs ]
+      $ queue_bound_arg $ max_frame_arg $ request_deadline_arg $ drain_ms_arg
+      $ read_timeout_arg $ C.panel_cache_term
+      $ C.obs_term C.Sinks.[ Metrics ])
 
 (* ---------------- client: route ---------------- *)
 
 let kind_arg =
   let doc = "Flow to run remotely: 'id-no', 'isino' or 'gsino'." in
   Arg.(value
-     & opt
-         (enum
-            [ ("id-no", Flow.Id_no); ("isino", Flow.Isino); ("gsino", Flow.Gsino) ])
-         Flow.Gsino
+     & opt (enum C.kind_names) Flow.Gsino
      & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
 
 let timeout_arg =
   let doc = "Give up waiting for the daemon's response after $(docv) seconds \
              (0 = wait forever)." in
   Arg.(value & opt float 0.0 & info [ "timeout" ] ~docv:"S" ~doc)
-
-let netlist_file_arg =
-  C.netlist_file_arg
-    ~doc:"Route FILE (gsino-netlist v1) instead of a generated circuit."
 
 (* The sink flag a response artifact is written to. *)
 let sink_kind = function
@@ -131,35 +124,31 @@ let finding_is_error line =
   | _code :: sev :: _ -> sev = "E"
   | _ :: [] | [] -> false
 
-let report_remote_error ~pretty (gsl, exit_code, message) =
-  let d = Diag.make ~code:gsl Diag.Error message in
-  if pretty then Format.eprintf "%a@." Diag.pp d
-  else prerr_endline (Diag.to_line d);
-  exit exit_code
+(* A reply other than the one [request] expects: a framed error is
+   printed as the daemon coded it and answered with the exit code the
+   batch CLI would have used; any other kind is an internal failure
+   (GSL0022, exit 5). *)
+let other_reply ~pretty ~request = function
+  | Protocol.Err { gsl; exit_code; message; cls = _ } ->
+      C.print_failure ~pretty (Diag.make ~code:gsl Diag.Error message);
+      exit_code
+  | Protocol.Pong | Protocol.Stats_reply _ | Protocol.Result _ ->
+      Error.raise_
+        (Error.Worker_crash
+           { site = prog; msg = "unexpected response kind to a " ^ request })
 
-let route socket timeout circuit scale seed rate router budgeting kind deadline
-    netlist_file pretty sinks verbose quiet =
-  let claimed = C.claim_stdout ~prog:"gsino_serve" sinks in
-  let out = C.out_formatter ~claimed in
-  C.set_verbosity ~verbose ~quiet;
-  C.guard_exceptions ~pretty @@ fun () ->
-  let tech = Tech.default in
-  let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
+let route socket timeout src config rate kind pretty obs =
+  C.guarded ~pretty ~obs ~prog @@ fun out ->
+  let netlist = C.netlist Tech.default src in
+  let sinks = obs.C.sinks in
   let artifacts =
     List.filter
       (fun a -> C.Sinks.get sinks (sink_kind a) <> None)
       [ Protocol.Report; Protocol.Metrics; Protocol.Journal; Protocol.Trace ]
   in
+  let { Flow.Config.router; budgeting; seed; deadline_ms; _ } = config in
   let options =
-    {
-      Protocol.kind;
-      router;
-      budgeting;
-      seed;
-      rate;
-      deadline_ms = deadline;
-      artifacts;
-    }
+    { Protocol.kind; router; budgeting; seed; rate; deadline_ms; artifacts }
   in
   let timeout_s = if timeout > 0.0 then Some timeout else None in
   let response =
@@ -181,45 +170,39 @@ let route socket timeout circuit scale seed rate router budgeting kind deadline
       Format.fprintf out "gsino_serve: %s: %s@." status summary;
       if List.exists finding_is_error findings then C.exit_findings
       else C.exit_ok
-  | Protocol.Err { gsl; exit_code; message; cls = _ } ->
-      report_remote_error ~pretty (gsl, exit_code, message)
-  | Protocol.Pong | Protocol.Stats_reply _ ->
-      report_remote_error ~pretty
-        (22, C.exit_internal, "unexpected response kind to a route request")
+  | (Protocol.Err _ | Protocol.Pong | Protocol.Stats_reply _) as reply ->
+      other_reply ~pretty ~request:"route request" reply
 
 let route_cmd =
   let doc = "Route one netlist via the daemon (batch-CLI-compatible output)" in
   Cmd.v
     (Cmd.info "route" ~doc)
     Term.(
-      const route $ socket_arg $ timeout_arg $ C.circuit_arg
-      $ C.scale_arg ~default:0.02 () $ C.seed_arg $ C.rate_arg $ C.router_arg
-      $ C.budgeting_arg $ kind_arg $ C.deadline_arg $ netlist_file_arg
-      $ C.pretty_arg
-      $ C.Sinks.(term [ Trace; Metrics; Journal; Report ])
-      $ C.verbose_arg $ C.quiet_arg)
+      const route $ socket_arg $ timeout_arg
+      $ C.source_term
+          ~netlist:"Route FILE (gsino-netlist v1) instead of a generated circuit."
+          ~scale:0.02 ()
+      $ C.flow_term C.[ Seed; Router; Budgeting; Deadline ]
+      $ C.rate_arg $ kind_arg $ C.pretty_arg
+      $ C.obs_term C.Sinks.[ Trace; Metrics; Journal; Report ])
 
 (* ---------------- client: ping / stats ---------------- *)
 
-let ping socket timeout verbose quiet =
-  C.set_verbosity ~verbose ~quiet;
-  C.guard_exceptions @@ fun () ->
+let ping socket timeout obs =
+  C.guarded ~obs ~prog @@ fun _ ->
   let timeout_s = if timeout > 0.0 then Some timeout else None in
   match Client.request ?timeout_s socket Protocol.Ping with
   | Protocol.Pong ->
       print_endline "pong";
       C.exit_ok
-  | Protocol.Err { gsl; exit_code; message; cls = _ } ->
-      report_remote_error ~pretty:false (gsl, exit_code, message)
-  | Protocol.Stats_reply _ | Protocol.Result _ ->
-      report_remote_error ~pretty:false
-        (22, C.exit_internal, "unexpected response kind to a ping")
+  | (Protocol.Err _ | Protocol.Stats_reply _ | Protocol.Result _) as reply ->
+      other_reply ~pretty:false ~request:"ping" reply
 
 let ping_cmd =
   let doc = "Liveness-probe the daemon" in
   Cmd.v
     (Cmd.info "ping" ~doc)
-    Term.(const ping $ socket_arg $ timeout_arg $ C.verbose_arg $ C.quiet_arg)
+    Term.(const ping $ socket_arg $ timeout_arg $ C.obs_term [])
 
 let print_stats (s : Protocol.stats) =
   Printf.printf "uptime_s: %.1f\n" s.Protocol.uptime_s;
@@ -236,9 +219,8 @@ let print_stats (s : Protocol.stats) =
   Printf.printf "cache_len: %d\n" s.Protocol.cache_len;
   Printf.printf "draining: %b\n" s.Protocol.draining
 
-let stats socket timeout json verbose quiet =
-  C.set_verbosity ~verbose ~quiet;
-  C.guard_exceptions @@ fun () ->
+let stats socket timeout json obs =
+  C.guarded ~obs ~prog @@ fun _ ->
   let timeout_s = if timeout > 0.0 then Some timeout else None in
   match Client.request ?timeout_s socket Protocol.Stats with
   | Protocol.Stats_reply s ->
@@ -248,11 +230,8 @@ let stats socket timeout json verbose quiet =
               (Protocol.response_to_json (Protocol.Stats_reply s)))
        else print_stats s);
       C.exit_ok
-  | Protocol.Err { gsl; exit_code; message; cls = _ } ->
-      report_remote_error ~pretty:false (gsl, exit_code, message)
-  | Protocol.Pong | Protocol.Result _ ->
-      report_remote_error ~pretty:false
-        (22, C.exit_internal, "unexpected response kind to a stats request")
+  | (Protocol.Err _ | Protocol.Pong | Protocol.Result _) as reply ->
+      other_reply ~pretty:false ~request:"stats request" reply
 
 let stats_cmd =
   let doc = "Print the daemon's health counters" in
@@ -261,7 +240,7 @@ let stats_cmd =
     Term.(
       const stats $ socket_arg $ timeout_arg
       $ Arg.(value & flag & info [ "json" ] ~doc:"Raw gsino-serve-v1 JSON.")
-      $ C.verbose_arg $ C.quiet_arg)
+      $ C.obs_term [])
 
 let cmd =
   let doc = "Routing as a service: daemon and thin client" in

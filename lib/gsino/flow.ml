@@ -29,7 +29,11 @@ let kind_name = function Id_no -> "ID+NO" | Isino -> "iSINO" | Gsino -> "GSINO"
 
 type router = Iterative_deletion | Negotiated
 
+let routers = [ ("id", Iterative_deletion); ("nc", Negotiated) ]
+
 type budgeting = Uniform | Route_aware
+
+let budgetings = [ ("uniform", Uniform); ("route-aware", Route_aware) ]
 
 module Config = struct
   type t = {

@@ -26,10 +26,19 @@ val kind_name : kind -> string
     alternative).  Both accept the same shield models. *)
 type router = Iterative_deletion | Negotiated
 
+(** Each router's one spelling, ["id"] and ["nc"]: the CLIs' [--router]
+    values and the serve protocol's [router] option. *)
+val routers : (string * router) list
+
 (** Crosstalk-budget partitioning for Phases II/III: the paper's uniform
     Manhattan split, or the route-aware variant of {!Budget.route_aware}
     (§5's "alternative budgeting approaches"). *)
 type budgeting = Uniform | Route_aware
+
+(** Each budgeting mode's one spelling, ["uniform"] and
+    ["route-aware"]: the CLIs' [--budgeting] values and the serve
+    protocol's [budgeting] option. *)
+val budgetings : (string * budgeting) list
 
 (** Everything a flow invocation is parameterized on, in one record —
     build one with [{ Config.default with kind = ...; jobs = ... }]

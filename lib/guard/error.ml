@@ -7,6 +7,7 @@ type t =
   | Frame of { what : string; detail : string }
   | Overload of { reason : string; depth : int }
   | Io of { site : string; msg : string }
+  | Usage of { msg : string }
 
 exception Error of t
 
@@ -19,17 +20,20 @@ let class_name = function
   | Frame _ -> "bad-frame"
   | Overload _ -> "overloaded"
   | Io _ -> "io-error"
+  | Usage _ -> "usage-error"
 
 (* The single error-class -> GSL diagnostic code mapping (README table).
    Codes 1..16 and 18..19 belong to the Eda_check rules (18/19 are its
    degraded-panel and deadline warnings); 17 and 20..23 are runtime
-   errors; 30..32 belong to the serve protocol layer. *)
+   errors; 29 is a command-line usage error; 30..32 belong to the serve
+   protocol layer. *)
 let gsl_code = function
   | Unreachable _ -> 17
   | Parse _ -> 20
   | Singular_matrix _ -> 21
   | Worker_crash _ -> 22
   | Nonfinite _ -> 23
+  | Usage _ -> 29
   | Frame _ -> 30
   | Overload _ -> 31
   | Io _ -> 32
@@ -37,7 +41,7 @@ let gsl_code = function
 (* The single error-class -> process exit code mapping.  0 = success
    (possibly degraded), 1 = lint findings / regression breach, then: *)
 let exit_code = function
-  | Parse _ | Unreachable _ | Frame _ -> 2 (* usage / malformed input *)
+  | Parse _ | Unreachable _ | Frame _ | Usage _ -> 2 (* usage / malformed input *)
   | Singular_matrix _ | Worker_crash _ | Nonfinite _ -> 5 (* internal *)
   | Overload _ -> 6 (* server refused admission *)
   | Io _ -> 7 (* peer/stream I/O failure *)
@@ -63,6 +67,7 @@ let to_string = function
   | Overload { reason; depth } ->
       Printf.sprintf "request rejected (%s) at queue depth %d" reason depth
   | Io { site; msg } -> Printf.sprintf "i/o failure at %s: %s" site msg
+  | Usage { msg } -> msg
 
 let raise_ e = raise (Error e)
 

@@ -3,13 +3,14 @@
     Every way the pipeline can fail — malformed input, a disconnected
     routing grid, a singular MNA matrix, a crashed (or fault-injected)
     worker, a non-finite simulation value, a refused serve frame or
-    peer — is one constructor of {!t}, and the taxonomy owns the
-    {e single} mapping from failure class to GSL diagnostic code
-    ({!gsl_code}) and to process exit code ({!exit_code}).  An
-    infeasible SINO panel or an expired deadline is not a failure: the
-    flow degrades and completes.  Libraries raise {!Error}; the CLIs
-    and the serve daemon turn whatever reaches them into a typed error
-    with {!classify}, so no bare [Failure] ever reaches the user.
+    peer, a refused command line — is one constructor of {!t}, and the
+    taxonomy owns the {e single} mapping from failure class to GSL
+    diagnostic code ({!gsl_code}) and to process exit code
+    ({!exit_code}).  An infeasible SINO panel or an expired deadline is
+    not a failure: the flow degrades and completes.  Libraries raise
+    {!Error}; the CLIs and the serve daemon turn whatever reaches them
+    into a typed error with {!classify}, so no bare [Failure] ever
+    reaches the user.
 
     This module deliberately depends only on [eda_util]: payloads are
     plain ints/strings so the netlist loader, the linear-algebra kernel
@@ -41,6 +42,11 @@ type t =
   | Io of { site : string; msg : string }
       (** A peer or stream I/O failure (broken pipe, connection reset,
           refused connection): [site] names the syscall or stream. *)
+  | Usage of { msg : string }
+      (** A command line the CLIs refuse before any work starts: two
+          artifact sinks both claiming stdout, a malformed
+          [GSINO_FAULTS], an unknown circuit, or a journal, snapshot or
+          policy file that cannot be read.  [msg] is the whole line. *)
 
 exception Error of t
 
@@ -49,14 +55,14 @@ exception Error of t
 val class_name : t -> string
 
 (** GSL diagnostic code for the class: 17 unreachable, 20 parse,
-    21 singular, 22 worker crash, 23 non-finite, 30 bad frame,
+    21 singular, 22 worker crash, 23 non-finite, 29 usage, 30 bad frame,
     31 overloaded, 32 i/o. *)
 val gsl_code : t -> int
 
 (** Process exit code for the class: 2 usage/input (parse, unreachable,
-    bad frame), 5 internal (singular, crash, non-finite), 6 overloaded,
-    7 i/o.  0 is success — possibly degraded — and 1 is lint
-    findings/regression. *)
+    bad frame, usage), 5 internal (singular, crash, non-finite),
+    6 overloaded, 7 i/o.  0 is success — possibly degraded — and 1 is
+    lint findings/regression. *)
 val exit_code : t -> int
 
 (** Human-oriented one-line rendering (no class prefix). *)

@@ -9,14 +9,20 @@ let c_minor phase = Metrics.counter ~labels:[ ("phase", phase) ] "gc.minor_colle
 let c_major phase = Metrics.counter ~labels:[ ("phase", phase) ] "gc.major_collections"
 let c_compact phase = Metrics.counter ~labels:[ ("phase", phase) ] "gc.compactions"
 
-(* minor_words comes from [Gc.minor_words ()], not the [Gc.stat] field:
-   quick_stat's counter is only folded in at minor collections, so a
-   phase that fits inside one minor heap would report zero allocation. *)
-let record name ~minor0 ~minor1 (before : Gc.stat) (after : Gc.stat) =
+(* Minor, promoted and major words allocated so far, from
+   [Gc.minor_words] and [Gc.counters]: unlike the [Gc.stat] fields they
+   include the domain's allocation not yet folded in at a collection, so
+   a phase that fits inside one minor heap, or allocates one large block
+   straight into the major heap, does not read as zero. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), promoted, major)
+
+let record name (minor0, promoted0, major0) (minor1, promoted1, major1)
+    (before : Gc.stat) (after : Gc.stat) =
   Metrics.accum (g_minor name) (minor1 -. minor0);
-  Metrics.accum (g_promoted name)
-    (after.Gc.promoted_words -. before.Gc.promoted_words);
-  Metrics.accum (g_major name) (after.Gc.major_words -. before.Gc.major_words);
+  Metrics.accum (g_promoted name) (promoted1 -. promoted0);
+  Metrics.accum (g_major name) (major1 -. major0);
   Metrics.set (g_heap name) (float_of_int after.Gc.heap_words);
   Metrics.add (c_minor name)
     (max 0 (after.Gc.minor_collections - before.Gc.minor_collections));
@@ -26,8 +32,9 @@ let record name ~minor0 ~minor1 (before : Gc.stat) (after : Gc.stat) =
 
 let phase name f =
   let before = Gc.quick_stat () in
-  let minor0 = Gc.minor_words () in
+  let w0 = words () in
   Fun.protect
     ~finally:(fun () ->
-      record name ~minor0 ~minor1:(Gc.minor_words ()) before (Gc.quick_stat ()))
+      let w1 = words () in
+      record name w0 w1 before (Gc.quick_stat ()))
     f

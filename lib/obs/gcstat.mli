@@ -1,9 +1,9 @@
 (** Per-phase GC telemetry.
 
-    {!phase} samples [Gc.quick_stat] around a phase body and publishes
-    the deltas as [gc.*] series labeled [("phase", name)], making
-    allocation pressure per flow phase visible in every exported
-    metrics snapshot:
+    {!phase} samples [Gc.minor_words], [Gc.counters] and
+    [Gc.quick_stat] around a phase body and publishes the deltas as
+    [gc.*] series labeled [("phase", name)], making allocation pressure
+    per flow phase visible in every exported metrics snapshot:
 
     - [gc.minor_words], [gc.promoted_words], [gc.major_words] — gauges,
       {e accumulated} across the runs of the process (like
@@ -13,9 +13,9 @@
     - [gc.heap_words] — gauge, {e set} to the major-heap size when the
       phase ended (last-run value).
 
-    [Gc.quick_stat] does not trigger a collection and costs
-    nanoseconds, so the probe is always on.  On OCaml 5 the counters
-    are the {e calling domain's} view: allocation done by [Eda_exec]
+    None of the three triggers a collection and each costs nanoseconds,
+    so the probe is always on.  On OCaml 5 the counters are the
+    {e calling domain's} view: allocation done by [Eda_exec]
     worker domains inside a parallel section is not attributed here —
     per-domain work shows up in the [exec.*] series instead.  A
     sequential seeded run allocates deterministically, so the word

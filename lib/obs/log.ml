@@ -52,7 +52,13 @@ let set_sink s = sink := s
 let would_log lvl =
   match !threshold with Quiet -> false | Level t -> rank lvl >= rank t
 
+(* Request workers, pool workers and the daemon's accept domain all log,
+   and a formatter or channel written by two domains at once corrupts
+   its queue: one line at a time. *)
+let emitting = Mutex.create ()
+
 let emit lvl fields msg =
+  Mutex.protect emitting @@ fun () ->
   match !sink with
   | Human fmt ->
       Format.fprintf fmt "gsino: [%s] %s" (level_name lvl) msg;

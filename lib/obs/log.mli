@@ -14,7 +14,9 @@
     CLIs' [-v]/[-q] flags override the level with {!set_level}.
 
     Messages below the current level are discarded after one integer
-    comparison; the format arguments are never rendered. *)
+    comparison; the format arguments are never rendered.  Any domain may
+    log: a message is written whole, under one lock, so lines from
+    concurrent domains never interleave. *)
 
 type level = Debug | Info | Warn | Error
 

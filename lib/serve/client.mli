@@ -4,7 +4,7 @@
     Failures are typed: an unreachable socket, a mid-read disconnect or
     a reader-side frame reject raise {!Eda_guard.Error.Error} (an [Io]
     or [Frame] error), so CLI callers funnel them through the standard
-    [guard_exceptions] exit-code mapping. *)
+    exit-code mapping. *)
 
 (** [connect path] — connect to the daemon socket.  Raises a typed [Io]
     error (GSL0032, exit 7) when the daemon is unreachable. *)

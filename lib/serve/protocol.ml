@@ -100,18 +100,18 @@ let read_frame ?(max = max_frame_default) ?timeout_s fd =
 
 type artifact = Report | Metrics | Journal | Trace
 
-let artifact_name = function
-  | Report -> "report"
-  | Metrics -> "metrics"
-  | Journal -> "journal"
-  | Trace -> "trace"
+(* Each value's one spelling on the wire.  Routers and budgeting modes
+   are spelled as Flow spells them for the CLIs. *)
+let artifact_names =
+  [ ("report", Report); ("metrics", Metrics); ("journal", Journal); ("trace", Trace) ]
 
-let artifact_of_name = function
-  | "report" -> Some Report
-  | "metrics" -> Some Metrics
-  | "journal" -> Some Journal
-  | "trace" -> Some Trace
-  | _ -> None
+let flow_names = [ ("idno", Flow.Id_no); ("isino", Flow.Isino); ("gsino", Flow.Gsino) ]
+
+(* [v]'s spelling in [names] *)
+let name_in names v = fst (List.find (fun (_, x) -> x = v) names)
+
+let artifact_name = name_in artifact_names
+let artifact_of_name name = List.assoc_opt name artifact_names
 
 type options = {
   kind : Flow.kind;
@@ -172,41 +172,12 @@ let error_response e =
 
 (* ------------------------------ encoding ----------------------------- *)
 
-let flow_name = function
-  | Flow.Id_no -> "idno"
-  | Flow.Isino -> "isino"
-  | Flow.Gsino -> "gsino"
-
-let flow_of_name = function
-  | "idno" -> Some Flow.Id_no
-  | "isino" -> Some Flow.Isino
-  | "gsino" -> Some Flow.Gsino
-  | _ -> None
-
-let router_name = function
-  | Flow.Iterative_deletion -> "id"
-  | Flow.Negotiated -> "nc"
-
-let router_of_name = function
-  | "id" -> Some Flow.Iterative_deletion
-  | "nc" -> Some Flow.Negotiated
-  | _ -> None
-
-let budgeting_name = function
-  | Flow.Uniform -> "uniform"
-  | Flow.Route_aware -> "route-aware"
-
-let budgeting_of_name = function
-  | "uniform" -> Some Flow.Uniform
-  | "route-aware" -> Some Flow.Route_aware
-  | _ -> None
-
 let options_to_json o =
   Json.Obj
     [
-      ("flow", Json.Str (flow_name o.kind));
-      ("router", Json.Str (router_name o.router));
-      ("budgeting", Json.Str (budgeting_name o.budgeting));
+      ("flow", Json.Str (name_in flow_names o.kind));
+      ("router", Json.Str (name_in Flow.routers o.router));
+      ("budgeting", Json.Str (name_in Flow.budgetings o.budgeting));
       ("seed", Json.Int o.seed);
       ("rate", Json.Float o.rate);
       ("deadline_ms", Json.Int o.deadline_ms);
@@ -271,9 +242,9 @@ let response_to_json = function
 
 (* ------------------------------ decoding ----------------------------- *)
 
-let named of_name what v =
+let named names what v =
   let name = Json.str what v in
-  match of_name name with
+  match List.assoc_opt name names with
   | Some x -> x
   | None -> Json.fail "%s: unknown value %S" what name
 
@@ -281,10 +252,10 @@ let options_of_json j =
   List.fold_left
     (fun o (k, v) ->
       match k with
-      | "flow" -> { o with kind = named flow_of_name "options.flow" v }
-      | "router" -> { o with router = named router_of_name "options.router" v }
+      | "flow" -> { o with kind = named flow_names "options.flow" v }
+      | "router" -> { o with router = named Flow.routers "options.router" v }
       | "budgeting" ->
-          { o with budgeting = named budgeting_of_name "options.budgeting" v }
+          { o with budgeting = named Flow.budgetings "options.budgeting" v }
       | "seed" -> { o with seed = Json.int "options.seed" v }
       | "rate" ->
           let rate = Json.num "options.rate" v in
@@ -295,7 +266,7 @@ let options_of_json j =
       | "artifacts" ->
           {
             o with
-            artifacts = Json.list "options.artifacts" (named artifact_of_name) v;
+            artifacts = Json.list "options.artifacts" (named artifact_names) v;
           }
       | k -> Json.fail "options: unknown field %S" k)
     default_options (Json.obj "options" j)

@@ -15,7 +15,9 @@
       {!Gsino.Flow.Config} where a client may choose ([flow], [router],
       [budgeting], [seed], [rate], [deadline_ms]) plus the [artifacts]
       the response should embed; [jobs] and the panel store stay server
-      decisions.  Unknown option fields are rejected, not ignored — a
+      decisions.  [router] and [budgeting] are spelled as
+      {!Gsino.Flow.routers} and {!Gsino.Flow.budgetings} spell them for
+      the CLIs.  Unknown option fields are rejected, not ignored — a
       typo must not silently change a routing run.
 
     Responses: [pong], [stats], [result] (status ["ok"]/["degraded"],

@@ -57,7 +57,6 @@ type t = {
   mu : Mutex.t;
   cond : Condition.t;
   queue : job Queue.t;
-  mutable depth : int;
   mutable served : int;
   mutable errors : int;
   mutable disconnects : int;
@@ -71,12 +70,6 @@ type t = {
   mutable accept_done : bool;
   mutable workers_live : int;
   template : Metrics.registry;
-  m_queue_depth : Metrics.gauge;
-  m_served : Metrics.counter;
-  m_errors : Metrics.counter;
-  m_disconnects : Metrics.counter;
-  m_prepare_hits : Metrics.counter;
-  m_prepare_misses : Metrics.counter;
   mutable domains : unit Domain.t list;
   mutable drain_seen_at : float option;
   mutable published : bool;
@@ -101,7 +94,7 @@ let stats t =
         rejected =
           Hashtbl.fold (fun r n acc -> (r, n) :: acc) t.rejected []
           |> List.sort compare;
-        queue_depth = t.depth;
+        queue_depth = Queue.length t.queue;
         active = t.active;
         workers = t.cfg.workers;
         jobs = t.cfg.jobs;
@@ -133,7 +126,7 @@ let readable fd timeout =
 
 let reject t fd reason =
   count_reject t reason;
-  let depth = locked t (fun () -> t.depth) in
+  let depth = locked t (fun () -> Queue.length t.queue) in
   ignore (try_respond fd (Protocol.error_response (Error.Overload { reason; depth })));
   close_quiet fd
 
@@ -172,14 +165,14 @@ let handle_conn t fd =
             let admitted =
               locked t (fun () ->
                   if Atomic.get t.draining then `Reject "draining"
-                  else if t.depth >= t.cfg.queue_bound then `Reject "queue-full"
+                  else if Queue.length t.queue >= t.cfg.queue_bound then
+                    `Reject "queue-full"
                   else begin
                     let serial = t.next_serial in
                     t.next_serial <- serial + 1;
                     Queue.push
                       { serial; fd; netlist_text = netlist; options }
                       t.queue;
-                    t.depth <- t.depth + 1;
                     Condition.signal t.cond;
                     `Admitted
                   end)
@@ -291,21 +284,19 @@ let route_result t pool (job : job) deadline =
          ~rate [ kind ] netlist ~f:Fun.id)
   in
   let diags = Flow.check ~tech r in
-  let artifact = function
+  let contents = function
     | Protocol.Report ->
-        ( "report",
-          Eda_reportviz.Run_report.text ~tech ~snapshot:(Metrics.snapshot ()) r
-        )
-    | Protocol.Metrics -> ("metrics", Artifact.metrics ())
-    | Protocol.Journal -> ("journal", Artifact.journal ())
-    | Protocol.Trace -> ("trace", Artifact.trace ())
+        Eda_reportviz.Run_report.text ~tech ~snapshot:(Metrics.snapshot ()) r
+    | Protocol.Metrics -> Artifact.metrics ()
+    | Protocol.Journal -> Artifact.journal ()
+    | Protocol.Trace -> Artifact.trace ()
   in
   Protocol.Result
     {
       status = (if Flow.degraded r then "degraded" else "ok");
       summary = Format.asprintf "%a" Flow.pp_summary r;
       findings = List.map Diag.to_line diags;
-      artifacts = List.map artifact artifacts;
+      artifacts = List.map (fun a -> (Protocol.artifact_name a, contents a)) artifacts;
     }
 
 let handle_route t pool (job : job) =
@@ -355,7 +346,6 @@ let worker_loop t =
         let rec get () =
           if not (Queue.is_empty t.queue) then begin
             let j = Queue.pop t.queue in
-            t.depth <- t.depth - 1;
             t.active <- t.active + 1;
             Some j
           end
@@ -392,15 +382,6 @@ let start_draining draining cfg =
   if Sys.os_type = "Unix" then
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let template = Metrics.zeroed_copy (Metrics.current_registry ()) in
-  (* serve.* instruments register *after* the template is taken, so
-     request-scoped metrics exports carry no serve series — they are
-     daemon-lifetime series, exported by the daemon itself. *)
-  let m_queue_depth = Metrics.gauge "serve.queue_depth" in
-  let m_served = Metrics.counter "serve.served" in
-  let m_errors = Metrics.counter "serve.errors" in
-  let m_disconnects = Metrics.counter "serve.disconnects" in
-  let m_prepare_hits = Metrics.counter "serve.prepare_hits" in
-  let m_prepare_misses = Metrics.counter "serve.prepare_misses" in
   (try Unix.unlink cfg.socket with Unix.Unix_error (_, _, _) -> ());
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -418,7 +399,6 @@ let start_draining draining cfg =
       mu = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
-      depth = 0;
       served = 0;
       errors = 0;
       disconnects = 0;
@@ -432,12 +412,6 @@ let start_draining draining cfg =
       accept_done = false;
       workers_live = cfg.workers;
       template;
-      m_queue_depth;
-      m_served;
-      m_errors;
-      m_disconnects;
-      m_prepare_hits;
-      m_prepare_misses;
       domains = [];
       drain_seen_at = None;
       published = false;
@@ -471,17 +445,26 @@ let start cfg = start_draining (Atomic.make false) cfg
 let drain t = Atomic.set t.draining true
 let draining t = Atomic.get t.draining
 
+(* The serve.* instruments register here, after the request template was
+   taken at start-up, so request-scoped metrics exports carry no serve
+   series: they are daemon-lifetime series, exported by the daemon
+   itself. *)
 let publish_metrics t =
   locked t (fun () ->
       if t.published then ()
       else begin
         t.published <- true;
-        Metrics.set t.m_queue_depth (float_of_int t.depth);
-        Metrics.add t.m_served t.served;
-        Metrics.add t.m_errors t.errors;
-        Metrics.add t.m_disconnects t.disconnects;
-        Metrics.add t.m_prepare_hits t.prepare_hits;
-        Metrics.add t.m_prepare_misses t.prepare_misses;
+        Metrics.set (Metrics.gauge "serve.queue_depth")
+          (float_of_int (Queue.length t.queue));
+        List.iter
+          (fun (name, n) -> Metrics.add (Metrics.counter name) n)
+          [
+            ("serve.served", t.served);
+            ("serve.errors", t.errors);
+            ("serve.disconnects", t.disconnects);
+            ("serve.prepare_hits", t.prepare_hits);
+            ("serve.prepare_misses", t.prepare_misses);
+          ];
         Hashtbl.iter
           (fun reason n ->
             Metrics.add

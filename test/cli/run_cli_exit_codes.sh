@@ -11,7 +11,9 @@
 #
 # Every invocation also checks that no uncaught exception leaked: a
 # typed failure prints exactly one GSL-coded line, never an OCaml
-# "Fatal error" banner or a backtrace.
+# "Fatal error" banner or a backtrace.  A refused command line (stdout
+# clash, bad GSINO_FAULTS, unknown circuit, unreadable journal, snapshot
+# or policy) is that one line with GSL0029.
 set -u
 
 RUN=$(realpath "$1")
@@ -54,6 +56,18 @@ expect_stderr() {
       failures=$((failures + 1))
     fi
   done
+}
+
+# stderr of the last expect must hold exactly one GSL0029 line: a
+# command line refused as a usage error, exit 2
+expect_usage_line() {
+  local n
+  n=$(grep -c "^GSL0029 E " stderr.log)
+  if [ "$n" -ne 1 ]; then
+    echo "FAIL stderr holds $n GSL0029 lines, expected 1"
+    sed 's/^/  stderr: /' stderr.log
+    failures=$((failures + 1))
+  fi
 }
 
 # stdout of the last expect must contain every given pattern
@@ -156,24 +170,33 @@ expect_stderr "GSL0020"
 expect 2 "malformed GSINO_FAULTS spec" -- \
   env GSINO_FAULTS="bogus" "$RUN" run "${base[@]}"
 expect_stderr "GSINO_FAULTS"
+expect_usage_line
 # a mistyped site would inject nothing: refused, naming the known sites
 expect 2 "GSINO_FAULTS unknown site" -- \
   env GSINO_FAULTS="matrix.luu=nan" "$RUN" run "${base[@]}"
 expect_stderr "GSINO_FAULTS" "unknown site" "matrix.lu, phase2.solve"
+expect_usage_line
+expect 2 "gsino_run unknown circuit (GSL0029)" -- "$RUN" run -c ibm99 -s 0.02 -q
+expect_stderr "unknown circuit ibm99"
+expect_usage_line
 expect 2 "gsino_run diff missing snapshot" -- "$RUN" diff missing.json clean.json
+expect_usage_line
 # a missing positional is checked by gsino_run diff itself (exit 2, not
 # cmdliner's 124)
 expect 2 "gsino_run diff without CURRENT" -- "$RUN" diff clean.json
 expect_stderr "BASELINE and CURRENT snapshots are required"
 expect_stderr_lacks "uncaught exception"
+expect_usage_line
 # two artifact sinks may not both claim stdout: one coded usage error,
 # exit 2, before any work starts
 expect 2 "conflicting stdout sinks (GSL0029)" -- \
   "$RUN" run "${base[@]}" --metrics - --trace -
 expect_stderr "GSL0029" "--trace" "--metrics"
+expect_usage_line
 expect 2 "conflicting stdout sinks journal+report (GSL0029)" -- \
   "$RUN" run "${base[@]}" --journal - --report -
 expect_stderr "GSL0029" "--journal" "--report"
+expect_usage_line
 
 # ---- exit 124: option values cmdliner refuses before any work ----
 # --scale and --rate are checked by their converters, like a malformed
@@ -203,27 +226,33 @@ expect_stdout "unique"
 expect 0 "gsino_run explain --net provenance" -- "$RUN" explain j.jsonl --net 0
 expect_stdout "Provenance of net 0" "net.budget" "net.route"
 expect 2 "gsino_run explain missing journal" -- "$RUN" explain missing.jsonl
+expect_usage_line
 printf '{"schema":"gsino-journal-v0"}\n' >old.jsonl
 expect 2 "gsino_run explain unsupported schema" -- "$RUN" explain old.jsonl
 expect_stderr "unsupported schema"
+expect_usage_line
 # a key given twice, or nesting past the parser's bound, makes a journal
 # or a snapshot unreadable (exit 2), never an internal error
 printf '{"schema":"gsino-journal-v1"}\n{"ev":"net.route","dim":{"net":"1","net":"2"}}\n' \
   >dupkey.jsonl
 expect 2 "gsino_run explain duplicated dim key" -- "$RUN" explain dupkey.jsonl
 expect_stderr "line 2: dim: duplicate key net"
+expect_usage_line
 # numbers outside RFC 8259's grammar (+1, 01, .5, 1.) are not JSON
 printf '{"schema":"gsino-journal-v1"}\n{"ev":"net.route","dim":{"net":"1"},"data":{"a":+1,"b":01,"c":.5,"d":1.}}\n' \
   >lenient.jsonl
 expect 2 "gsino_run explain lenient numbers" -- "$RUN" explain lenient.jsonl
 expect_stderr "bad number +1"
+expect_usage_line
 { printf '{"schema":"gsino-journal-v1"}\n'; printf '[%.0s' $(seq 600); echo; } >deep.jsonl
 expect 2 "gsino_run explain nesting past the bound" -- "$RUN" explain deep.jsonl
 expect_stderr "nesting deeper than 512"
+expect_usage_line
 printf '{"schema":"gsino-metrics-v1","metrics":[{"name":"x","labels":{"a":"1","a":"2"},"kind":"counter","value":1}]}\n' \
   >dupkey.json
 expect 2 "gsino_run diff duplicated label key" -- "$RUN" diff dupkey.json clean.json
 expect_stderr "x.labels: duplicate key a"
+expect_usage_line
 
 # ---- exit 5: injected internal failures (GSL0022) ----
 printf 'gsino-netlist v1\nname tiny\ngrid 4 4 10\nnet 0 0 0 1 1\n' >tiny.nl

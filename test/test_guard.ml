@@ -35,6 +35,7 @@ let samples =
       "bad-frame", 30, 2 );
     (Error.Overload { reason = "queue-full"; depth = 16 }, "overloaded", 31, 6);
     (Error.Io { site = "write"; msg = "Broken pipe" }, "io-error", 32, 7);
+    (Error.Usage { msg = "unknown circuit ibm99" }, "usage-error", 29, 2);
   ]
 
 let test_error_mappings () =

@@ -727,6 +727,24 @@ let test_gcstat_phase () =
        "gc.minor_words"
     <> None)
 
+(* A phase that allocates one block straight into the major heap is
+   charged for it: quick_stat's major words leave out a domain's
+   allocation that no collection has folded in yet, and read 0 here. *)
+let test_gcstat_direct_major () =
+  fresh @@ fun () ->
+  Eda_obs.Gcstat.phase "big" (fun () ->
+      ignore (Sys.opaque_identity (Bytes.create 100_000)));
+  match
+    Metrics.find ~labels:[ ("phase", "big") ] (Metrics.snapshot ())
+      "gc.major_words"
+  with
+  | Some (Metrics.Gauge v) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f major words >= 12500" v)
+        true (v >= 12_500.0)
+  | Some (Metrics.Counter _ | Metrics.Histogram _) | None ->
+      Alcotest.fail "gc.major_words gauge missing"
+
 (* ----------------------------- Log --------------------------------- *)
 
 let test_log_levels () =
@@ -774,6 +792,40 @@ let test_log_jsonl_sink () =
       match Json.member "level" j with
       | Some (Json.Str l) -> Alcotest.(check string) "level" "info" l
       | Some _ | None -> Alcotest.fail "level field missing")
+
+(* Domains that log at once each write whole lines: an unlocked
+   formatter shared by four domains loses lines or raises Queue.Empty. *)
+let test_log_concurrent_domains () =
+  let saved = Log.current_level () in
+  let buf = Buffer.create (1 lsl 20) in
+  Log.set_sink (Log.Human (Format.formatter_of_buffer buf));
+  Log.set_level (Log.Level Log.Warn);
+  Fun.protect
+    ~finally:(fun () ->
+      Log.set_sink (Log.Human Format.err_formatter);
+      Log.set_level saved)
+    (fun () ->
+      List.init 4 (fun d ->
+          Domain.spawn (fun () ->
+              for i = 1 to 2_000 do
+                Log.warn ~fields:[ ("domain", string_of_int d) ] "line %d" i
+              done))
+      |> List.iter Domain.join);
+  let lines =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "every line written" 8_000 (List.length lines);
+  let well_formed l =
+    match String.split_on_char ' ' l with
+    | [ "gsino:"; "[warn]"; "line"; i; d ] ->
+        int_of_string_opt i <> None
+        && String.length d = 8
+        && String.sub d 0 7 = "domain="
+    | _ -> false
+  in
+  Alcotest.(check int) "malformed lines" 0
+    (List.length (List.filter (fun l -> not (well_formed l)) lines))
 
 let suites =
   [
@@ -844,11 +896,17 @@ let suites =
         Alcotest.test_case "single writer" `Quick test_progress_single_writer;
       ] );
     ( "obs.gcstat",
-      [ Alcotest.test_case "phase deltas" `Quick test_gcstat_phase ] );
+      [
+        Alcotest.test_case "phase deltas" `Quick test_gcstat_phase;
+        Alcotest.test_case "direct major allocation" `Quick
+          test_gcstat_direct_major;
+      ] );
     ( "obs.log",
       [
         Alcotest.test_case "levels" `Quick test_log_levels;
         Alcotest.test_case "level_of_string" `Quick test_log_level_of_string;
         Alcotest.test_case "jsonl sink" `Quick test_log_jsonl_sink;
+        Alcotest.test_case "concurrent domains" `Quick
+          test_log_concurrent_domains;
       ] );
   ]

@@ -509,9 +509,11 @@ let route_matches_batch ?(jobs = 1) ~socket (what, options) =
     (order (Option.fold ~none:[] ~some:stable_journal (List.assoc_opt "journal" arts))
     = order journal)
 
-(* One netlist served at three seeds, then iSINO, then twice with the
-   NC router: every request after each router's first replays the
-   memo's preparation, and every response equals the batch flow's.
+(* One netlist served at three seeds, then iSINO and ID+NO, then twice
+   with the NC router: every request after each router's first replays
+   the memo's preparation, and every response equals the batch flow's.
+   ID+NO reads the replayed base routes as they are (net ordering, no
+   SINO), so its response checks them against a fresh preparation's.
    The first request asks for metrics only, so the entry it leaves must
    still journal the preparation for the requests that ask. *)
 let test_prepared_netlist_reused () =
@@ -529,10 +531,11 @@ let test_prepared_netlist_reused () =
           ("GSINO seed 8", { o with Protocol.seed = 8 });
           ("GSINO seed 9", { o with Protocol.seed = 9 });
           ("iSINO", { o with Protocol.kind = Flow.Isino });
+          ("ID+NO", { o with Protocol.kind = Flow.Id_no });
           ("NC miss", { o with Protocol.router = Flow.Negotiated });
           ("NC hit", { o with Protocol.router = Flow.Negotiated; seed = 8 });
         ]);
-  Alcotest.(check (pair int int)) "hits and misses" (4, 2) (prepare_counts ())
+  Alcotest.(check (pair int int)) "hits and misses" (5, 2) (prepare_counts ())
 
 (* A pooled daemon answers like a pooled batch run: on a one-worker
    jobs=2 daemon every pool section of a request, and of the
